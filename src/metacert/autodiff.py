@@ -19,6 +19,10 @@ import numpy as np
 _SEQ = itertools.count()
 
 
+class NonFiniteError(ValueError):
+    """A forward value that must be finite is not (NaN or infinity)."""
+
+
 class Tensor:
     """Dense array node in a reverse-mode computation graph."""
 
@@ -63,21 +67,6 @@ class Tensor:
         for node in nodes:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar; everything routes through the module-level ops.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, scalar):
-        return mul_scalar(self, scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
@@ -372,7 +361,7 @@ def hard_select_st(probs: Tensor, values: Tensor, soft: bool = False) -> Tensor:
     if p.ndim != 2 or p.shape[1] != 1 or p.shape[0] != values.data.shape[0]:
         raise ValueError(f"hard_select_st shapes: {p.shape} vs {values.data.shape}")
     if np.isnan(p).any():
-        raise ValueError("NaN in selection probabilities")
+        raise NonFiniteError("NaN in selection probabilities")
     if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("selection probabilities must be non-negative and sum to 1")
     if soft:
@@ -412,14 +401,18 @@ def binary_cross_entropy(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def zero_one_loss(logits, labels) -> float:
-    """Fraction of sign disagreements; sign(0) counts as +1. Not differentiable."""
+def zero_one_errors(logits, labels) -> int:
+    """Number of sign disagreements; sign(0) counts as +1. Not differentiable."""
     z = np.asarray(logits, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if z.shape != y.shape:
         raise ValueError("logits/labels length mismatch")
-    pred = np.where(z >= 0.0, 1.0, -1.0)
-    return float(np.mean(pred != y))
+    return int(np.count_nonzero(np.where(z >= 0.0, 1.0, -1.0) != y))
+
+
+def zero_one_loss(logits, labels) -> float:
+    """Fraction of sign disagreements; sign(0) counts as +1. Not differentiable."""
+    return zero_one_errors(logits, labels) / np.size(labels)
 
 
 def linear_loss(logits, labels) -> float:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import bounds
 from .hypernet import HypernetConfig, load_checkpoint, save_checkpoint
-from .metalearn import TrainProtocol, certify_task, meta_train, sweep
+from .metalearn import (TrainingDivergedError, TrainProtocol, certify_task,
+                        meta_train, sweep)
 from .rng import Rng, STREAM_CERTIFY, STREAM_SWEEP, STREAM_TRAIN
 from .tasks import MoonsEnvironmentSpec, gen_meta_dataset, load_tasks, save_tasks
 
@@ -47,10 +48,6 @@ def _parse_grid_lists(text: str) -> list[tuple[int, ...]]:
 
 def _parse_float_list(text: str) -> list[float]:
     return [float(s.strip()) for s in text.split(",") if s.strip()]
-
-
-def _parse_int_flat_list(text: str) -> list[int]:
-    return [int(s.strip()) for s in text.split(",") if s.strip()]
 
 
 # key -> (parser, default); None default means required
@@ -88,8 +85,8 @@ CONFIG_SCHEMA = {
     "sweep_mlp1": (_parse_grid_lists, None),
     "sweep_mlp2": (_parse_grid_lists, None),
     "sweep_mlp3": (_parse_grid_lists, None),
-    "sweep_c": (_parse_int_flat_list, None),
-    "sweep_b": (_parse_int_flat_list, None),
+    "sweep_c": (_parse_int_list, None),
+    "sweep_b": (_parse_int_list, None),
 }
 
 _OPTIONAL_KEYS = {"sweep_learning_rate", "sweep_mlp1", "sweep_mlp2",
@@ -183,10 +180,6 @@ def _jsonable(v):
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _parse_vector(text: str):
-    return [float(s) for s in text.split(",") if s.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +300,8 @@ def cmd_bound(args) -> int:
         "binomial-tail": lambda: bounds.binomial_tail_inverse(
             args.m, args.errors if args.errors is not None else 0,
             args.log_delta_prime),
-        "gaussian-kl": lambda: bounds.gaussian_kl(_parse_vector(args.mu)),
-        "renyi": lambda: bounds.renyi_divergence_gaussian(_parse_vector(args.mu),
+        "gaussian-kl": lambda: bounds.gaussian_kl(_parse_float_list(args.mu)),
+        "renyi": lambda: bounds.renyi_divergence_gaussian(_parse_float_list(args.mu),
                                                           args.alpha),
     }
     needs_m = args.kind not in ("kl", "kl-inverse", "gaussian-kl", "renyi")
@@ -447,7 +440,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,10 @@ Four meta-predictor variants share the same building blocks:
 
 The downstream parameters depend on the input dataset only through the
 bottleneck (selected rows, message), which is what the certificates charge
-for.  Set-valued inputs are canonically sorted (lexicographically by row)
-before any encoding, so every architecture is exactly permutation invariant,
-bit for bit.
+for.  Set-valued inputs are sorted once, lexicographically by row, by
+``hypernet_forward`` / ``decode_gamma``; inner modules require canonical
+order.  Every architecture is therefore exactly permutation invariant, bit
+for bit.
 
 Tasks arrive at wildly different locations and scales, and the networks use
 no batch normalization, so each set-consuming module standardizes its own
@@ -43,20 +44,6 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class DeepSetConfig:
-    input_dim: int
-    hidden: tuple[int, ...]
-    embed_dim: int
-    n_classes: int = 2
-
-    def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-
-
-@dataclass(frozen=True)
 class HypernetConfig:
     architecture: str
     c: int = 0
@@ -73,6 +60,8 @@ class HypernetConfig:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.c < 0 or self.b < 0:
             raise ValueError("c and b must be >= 0")
+        if self.deepset_dim < 1:
+            raise ValueError("deepset_dim must be >= 1")
         arch = self.architecture
         if arch == "PBH" and not (self.c == 0 and self.b >= 1):
             raise ValueError("PBH requires c = 0 and b >= 1")
@@ -97,9 +86,6 @@ class HypernetConfig:
     @property
     def has_message(self) -> bool:
         return self.architecture != "SCH_MINUS"
-
-    def deepset_config(self) -> DeepSetConfig:
-        return DeepSetConfig(self.input_dim, self.mlp2, self.deepset_dim)
 
 
 @dataclass
@@ -189,26 +175,21 @@ def mlp_forward(params: HypernetParams, prefix: str, x: Tensor) -> Tensor:
     return x
 
 
-def _init_deepset(params: HypernetParams, prefix: str, ds: DeepSetConfig,
-                  rng: Rng) -> None:
-    _init_mlp(params, prefix, [ds.input_dim, *ds.hidden, ds.embed_dim], rng)
-
-
 def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> HypernetParams:
     """Create all parameters in a fixed order from a single stream."""
     params = HypernetParams()
     d, dp = cfg.input_dim, cfg.deepset_dim
-    ds = cfg.deepset_config()
+    deepset_sizes = [d, *cfg.mlp2, dp]
     if cfg.c > 0:
-        _init_deepset(params, "compressor.deepset", ds, rng)
+        _init_mlp(params, "compressor.deepset", deepset_sizes, rng)
         _init_mlp(params, "compressor.keys", [d, *cfg.mlp1, cfg.attention_dim], rng)
         for h in range(cfg.c):
             _init_mlp(params, f"compressor.query{h}", [dp, cfg.attention_dim], rng)
     if cfg.has_message:
-        _init_deepset(params, "message.deepset", ds, rng)
+        _init_mlp(params, "message.deepset", deepset_sizes, rng)
         _init_mlp(params, "message.trunk", [dp, *cfg.mlp1, cfg.b], rng)
     if cfg.c > 0:
-        _init_deepset(params, "recon.deepset", ds, rng)
+        _init_mlp(params, "recon.deepset", deepset_sizes, rng)
     else:
         params.add("recon.const", kaiming_uniform_init((1, dp), dp, rng))
     trunk_in = dp + (cfg.b if cfg.has_message else 0)
@@ -246,6 +227,18 @@ def _standardize(features: Tensor, mean: np.ndarray, std: np.ndarray) -> Tensor:
     return ad.mul_elem(centered, np.tile(1.0 / std, (m, 1)))
 
 
+def _standardized_input(features: Tensor) -> Tensor:
+    """The input set standardized by its own statistics, as a constant.
+
+    The input set carries no gradient, so the map is applied in numpy, with
+    the same arithmetic as ``_standardize``.  On a canonically ordered set
+    the statistics are exactly permutation invariant, float summation order
+    included.
+    """
+    mean, std = set_statistics(features.data)
+    return ad.constant((features.data - mean) * (1.0 / std))
+
+
 def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Lexicographic row order of [features | labels]; ties keep input order.
 
@@ -257,55 +250,37 @@ def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def deepset_embed(params: HypernetParams, prefix: str, features: Tensor,
-                  labels: Tensor, n_classes: int = 2) -> Tensor:
-    """Permutation-invariant set embedding.
+                  labels: Tensor) -> Tensor:
+    """Set embedding z = (1/m) M^T y of a canonically ordered set.
 
-    Binary path: z = (1/m) M^T y with M the per-row network outputs and y the
-    +-1 label column.  Multiclass path: one-hot labels are appended to the
-    per-row outputs and aggregated against the all-ones vector.
+    M holds the per-row network outputs and y is the +-1 label column.  The
+    caller supplies the rows in canonical order, which fixes the float
+    summation order and so makes z exactly permutation invariant.
     """
     m = features.data.shape[0]
     if m == 0:
         raise ValueError("cannot embed an empty set")
-    order = canonical_order(features.data, labels.data)
-    xs = ad.row_select(features, order)
-    ys = ad.row_select(labels, order)
-    rows = mlp_forward(params, prefix, xs)
-    if n_classes == 2:
-        pooled = ad.matmul(ad.transpose(rows), ys)          # (d', 1)
-    else:
-        if labels.data.shape[1] != n_classes:
-            raise ValueError("multiclass labels must be one-hot rows")
-        rows = ad.concat([rows, ys], axis=1)
-        pooled = ad.matmul(ad.transpose(rows), ad.constant(np.ones((m, 1))))
-    return ad.mul_scalar(ad.transpose(pooled), 1.0 / m)     # (1, d' [+ n_classes])
-
-
-def _sorted_standardized(features: Tensor, labels: Tensor) -> tuple[Tensor, Tensor]:
-    """Canonically ordered view with standardized features.
-
-    Statistics are taken over the sorted rows so that they, too, are exactly
-    permutation invariant (float summation order included).
-    """
-    order = canonical_order(features.data, labels.data)
-    xs = ad.row_select(features, order)
-    ys = ad.row_select(labels, order)
-    mean, std = set_statistics(xs.data)
-    return _standardize(xs, mean, std), ys
+    rows = mlp_forward(params, prefix, features)
+    pooled = ad.matmul(ad.transpose(rows), labels)          # (d', 1)
+    return ad.mul_scalar(ad.transpose(pooled), 1.0 / m)     # (1, d')
 
 
 def pb_encode(params: HypernetParams, features: Tensor, labels: Tensor) -> Tensor:
-    """Gaussian posterior mean mu = tanh(trunk(deepset(S))), each entry in (-1, 1)."""
-    xs, ys = _sorted_standardized(features, labels)
-    z = deepset_embed(params, "message.deepset", xs, ys)
+    """Gaussian posterior mean mu = tanh(trunk(deepset(S))), each entry in (-1, 1).
+
+    ``features`` and ``labels`` form a canonically ordered set.
+    """
+    z = deepset_embed(params, "message.deepset", _standardized_input(features), labels)
     return ad.tanh(mlp_forward(params, "message.trunk", z))
 
 
 def msg_compress(params: HypernetParams, features: Tensor, labels: Tensor,
                  soft: bool = False) -> Tensor:
-    """Binary message in {-1, +1}^b; straight-through sign on the same trunk."""
-    xs, ys = _sorted_standardized(features, labels)
-    z = deepset_embed(params, "message.deepset", xs, ys)
+    """Binary message in {-1, +1}^b; straight-through sign on the same trunk.
+
+    ``features`` and ``labels`` form a canonically ordered set.
+    """
+    z = deepset_embed(params, "message.deepset", _standardized_input(features), labels)
     return ad.sign_st(mlp_forward(params, "message.trunk", z), soft=soft)
 
 
@@ -313,29 +288,26 @@ def sample_compress(params: HypernetParams, cfg: HypernetConfig, features: Tenso
                     labels: Tensor, soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
     """Select ``cfg.c`` rows with independent scaled dot-product attention heads.
 
-    Queries are per-head projections of the set embedding, keys come from a
-    shared feedforward network over the (standardized) features, and the
-    values are the raw (feature, label) rows themselves.  Each head
+    ``features`` and ``labels`` form a canonically ordered set.  Queries are
+    per-head projections of the set embedding, keys come from a shared
+    feedforward network over the (standardized) features, and the values
+    are the raw (feature, label) rows themselves.  Each head
     contributes its argmax row through a straight-through selection; heads
     may agree, in which case the duplicate rows are dropped so the output
     depends on the distinct selected set only.
 
     Returns (distinct selected indices in the input's coordinates, ascending;
-    selected rows, one per distinct index).
+    selected rows, one per distinct index, in that order).
     """
     m = features.data.shape[0]
     if cfg.c > m:
         raise ValueError(f"compression size {cfg.c} exceeds set size {m}")
-    order = canonical_order(features.data, labels.data)
-    xs = ad.row_select(features, order)
-    ys = ad.row_select(labels, order)
-    values = ad.concat([xs, ys], axis=1)
-    mean, std = set_statistics(xs.data)
-    xs_std = _standardize(xs, mean, std)
+    values = ad.concat([features, labels], axis=1)
+    xs_std = _standardized_input(features)
     keys = mlp_forward(params, "compressor.keys", xs_std)
-    z = deepset_embed(params, "compressor.deepset", xs_std, ys)
+    z = deepset_embed(params, "compressor.deepset", xs_std, labels)
     scale = 1.0 / math.sqrt(cfg.attention_dim)
-    chosen: dict[int, tuple[int, Tensor]] = {}  # canonical pos -> (orig idx, row)
+    chosen: dict[int, Tensor] = {}  # input position -> selected row
     soft_rows: list[Tensor] = []
     for h in range(cfg.c):
         query = mlp_forward(params, f"compressor.query{h}", z)      # (1, d_k)
@@ -344,16 +316,15 @@ def sample_compress(params: HypernetParams, cfg: HypernetConfig, features: Tenso
         pos = int(np.argmax(probs.data[:, 0]))                      # ties -> lowest index
         row = ad.hard_select_st(probs, values, soft=soft)
         soft_rows.append(row)
-        if pos not in chosen:
-            chosen[pos] = (int(order[pos]), row)
-    indices = tuple(sorted(chosen[pos][0] for pos in chosen))
+        chosen.setdefault(pos, row)
+    indices = tuple(sorted(chosen))
     if soft:
         # surrogate twin: every head's mixture row, no deduplication (the
         # mixtures vary continuously, so there is nothing discrete to merge)
         return indices, ad.concat(soft_rows, axis=0)
-    # rows in canonical content order, so they are permutation invariant too
-    rows = ad.concat([chosen[pos][1] for pos in sorted(chosen)], axis=0)
-    return indices, rows
+    # ascending positions of a canonically ordered set: the rows come out in
+    # canonical content order, so they are permutation invariant too
+    return indices, ad.concat([chosen[pos] for pos in indices], axis=0)
 
 
 def reconstruct(params: HypernetParams, cfg: HypernetConfig,
@@ -361,11 +332,13 @@ def reconstruct(params: HypernetParams, cfg: HypernetConfig,
                 soft: bool = False) -> Tensor:
     """Emit downstream weights gamma from (compression rows, message).
 
-    The rows are standardized by their own mean and scale before the set
-    embedding, and the trunk's first-layer weights are emitted in those
-    standardized coordinates; the inverse affine map is folded back into
-    the returned gamma, so the downstream network still consumes raw
-    features.  Both statistics are functions of the compression rows alone.
+    ``rows`` arrive in canonical content order (the soft twin's mixture rows
+    arrive in head order).  They are standardized by their own mean and
+    scale before the set embedding, and the trunk's first-layer weights are
+    emitted in those standardized coordinates; the inverse affine map is
+    folded back into the returned gamma, so the downstream network still
+    consumes raw features.  Both statistics are functions of the compression
+    rows alone.
 
     The statistics are stop-gradients on the production path (rescaling
     gradients of order var^-3/2 destabilize the selection heads); the soft
@@ -384,10 +357,8 @@ def reconstruct(params: HypernetParams, cfg: HypernetConfig,
         trunk_in = emb if message is None else ad.concat([emb, message], axis=1)
         return mlp_forward(params, "recon.trunk", trunk_in)
     d = cfg.input_dim
-    row_order = canonical_order(rows.data[:, :d], rows.data[:, d:])
-    rows_sorted = ad.row_select(rows, row_order)
-    feats = ad.slice_cols(rows_sorted, 0, d)
-    labs = ad.slice_cols(rows_sorted, d, d + 1)
+    feats = ad.slice_cols(rows, 0, d)
+    labs = ad.slice_cols(rows, d, d + 1)
     n = feats.data.shape[0]
     if soft:
         # differentiable statistics; scale = sqrt(var + floor^2) smooths the floor
@@ -467,16 +438,21 @@ def hypernet_forward(params: HypernetParams, cfg: HypernetConfig,
                      soft: bool = False) -> tuple[Tensor, CompressionArtifacts]:
     """Run the architecture on a task sample; returns (gamma, bottleneck).
 
+    The sample is put in canonical order here, once, for every module.
     Architectures with a Gaussian message add noise ``eps`` to the posterior
     mean; pass ``eps`` explicitly (e.g. zeros for the deterministic decoder)
     or supply ``rng`` to sample it.
     """
-    x_t = ad.constant(np.asarray(features, dtype=np.float64))
-    y_t = ad.constant(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    order = canonical_order(features, labels)
+    x_t = ad.constant(features[order])
+    y_t = ad.constant(labels[order])
     indices: tuple[int, ...] = ()
     rows = None
     if cfg.c > 0:
-        indices, rows = sample_compress(params, cfg, x_t, y_t, soft=soft)
+        positions, rows = sample_compress(params, cfg, x_t, y_t, soft=soft)
+        indices = tuple(sorted(int(order[pos]) for pos in positions))
 
     message = None
     binary_message = None
@@ -505,15 +481,16 @@ def decode_gamma(params: HypernetParams, cfg: HypernetConfig,
                  indices, message: np.ndarray | None) -> Tensor:
     """Rebuild gamma from stored bottleneck artifacts (no set encoding).
 
-    The compression rows are reassembled from the task data at ``indices``;
-    the result matches the original forward bit for bit, which is exactly
-    the property the certificates rely on.
+    The compression rows are reassembled from the task data at ``indices``
+    and put in canonical order; the result matches the original forward bit
+    for bit, which is exactly the property the certificates rely on.
     """
     rows = None
     if len(indices) > 0:
-        idx = np.asarray(sorted(indices), dtype=np.intp)
-        data = np.column_stack([features[idx], np.asarray(labels, dtype=np.float64)[idx]])
-        rows = ad.constant(data)
+        idx = np.asarray(indices, dtype=np.intp)
+        feats = np.asarray(features, dtype=np.float64)[idx]
+        labs = np.asarray(labels, dtype=np.float64)[idx]
+        rows = ad.constant(np.column_stack([feats, labs])[canonical_order(feats, labs)])
     msg_t = None if message is None else ad.constant(np.asarray(message, dtype=np.float64).reshape(1, -1))
     return reconstruct(params, cfg, rows, msg_t)
 

@@ -14,8 +14,9 @@ The meta-training collection is never an input to certification.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,9 +155,7 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
                 logits, _ = _task_logits(params, cfg, task.features[sup],
                                          task.labels[sup], task.features[qry],
                                          rng=visit.split(1))
-            except ValueError as exc:
-                if "NaN" not in str(exc):
-                    raise
+            except ad.NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite forward pass at epoch {epoch}, "
                     f"task {task.task_id}: {exc}") from exc
@@ -248,16 +247,16 @@ def certify_task(params: HypernetParams, cfg: HypernetConfig, task: TaskDataset,
     comp = _complement_indices(m, artifacts.indices)
     logits = downstream_forward(gamma, artifacts.mlp3_shapes,
                                 ad.constant(task.features)).data.reshape(-1)
-    emp_01 = ad.zero_one_loss(logits[comp], task.labels[comp])
-    emp_lin = ad.linear_loss(logits[comp], task.labels[comp])
     c_eff = artifacts.c_effective
     n_comp = m - c_eff
+    K = ad.zero_one_errors(logits[comp], task.labels[comp])
+    emp_01 = K / n_comp
+    emp_lin = ad.linear_loss(logits[comp], task.labels[comp])
 
     entries: list[CertEntry] = []
     sampled_message = None
     if cfg.architecture in ("SCH_MINUS", "SCH_PLUS"):
         sampled_message = artifacts.binary_message
-        K = int(round(emp_01 * n_comp))
         budget01 = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_01)
         entries.append(CertEntry("SCH_BINARY", bounds.bound_sch_binary(budget01, K),
                                  emp_01, "zero_one", None))
@@ -339,40 +338,23 @@ def sweep(train_tasks, val_tasks, architecture: str, protocol: TrainProtocol,
     """
     grid = {**DEFAULT_GRID, **(grid or {})}
     rows: list[SweepRow] = []
-    point = 0
-    for lr in grid["learning_rate"]:
-        for mlp1 in grid["mlp1"]:
-            for mlp2 in grid["mlp2"]:
-                for mlp3 in grid["mlp3"]:
-                    for c in grid["c"]:
-                        for b in grid["b"]:
-                            point += 1
-                            try:
-                                cfg = HypernetConfig(architecture, c=c, b=b,
-                                                     input_dim=input_dim,
-                                                     mlp1=tuple(mlp1), mlp2=tuple(mlp2),
-                                                     mlp3=tuple(mlp3))
-                            except ValueError as exc:
-                                rows.append(SweepRow(lr, tuple(mlp1), tuple(mlp2),
-                                                     tuple(mlp3), c, b, None, None,
-                                                     skipped=str(exc)))
-                                if log_fn:
-                                    log_fn(f"skip point {point}: {exc}")
-                                continue
-                            run_protocol = TrainProtocol(
-                                support_size=protocol.support_size,
-                                learning_rate=lr,
-                                max_epochs=protocol.max_epochs,
-                                patience=protocol.patience,
-                                n_mc=protocol.n_mc)
-                            _, log = meta_train(train_tasks, val_tasks, cfg,
-                                                run_protocol, rng.split(point))
-                            rows.append(SweepRow(lr, tuple(mlp1), tuple(mlp2),
-                                                 tuple(mlp3), c, b,
-                                                 log.best_val_error, log.best_epoch))
-                            if log_fn:
-                                log_fn(f"point {point}: c={c} b={b} lr={lr} "
-                                       f"val_error={log.best_val_error:.4f}")
+    axes = [grid[key] for key in ("learning_rate", "mlp1", "mlp2", "mlp3", "c", "b")]
+    for point, (lr, mlp1, mlp2, mlp3, c, b) in enumerate(itertools.product(*axes), start=1):
+        mlp1, mlp2, mlp3 = tuple(mlp1), tuple(mlp2), tuple(mlp3)
+        try:
+            cfg = HypernetConfig(architecture, c=c, b=b, input_dim=input_dim,
+                                 mlp1=mlp1, mlp2=mlp2, mlp3=mlp3)
+        except ValueError as exc:
+            rows.append(SweepRow(lr, mlp1, mlp2, mlp3, c, b, None, None, skipped=str(exc)))
+            if log_fn:
+                log_fn(f"skip point {point}: {exc}")
+            continue
+        run_protocol = replace(protocol, learning_rate=lr)
+        _, log = meta_train(train_tasks, val_tasks, cfg, run_protocol, rng.split(point))
+        rows.append(SweepRow(lr, mlp1, mlp2, mlp3, c, b, log.best_val_error, log.best_epoch))
+        if log_fn:
+            log_fn(f"point {point}: c={c} b={b} lr={lr} "
+                   f"val_error={log.best_val_error:.4f}")
     return select_best(rows), rows
 
 

@@ -128,6 +128,22 @@ class TestPipeline:
         skipped = [r for r in rows if r["skipped"]]
         assert len(skipped) == 1 and skipped[0]["c"] == "0"
 
+    def test_train_on_nan_feature_exits_numeric_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        tasks = tmp_path / "out" / "tasks"
+        manifest = json.loads((tasks / "manifest.json").read_text())
+        task_file = tasks / next(e["file"] for e in manifest["tasks"]
+                                 if e["split"] == "train")
+        lines = task_file.read_text().splitlines()
+        lines[1] = ",".join(["nan", *lines[1].split(",")[1:]])
+        task_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_train_without_tasks_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["train", "--config", str(cfg)])

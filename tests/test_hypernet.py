@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metacert import autodiff as ad
+from metacert import hypernet
 from metacert.autodiff import Tensor
 from metacert.hypernet import (CompressionArtifacts, HypernetConfig,
                                HypernetParams, canonical_order, decode_gamma,
@@ -31,6 +32,30 @@ def small_task(m=30, seed=5):
 
 def params_for(cfg, seed=1):
     return init_hypernet_params(cfg, Rng(seed).split(0))
+
+
+def assert_forward_permutation_invariant(monkeypatch, cfg, task, perm):
+    """Permuting the task leaves the bottleneck unchanged, bit for bit.
+
+    The message and the compression rows the reconstructor receives are
+    identical, and the stored indices name the same original examples.
+    """
+    rows = []
+
+    def spy(*args, **kwargs):
+        out = sample_compress(*args, **kwargs)
+        rows.append(out[1].data)
+        return out
+
+    monkeypatch.setattr(hypernet, "sample_compress", spy)
+    params = params_for(cfg)
+    x, y = task.features, task.labels
+    _, a1 = hypernet_forward(params, cfg, x, y)
+    _, a2 = hypernet_forward(params, cfg, x[perm], y[perm])
+    if cfg.has_binary_message:
+        assert np.array_equal(a1.binary_message, a2.binary_message)
+    assert len(rows) == 2 and np.array_equal(rows[0], rows[1])
+    assert sorted(a1.indices) == sorted(int(perm[i]) for i in a2.indices)
 
 
 class TestConfig:
@@ -64,19 +89,6 @@ class TestDeepSet:
         z = deepset_embed(params, "g", x, y)
         assert np.allclose(z.data, [[0.5, -0.5]], atol=1e-15)
 
-    def test_permutation_bit_identical(self):
-        task = small_task()
-        cfg = small_config()
-        params = params_for(cfg)
-        x = ad.constant(task.features)
-        y = ad.constant(task.labels.reshape(-1, 1))
-        z1 = deepset_embed(params, "message.deepset", x, y)
-        perm = Rng(3).permutation(len(task))
-        z2 = deepset_embed(params, "message.deepset",
-                           ad.constant(task.features[perm]),
-                           ad.constant(task.labels[perm].reshape(-1, 1)))
-        assert np.array_equal(z1.data, z2.data)
-
     def test_duplicating_every_example_preserves_embedding(self):
         task = small_task()
         cfg = small_config()
@@ -88,16 +100,6 @@ class TestDeepSet:
         y2 = ad.constant(np.vstack([task.labels.reshape(-1, 1)] * 2))
         z2 = deepset_embed(params, "message.deepset", x2, y2)
         assert np.allclose(z1.data, z2.data, atol=1e-12)
-
-    def test_multiclass_path_appends_one_hot(self):
-        cfg = small_config()
-        params = params_for(cfg)
-        x = ad.constant(Rng(0).normal((6, 2)))
-        onehot = np.eye(3)[np.array([0, 1, 2, 0, 1, 2])]
-        z = deepset_embed(params, "message.deepset", x, ad.constant(onehot), n_classes=3)
-        assert z.data.shape == (1, cfg.deepset_dim + 3)
-        # the one-hot block aggregates to the class frequencies
-        assert np.allclose(z.data[0, -3:], [1 / 3, 1 / 3, 1 / 3])
 
     def test_empty_set_rejected(self):
         cfg = small_config()
@@ -136,16 +138,10 @@ class TestEncoders:
                              ad.constant(task.labels.reshape(-1, 1)))
         assert set(np.unique(omega.data)) <= {-1.0, 1.0}
 
-    def test_message_permutation_invariance(self):
+    def test_message_permutation_invariance(self, monkeypatch):
         cfg = small_config("SCH_PLUS", c=2, b=6)
-        params = params_for(cfg)
-        task = small_task()
-        perm = Rng(9).permutation(len(task))
-        a = msg_compress(params, ad.constant(task.features),
-                         ad.constant(task.labels.reshape(-1, 1)))
-        b = msg_compress(params, ad.constant(task.features[perm]),
-                         ad.constant(task.labels[perm].reshape(-1, 1)))
-        assert np.array_equal(a.data, b.data)
+        assert_forward_permutation_invariant(monkeypatch, cfg, small_task(m=30),
+                                             Rng(9).permutation(30))
 
     def test_msg_gradient_flows_through_straight_through(self):
         cfg = small_config("SCH_PLUS", c=2, b=4)
@@ -169,19 +165,10 @@ class TestSampleCompressor:
         assert indices == (0,)
         assert np.array_equal(rows.data, [[0.3, -0.8, 1.0]])
 
-    def test_selected_content_invariant_under_permutation(self):
+    def test_selected_content_invariant_under_permutation(self, monkeypatch):
         cfg = small_config("SCH_MINUS", c=3, b=0)
-        params = params_for(cfg)
-        task = small_task(m=40)
-        x, y = task.features, task.labels
-        i1, r1 = sample_compress(params, cfg, ad.constant(x),
-                                 ad.constant(y.reshape(-1, 1)))
-        perm = Rng(13).permutation(len(task))
-        i2, r2 = sample_compress(params, cfg, ad.constant(x[perm]),
-                                 ad.constant(y[perm].reshape(-1, 1)))
-        assert np.array_equal(r1.data, r2.data)  # same rows, bit for bit
-        # indices map back to the same original examples
-        assert {tuple(x[i]) for i in i1} == {tuple(x[perm][i]) for i in i2}
+        assert_forward_permutation_invariant(monkeypatch, cfg, small_task(m=40),
+                                             Rng(13).permutation(40))
 
     def test_crafted_key_alignment_wins(self):
         # force one key to align with every query by zeroing the key net and
@@ -230,11 +217,18 @@ class TestReconstructor:
         assert np.linalg.norm(g1.data - g2.data) > 0.0
 
     def test_row_permutation_invariance(self):
+        # decode_gamma owns the row sort: the same examples stored at other
+        # positions, listed in another order, decode to the same gamma
         cfg = small_config("SCH_MINUS", c=4, b=0)
         params = params_for(cfg)
-        rows = Rng(0).normal((4, 3))
-        g1 = reconstruct(params, cfg, ad.constant(rows), None)
-        g2 = reconstruct(params, cfg, ad.constant(rows[::-1].copy()), None)
+        task = small_task(m=20)
+        indices = (2, 5, 11, 17)
+        perm = Rng(0).permutation(len(task))
+        position = np.argsort(perm)  # example i sits at position[i] after perm
+        moved = tuple(int(position[i]) for i in reversed(indices))
+        g1 = decode_gamma(params, cfg, task.features, task.labels, indices, None)
+        g2 = decode_gamma(params, cfg, task.features[perm], task.labels[perm],
+                          moved, None)
         assert np.array_equal(g1.data, g2.data)
 
     def test_needs_rows_or_message(self):
@@ -346,6 +340,29 @@ class TestForwardAndArtifacts:
         gamma, art = hypernet_forward(params, cfg, task.features, task.labels)
         g2 = decode_gamma(params, cfg, task.features, task.labels, art.indices, None)
         assert np.array_equal(gamma.data, g2.data)
+
+    def test_canonical_order_runs_once_per_entry_point(self, monkeypatch):
+        calls = []
+
+        def counting(features, labels):
+            calls.append(len(features))
+            return canonical_order(features, labels)
+
+        monkeypatch.setattr(hypernet, "canonical_order", counting)
+        task = small_task(m=24)
+        for arch, c, b in (("PBH", 0, 3), ("SCH_MINUS", 2, 0),
+                           ("SCH_PLUS", 2, 3), ("PBSCH", 2, 3)):
+            cfg = small_config(arch, c=c, b=b)
+            params = params_for(cfg)
+            calls.clear()
+            _, art = hypernet_forward(params, cfg, task.features, task.labels,
+                                      rng=Rng(7))
+            assert calls == [len(task)], arch
+            calls.clear()
+            message = (art.binary_message if art.gaussian_mean is None
+                       else art.gaussian_mean)
+            decode_gamma(params, cfg, task.features, task.labels, art.indices, message)
+            assert calls == ([art.c_effective] if c > 0 else []), arch
 
     def test_gaussian_arch_requires_rng_or_eps(self):
         cfg = small_config("PBH", c=0, b=2)
