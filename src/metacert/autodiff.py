@@ -6,8 +6,19 @@ the nodes reachable from the loss in strict reverse creation order, so each
 node's backward closure runs exactly once, after all of its consumers have
 already accumulated into its gradient.  Gradients add across fan-out.
 
-Only the handful of primitives the hypernetworks need are provided; tensors
-are 1-D or 2-D, everything is float64, and no op mutates its inputs' values.
+Only the handful of primitives the hypernetworks need are provided:
+
+* ``dense``, one fused dense layer ``x @ w + b``, optionally ReLU'd;
+* structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
+  ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
+  ``reshape``, ``slice_cols``;
+* activations ``tanh`` and ``softmax``;
+* straight-through surrogates ``sign_st`` and ``hard_select_st``;
+* the ``binary_cross_entropy`` loss, plus the non-differentiable metrics
+  ``zero_one_errors``, ``zero_one_loss`` and ``linear_loss``.
+
+Tensors are 1-D or 2-D, everything is float64, and no op mutates its
+inputs' values.
 """
 
 from __future__ import annotations
@@ -78,11 +89,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 def constant(data) -> Tensor:
     return Tensor(data)
 
@@ -104,19 +110,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """One dense layer ``x @ w + b`` with a (1, n) bias row, ReLU'd if ``relu``."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != (1, w.data.shape[1])):
+        raise ValueError(f"dense shape mismatch: {x.data.shape} @ {w.data.shape} "
+                         f"+ {b.data.shape}")
+    pre = x.data @ w.data + b.data
+    if relu:
+        mask = (pre > 0.0).astype(np.float64)
+        pre = np.maximum(pre, 0.0)
+    out = Tensor(pre, parents=(x, w, b), op="dense")
+
+    def backward(g):
+        if relu:
+            g = g * mask
+        _accum(b, g.sum(axis=0, keepdims=True))
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+
+    out._backward = backward
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a (1, n) bias row against an (m, n) left arg."""
-    if a.data.shape == b.data.shape:
-        bias = False
-    elif a.data.ndim == 2 and b.data.shape == (1, a.data.shape[1]):
-        bias = True
-    else:
+    if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
     out = Tensor(a.data + b.data, parents=(a, b), op="add")
 
     def backward(g):
         _accum(a, g)
-        _accum(b, g.sum(axis=0, keepdims=True) if bias else g)
+        _accum(b, g)
 
     out._backward = backward
     return out
@@ -221,21 +245,6 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-def row_select(a: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("row_select expects a 1-D index array")
-    out = Tensor(a.data[idx], parents=(a,), op="row_select")
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
-
-    out._backward = backward
-    return out
-
-
 def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, parents=(a,), op="transpose")
 
@@ -280,28 +289,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, g * (1.0 - y * y))
-
-    out._backward = backward
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), parents=(a,), op="relu")
-    mask = (a.data > 0.0).astype(np.float64)
-
-    def backward(g):
-        _accum(a, g * mask)
-
-    out._backward = backward
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-    out = Tensor(y, parents=(a,), op="sigmoid")
-
-    def backward(g):
-        _accum(a, g * y * (1.0 - y))
 
     out._backward = backward
     return out

@@ -50,6 +50,12 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(s.strip()) for s in text.split(",") if s.strip()]
 
 
+def _parse_loss_kind(text: str) -> str:
+    if text not in ("zero_one", "linear"):
+        raise ValueError(f"expected zero_one or linear, got {text!r}")
+    return text
+
+
 # key -> (parser, default); None default means required
 CONFIG_SCHEMA = {
     "output_dir": (str, None),
@@ -79,7 +85,7 @@ CONFIG_SCHEMA = {
     "n_mc": (int, 100),
     # certification
     "delta": (float, 0.05),
-    "certify_loss_kind": (str, "zero_one"),
+    "certify_loss_kind": (_parse_loss_kind, "zero_one"),
     # sweep sub-grid (optional filters of the default grid)
     "sweep_learning_rate": (_parse_float_list, None),
     "sweep_mlp1": (_parse_grid_lists, None),

@@ -112,72 +112,41 @@ class CompressionArtifacts:
         return len(self.indices)
 
 
-class HypernetParams:
-    """Named parameter store; insertion order is the canonical order."""
-
-    def __init__(self):
-        self.tensors: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self.tensors:
-            raise ValueError(f"duplicate parameter {name!r}")
-        self.tensors[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.tensors.items()}
-
-    def load_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        if set(snap) != set(self.tensors):
-            raise ValueError("snapshot names do not match parameter store")
-        for name, arr in snap.items():
-            self.tensors[name].data = np.array(arr, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # construction
+#
+# Parameters live in a plain dict of named tensors; insertion order is the
+# canonical order (initialization, Adam and the checkpoint all follow it).
 
 
-def _init_mlp(params: HypernetParams, prefix: str, sizes: list[int], rng: Rng) -> None:
+def _init_mlp(params: dict[str, Tensor], prefix: str, sizes: list[int], rng: Rng) -> None:
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        params.add(f"{prefix}.w{i}", kaiming_uniform_init((fan_in, fan_out), fan_in, rng))
-        params.add(f"{prefix}.b{i}", Tensor(np.zeros((1, fan_out)), requires_grad=True))
+        params[f"{prefix}.w{i}"] = kaiming_uniform_init((fan_in, fan_out), fan_in, rng)
+        params[f"{prefix}.b{i}"] = Tensor(np.zeros((1, fan_out)), requires_grad=True)
 
 
-def _mlp_layer_count(params: HypernetParams, prefix: str) -> int:
+def _mlp_layer_count(params: dict[str, Tensor], prefix: str) -> int:
     n = 0
     while f"{prefix}.w{n}" in params:
         n += 1
     return n
 
 
-def mlp_forward(params: HypernetParams, prefix: str, x: Tensor) -> Tensor:
-    """Feedforward pass, ReLU between layers, linear output."""
+def mlp_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """Feedforward pass, one ``dense`` node per layer: ReLU between layers,
+    linear output."""
     n_layers = _mlp_layer_count(params, prefix)
     if n_layers == 0:
         raise KeyError(f"no parameters under prefix {prefix!r}")
     for i in range(n_layers):
-        x = ad.add(ad.matmul(x, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
-        if i < n_layers - 1:
-            x = ad.relu(x)
+        x = ad.dense(x, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"],
+                     relu=i < n_layers - 1)
     return x
 
 
-def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> HypernetParams:
+def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> dict[str, Tensor]:
     """Create all parameters in a fixed order from a single stream."""
-    params = HypernetParams()
+    params: dict[str, Tensor] = {}
     d, dp = cfg.input_dim, cfg.deepset_dim
     deepset_sizes = [d, *cfg.mlp2, dp]
     if cfg.c > 0:
@@ -191,7 +160,7 @@ def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> HypernetParams:
     if cfg.c > 0:
         _init_mlp(params, "recon.deepset", deepset_sizes, rng)
     else:
-        params.add("recon.const", kaiming_uniform_init((1, dp), dp, rng))
+        params["recon.const"] = kaiming_uniform_init((1, dp), dp, rng)
     trunk_in = dp + (cfg.b if cfg.has_message else 0)
     gamma_size = downstream_param_count(downstream_shapes(d, cfg.mlp3))
     _init_mlp(params, "recon.trunk", [trunk_in, *cfg.mlp1, gamma_size], rng)
@@ -249,7 +218,7 @@ def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(joined[:, j] for j in reversed(range(joined.shape[1]))))
 
 
-def deepset_embed(params: HypernetParams, prefix: str, features: Tensor,
+def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
                   labels: Tensor) -> Tensor:
     """Set embedding z = (1/m) M^T y of a canonically ordered set.
 
@@ -265,7 +234,7 @@ def deepset_embed(params: HypernetParams, prefix: str, features: Tensor,
     return ad.mul_scalar(ad.transpose(pooled), 1.0 / m)     # (1, d')
 
 
-def pb_encode(params: HypernetParams, features: Tensor, labels: Tensor) -> Tensor:
+def pb_encode(params: dict[str, Tensor], features: Tensor, labels: Tensor) -> Tensor:
     """Gaussian posterior mean mu = tanh(trunk(deepset(S))), each entry in (-1, 1).
 
     ``features`` and ``labels`` form a canonically ordered set.
@@ -274,7 +243,7 @@ def pb_encode(params: HypernetParams, features: Tensor, labels: Tensor) -> Tenso
     return ad.tanh(mlp_forward(params, "message.trunk", z))
 
 
-def msg_compress(params: HypernetParams, features: Tensor, labels: Tensor,
+def msg_compress(params: dict[str, Tensor], features: Tensor, labels: Tensor,
                  soft: bool = False) -> Tensor:
     """Binary message in {-1, +1}^b; straight-through sign on the same trunk.
 
@@ -284,7 +253,7 @@ def msg_compress(params: HypernetParams, features: Tensor, labels: Tensor,
     return ad.sign_st(mlp_forward(params, "message.trunk", z), soft=soft)
 
 
-def sample_compress(params: HypernetParams, cfg: HypernetConfig, features: Tensor,
+def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, features: Tensor,
                     labels: Tensor, soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
     """Select ``cfg.c`` rows with independent scaled dot-product attention heads.
 
@@ -327,7 +296,7 @@ def sample_compress(params: HypernetParams, cfg: HypernetConfig, features: Tenso
     return indices, ad.concat([chosen[pos] for pos in indices], axis=0)
 
 
-def reconstruct(params: HypernetParams, cfg: HypernetConfig,
+def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
                 rows: Tensor | None, message: Tensor | None,
                 soft: bool = False) -> Tensor:
     """Emit downstream weights gamma from (compression rows, message).
@@ -422,9 +391,7 @@ def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
         offset += fan_in * fan_out
         bias = ad.slice_cols(gamma, offset, offset + fan_out)
         offset += fan_out
-        h = ad.add(ad.matmul(h, w), bias)
-        if layer < len(shapes) - 1:
-            h = ad.relu(h)
+        h = ad.dense(h, w, bias, relu=layer < len(shapes) - 1)
     return h
 
 
@@ -432,7 +399,7 @@ def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
 # full forward
 
 
-def hypernet_forward(params: HypernetParams, cfg: HypernetConfig,
+def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
                      features: np.ndarray, labels: np.ndarray,
                      rng: Rng | None = None, eps: np.ndarray | None = None,
                      soft: bool = False) -> tuple[Tensor, CompressionArtifacts]:
@@ -476,7 +443,7 @@ def hypernet_forward(params: HypernetParams, cfg: HypernetConfig,
     return gamma, artifacts
 
 
-def decode_gamma(params: HypernetParams, cfg: HypernetConfig,
+def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
                  features: np.ndarray, labels: np.ndarray,
                  indices, message: np.ndarray | None) -> Tensor:
     """Rebuild gamma from stored bottleneck artifacts (no set encoding).
@@ -499,7 +466,7 @@ def decode_gamma(params: HypernetParams, cfg: HypernetConfig,
 # checkpoints
 
 
-def save_checkpoint(path, cfg: HypernetConfig, params: HypernetParams,
+def save_checkpoint(path, cfg: HypernetConfig, params: dict[str, Tensor],
                     master_seed: int) -> None:
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -509,22 +476,36 @@ def save_checkpoint(path, cfg: HypernetConfig, params: HypernetParams,
         "master_seed": int(master_seed),
         "params": {
             name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-            for name, t in params.tensors.items()
+            for name, t in params.items()
         },
     }
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def load_checkpoint(path) -> tuple[HypernetConfig, HypernetParams, int]:
+def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
+    """Read a checkpoint; its tensors must match the layout of its config.
+
+    The layout is the one ``init_hypernet_params`` builds for the stored
+    config: the same names, each with its shape.  The first missing,
+    misshapen or unexpected tensor raises ``ValueError`` naming it.
+    """
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    raw = dict(doc["config"])
-    for key in ("mlp1", "mlp2", "mlp3"):
-        raw[key] = tuple(raw[key])
-    cfg = HypernetConfig(**raw)
-    params = HypernetParams()
-    for name, entry in doc["params"].items():
-        arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        params.add(name, Tensor(arr, requires_grad=True))
+    cfg = HypernetConfig(**doc["config"])
+    stored = doc["params"]
+    params = init_hypernet_params(cfg, Rng(0))
+    for name, t in params.items():
+        if name not in stored:
+            raise ValueError(f"checkpoint has no tensor {name!r}")
+        arr = np.array(stored[name]["values"], dtype=np.float64)
+        if tuple(stored[name]["shape"]) != t.data.shape or arr.size != t.data.size:
+            raise ValueError(f"checkpoint tensor {name!r} has shape "
+                             f"{tuple(stored[name]['shape'])} and {arr.size} values, "
+                             f"expected shape {t.data.shape}")
+        t.data = arr.reshape(t.data.shape)
+    extra = [name for name in stored if name not in params]
+    if extra:
+        raise ValueError(f"checkpoint tensor {extra[0]!r} is not part of the "
+                         f"{cfg.architecture} layout")
     return cfg, params, int(doc["master_seed"])

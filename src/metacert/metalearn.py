@@ -23,9 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import bounds
 from .autodiff import Tensor
-from .hypernet import (CompressionArtifacts, HypernetConfig, HypernetParams,
-                       decode_gamma, downstream_forward, downstream_shapes,
-                       hypernet_forward, init_hypernet_params)
+from .hypernet import (CompressionArtifacts, HypernetConfig, decode_gamma,
+                       downstream_forward, hypernet_forward, init_hypernet_params)
 from .optim import Adam
 from .rng import Rng
 from .tasks import TaskDataset
@@ -107,7 +106,7 @@ def split_support_query(task: TaskDataset, support_size: int,
     return perm[:support_size], perm[support_size:]
 
 
-def _task_logits(params: HypernetParams, cfg: HypernetConfig, sup_x, sup_y,
+def _task_logits(params: dict[str, Tensor], cfg: HypernetConfig, sup_x, sup_y,
                  eval_x, rng: Rng | None = None,
                  eps=None) -> tuple[Tensor, CompressionArtifacts]:
     gamma, artifacts = hypernet_forward(params, cfg, sup_x, sup_y, rng=rng, eps=eps)
@@ -132,7 +131,7 @@ def _validation_error(params, cfg, protocol, tasks, rng: Rng) -> float:
 
 def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
                cfg: HypernetConfig, protocol: TrainProtocol,
-               rng: Rng) -> tuple[HypernetParams, TrainingLog]:
+               rng: Rng) -> tuple[dict[str, Tensor], TrainingLog]:
     """Train the hypernetwork; returns the best-validation-epoch parameters."""
     if not train_tasks or not val_tasks:
         raise ValueError("need at least one training task and one validation task")
@@ -141,9 +140,9 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
         raise ValueError(f"support_size {protocol.support_size} must be < "
                          f"smallest task size {min_size}")
     params = init_hypernet_params(cfg, rng.split(0))
-    optimizer = Adam(params.tensors, lr=protocol.learning_rate)
+    optimizer = Adam(params, lr=protocol.learning_rate)
     log = TrainingLog()
-    best_snapshot = params.snapshot()
+    best_snapshot = {name: t.data.copy() for name, t in params.items()}
     for epoch in range(protocol.max_epochs):
         order = rng.split(1, epoch).permutation(len(train_tasks))
         losses = []
@@ -173,11 +172,12 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
         if val_error < log.best_val_error:
             log.best_val_error = val_error
             log.best_epoch = epoch
-            best_snapshot = params.snapshot()
+            best_snapshot = {name: t.data.copy() for name, t in params.items()}
         elif epoch - log.best_epoch >= protocol.patience:
             log.stopped_early = True
             break
-    params.load_snapshot(best_snapshot)
+    for name, t in params.items():
+        t.data = best_snapshot[name]
     return params, log
 
 
@@ -209,7 +209,7 @@ def _decoded_loss(params, cfg, task: TaskDataset, artifacts: CompressionArtifact
     return _loss_of_kind(logits.data, task.labels[comp], kind)
 
 
-def mc_expected_loss(params: HypernetParams, cfg: HypernetConfig, task: TaskDataset,
+def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
                      artifacts: CompressionArtifacts, n_mc: int, rng: Rng,
                      loss_kind: str = "zero_one") -> tuple[float, float]:
     """Monte-Carlo estimate of the message-posterior expected complement loss.
@@ -228,7 +228,7 @@ def mc_expected_loss(params: HypernetParams, cfg: HypernetConfig, task: TaskData
     return float(draws.mean()), stderr
 
 
-def certify_task(params: HypernetParams, cfg: HypernetConfig, task: TaskDataset,
+def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
                  delta: float, rng: Rng, n_mc: int = 100,
                  loss_kind: str = "zero_one") -> CertRow:
     """Certify the predictor the hypernetwork emits for one fresh task.

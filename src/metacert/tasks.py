@@ -7,7 +7,7 @@ so any task can be regenerated exactly from (environment spec, task id).
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -152,20 +152,8 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
                     "scale": task.provenance.scale,
                 })
             entries.append(entry)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "environment": {
-            "n_train_tasks": spec.n_train_tasks,
-            "n_test_tasks": spec.n_test_tasks,
-            "examples_per_task": spec.examples_per_task,
-            "noise_sigma": spec.noise_sigma,
-            "rotation_range": list(spec.rotation_range),
-            "center_range": list(spec.center_range),
-            "scale_range": list(spec.scale_range),
-            "master_seed": spec.master_seed,
-        },
-        "tasks": entries,
-    }
+    manifest = {"format_version": FORMAT_VERSION,
+                "environment": dataclasses.asdict(spec), "tasks": entries}
     path = directory / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return path
@@ -173,11 +161,9 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
 
 def _write_task_csv(path: Path, task: TaskDataset) -> None:
     d = task.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(d)] + ["y"])
-        for row, label in zip(task.features, task.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{int(label):d}"])
+    np.savetxt(path, np.column_stack([task.features, task.labels]),
+               fmt=["%.17g"] * d + ["%d"], delimiter=",",
+               header=",".join([f"x{i + 1}" for i in range(d)] + ["y"]), comments="")
 
 
 def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
@@ -188,17 +174,8 @@ def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported task format version {manifest.get('format_version')}")
-    env = manifest["environment"]
-    spec = MoonsEnvironmentSpec(
-        n_train_tasks=env["n_train_tasks"],
-        n_test_tasks=env["n_test_tasks"],
-        examples_per_task=env["examples_per_task"],
-        noise_sigma=env["noise_sigma"],
-        rotation_range=tuple(env["rotation_range"]),
-        center_range=tuple(env["center_range"]),
-        scale_range=tuple(env["scale_range"]),
-        master_seed=env["master_seed"],
-    )
+    spec = MoonsEnvironmentSpec(**{key: tuple(v) if isinstance(v, list) else v
+                                   for key, v in manifest["environment"].items()})
     splits: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
     for entry in manifest["tasks"]:
         if entry["split"] not in splits:
@@ -214,19 +191,12 @@ def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
 def _read_task_csv(path: Path, task_id: int) -> TaskDataset:
     if not path.exists():
         raise FileNotFoundError(f"task file missing: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "y":
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[-1] != "y":
             raise ValueError(f"{path}: malformed header {header}")
-        d = len(header) - 1
-        feats, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ValueError(f"{path}:{line_no}: expected {d + 1} columns, got {len(row)}")
-            feats.append([float(v) for v in row[:d]])
-            label = float(row[d])
-            if label not in (-1.0, 1.0):
-                raise ValueError(f"{path}:{line_no}: label must be -1 or +1, got {row[d]}")
-            labels.append(label)
-    return TaskDataset(np.array(feats), np.array(labels), task_id)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: expected {len(header)} columns, got {data.shape[1]}")
+    # copies keep both arrays C-contiguous, as freshly generated tasks are
+    return TaskDataset(data[:, :-1].copy(), data[:, -1].copy(), task_id)

@@ -55,7 +55,20 @@ class TestOpGradients:
         check_op(lambda a, b: ad.mean(ad.add(a, b)), (3, 4), (3, 4))
 
     def test_add_bias_broadcast(self):
-        check_op(lambda a, b: ad.mean(ad.tanh(ad.add(a, b))), (5, 3), (1, 3))
+        # the bias row of a dense layer broadcasts over the batch; add does not
+        x = Tensor(np.arange(15.).reshape(5, 3))
+        b = Tensor(np.array([[0.5, -1.0, 2.0]]), requires_grad=True)
+        out = ad.dense(x, Tensor(np.eye(3)), b, relu=False)
+        assert np.array_equal(out.data, x.data + b.data)
+        check_op(lambda b: ad.mean(ad.tanh(ad.dense(x, Tensor(np.eye(3)), b, relu=False))),
+                 (1, 3))
+        with pytest.raises(ValueError):
+            ad.add(x, b)
+
+    def test_dense_relu_and_linear(self):
+        for relu in (True, False):
+            check_op(lambda x, w, b, relu=relu: ad.mean(ad.tanh(ad.dense(x, w, b, relu))),
+                     (5, 4), (4, 3), (1, 3), seed=7)
 
     def test_sub(self):
         check_op(lambda a, b: ad.mean(ad.tanh(ad.sub(a, b))), (2, 3), (2, 3))
@@ -90,9 +103,10 @@ class TestOpGradients:
         check_op(lambda a, b: ad.mean(ad.tanh(ad.concat([a, b], axis=0))), (2, 3), (4, 3))
         check_op(lambda a, b: ad.mean(ad.tanh(ad.concat([a, b], axis=1))), (2, 3), (2, 2))
 
-    def test_row_select_with_duplicates(self):
-        idx = np.array([0, 2, 2, 1])
-        check_op(lambda a: ad.mean(ad.tanh(ad.row_select(a, idx))), (4, 3))
+    def test_slice_cols_overlapping_accumulates(self):
+        # overlapping windows read the same entries twice; both gradients land
+        check_op(lambda a: ad.mean(ad.tanh(ad.concat(
+            [ad.slice_cols(a, 0, 3), ad.slice_cols(a, 1, 4)], axis=1))), (4, 4))
 
     def test_transpose_reshape_slice(self):
         check_op(lambda a: ad.mean(ad.tanh(ad.transpose(a))), (3, 5))
@@ -100,7 +114,8 @@ class TestOpGradients:
         check_op(lambda a: ad.mean(ad.tanh(ad.slice_cols(a, 1, 4))), (3, 5))
 
     def test_activations(self):
-        for act in (ad.tanh, ad.relu, ad.sigmoid):
+        relu = lambda a: ad.dense(a, Tensor(np.eye(3)), Tensor(np.zeros((1, 3))), relu=True)
+        for act in (ad.tanh, relu):
             check_op(lambda a, act=act: ad.mean(act(a)), (4, 3), seed=3)
 
     def test_softmax_both_axes(self):
@@ -125,8 +140,12 @@ class TestActivationValues:
 
     def test_relu_backward_negative_input(self):
         t = Tensor(np.array([[-1.0]]), requires_grad=True)
-        ad.mean(ad.relu(t)).backward()
-        assert t.grad[0, 0] == 0.0
+        w = Tensor(np.array([[2.0]]), requires_grad=True)
+        b = Tensor(np.array([[0.5]]), requires_grad=True)
+        out = ad.dense(t, w, b, relu=True)
+        ad.mean(out).backward()
+        assert out.item() == 0.0
+        assert t.grad[0, 0] == 0.0 and w.grad[0, 0] == 0.0 and b.grad[0, 0] == 0.0
 
     def test_bce_at_zero_logits(self):
         loss = ad.binary_cross_entropy(Tensor(np.zeros((4, 1))), np.array([1., -1., 1., -1.]))
@@ -212,10 +231,12 @@ class TestGraphMechanics:
         rng = Rng(5)
         a_data, b_data = rng.normal((3, 3)), rng.normal((3, 3))
         a, b = Tensor(a_data.copy()), Tensor(b_data.copy())
+        bias = Tensor(np.ones((1, 3)))
         for out in (ad.matmul(a, b), ad.add(a, b), ad.sub(a, b), ad.tanh(a),
-                    ad.relu(a), ad.sigmoid(a), ad.softmax(a, 0), ad.sign_st(a),
-                    ad.concat([a, b], 0), ad.row_select(a, np.array([0, 2])),
-                    ad.mean(a), ad.transpose(a), ad.mul_scalar(a, 2.0)):
+                    ad.dense(a, b, bias, relu=True), ad.dense(a, b, bias, relu=False),
+                    ad.softmax(a, 0), ad.sign_st(a), ad.concat([a, b], 0),
+                    ad.slice_cols(a, 0, 2), ad.mean(a), ad.transpose(a),
+                    ad.mul_scalar(a, 2.0)):
             out.data *= 1.0  # touch the output; inputs must be unaffected
         assert np.array_equal(a.data, a_data) and np.array_equal(b.data, b_data)
 
@@ -224,6 +245,9 @@ class TestGraphMechanics:
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ValueError):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        with pytest.raises(ValueError):
+            ad.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones((1, 3))),
+                     relu=True)
 
 
 class TestMetrics:
@@ -250,11 +274,11 @@ class TestMetrics:
 
 
 class TestRoundTrips:
-    def test_concat_then_row_select_round_trip(self):
+    def test_concat_then_slice_round_trip(self):
         rng = Rng(9)
-        a, b = Tensor(rng.normal((2, 3))), Tensor(rng.normal((3, 3)))
-        both = ad.concat([a, b], axis=0)
-        back = ad.row_select(both, np.arange(2))
+        a, b = Tensor(rng.normal((3, 2))), Tensor(rng.normal((3, 3)))
+        both = ad.concat([a, b], axis=1)
+        back = ad.slice_cols(both, 0, 2)
         assert np.array_equal(back.data, a.data)
 
     def test_matmul_identity(self):

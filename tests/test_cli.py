@@ -69,6 +69,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="master_seed"):
             parse_config(cfg)
 
+    def test_unknown_certify_loss_kind_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(f"output_dir = {tmp_path / 'out'}\nmaster_seed = 1\n"
+                       "certify_loss_kind = bogus\n")
+        with pytest.raises(ConfigError, match="certify_loss_kind"):
+            parse_config(cfg)
+        assert main(["certify", "--config", str(cfg)]) == 1
+        assert "bogus" in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("output_dir = x\nmaster_seed = 1\nwhatever = 3\n")
@@ -143,6 +152,24 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda params: params.pop("recon.trunk.w0"),                 # tensor missing
+        lambda params: params["recon.trunk.w0"].update(shape=[-1]),  # wrong shape
+    ], ids=["missing", "wrong_shape"])
+    def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys, damage):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        damage(doc["params"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["certify", "--config", str(cfg)]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "recon.trunk.w0" in err
 
     def test_train_without_tasks_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

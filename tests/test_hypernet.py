@@ -1,5 +1,7 @@
 """Hypernetwork component and architecture tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from metacert import autodiff as ad
 from metacert import hypernet
 from metacert.autodiff import Tensor
 from metacert.hypernet import (CompressionArtifacts, HypernetConfig,
-                               HypernetParams, canonical_order, decode_gamma,
-                               deepset_embed, downstream_forward,
+                               canonical_order, decode_gamma, deepset_embed, downstream_forward,
                                downstream_param_count, downstream_shapes,
                                hypernet_forward, init_hypernet_params,
                                load_checkpoint, mlp_forward, msg_compress,
@@ -81,9 +82,8 @@ class TestDeepSet:
     def test_hand_example_identity_network(self):
         # g = identity (2 -> 2), y = (+1, -1), X = ((1,0), (0,1)):
         # z = (1/2) (x1 - x2) = (0.5, -0.5) up to input permutation
-        params = HypernetParams()
-        params.add("g.w0", Tensor(np.eye(2), requires_grad=True))
-        params.add("g.b0", Tensor(np.zeros((1, 2)), requires_grad=True))
+        params = {"g.w0": Tensor(np.eye(2), requires_grad=True),
+                  "g.b0": Tensor(np.zeros((1, 2)), requires_grad=True)}
         x = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
         y = ad.constant(np.array([[1.0], [-1.0]]))
         z = deepset_embed(params, "g", x, y)
@@ -122,7 +122,7 @@ class TestEncoders:
     def test_pb_encode_zero_weights_give_zero_message(self):
         cfg = small_config("PBH", c=0, b=4)
         params = params_for(cfg)
-        for name, t in params.tensors.items():
+        for name, t in params.items():
             if name.startswith("message.trunk"):
                 t.data = np.zeros_like(t.data)
         task = small_task()
@@ -150,7 +150,7 @@ class TestEncoders:
         omega = msg_compress(params, ad.constant(task.features),
                              ad.constant(task.labels.reshape(-1, 1)))
         ad.mean(omega).backward()
-        trunk_grads = [np.abs(t.grad).sum() for n, t in params.tensors.items()
+        trunk_grads = [np.abs(t.grad).sum() for n, t in params.items()
                        if n.startswith("message.") and t.grad is not None]
         assert sum(trunk_grads) > 0.0
 
@@ -364,6 +364,24 @@ class TestForwardAndArtifacts:
             decode_gamma(params, cfg, task.features, task.labels, art.indices, message)
             assert calls == ([art.c_effective] if c > 0 else []), arch
 
+    def test_mlp_forward_builds_one_tensor_per_layer(self, monkeypatch):
+        params = params_for(small_config("SCH_MINUS", c=1, b=0, mlp1=(12, 7)))
+        x = ad.constant(np.ones((4, 2)))
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        for n_layers in (1, 2, 3):
+            prefix = {f"compressor.keys.{kind}{i}": params[f"compressor.keys.{kind}{i}"]
+                      for i in range(n_layers) for kind in "wb"}
+            built.clear()
+            mlp_forward(prefix, "compressor.keys", x)
+            assert len(built) == n_layers
+
     def test_gaussian_arch_requires_rng_or_eps(self):
         cfg = small_config("PBH", c=0, b=2)
         params = params_for(cfg)
@@ -407,8 +425,8 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, params, master_seed=99)
         cfg2, params2, seed = load_checkpoint(path)
         assert cfg2 == cfg and seed == 99
-        assert params2.names() == params.names()
-        for name in params.names():
+        assert list(params2) == list(params)
+        for name in params:
             assert np.array_equal(params[name].data, params2[name].data)
         eps = Rng(1).normal(3)
         g1, _ = hypernet_forward(params, cfg, task.features, task.labels, eps=eps)
@@ -419,4 +437,20 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         path.write_text('{"format_version": 999}')
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p.pop("recon.trunk.w0"), "no tensor 'recon.trunk.w0'"),
+        (lambda p: p["message.trunk.b0"].update(shape=[12]), "'message.trunk.b0' has shape"),
+        (lambda p: p["compressor.keys.w0"]["values"].pop(), "'compressor.keys.w0' has shape"),
+        (lambda p: p.update(extra={"shape": [1, 1], "values": [0.0]}), "'extra' is not part"),
+    ], ids=["missing", "wrong_shape", "short_values", "extra"])
+    def test_layout_mismatch_names_the_tensor(self, tmp_path, damage, message):
+        cfg = small_config("PBSCH", c=2, b=3)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, params_for(cfg), master_seed=99)
+        doc = json.loads(path.read_text())
+        damage(doc["params"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)

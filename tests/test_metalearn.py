@@ -68,7 +68,8 @@ class TestMetaTrain:
         protocol = TrainProtocol(support_size=20, learning_rate=0.0,
                                  max_epochs=3, patience=3)
         rng = Rng(5)
-        init = init_hypernet_params(cfg, rng.split(0)).snapshot()
+        init = {name: t.data.copy()
+                for name, t in init_hypernet_params(cfg, rng.split(0)).items()}
         params, _ = meta_train(meta.train, meta.val, cfg, protocol, rng)
         for name, arr in init.items():
             assert np.array_equal(arr, params[name].data)
@@ -98,7 +99,7 @@ class TestMetaTrain:
                                   patience=log.best_epoch + 1)
         params2, log2 = meta_train(meta.train, meta.val, cfg, protocol2, Rng(5))
         assert log2.best_epoch == log.best_epoch
-        for name in params.names():
+        for name in params:
             assert np.array_equal(params[name].data, params2[name].data)
 
     def test_smoke_loss_halves_on_linear_tasks(self):

@@ -7,8 +7,11 @@ import pytest
 
 from metacert import autodiff as ad
 from metacert.autodiff import Tensor
+from metacert.hypernet import (HypernetConfig, downstream_forward, hypernet_forward,
+                               init_hypernet_params)
 from metacert.optim import Adam, AdamState, adam_step, kaiming_uniform_init
 from metacert.rng import Rng
+from metacert.tasks import MoonsEnvironmentSpec, gen_moons_task
 
 
 class TestAdam:
@@ -54,6 +57,33 @@ class TestAdam:
                 opt.step()
             runs.append(p.data.copy())
         assert np.array_equal(runs[0], runs[1])
+
+    def test_colliding_head_is_skipped(self):
+        # Two heads with equal queries select the same row; the duplicate's
+        # row is dropped, so its query gets no gradient and Adam leaves its
+        # values and its step count alone (which rules out one vectorized
+        # update over a flat parameter buffer).
+        cfg = HypernetConfig("SCH_MINUS", c=2, b=0, mlp1=(12,), mlp2=(10,), mlp3=(5,),
+                             deepset_dim=6, attention_dim=8)
+        params = init_hypernet_params(cfg, Rng(1))
+        for kind in ("w0", "b0"):
+            params[f"compressor.query1.{kind}"].data = \
+                params[f"compressor.query0.{kind}"].data.copy()
+        before = {name: t.data.copy() for name, t in params.items()}
+        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), 0)
+        opt = Adam(params, lr=1e-2)
+        gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20])
+        assert art.c_effective == 1
+        logits = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[20:]))
+        ad.binary_cross_entropy(logits, task.labels[20:]).backward()
+        opt.step()
+        for kind in ("w0", "b0"):
+            name = f"compressor.query1.{kind}"
+            assert params[name].grad is None
+            assert np.array_equal(params[name].data, before[name])
+            assert opt.state[name].t == 0
+            twin = f"compressor.query0.{kind}"
+            assert params[twin].grad is not None and opt.state[twin].t == 1
 
 
 class TestKaimingUniform:

@@ -100,9 +100,8 @@ class TestGeneration:
             for _ in range(steps):
                 h = ad.constant(x)
                 for i in range(len(sizes) - 1):
-                    h = ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"])
-                    if i < len(sizes) - 2:
-                        h = ad.relu(h)
+                    h = ad.dense(h, params[f"w{i}"], params[f"b{i}"],
+                                 relu=i < len(sizes) - 2)
                 loss = ad.binary_cross_entropy(h, y)
                 opt.zero_grad()
                 loss.backward()
