@@ -14,6 +14,8 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,48 +58,49 @@ def _parse_loss_kind(text: str) -> str:
     return text
 
 
-# key -> (parser, default); None default means required
+# A run config sets the fields of these dataclasses.  Where the CLI departs
+# from them: two fields have other key names, three keys other defaults, and
+# the moons tasks fix the input dimension.
+_SETTINGS = (MoonsEnvironmentSpec, HypernetConfig, TrainProtocol)
+_KEY_OF_FIELD = {"c": "compression_size", "b": "message_size"}
+_CLI_DEFAULTS = {"architecture": "SCH_MINUS", "compression_size": 3, "support_size": 100}
+_FIXED_FIELDS = {"input_dim"}
+_REQUIRED_KEYS = {"output_dir", "master_seed"}
+_PARSER_OF_TYPE = {"int": int, "float": float, "str": str,
+                   "tuple[int, ...]": _parse_int_list,
+                   "tuple[float, float]": _parse_float_pair}
+
+
+def _setting_fields(cls) -> list:
+    """(config key, field) for every field of ``cls`` that a config sets."""
+    return [(_KEY_OF_FIELD.get(f.name, f.name), f) for f in fields(cls)
+            if f.name not in _FIXED_FIELDS]
+
+
+_SETTING_FIELDS = [kf for cls in _SETTINGS for kf in _setting_fields(cls)]
+
+# key -> parser
 CONFIG_SCHEMA = {
-    "output_dir": (str, None),
-    "master_seed": (int, None),
-    # environment
-    "n_train_tasks": (int, 300),
-    "n_test_tasks": (int, 100),
-    "examples_per_task": (int, 200),
-    "noise_sigma": (float, 0.1),
-    "rotation_range": (_parse_float_pair, (0.0, 360.0)),
-    "center_range": (_parse_float_pair, (-10.0, 10.0)),
-    "scale_range": (_parse_float_pair, (0.2, 5.0)),
-    # hypernetwork
-    "architecture": (str, "SCH_MINUS"),
-    "compression_size": (int, 3),
-    "message_size": (int, 0),
-    "mlp1": (_parse_int_list, (100,)),
-    "mlp2": (_parse_int_list, (100,)),
-    "mlp3": (_parse_int_list, (5,)),
-    "deepset_dim": (int, 16),
-    "attention_dim": (int, 32),
-    # training protocol
-    "learning_rate": (float, 1e-4),
-    "max_epochs": (int, 200),
-    "patience": (int, 20),
-    "support_size": (int, 100),
-    "n_mc": (int, 100),
-    # certification
-    "delta": (float, 0.05),
-    "certify_loss_kind": (_parse_loss_kind, "zero_one"),
-    # sweep sub-grid (optional filters of the default grid)
-    "sweep_learning_rate": (_parse_float_list, None),
-    "sweep_mlp1": (_parse_grid_lists, None),
-    "sweep_mlp2": (_parse_grid_lists, None),
-    "sweep_mlp3": (_parse_grid_lists, None),
-    "sweep_c": (_parse_int_list, None),
-    "sweep_b": (_parse_int_list, None),
+    "output_dir": str,
+    "delta": float,
+    "certify_loss_kind": _parse_loss_kind,
+    # optional filters of the sweep's default grid, one per grid axis
+    "sweep_learning_rate": _parse_float_list,
+    "sweep_mlp1": _parse_grid_lists,
+    "sweep_mlp2": _parse_grid_lists,
+    "sweep_mlp3": _parse_grid_lists,
+    "sweep_c": _parse_int_list,
+    "sweep_b": _parse_int_list,
+    **{key: _PARSER_OF_TYPE[f.type] for key, f in _SETTING_FIELDS},
 }
 
-_OPTIONAL_KEYS = {"sweep_learning_rate", "sweep_mlp1", "sweep_mlp2",
-                  "sweep_mlp3", "sweep_c", "sweep_b"}
-_REQUIRED_KEYS = {"output_dir", "master_seed"}
+# the value of every key a config may leave out, except the sweep filters
+CONFIG_DEFAULTS = {
+    "delta": 0.05,
+    "certify_loss_kind": "zero_one",
+    **{key: _CLI_DEFAULTS.get(key, f.default) for key, f in _SETTING_FIELDS
+       if key not in _REQUIRED_KEYS},
+}
 
 
 def parse_config(path) -> dict:
@@ -118,9 +121,8 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{line_no}: duplicate config key {key!r}")
-        parser, _ = CONFIG_SCHEMA[key]
         try:
-            values[key] = parser(text)
+            values[key] = CONFIG_SCHEMA[key](text)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -128,60 +130,17 @@ def parse_config(path) -> dict:
     missing = _REQUIRED_KEYS - set(values)
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(sorted(missing))}")
-    for key, (_, default) in CONFIG_SCHEMA.items():
-        if key not in values and key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
-            values[key] = default
-    return values
+    return {**CONFIG_DEFAULTS, **values}
 
 
-def _env_spec(cfg: dict) -> MoonsEnvironmentSpec:
-    return MoonsEnvironmentSpec(
-        n_train_tasks=cfg["n_train_tasks"],
-        n_test_tasks=cfg["n_test_tasks"],
-        examples_per_task=cfg["examples_per_task"],
-        noise_sigma=cfg["noise_sigma"],
-        rotation_range=cfg["rotation_range"],
-        center_range=cfg["center_range"],
-        scale_range=cfg["scale_range"],
-        master_seed=cfg["master_seed"],
-    )
-
-
-def _hypernet_config(cfg: dict) -> HypernetConfig:
-    return HypernetConfig(
-        architecture=cfg["architecture"],
-        c=cfg["compression_size"],
-        b=cfg["message_size"],
-        input_dim=2,
-        mlp1=cfg["mlp1"],
-        mlp2=cfg["mlp2"],
-        mlp3=cfg["mlp3"],
-        deepset_dim=cfg["deepset_dim"],
-        attention_dim=cfg["attention_dim"],
-    )
-
-
-def _protocol(cfg: dict) -> TrainProtocol:
-    return TrainProtocol(
-        support_size=cfg["support_size"],
-        learning_rate=cfg["learning_rate"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        n_mc=cfg["n_mc"],
-    )
+def _build(cls, cfg: dict):
+    """The settings dataclass ``cls`` with every field a config sets."""
+    return cls(**{f.name: cfg[key] for key, f in _setting_fields(cls)})
 
 
 def _write_run_json(out_dir: Path, command: str, cfg: dict) -> None:
-    doc = {"command": command, "config": {k: _jsonable(v) for k, v in sorted(cfg.items())}}
+    doc = {"command": command, "config": dict(sorted(cfg.items()))}
     (out_dir / f"run_{command}.json").write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def _fmt(x: float) -> str:
@@ -195,7 +154,7 @@ def _fmt(x: float) -> str:
 def cmd_gen(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _env_spec(cfg)
+    spec = _build(MoonsEnvironmentSpec, cfg)
     meta = gen_meta_dataset(spec)
     save_tasks(out_dir / "tasks", meta, spec)
     _write_run_json(out_dir, "gen", cfg)
@@ -207,8 +166,8 @@ def cmd_gen(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
     meta, _ = load_tasks(out_dir / "tasks")
-    hcfg = _hypernet_config(cfg)
-    protocol = _protocol(cfg)
+    hcfg = _build(HypernetConfig, cfg)
+    protocol = _build(TrainProtocol, cfg)
     rng = Rng(cfg["master_seed"]).split(STREAM_TRAIN)
     params, log = meta_train(meta.train, meta.val, hcfg, protocol, rng)
     save_checkpoint(out_dir / "checkpoint.json", hcfg, params, cfg["master_seed"])
@@ -256,14 +215,9 @@ def cmd_certify(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
     meta, _ = load_tasks(out_dir / "tasks")
-    protocol = _protocol(cfg)
-    grid = {}
-    for cfg_key, grid_key in (("sweep_learning_rate", "learning_rate"),
-                              ("sweep_mlp1", "mlp1"), ("sweep_mlp2", "mlp2"),
-                              ("sweep_mlp3", "mlp3"), ("sweep_c", "c"),
-                              ("sweep_b", "b")):
-        if cfg_key in cfg:
-            grid[grid_key] = cfg[cfg_key]
+    protocol = _build(TrainProtocol, cfg)
+    grid = {key.removeprefix("sweep_"): v for key, v in cfg.items()
+            if key.startswith("sweep_")}
     rng = Rng(cfg["master_seed"]).split(STREAM_SWEEP)
     best, rows = sweep(meta.train, meta.val, cfg["architecture"], protocol, rng,
                        grid=grid or None, log_fn=lambda msg: print(msg, file=sys.stderr))
@@ -298,7 +252,13 @@ def _print_certificate(cert: bounds.Certificate) -> None:
 
 
 def cmd_bound(args) -> int:
-    budget_kinds = {"pb", "sch-real", "pbsch", "pbsch-disintegrated"}
+    calculators = {
+        "pb": bounds.bound_pb,
+        "sch-binary": lambda budget: bounds.bound_sch_binary(budget, args.errors),
+        "sch-real": bounds.bound_sch_real,
+        "pbsch": bounds.bound_pbsch,
+        "pbsch-disintegrated": bounds.bound_pbsch_disintegrated,
+    }
     primitives = {
         "kl": lambda: bounds.bernoulli_kl(args.q, args.p),
         "kl-inverse": lambda: bounds.kl_inverse(args.q, args.budget),
@@ -316,23 +276,14 @@ def cmd_bound(args) -> int:
     if args.kind in primitives:
         print(f"{primitives[args.kind]():.12g}")
         return 0
-    if args.kind in budget_kinds or args.kind == "sch-binary":
+    if args.kind in calculators:
         budget = bounds.BoundBudget(
             m_prime=args.m, c=args.c, b=args.b, delta=args.delta,
             emp_loss=args.emp_loss, mu_norm_sq=args.mu_norm_sq,
             log_prior_j=args.log_prior_j)
-        if args.kind == "pb":
-            cert = bounds.bound_pb(budget)
-        elif args.kind == "sch-binary":
-            if args.errors is None:
-                raise ConfigError("sch-binary requires --errors")
-            cert = bounds.bound_sch_binary(budget, args.errors)
-        elif args.kind == "sch-real":
-            cert = bounds.bound_sch_real(budget)
-        elif args.kind == "pbsch":
-            cert = bounds.bound_pbsch(budget)
-        else:
-            cert = bounds.bound_pbsch_disintegrated(budget)
+        if args.kind == "sch-binary" and args.errors is None:
+            raise ConfigError("sch-binary requires --errors")
+        cert = calculators[args.kind](budget)
         _print_certificate(cert)
         if args.csv:
             with open(args.csv, "w", newline="") as fh:
@@ -361,12 +312,12 @@ def cmd_compare_bounds(args) -> int:
     grid = [0.0] if args.grid == 1 else list(np.linspace(0.0, 1.0, args.grid))
     rows = bounds.compare_trainset_bounds(args.m, args.comp_size, args.kl,
                                           args.delta, grid)
-    out = csv.writer(sys.stdout if args.csv is None else open(args.csv, "w", newline=""),
-                     lineterminator="\n")
-    out.writerow(["val_loss", "bound_squared", "bound_kl_pinsker", "gap"])
-    for r in rows:
-        out.writerow([_fmt(r.val_loss), _fmt(r.bound_squared),
-                      _fmt(r.bound_kl_pinsker), _fmt(r.gap)])
+    with nullcontext(sys.stdout) if args.csv is None else open(args.csv, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["val_loss", "bound_squared", "bound_kl_pinsker", "gap"])
+        for r in rows:
+            out.writerow([_fmt(r.val_loss), _fmt(r.bound_squared),
+                          _fmt(r.bound_kl_pinsker), _fmt(r.gap)])
     return 0
 
 

@@ -38,6 +38,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import kaiming_uniform_init
 from .rng import Rng
+from .tasks import settings_from_json
 
 ARCHITECTURES = ("PBH", "SCH_MINUS", "SCH_PLUS", "PBSCH")
 CHECKPOINT_VERSION = 1
@@ -471,8 +472,7 @@ def save_checkpoint(path, cfg: HypernetConfig, params: dict[str, Tensor],
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "architecture": cfg.architecture,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items()},
+        "config": asdict(cfg),
         "master_seed": int(master_seed),
         "params": {
             name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
@@ -485,14 +485,16 @@ def save_checkpoint(path, cfg: HypernetConfig, params: dict[str, Tensor],
 def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     """Read a checkpoint; its tensors must match the layout of its config.
 
-    The layout is the one ``init_hypernet_params`` builds for the stored
-    config: the same names, each with its shape.  The first missing,
-    misshapen or unexpected tensor raises ``ValueError`` naming it.
+    The config must hold every ``HypernetConfig`` field with its type, and
+    the layout is the one ``init_hypernet_params`` builds for it: the same
+    names, each with its shape.  The first unknown, missing or mistyped key
+    and the first missing, misshapen or unexpected tensor raise
+    ``ValueError`` naming it.
     """
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    cfg = HypernetConfig(**doc["config"])
+    cfg = settings_from_json(HypernetConfig, doc.get("config"), "checkpoint config")
     stored = doc["params"]
     params = init_hypernet_params(cfg, Rng(0))
     for name, t in params.items():

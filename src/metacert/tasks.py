@@ -174,8 +174,8 @@ def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported task format version {manifest.get('format_version')}")
-    spec = MoonsEnvironmentSpec(**{key: tuple(v) if isinstance(v, list) else v
-                                   for key, v in manifest["environment"].items()})
+    spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
+                              "task manifest environment")
     splits: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
     for entry in manifest["tasks"]:
         if entry["split"] not in splits:
@@ -186,6 +186,38 @@ def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
                 entry["rotation_deg"], tuple(entry["center"]), entry["scale"])
         splits[entry["split"]].append(task)
     return MetaDataset(**splits), spec
+
+
+def settings_from_json(cls, doc, what: str):
+    """Rebuild the settings dataclass ``cls`` from the JSON object ``doc``.
+
+    Every field must be there with a value of its annotated type, a tuple as
+    an array; the first unknown, missing or mistyped key raises
+    ``ValueError`` naming it.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is missing or not a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key in [*doc, *types]:
+        if key not in types:
+            raise ValueError(f"{what} has unknown key {key!r}")
+        if key not in doc:
+            raise ValueError(f"{what} has no key {key!r}")
+        if not _has_type(doc[key], types[key]):
+            raise ValueError(f"{what} key {key!r} is {doc[key]!r}, expected {types[key]}")
+    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in doc.items()})
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a JSON value fits an ``int``/``float``/``str``/``tuple[...]`` field."""
+    if annotation.startswith("tuple["):
+        if not isinstance(value, list):
+            return False
+        items = annotation[len("tuple["):-1].split(", ")
+        if items[-1] == "...":
+            items = items[:1] * len(value)
+        return len(value) == len(items) and all(map(_has_type, value, items))
+    return type(value).__name__ == annotation or (annotation == "float" and type(value) is int)
 
 
 def _read_task_csv(path: Path, task_id: int) -> TaskDataset:

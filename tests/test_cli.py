@@ -52,10 +52,42 @@ class TestConfigParsing:
         cfg = tmp_path / "ok.conf"
         cfg.write_text("output_dir = x  # inline comment\nmaster_seed = 7\n")
         values = parse_config(cfg)
-        assert values["output_dir"] == "x"
-        assert values["master_seed"] == 7
-        assert values["examples_per_task"] == 200  # default
-        assert values["mlp1"] == (100,)
+        expected = {
+            "output_dir": "x", "master_seed": 7,
+            "n_train_tasks": 300, "n_test_tasks": 100, "examples_per_task": 200,
+            "noise_sigma": 0.1, "rotation_range": (0.0, 360.0),
+            "center_range": (-10.0, 10.0), "scale_range": (0.2, 5.0),
+            "architecture": "SCH_MINUS", "compression_size": 3, "message_size": 0,
+            "mlp1": (100,), "mlp2": (100,), "mlp3": (5,),
+            "deepset_dim": 16, "attention_dim": 32,
+            "learning_rate": 1e-4, "max_epochs": 200, "patience": 20,
+            "support_size": 100, "n_mc": 100,
+            "delta": 0.05, "certify_loss_kind": "zero_one",
+        }
+        assert values == expected
+        assert {k: type(v) for k, v in values.items()} == {
+            k: type(v) for k, v in expected.items()}
+        for key in ("rotation_range", "center_range", "scale_range", "mlp1"):
+            assert all(type(x) is type(y) for x, y in zip(values[key], expected[key]))
+        assert not any(key.startswith("sweep_") for key in values)
+
+    def test_every_sweep_key_filters_the_grid(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, MICRO_CONFIG + (
+            "sweep_learning_rate = 0.01, 0.001\nsweep_mlp1 = 8,8; 16\nsweep_mlp2 = 4\n"
+            "sweep_mlp3 = 2;3,3\nsweep_c = 1,2\nsweep_b = 0\n"))
+        assert main(["gen", "--config", str(cfg)]) == 0
+        seen = {}
+
+        def fake_sweep(train, val, architecture, protocol, rng, grid=None, log_fn=None):
+            seen.update(architecture=architecture, grid=grid)
+            return None, []
+
+        monkeypatch.setattr("metacert.cli.sweep", fake_sweep)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert seen["architecture"] == "SCH_MINUS"
+        assert seen["grid"] == {"learning_rate": [0.01, 0.001],
+                                "mlp1": [(8, 8), (16,)], "mlp2": [(4,)],
+                                "mlp3": [(2,), (3, 3)], "c": (1, 2), "b": (0,)}
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "dup.conf"
@@ -153,23 +185,32 @@ class TestPipeline:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", [
-        lambda params: params.pop("recon.trunk.w0"),                 # tensor missing
-        lambda params: params["recon.trunk.w0"].update(shape=[-1]),  # wrong shape
-    ], ids=["missing", "wrong_shape"])
-    def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("artifact, damage, name", [
+        ("checkpoint.json", lambda doc: doc["params"].pop("recon.trunk.w0"),
+         "recon.trunk.w0"),
+        ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.w0"].update(shape=[-1]),
+         "recon.trunk.w0"),
+        ("checkpoint.json", lambda doc: doc["config"].update(bogus=1), "bogus"),
+        ("checkpoint.json", lambda doc: doc["config"].pop("architecture"), "architecture"),
+        ("checkpoint.json", lambda doc: doc["config"].update(c="2"), "'c'"),
+        ("tasks/manifest.json", lambda doc: doc["environment"].update(bogus=1), "bogus"),
+        ("tasks/manifest.json", lambda doc: doc.pop("environment"), "environment"),
+    ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
+            "config_string_c", "manifest_unknown_key", "manifest_no_environment"])
+    def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
+                                                            artifact, damage, name):
         cfg = write_config(tmp_path)
         assert main(["gen", "--config", str(cfg)]) == 0
         assert main(["train", "--config", str(cfg)]) == 0
-        path = tmp_path / "out" / "checkpoint.json"
+        path = tmp_path / "out" / artifact
         doc = json.loads(path.read_text())
-        damage(doc["params"])
+        damage(doc)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["certify", "--config", str(cfg)]) != 0
+        assert main(["certify", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "recon.trunk.w0" in err
+        assert name in err
 
     def test_train_without_tasks_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -195,10 +236,18 @@ class TestBoundCommand:
         tau = float([l for l in out.splitlines() if l.startswith("tau_star")][0].split()[1])
         assert tau == pytest.approx(0.02635, abs=1e-5)
 
-    def test_breakdown_table_printed(self, capsys):
-        main(["bound", "pbsch", "--m", "400", "--c", "2", "--b", "8",
-              "--emp-loss", "0.1", "--mu-norm-sq", "2.0"])
+    @pytest.mark.parametrize("kind, cert_kind, flags", [
+        ("pb", "PB", ["--c", "0"]),
+        ("sch-binary", "SCH_BINARY", ["--c", "2", "--errors", "10"]),
+        ("sch-real", "SCH_REAL", ["--c", "2"]),
+        ("pbsch", "PBSCH", ["--c", "2"]),
+        ("pbsch-disintegrated", "PBSCH_DISINTEGRATED", ["--c", "2"]),
+    ], ids=["pb", "sch-binary", "sch-real", "pbsch", "pbsch-disintegrated"])
+    def test_breakdown_table_printed(self, capsys, kind, cert_kind, flags):
+        assert main(["bound", kind, "--m", "400", "--b", "8", "--emp-loss", "0.1",
+                     "--mu-norm-sq", "2.0", *flags]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0].split() == ["kind", cert_kind]
         for label in ("empirical_loss", "confidence", "message_cost",
                       "compression_set_cost"):
             assert label in out
@@ -257,6 +306,15 @@ class TestCompareBoundsCommand:
         gaps = [float(l.split(",")[3]) for l in lines[1:]]
         assert gaps[0] == pytest.approx(0.3719836801198102, abs=1e-9)
         assert gaps[-1] == pytest.approx(0.17198368011981024, abs=1e-9)
+
+    def test_csv_file_holds_the_table(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        assert main(["compare-bounds", "--grid", "3", "--csv", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = path.read_text().splitlines()
+        assert lines[0] == "val_loss,bound_squared,bound_kl_pinsker,gap"
+        assert len(lines) == 4
+        assert float(lines[1].split(",")[3]) == pytest.approx(0.3719836801198102, abs=1e-9)
 
     def test_grid_resolution_one_single_row_at_zero(self, capsys):
         assert main(["compare-bounds", "--grid", "1"]) == 0

@@ -10,7 +10,8 @@ from metacert.autodiff import Tensor
 from metacert.optim import Adam
 from metacert.rng import Rng
 from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, gen_meta_dataset,
-                            gen_moons_task, load_tasks, save_tasks)
+                            gen_moons_task, load_tasks, save_tasks,
+                            settings_from_json)
 
 
 def canonical_spec(**kw):
@@ -170,6 +171,18 @@ class TestFileRoundTrip:
         victim.write_text(text)
         with pytest.raises(ValueError, match="label"):
             load_tasks(tmp_path / "tasks")
+
+    def test_settings_from_json_checks_every_field(self):
+        doc = {"n_train_tasks": 10, "n_test_tasks": 4, "examples_per_task": 40,
+               "noise_sigma": 0, "rotation_range": [0, 90.5],
+               "center_range": [-1.0, 1.0], "scale_range": [1.0, 2.0], "master_seed": 5}
+        spec = settings_from_json(MoonsEnvironmentSpec, doc, "env")
+        assert spec.rotation_range == (0, 90.5) and spec.noise_sigma == 0
+        for key, bad in (("n_test_tasks", True), ("n_test_tasks", 4.0),
+                         ("noise_sigma", "0.1"), ("rotation_range", [0.0]),
+                         ("scale_range", [1.0, "2"]), ("center_range", 1.0)):
+            with pytest.raises(ValueError, match=f"env key '{key}'"):
+                settings_from_json(MoonsEnvironmentSpec, {**doc, key: bad}, "env")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
