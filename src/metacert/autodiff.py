@@ -15,7 +15,8 @@ Only the handful of primitives the hypernetworks need are provided:
 * activations ``tanh`` and ``softmax``;
 * straight-through surrogates ``sign_st`` and ``hard_select_st``;
 * the ``binary_cross_entropy`` loss, plus the non-differentiable metrics
-  ``zero_one_errors``, ``zero_one_loss`` and ``linear_loss``.
+  ``zero_one_errors``, ``zero_one_loss`` and ``linear_loss``, and
+  ``row_losses``, the last two for each row of a stack of logits.
 
 Tensors are 1-D or 2-D, everything is float64, and no op mutates its
 inputs' values.
@@ -404,8 +405,19 @@ def zero_one_loss(logits, labels) -> float:
 
 def linear_loss(logits, labels) -> float:
     """Mean of (1 - p_correct) in [0, 1], with p_correct = sigmoid(y * logit)."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    return float(row_losses(np.reshape(logits, (1, -1)), labels, "linear")[0])
+
+
+def row_losses(logits, labels, kind: str) -> np.ndarray:
+    """``zero_one_loss`` (``kind="zero_one"``) or ``linear_loss``
+    (``kind="linear"``) of each row of (n, m) logits against m labels, as
+    an (n,) array; row i equals the scalar metric of ``logits[i]`` exactly."""
+    z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if z.shape != y.shape:
-        raise ValueError("logits/labels length mismatch")
-    return float(np.mean(1.0 - _sigmoid(y * z)))
+    if z.ndim != 2 or z.shape[1] != y.size:
+        raise ValueError(f"logits {z.shape} do not hold rows of {y.size} labels")
+    if kind == "zero_one":
+        return np.count_nonzero(np.where(z >= 0.0, 1.0, -1.0) != y, axis=1) / y.size
+    if kind == "linear":
+        return np.mean(1.0 - _sigmoid(y * z), axis=1)
+    raise ValueError(f"unknown loss kind {kind!r}")

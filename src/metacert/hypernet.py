@@ -38,7 +38,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import kaiming_uniform_init
 from .rng import Rng
-from .tasks import settings_from_json
+from .tasks import require_key, settings_from_json
 
 ARCHITECTURES = ("PBH", "SCH_MINUS", "SCH_PLUS", "PBSCH")
 CHECKPOINT_VERSION = 1
@@ -297,6 +297,39 @@ def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, features: Te
     return indices, ad.concat([chosen[pos] for pos in indices], axis=0)
 
 
+def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | None,
+                 soft: bool = False) -> tuple[Tensor, Tensor | None, Tensor | None]:
+    """The message-independent half of ``reconstruct``.
+
+    Returns the set embedding (1, d') of the compression rows, standardized
+    by their own statistics, and those statistics as (1, d) rows: the mean
+    and the inverse scale.  With no rows (c = 0) the embedding is the learned
+    constant ``recon.const`` and there are no statistics.
+    """
+    if rows is None:
+        return params["recon.const"], None, None
+    d = cfg.input_dim
+    feats = ad.slice_cols(rows, 0, d)
+    labs = ad.slice_cols(rows, d, d + 1)
+    n = feats.data.shape[0]
+    if soft:
+        # differentiable statistics; scale = sqrt(var + floor^2) smooths the floor
+        row_mean = ad.constant(np.full((1, n), 1.0 / n))
+        ones_col = ad.constant(np.ones((n, 1)))
+        mu = ad.matmul(row_mean, feats)                              # (1, d)
+        centered = ad.sub(feats, ad.matmul(ones_col, mu))
+        var = ad.matmul(row_mean, ad.mul(centered, centered))
+        inv_scale = ad.power_scalar(
+            ad.add(var, ad.constant(np.full((1, d), _STD_FLOOR_ABS ** 2))), -0.5)
+        feats_std = ad.mul(centered, ad.matmul(ones_col, inv_scale))
+    else:
+        mean_np, std_np = set_statistics(feats.data)
+        mu = ad.constant(mean_np.reshape(1, -1))
+        inv_scale = ad.constant((1.0 / std_np).reshape(1, -1))
+        feats_std = _standardize(feats, mean_np, std_np)
+    return deepset_embed(params, "recon.deepset", feats_std, labs), mu, inv_scale
+
+
 def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
                 rows: Tensor | None, message: Tensor | None,
                 soft: bool = False) -> Tensor:
@@ -318,40 +351,20 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     With no compression rows (c = 0) the set-embedding branch is a learned
     constant vector, so the architecture degenerates gracefully to a pure
     encoder-decoder and gamma is the trunk output unchanged.
+
+    ``decode_gamma`` is the forward-only twin of the trunk and the fold.
     """
     if rows is None and message is None:
         raise ValueError("reconstruct needs compression rows or a message")
-    shapes = downstream_shapes(cfg.input_dim, cfg.mlp3)
-    if rows is None:
-        emb = params["recon.const"]
-        trunk_in = emb if message is None else ad.concat([emb, message], axis=1)
-        return mlp_forward(params, "recon.trunk", trunk_in)
-    d = cfg.input_dim
-    feats = ad.slice_cols(rows, 0, d)
-    labs = ad.slice_cols(rows, d, d + 1)
-    n = feats.data.shape[0]
-    if soft:
-        # differentiable statistics; scale = sqrt(var + floor^2) smooths the floor
-        row_mean = ad.constant(np.full((1, n), 1.0 / n))
-        ones_col = ad.constant(np.ones((n, 1)))
-        mu = ad.matmul(row_mean, feats)                              # (1, d)
-        centered = ad.sub(feats, ad.matmul(ones_col, mu))
-        var = ad.matmul(row_mean, ad.mul(centered, centered))
-        inv_scale = ad.power_scalar(
-            ad.add(var, ad.constant(np.full((1, d), _STD_FLOOR_ABS ** 2))), -0.5)
-        feats_std = ad.mul(centered, ad.matmul(ones_col, inv_scale))
-    else:
-        mean_np, std_np = set_statistics(feats.data)
-        mu = ad.constant(mean_np.reshape(1, -1))
-        inv_scale = ad.constant((1.0 / std_np).reshape(1, -1))
-        feats_std = _standardize(feats, mean_np, std_np)
-    emb = deepset_embed(params, "recon.deepset", feats_std, labs)
+    emb, mu, inv_scale = _encode_rows(params, cfg, rows, soft=soft)
     trunk_in = emb if message is None else ad.concat([emb, message], axis=1)
     raw = mlp_forward(params, "recon.trunk", trunk_in)
+    if mu is None:
+        return raw
     # Fold x -> (x - mu)/scale into the first downstream layer: with W~, b~
     # emitted for standardized inputs, W1 = diag(1/scale) W~ and
     # b1 = b~ - (mu/scale) W~ give the identical predictor on raw features.
-    fan_in, fan_out = shapes[0]
+    fan_in, fan_out = downstream_shapes(cfg.input_dim, cfg.mlp3)[0]
     w_tilde = ad.reshape(ad.slice_cols(raw, 0, fan_in * fan_out), (fan_in, fan_out))
     b_tilde = ad.slice_cols(raw, fan_in * fan_out, fan_in * fan_out + fan_out)
     w1 = ad.mul(w_tilde, ad.matmul(ad.transpose(inv_scale),
@@ -394,6 +407,31 @@ def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
         offset += fan_out
         h = ad.dense(h, w, bias, relu=layer < len(shapes) - 1)
     return h
+
+
+def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.ndarray:
+    """Forward-only ``downstream_forward`` for a stack of (n, G) gamma rows.
+
+    Returns the (n, m) logits of the (m, d) features.  Each layer is one
+    stacked matmul over the rows, ``(m, k) @ (n, k, h)``, whose per-row
+    products are exactly the ``(m, k) @ (k, h)`` of ``downstream_forward``,
+    so row i matches it bit for bit.
+    """
+    expected = downstream_param_count(shapes)
+    if gammas.ndim != 2 or gammas.shape[1] != expected:
+        raise ValueError(f"gamma rows of shape {gammas.shape} do not match "
+                         f"{expected} downstream parameters")
+    n = gammas.shape[0]
+    h = features
+    offset = 0
+    for layer, (fan_in, fan_out) in enumerate(shapes):
+        w = gammas[:, offset:offset + fan_in * fan_out].reshape(n, fan_in, fan_out)
+        offset += fan_in * fan_out
+        h = h @ w + gammas[:, None, offset:offset + fan_out]
+        offset += fan_out
+        if layer < len(shapes) - 1:
+            h = np.maximum(h, 0.0)
+    return h[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +484,52 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
 
 def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
                  features: np.ndarray, labels: np.ndarray,
-                 indices, message: np.ndarray | None) -> Tensor:
-    """Rebuild gamma from stored bottleneck artifacts (no set encoding).
+                 indices, messages: np.ndarray | None) -> np.ndarray:
+    """Rebuild gamma rows from stored bottleneck artifacts, forward only.
 
-    The compression rows are reassembled from the task data at ``indices``
-    and put in canonical order; the result matches the original forward bit
-    for bit, which is exactly the property the certificates rely on.
+    The compression rows are reassembled from the task data at ``indices``,
+    put in canonical order and encoded once; then every row of the (n, b)
+    ``messages`` matrix (one row of no message for ``None``) goes through the
+    reconstructor trunk and the fold in plain numpy, with no graph.  Each
+    matmul is stacked over the messages with the per-message shapes,
+    ``(n, 1, k) @ (k, h)``: a flat ``(n, k) @ (k, h)`` product rounds
+    differently, while the stacked one makes row i of the (n, G) result
+    match the ``hypernet_forward`` gamma for message i bit for bit, which is
+    exactly the property the certificates rely on.
     """
+    if (messages is None) == cfg.has_message:
+        raise ValueError(f"{cfg.architecture} needs an (n, {cfg.b}) message matrix"
+                         if cfg.has_message else f"{cfg.architecture} takes no messages")
     rows = None
     if len(indices) > 0:
         idx = np.asarray(indices, dtype=np.intp)
         feats = np.asarray(features, dtype=np.float64)[idx]
         labs = np.asarray(labels, dtype=np.float64)[idx]
         rows = ad.constant(np.column_stack([feats, labs])[canonical_order(feats, labs)])
-    msg_t = None if message is None else ad.constant(np.asarray(message, dtype=np.float64).reshape(1, -1))
-    return reconstruct(params, cfg, rows, msg_t)
+    emb, mu, inv_scale = _encode_rows(params, cfg, rows)
+    x = emb.data[None]                                               # (1, 1, d')
+    if messages is not None:
+        messages = np.asarray(messages, dtype=np.float64)
+        if messages.ndim != 2 or messages.shape[1] != cfg.b:
+            raise ValueError(f"messages must have shape (n, {cfg.b}), got {messages.shape}")
+        x = np.concatenate([np.broadcast_to(x, (len(messages), 1, x.shape[2])),
+                            messages[:, None, :]], axis=2)
+    n_layers = _mlp_layer_count(params, "recon.trunk")
+    for i in range(n_layers):
+        x = x @ params[f"recon.trunk.w{i}"].data + params[f"recon.trunk.b{i}"].data
+        if i < n_layers - 1:
+            x = np.maximum(x, 0.0)
+    raw = x[:, 0, :]
+    if mu is None:
+        return raw
+    # the fold of ``reconstruct``, on every row at once
+    mu, inv_scale = mu.data, inv_scale.data
+    fan_in, fan_out = downstream_shapes(cfg.input_dim, cfg.mlp3)[0]
+    n_w = fan_in * fan_out
+    w_tilde = raw[:, :n_w].reshape(-1, fan_in, fan_out)
+    w1 = w_tilde * (inv_scale.T @ np.ones((1, fan_out)))
+    b1 = raw[:, n_w:n_w + fan_out] - ((mu * inv_scale) @ w_tilde)[:, 0, :]
+    return np.concatenate([w1.reshape(-1, n_w), b1, raw[:, n_w + fan_out:]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +558,27 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     the layout is the one ``init_hypernet_params`` builds for it: the same
     names, each with its shape.  The first unknown, missing or mistyped key
     and the first missing, misshapen or unexpected tensor raise
-    ``ValueError`` naming it.
+    ``ValueError`` naming it, as does a missing ``params`` or ``master_seed``.
     """
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
     cfg = settings_from_json(HypernetConfig, doc.get("config"), "checkpoint config")
-    stored = doc["params"]
+    stored = require_key(doc, "params", "checkpoint")
+    master_seed = int(require_key(doc, "master_seed", "checkpoint"))
     params = init_hypernet_params(cfg, Rng(0))
     for name, t in params.items():
         if name not in stored:
             raise ValueError(f"checkpoint has no tensor {name!r}")
-        arr = np.array(stored[name]["values"], dtype=np.float64)
-        if tuple(stored[name]["shape"]) != t.data.shape or arr.size != t.data.size:
-            raise ValueError(f"checkpoint tensor {name!r} has shape "
-                             f"{tuple(stored[name]['shape'])} and {arr.size} values, "
+        what = f"checkpoint tensor {name!r}"
+        arr = np.array(require_key(stored[name], "values", what), dtype=np.float64)
+        shape = tuple(require_key(stored[name], "shape", what))
+        if shape != t.data.shape or arr.size != t.data.size:
+            raise ValueError(f"{what} has shape {shape} and {arr.size} values, "
                              f"expected shape {t.data.shape}")
         t.data = arr.reshape(t.data.shape)
     extra = [name for name in stored if name not in params]
     if extra:
         raise ValueError(f"checkpoint tensor {extra[0]!r} is not part of the "
                          f"{cfg.architecture} layout")
-    return cfg, params, int(doc["master_seed"])
+    return cfg, params, master_seed

@@ -24,7 +24,8 @@ from . import autodiff as ad
 from . import bounds
 from .autodiff import Tensor
 from .hypernet import (CompressionArtifacts, HypernetConfig, decode_gamma,
-                       downstream_forward, hypernet_forward, init_hypernet_params)
+                       downstream_forward, downstream_logits, hypernet_forward,
+                       init_hypernet_params)
 from .optim import Adam
 from .rng import Rng
 from .tasks import TaskDataset
@@ -192,21 +193,14 @@ def _complement_indices(m: int, indices) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def _loss_of_kind(logits: np.ndarray, labels: np.ndarray, kind: str) -> float:
-    if kind == "zero_one":
-        return ad.zero_one_loss(logits, labels)
-    if kind == "linear":
-        return ad.linear_loss(logits, labels)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def _decoded_loss(params, cfg, task: TaskDataset, artifacts: CompressionArtifacts,
-                  message: np.ndarray | None, comp: np.ndarray, kind: str) -> float:
-    gamma = decode_gamma(params, cfg, task.features, task.labels,
-                         artifacts.indices, message)
-    logits = downstream_forward(gamma, artifacts.mlp3_shapes,
-                                ad.constant(task.features[comp]))
-    return _loss_of_kind(logits.data, task.labels[comp], kind)
+def _message_losses(params, cfg, task: TaskDataset, artifacts: CompressionArtifacts,
+                    messages: np.ndarray, kind: str) -> np.ndarray:
+    """Complement loss of the predictor decoded from each row of (n, b) ``messages``."""
+    comp = _complement_indices(len(task), artifacts.indices)
+    gammas = decode_gamma(params, cfg, task.features, task.labels,
+                          artifacts.indices, messages)
+    logits = downstream_logits(gammas, artifacts.mlp3_shapes, task.features[comp])
+    return ad.row_losses(logits, task.labels[comp], kind)
 
 
 def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
@@ -214,16 +208,17 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
                      loss_kind: str = "zero_one") -> tuple[float, float]:
     """Monte-Carlo estimate of the message-posterior expected complement loss.
 
-    Draws n_mc messages from N(mu, I), decodes each, and averages the chosen
-    loss over the complement set.  Returns (mean, standard error).
+    Draws n_mc messages from N(mu, I) with one ``rng.normal((n_mc, b))``
+    call, which consumes the stream exactly as n_mc successive
+    ``rng.normal(b)`` draws would, decodes them as one batch, and averages
+    the chosen loss over the complement set.  Returns (mean, standard error).
     """
     if artifacts.gaussian_mean is None:
         raise ValueError("mc_expected_loss needs a Gaussian message bottleneck")
-    comp = _complement_indices(len(task), artifacts.indices)
-    draws = np.empty(n_mc)
-    for i in range(n_mc):
-        message = artifacts.gaussian_mean + rng.normal(cfg.b)
-        draws[i] = _decoded_loss(params, cfg, task, artifacts, message, comp, loss_kind)
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
+    messages = artifacts.gaussian_mean + rng.normal((n_mc, cfg.b))
+    draws = _message_losses(params, cfg, task, artifacts, messages, loss_kind)
     stderr = float(draws.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
     return float(draws.mean()), stderr
 
@@ -282,7 +277,8 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
         # disintegrated variant: one message sampled from the posterior
         omega = artifacts.gaussian_mean + rng.split(2).normal(cfg.b)
         sampled_message = omega
-        emp_star = _decoded_loss(params, cfg, task, artifacts, omega, comp, loss_kind)
+        emp_star = float(_message_losses(params, cfg, task, artifacts, omega[None],
+                                         loss_kind)[0])
         budget_star = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_star,
                                          mu_norm_sq=mu_sq)
         entries.append(CertEntry("PBSCH_DISINTEGRATED",

@@ -177,15 +177,25 @@ def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
     splits: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
-    for entry in manifest["tasks"]:
-        if entry["split"] not in splits:
-            raise ValueError(f"unknown split {entry['split']!r} in manifest")
-        task = _read_task_csv(directory / entry["file"], entry["task_id"])
+    for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest")):
+        what = f"task manifest entry {pos}"
+        split = require_key(entry, "split", what)
+        if split not in splits:
+            raise ValueError(f"unknown split {split!r} in manifest")
+        task = _read_task_csv(directory / require_key(entry, "file", what),
+                              require_key(entry, "task_id", what))
         if "rotation_deg" in entry:
             task.provenance = TaskProvenance(
                 entry["rotation_deg"], tuple(entry["center"]), entry["scale"])
-        splits[entry["split"]].append(task)
+        splits[split].append(task)
     return MetaDataset(**splits), spec
+
+
+def require_key(doc, key: str, what: str):
+    """``doc[key]``; ``ValueError`` naming the key if the JSON object lacks it."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{what} has no key {key!r}")
+    return doc[key]
 
 
 def settings_from_json(cls, doc, what: str):

@@ -219,9 +219,10 @@ def _fresh_eval_set(spec, task_id, repeats=5):
 
 
 def _gamma_loss(params, cfg, task, indices, message, x, y, kind):
-    gamma = decode_gamma(params, cfg, task.features, task.labels, indices, message)
-    logits = downstream_forward(gamma, downstream_shapes(cfg.input_dim, cfg.mlp3),
-                                ad.constant(x))
+    gammas = decode_gamma(params, cfg, task.features, task.labels, indices,
+                          None if message is None else message[None])
+    logits = downstream_forward(ad.constant(gammas[:1]),
+                                downstream_shapes(cfg.input_dim, cfg.mlp3), ad.constant(x))
     if kind == "zero_one":
         return ad.zero_one_loss(logits.data, y)
     return ad.linear_loss(logits.data, y)

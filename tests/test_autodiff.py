@@ -271,6 +271,21 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ad.zero_one_loss(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            ad.linear_loss(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            ad.row_losses(np.ones((2, 3)), np.ones(4), "zero_one")
+
+    def test_row_losses_equal_the_scalar_metrics_per_row(self):
+        z = Rng(3).normal((6, 25))
+        z[0, :5] = 0.0  # sign(0) counts as +1 in every row too
+        y = np.where(Rng(4).normal(25) > 0, 1.0, -1.0)
+        for kind, metric in (("zero_one", ad.zero_one_loss), ("linear", ad.linear_loss)):
+            rows = ad.row_losses(z, y, kind)
+            assert rows.shape == (6,)
+            assert all(rows[i] == metric(z[i], y) for i in range(6)), kind
+        with pytest.raises(ValueError):
+            ad.row_losses(z, y, "hinge")
 
 
 class TestRoundTrips:

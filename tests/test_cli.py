@@ -195,8 +195,18 @@ class TestPipeline:
         ("checkpoint.json", lambda doc: doc["config"].update(c="2"), "'c'"),
         ("tasks/manifest.json", lambda doc: doc["environment"].update(bogus=1), "bogus"),
         ("tasks/manifest.json", lambda doc: doc.pop("environment"), "environment"),
+        ("checkpoint.json", lambda doc: doc.pop("params"), "'params'"),
+        ("checkpoint.json", lambda doc: doc.pop("master_seed"), "'master_seed'"),
+        ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.b0"].pop("values"),
+         "'values'"),
+        ("tasks/manifest.json", lambda doc: doc.pop("tasks"), "'tasks'"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("split"), "'split'"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("file"), "'file'"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("task_id"), "'task_id'"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
-            "config_string_c", "manifest_unknown_key", "manifest_no_environment"])
+            "config_string_c", "manifest_unknown_key", "manifest_no_environment",
+            "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
+            "entry_no_split", "entry_no_file", "entry_no_task_id"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)
@@ -211,6 +221,20 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert name in err
+
+    def test_certify_without_mc_draws_names_n_mc(self, tmp_path, capsys):
+        pbsch = MICRO_CONFIG.replace("architecture = SCH_MINUS", "architecture = PBSCH")
+        pbsch = pbsch.replace("message_size = 0", "message_size = 3")
+        cfg = write_config(tmp_path, pbsch)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        # train checks n_mc through its protocol; certify reads it directly
+        cfg = write_config(tmp_path, pbsch.replace("n_mc = 4", "n_mc = 0"))
+        capsys.readouterr()
+        assert main(["certify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "n_mc" in err and "RuntimeWarning" not in err
 
     def test_train_without_tasks_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

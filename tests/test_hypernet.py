@@ -10,7 +10,8 @@ from metacert import hypernet
 from metacert.autodiff import Tensor
 from metacert.hypernet import (CompressionArtifacts, HypernetConfig,
                                canonical_order, decode_gamma, deepset_embed, downstream_forward,
-                               downstream_param_count, downstream_shapes,
+                               downstream_logits, downstream_param_count,
+                               downstream_shapes,
                                hypernet_forward, init_hypernet_params,
                                load_checkpoint, mlp_forward, msg_compress,
                                pb_encode, reconstruct, sample_compress,
@@ -229,7 +230,7 @@ class TestReconstructor:
         g1 = decode_gamma(params, cfg, task.features, task.labels, indices, None)
         g2 = decode_gamma(params, cfg, task.features[perm], task.labels[perm],
                           moved, None)
-        assert np.array_equal(g1.data, g2.data)
+        assert np.array_equal(g1, g2)
 
     def test_needs_rows_or_message(self):
         cfg = small_config()
@@ -267,6 +268,75 @@ class TestDownstream:
                                ad.constant(np.zeros((3, 2))))
 
 
+class TestBatchedDecode:
+    """``decode_gamma`` against the graph forward, the reference: row i of the
+    batched decode equals ``hypernet_forward``'s gamma for message i, bit for
+    bit.  Task seed 8 makes two of the three heads collide."""
+
+    @pytest.mark.parametrize("arch, c, b", [("PBH", 0, 3), ("PBSCH", 3, 3)])
+    def test_gaussian_rows_equal_graph_forward(self, arch, c, b):
+        cfg = small_config(arch, c=c, b=b)
+        params = params_for(cfg)
+        collided = False
+        for seed in (5, 8):
+            task = small_task(m=30, seed=seed)
+            _, art = hypernet_forward(params, cfg, task.features, task.labels,
+                                      eps=np.zeros(b))
+            collided |= art.c_effective < c
+            eps = Rng(seed).normal((6, b))
+            gammas = decode_gamma(params, cfg, task.features, task.labels,
+                                  art.indices, art.gaussian_mean + eps)
+            assert gammas.shape == (6, art.gamma.size)
+            for i in range(6):
+                gamma, _ = hypernet_forward(params, cfg, task.features, task.labels,
+                                            eps=eps[i])
+                assert np.array_equal(gammas[i], gamma.data[0]), (seed, i)
+        assert collided == (c > 0)
+
+    @pytest.mark.parametrize("arch, b", [("SCH_PLUS", 3), ("SCH_MINUS", 0)])
+    def test_sample_compression_row_equals_graph_forward(self, arch, b):
+        cfg = small_config(arch, c=3, b=b)
+        params = params_for(cfg)
+        collided = False
+        for seed in (5, 8):
+            task = small_task(m=30, seed=seed)
+            gamma, art = hypernet_forward(params, cfg, task.features, task.labels)
+            collided |= art.c_effective < 3
+            message = None if art.binary_message is None else art.binary_message[None]
+            gammas = decode_gamma(params, cfg, task.features, task.labels,
+                                  art.indices, message)
+            assert gammas.shape == (1, art.gamma.size)
+            assert np.array_equal(gammas[0], gamma.data[0]), seed
+        assert collided
+
+    def test_logit_rows_equal_graph_downstream(self):
+        # two hidden layers, so the stacked (n, m, k) @ (n, k, h) product runs
+        cfg = small_config("PBSCH", c=2, b=3, mlp3=(5, 4))
+        params = params_for(cfg)
+        task = small_task(m=30)
+        _, art = hypernet_forward(params, cfg, task.features, task.labels,
+                                  eps=np.zeros(3))
+        gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
+                              art.gaussian_mean + Rng(3).normal((4, 3)))
+        logits = downstream_logits(gammas, art.mlp3_shapes, task.features)
+        assert logits.shape == (4, len(task))
+        for i in range(4):
+            ref = downstream_forward(ad.constant(gammas[i:i + 1]), art.mlp3_shapes,
+                                     ad.constant(task.features))
+            assert np.array_equal(logits[i], ref.data[:, 0]), i
+
+    def test_message_presence_and_width_checked(self):
+        task = small_task()
+        for arch, c, b, message in (("PBSCH", 2, 3, None),
+                                    ("PBSCH", 2, 3, np.zeros(3)),
+                                    ("PBSCH", 2, 3, np.zeros((2, 4))),
+                                    ("SCH_MINUS", 2, 0, np.zeros((1, 0)))):
+            cfg = small_config(arch, c=c, b=b)
+            with pytest.raises(ValueError):
+                decode_gamma(params_for(cfg), cfg, task.features, task.labels,
+                             (0, 1), message)
+
+
 class TestForwardAndArtifacts:
     def test_architecture_artifact_contracts(self):
         task = small_task(m=24)
@@ -293,8 +363,8 @@ class TestForwardAndArtifacts:
         g1, art = hypernet_forward(params, cfg, task.features, task.labels,
                                    eps=np.zeros(4))
         g2 = decode_gamma(params, cfg, task.features, task.labels, (),
-                          art.gaussian_mean)
-        assert np.array_equal(g1.data, g2.data)
+                          art.gaussian_mean[None])
+        assert np.array_equal(g1.data[0], g2[0])
 
     def test_same_rng_seed_reproduces_gamma(self):
         cfg = small_config("PBSCH", c=2, b=3)
@@ -330,8 +400,8 @@ class TestForwardAndArtifacts:
         other_x[list(art.indices)] = task.features[list(art.indices)]
         other_y[list(art.indices)] = task.labels[list(art.indices)]
         g2 = decode_gamma(params, cfg, other_x, other_y, art.indices,
-                          art.binary_message)
-        assert np.array_equal(gamma.data, g2.data)
+                          art.binary_message[None])
+        assert np.array_equal(gamma.data[0], g2[0])
 
     def test_decode_matches_forward_for_sch(self):
         cfg = small_config("SCH_MINUS", c=3, b=0)
@@ -339,7 +409,7 @@ class TestForwardAndArtifacts:
         task = small_task(m=30)
         gamma, art = hypernet_forward(params, cfg, task.features, task.labels)
         g2 = decode_gamma(params, cfg, task.features, task.labels, art.indices, None)
-        assert np.array_equal(gamma.data, g2.data)
+        assert np.array_equal(gamma.data[0], g2[0])
 
     def test_canonical_order_runs_once_per_entry_point(self, monkeypatch):
         calls = []
@@ -361,7 +431,8 @@ class TestForwardAndArtifacts:
             calls.clear()
             message = (art.binary_message if art.gaussian_mean is None
                        else art.gaussian_mean)
-            decode_gamma(params, cfg, task.features, task.labels, art.indices, message)
+            decode_gamma(params, cfg, task.features, task.labels, art.indices,
+                         None if message is None else message[None])
             assert calls == ([art.c_effective] if c > 0 else []), arch
 
     def test_mlp_forward_builds_one_tensor_per_layer(self, monkeypatch):

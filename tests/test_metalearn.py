@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from metacert import autodiff as ad
-from metacert.hypernet import HypernetConfig, hypernet_forward, init_hypernet_params
+from metacert.hypernet import (HypernetConfig, downstream_forward, hypernet_forward,
+                               init_hypernet_params)
 from metacert.metalearn import (TrainProtocol, TrainingDivergedError,
                                 certify_task, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
@@ -148,14 +149,36 @@ class TestMcExpectedLoss:
                                         self.artifacts, 1, Rng(8), "zero_one")
         eps = Rng(8).normal(self.cfg.b)
         comp = np.setdiff1d(np.arange(len(self.task)), self.artifacts.indices)
-        from metacert.hypernet import decode_gamma, downstream_forward
-        gamma = decode_gamma(self.params, self.cfg, self.task.features,
-                             self.task.labels, self.artifacts.indices,
-                             self.artifacts.gaussian_mean + eps)
+        gamma, _ = hypernet_forward(self.params, self.cfg, self.task.features,
+                                    self.task.labels, eps=eps)
         logits = downstream_forward(gamma, self.artifacts.mlp3_shapes,
                                     ad.constant(self.task.features[comp]))
         assert mean == ad.zero_one_loss(logits.data, self.task.labels[comp])
         assert stderr == 0.0
+
+    @pytest.mark.parametrize("arch, c", [("PBH", 0), ("PBSCH", 2)])
+    @pytest.mark.parametrize("kind", ["zero_one", "linear"])
+    @pytest.mark.parametrize("n_mc", [1, 7])
+    def test_batch_equals_per_draw_graph_loop(self, arch, c, kind, n_mc):
+        # oracle: one draw at a time, each decoded by its own graph forward
+        cfg = HypernetConfig(arch, c=c, b=3, **SMALL)
+        params = init_hypernet_params(cfg, Rng(2).split(0))
+        _, art = hypernet_forward(params, cfg, self.task.features, self.task.labels,
+                                  eps=np.zeros(3))
+        comp = np.setdiff1d(np.arange(len(self.task)), art.indices)
+        loss = ad.zero_one_loss if kind == "zero_one" else ad.linear_loss
+        rng = Rng(11)
+        draws = []
+        for _ in range(n_mc):
+            gamma, _ = hypernet_forward(params, cfg, self.task.features,
+                                        self.task.labels, eps=rng.normal(cfg.b))
+            logits = downstream_forward(gamma, art.mlp3_shapes,
+                                        ad.constant(self.task.features[comp]))
+            draws.append(loss(logits.data, self.task.labels[comp]))
+        draws = np.array(draws)
+        stderr = draws.std(ddof=1) / math.sqrt(n_mc) if n_mc > 1 else 0.0
+        assert mc_expected_loss(params, cfg, self.task, art, n_mc, Rng(11),
+                                kind) == (draws.mean(), stderr)
 
     def test_stderr_shrinks_with_draws(self):
         # spread of the estimator over repeats shrinks roughly like 1/sqrt(N)
@@ -177,11 +200,9 @@ class TestMcExpectedLoss:
         mean, stderr = mc_expected_loss(self.params, self.cfg, self.task,
                                         self.artifacts, 5, ZeroRng(0), "linear")
         assert stderr == 0.0
-        from metacert.hypernet import decode_gamma, downstream_forward
         comp = np.setdiff1d(np.arange(len(self.task)), self.artifacts.indices)
-        gamma = decode_gamma(self.params, self.cfg, self.task.features,
-                             self.task.labels, self.artifacts.indices,
-                             self.artifacts.gaussian_mean)
+        gamma, _ = hypernet_forward(self.params, self.cfg, self.task.features,
+                                    self.task.labels, eps=np.zeros(self.cfg.b))
         logits = downstream_forward(gamma, self.artifacts.mlp3_shapes,
                                     ad.constant(self.task.features[comp]))
         assert mean == ad.linear_loss(logits.data, self.task.labels[comp])
@@ -192,6 +213,16 @@ class TestMcExpectedLoss:
         _, art = hypernet_forward(params, cfg, self.task.features, self.task.labels)
         with pytest.raises(ValueError):
             mc_expected_loss(params, cfg, self.task, art, 3, Rng(0), "zero_one")
+
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_no_draws_rejected_before_drawing(self, n_mc):
+        class NoDrawRng(Rng):
+            def normal(self, shape=()):
+                raise AssertionError("drew a message")
+
+        with pytest.raises(ValueError, match="n_mc"):
+            mc_expected_loss(self.params, self.cfg, self.task, self.artifacts,
+                             n_mc, NoDrawRng(0), "zero_one")
 
 
 class TestCertifyTask:

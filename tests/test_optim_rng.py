@@ -127,6 +127,12 @@ class TestRng:
         r1.split(0)
         assert np.array_equal(r1.normal(4), r2.normal(4))
 
+    def test_one_matrix_draw_replays_successive_vector_draws(self):
+        # mc_expected_loss draws all its messages at once and relies on this
+        rng = Rng(9, (2, 1))
+        rows = [rng.normal(4) for _ in range(7)]
+        assert np.array_equal(Rng(9, (2, 1)).normal((7, 4)), np.array(rows))
+
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             Rng(1).split(-1)
