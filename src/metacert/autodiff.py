@@ -6,9 +6,19 @@ the nodes reachable from the loss in strict reverse creation order, so each
 node's backward closure runs exactly once, after all of its consumers have
 already accumulated into its gradient.  Gradients add across fan-out.
 
+Only tensors that need a gradient are part of the graph.  A leaf needs one
+when it is built with ``requires_grad=True``; an op's output needs one when
+any of its parents does.  Every other op output is a constant: it records
+no parents and no backward closure, and no closure computes or stores a
+gradient for it, so after ``backward`` a tensor that needs no gradient
+holds no ``.grad``.
+
 Only the handful of primitives the hypernetworks need are provided:
 
 * ``dense``, one fused dense layer ``x @ w + b``, optionally ReLU'd;
+* ``attention_select``, one node for all attention heads of the sample
+  compressor: per-head queries, scaled dot-product logits, softmax and
+  straight-through row selection;
 * structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
   ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
   ``reshape``, ``slice_cols``;
@@ -45,11 +55,18 @@ class Tensor:
         if self.data.ndim > 2:
             raise ValueError(f"tensors are at most 2-D, got shape {self.data.shape}")
         self.grad = None
-        self.requires_grad = requires_grad
         self.op = op
-        self._parents = tuple(parents)
-        self._backward = backward
         self._seq = next(_SEQ)
+        # an op none of whose parents needs a gradient is a constant: it
+        # records no parents and no backward closure (a plain loop, as this
+        # runs for every node)
+        for p in parents:
+            if p.requires_grad:
+                requires_grad = True
+                break
+        self.requires_grad = requires_grad
+        self._parents = tuple(parents) if requires_grad else ()
+        self._backward = backward if requires_grad else None
 
     @property
     def shape(self):
@@ -86,8 +103,12 @@ class Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a fresh buffer in t.data's memory layout (a gradient's layout picks
+        # the BLAS path of every product it enters); adding 0.0 turns -0.0
+        # into +0.0 exactly as accumulating into zeros did
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def constant(data) -> Tensor:
@@ -96,19 +117,23 @@ def constant(data) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # structural ops
+#
+# A backward closure of an op with several parents skips each parent that
+# needs no gradient before computing its share; an op with one parent is a
+# constant when that parent is, so its closure never runs.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b), op="matmul")
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, parents=(a, b), backward=backward, op="matmul")
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -119,84 +144,82 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
                          f"+ {b.data.shape}")
     pre = x.data @ w.data + b.data
     if relu:
-        mask = (pre > 0.0).astype(np.float64)
+        mask = pre > 0.0  # g * mask casts it to 1.0 / 0.0
         pre = np.maximum(pre, 0.0)
-    out = Tensor(pre, parents=(x, w, b), op="dense")
 
     def backward(g):
         if relu:
             g = g * mask
-        _accum(b, g.sum(axis=0, keepdims=True))
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(pre, parents=(x, w, b), backward=backward, op="dense")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-    out = Tensor(a.data + b.data, parents=(a, b), op="add")
 
     def backward(g):
-        _accum(a, g)
-        _accum(b, g)
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward, op="add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
-    out = Tensor(a.data - b.data, parents=(a, b), op="sub")
 
     def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, -g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), backward=backward, op="sub")
 
 
 def mul_scalar(a: Tensor, scalar: float) -> Tensor:
     s = float(scalar)
-    out = Tensor(a.data * s, parents=(a,), op="mul_scalar")
 
     def backward(g):
         _accum(a, g * s)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * s, parents=(a,), backward=backward, op="mul_scalar")
 
 
 def mul_elem(a: Tensor, weights) -> Tensor:
     """Elementwise product with a constant array (broadcastable against a)."""
     w = np.asarray(weights, dtype=np.float64)
-    out = Tensor(a.data * w, parents=(a,), op="mul_elem")
-    if out.data.shape != a.data.shape:
+    y = a.data * w
+    if y.shape != a.data.shape:
         raise ValueError(f"mul_elem weights {w.shape} do not preserve shape {a.data.shape}")
 
     def backward(g):
         _accum(a, g * w)
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(a,), backward=backward, op="mul_elem")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch: {a.data.shape} * {b.data.shape}")
-    out = Tensor(a.data * b.data, parents=(a, b), op="mul")
 
     def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward, op="mul")
 
 
 def power_scalar(a: Tensor, exponent: float) -> Tensor:
@@ -205,79 +228,66 @@ def power_scalar(a: Tensor, exponent: float) -> Tensor:
     p = float(exponent)
     if p != int(p) and (a.data <= 0.0).any():
         raise ValueError("power_scalar with fractional exponent needs positive inputs")
-    y = a.data ** p
-    out = Tensor(y, parents=(a,), op="power_scalar")
 
     def backward(g):
         _accum(a, g * p * a.data ** (p - 1.0))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data ** p, parents=(a,), backward=backward, op="power_scalar")
 
 
 def mean(a: Tensor) -> Tensor:
-    out = Tensor(np.array([[a.data.mean()]]), parents=(a,), op="mean")
     n = a.data.size
 
     def backward(g):
         _accum(a, np.full_like(a.data, g.reshape(-1)[0] / n))
 
-    out._backward = backward
-    return out
+    return Tensor(np.array([[a.data.mean()]]), parents=(a,), backward=backward, op="mean")
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of no tensors")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors), op="concat")
     sizes = [t.data.shape[axis] for t in tensors]
 
     def backward(g):
         offset = 0
         for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + size)
-            _accum(t, g[tuple(sl)])
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(offset, offset + size)
+                _accum(t, g[tuple(sl)])
             offset += size
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  parents=tuple(tensors), backward=backward, op="concat")
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, parents=(a,), op="transpose")
-
     def backward(g):
         _accum(a, g.T)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.T, parents=(a,), backward=backward, op="transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), parents=(a,), op="reshape")
-
     def backward(g):
         _accum(a, g.reshape(a.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward, op="reshape")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2 or not (0 <= start <= stop <= a.data.shape[1]):
         raise ValueError(f"bad column slice [{start}:{stop}] of {a.data.shape}")
-    out = Tensor(a.data[:, start:stop].copy(), parents=(a,), op="slice_cols")
 
     def backward(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         a.grad[:, start:stop] += g
 
-    out._backward = backward
-    return out
+    return Tensor(a.data[:, start:stop].copy(), parents=(a,), backward=backward,
+                  op="slice_cols")
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +296,11 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,), op="tanh")
 
     def backward(g):
         _accum(a, g * (1.0 - y * y))
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(a,), backward=backward, op="tanh")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -308,13 +316,11 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(a,), op="softmax")
 
     def backward(g):
         _accum(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    out._backward = backward
-    return out
+    return Tensor(p, parents=(a,), backward=backward, op="softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +334,11 @@ def sign_st(a: Tensor, soft: bool = False) -> Tensor:
     declared surrogate so it can be finite-difference checked.
     """
     y = a.data.copy() if soft else np.where(a.data >= 0.0, 1.0, -1.0)
-    out = Tensor(y, parents=(a,), op="sign_st")
 
     def backward(g):
         _accum(a, g)
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(a,), backward=backward, op="sign_st")
 
 
 def hard_select_st(probs: Tensor, values: Tensor, soft: bool = False) -> Tensor:
@@ -356,14 +360,85 @@ def hard_select_st(probs: Tensor, values: Tensor, soft: bool = False) -> Tensor:
         y = p.T @ values.data
     else:
         y = values.data[np.argmax(p[:, 0])][None, :].copy()
-    out = Tensor(y, parents=(probs, values), op="hard_select_st")
 
     def backward(g):
-        _accum(probs, values.data @ g.T)
-        _accum(values, p @ g)
+        if probs.requires_grad:
+            _accum(probs, values.data @ g.T)
+        if values.requires_grad:
+            _accum(values, p @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(probs, values), backward=backward, op="hard_select_st")
+
+
+def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: float,
+                     soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
+    """``c`` scaled dot-product attention heads, each selecting one row of ``values``.
+
+    ``heads`` holds one ``(w, b)`` pair per head.  Head h's query is the
+    dense layer ``z @ w + b`` of the (1, d') embedding ``z``, its logits are
+    ``scale * keys @ query.T`` over the (m, a) ``keys``, and it selects the
+    argmax row of their softmax over the m rows (ties to the lowest index)
+    through the straight-through rule of ``hard_select_st``.  A head whose
+    row an earlier head already selected is dropped, and its query gets no
+    gradient.  Returns (the distinct selected positions, ascending; their
+    rows of the constant (m, k) ``values``, in that order).  With
+    ``soft=True`` the rows are every head's mixture p^T values, in head
+    order.
+
+    One node stands for the per-head graph dense -> transpose -> matmul ->
+    mul_scalar -> softmax -> hard_select_st plus the concat of the rows, and
+    matches it bit for bit: the queries are one ``z @ [w_0 | ... | w_c-1]``
+    product and the logits one stacked ``(1, m, a) @ (c, a, 1)`` product (a
+    flat ``(m, a) @ (a, c)`` GEMM rounds differently), and backward runs the
+    heads last to first with the per-head shapes, as that graph did.  (A
+    zero gradient entry may differ in sign where a softmax underflows to an
+    exact 0; Adam's update is the same for either sign.)
+    """
+    c = len(heads)
+    m, a = keys.data.shape
+    if (c == 0 or z.data.shape[0] != 1 or values.shape[0] != m
+            or any(w.data.shape != (z.data.shape[1], a) or b.data.shape != (1, a)
+                   for w, b in heads)):
+        raise ValueError(f"attention_select shapes: z {z.data.shape}, keys {keys.data.shape}, "
+                         f"values {values.shape}, heads "
+                         f"{[(w.data.shape, b.data.shape) for w, b in heads]}")
+    queries = (z.data @ np.concatenate([w.data for w, _ in heads], axis=1)
+               + np.concatenate([b.data for _, b in heads], axis=1)).reshape(c, a)
+    logits = (keys.data[None] @ queries[:, :, None]) * scale         # (c, m, 1)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    if np.isnan(probs).any():
+        raise NonFiniteError("NaN in selection probabilities")
+    owner: dict[int, int] = {}  # selected position -> first head selecting it
+    for h, pos in enumerate(np.argmax(probs[:, :, 0], axis=1)):
+        owner.setdefault(int(pos), h)
+    positions = tuple(sorted(owner))
+    if soft:
+        kept = list(range(c))
+        y = np.concatenate([probs[h].T @ values for h in kept], axis=0)
+    else:
+        kept = [owner[pos] for pos in positions]
+        y = values[list(positions)]
+    row_of = {h: i for i, h in enumerate(kept)}  # head -> its output row
+
+    def backward(g):
+        for h in sorted(kept, reverse=True):
+            w, b = heads[h]
+            p = probs[h]
+            g_probs = values @ g[row_of[h]:row_of[h] + 1].T
+            g_logits = p * (g_probs - (g_probs * p).sum(axis=0, keepdims=True)) * scale
+            if keys.requires_grad:
+                _accum(keys, g_logits @ queries[h:h + 1])
+            g_query = (keys.data.T @ g_logits).T
+            if b.requires_grad:
+                _accum(b, g_query.sum(axis=0, keepdims=True))
+            if z.requires_grad:
+                _accum(z, g_query @ w.data.T)
+            if w.requires_grad:
+                _accum(w, z.data.T @ g_query)
+
+    parents = (z, keys, *(t for pair in heads for t in pair))
+    return positions, Tensor(y, parents=parents, backward=backward, op="attention_select")
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +454,13 @@ def binary_cross_entropy(logits: Tensor, labels) -> Tensor:
     margin = -y * z
     # softplus(margin), computed stably
     per_example = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    out = Tensor(np.array([[per_example.mean()]]), parents=(logits,), op="bce")
     n = y.shape[0]
 
     def backward(g):
         _accum(logits, g.reshape(-1)[0] * (-y * _sigmoid(margin)) / n)
 
-    out._backward = backward
-    return out
+    return Tensor(np.array([[per_example.mean()]]), parents=(logits,), backward=backward,
+                  op="bce")
 
 
 def zero_one_errors(logits, labels) -> int:

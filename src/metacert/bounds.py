@@ -26,17 +26,6 @@ from scipy.special import gammaln
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
-CERTIFICATE_KINDS = (
-    "PB",
-    "SCH_BINARY",
-    "SCH_REAL",
-    "PBSCH",
-    "PBSCH_DISINTEGRATED",
-    "CATONI",
-    "LINEAR",
-)
-
-
 @dataclass(frozen=True)
 class BoundBudget:
     """Inputs shared by the certificate calculators.

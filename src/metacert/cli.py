@@ -165,7 +165,7 @@ def cmd_gen(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
-    meta, _ = load_tasks(out_dir / "tasks")
+    meta, _ = load_tasks(out_dir / "tasks", ("train", "val"))
     hcfg = _build(HypernetConfig, cfg)
     protocol = _build(TrainProtocol, cfg)
     rng = Rng(cfg["master_seed"]).split(STREAM_TRAIN)
@@ -189,7 +189,7 @@ CERT_HEADER = ["task_id", "architecture", "kind", "m_prime", "c_effective", "b",
 
 def cmd_certify(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
-    meta, _ = load_tasks(out_dir / "tasks")
+    meta, _ = load_tasks(out_dir / "tasks", ("test",))
     hcfg, params, _ = load_checkpoint(out_dir / "checkpoint.json")
     rng = Rng(cfg["master_seed"]).split(STREAM_CERTIFY)
     rows = []
@@ -214,7 +214,7 @@ def cmd_certify(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
-    meta, _ = load_tasks(out_dir / "tasks")
+    meta, _ = load_tasks(out_dir / "tasks", ("train", "val"))
     protocol = _build(TrainProtocol, cfg)
     grid = {key.removeprefix("sweep_"): v for key, v in cfg.items()
             if key.startswith("sweep_")}

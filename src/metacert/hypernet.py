@@ -272,29 +272,17 @@ def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, features: Te
     m = features.data.shape[0]
     if cfg.c > m:
         raise ValueError(f"compression size {cfg.c} exceeds set size {m}")
-    values = ad.concat([features, labels], axis=1)
     xs_std = _standardized_input(features)
     keys = mlp_forward(params, "compressor.keys", xs_std)
     z = deepset_embed(params, "compressor.deepset", xs_std, labels)
-    scale = 1.0 / math.sqrt(cfg.attention_dim)
-    chosen: dict[int, Tensor] = {}  # input position -> selected row
-    soft_rows: list[Tensor] = []
-    for h in range(cfg.c):
-        query = mlp_forward(params, f"compressor.query{h}", z)      # (1, d_k)
-        logits = ad.mul_scalar(ad.matmul(keys, ad.transpose(query)), scale)
-        probs = ad.softmax(logits, axis=0)
-        pos = int(np.argmax(probs.data[:, 0]))                      # ties -> lowest index
-        row = ad.hard_select_st(probs, values, soft=soft)
-        soft_rows.append(row)
-        chosen.setdefault(pos, row)
-    indices = tuple(sorted(chosen))
-    if soft:
-        # surrogate twin: every head's mixture row, no deduplication (the
-        # mixtures vary continuously, so there is nothing discrete to merge)
-        return indices, ad.concat(soft_rows, axis=0)
+    heads = [(params[f"compressor.query{h}.w0"], params[f"compressor.query{h}.b0"])
+             for h in range(cfg.c)]
     # ascending positions of a canonically ordered set: the rows come out in
-    # canonical content order, so they are permutation invariant too
-    return indices, ad.concat([chosen[pos] for pos in indices], axis=0)
+    # canonical content order, so they are permutation invariant too (the
+    # soft twin's mixture rows come one per head, with no deduplication)
+    return ad.attention_select(z, keys, heads,
+                               np.concatenate([features.data, labels.data], axis=1),
+                               1.0 / math.sqrt(cfg.attention_dim), soft=soft)
 
 
 def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | None,

@@ -149,12 +149,12 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
         losses = []
         for task_pos in order:
             task = train_tasks[int(task_pos)]
-            visit = rng.split(2, epoch, int(task_pos))
-            sup, qry = split_support_query(task, protocol.support_size, visit.split(0))
+            sup, qry = split_support_query(task, protocol.support_size,
+                                           rng.split(2, epoch, int(task_pos), 0))
             try:
                 logits, _ = _task_logits(params, cfg, task.features[sup],
                                          task.labels[sup], task.features[qry],
-                                         rng=visit.split(1))
+                                         rng=rng.split(2, epoch, int(task_pos), 1))
             except ad.NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite forward pass at epoch {epoch}, "

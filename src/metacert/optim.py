@@ -32,7 +32,8 @@ class AdamState:
 
 def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
-    """One bias-corrected Adam update; mutates ``state``, returns the new value."""
+    """One bias-corrected Adam update of one tensor; mutates ``state``, returns
+    the new value.  ``Adam.step`` matches it bit for bit on every tensor."""
     state.t += 1
     state.m = beta1 * state.m + (1.0 - beta1) * grad
     state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
@@ -42,7 +43,17 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
 
 
 class Adam:
-    """Adam over a named parameter dict; parameters with no grad are skipped."""
+    """Adam over a named parameter dict; parameters with no grad are skipped.
+
+    The parameters and both moments live in three flat buffers, one segment
+    per tensor in dict order: each ``p.data`` and each ``state[name].m`` /
+    ``.v`` is a view of its segment.  A step updates, in place, each maximal
+    run of adjacent segments whose tensors all got a gradient and share a
+    step count, with that count's bias corrections as Python floats.  Every
+    operation is elementwise, so each tensor gets exactly the values of
+    ``adam_step``; a skipped tensor keeps its values, moments and count.  A
+    ``p.data`` rebound since the last step is copied into its segment first.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -51,17 +62,61 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = {
-            name: AdamState(np.zeros_like(p.data), np.zeros_like(p.data))
-            for name, p in params.items()
-        }
+        size = sum(p.data.size for p in params.values())
+        self._value, self._grad = np.empty(size), np.empty(size)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self.state: dict[str, AdamState] = {}
+        self._slots = []  # (tensor, its state, its value view, its grad view, segment)
+        lo = 0
+        for name, p in params.items():
+            seg, shape = slice(lo, lo + p.data.size), p.data.shape
+            lo = seg.stop
+            value = self._value[seg].reshape(shape)
+            value[...] = p.data
+            p.data = value
+            self.state[name] = AdamState(self._m[seg].reshape(shape),
+                                         self._v[seg].reshape(shape))
+            self._slots.append((p, self.state[name], value,
+                                self._grad[seg].reshape(shape), seg))
 
     def step(self) -> None:
-        for name, p in self.params.items():
+        runs = []  # [start, stop, step count] of adjacent updated segments
+        run = None
+        for p, state, value, grad, seg in self._slots:
+            if p.data is not value:
+                value[...] = p.data
+                p.data = value
             if p.grad is None:
+                run = None
                 continue
-            p.data = adam_step(p.data, p.grad, self.state[name], self.lr,
-                               self.beta1, self.beta2, self.eps)
+            grad[...] = p.grad
+            state.t += 1
+            if run is not None and run[2] == state.t:
+                run[1] = seg.stop
+            else:
+                run = [seg.start, seg.stop, state.t]
+                runs.append(run)
+        for start, stop, t in runs:
+            self._update(slice(start, stop), t)
+
+    def _update(self, seg: slice, t: int) -> None:
+        """``adam_step`` in place on one segment: the same float operations
+        in the same order, so the same bits."""
+        b1, b2 = self.beta1, self.beta2
+        g, m, v = self._grad[seg], self._m[seg], self._v[seg]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        g2 = (1.0 - b2) * g
+        g2 *= g
+        v += g2
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat *= self.lr
+        m_hat /= v_hat
+        self._value[seg] -= m_hat
 
     def zero_grad(self) -> None:
         for p in self.params.values():

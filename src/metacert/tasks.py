@@ -166,7 +166,13 @@ def _write_task_csv(path: Path, task: TaskDataset) -> None:
                header=",".join([f"x{i + 1}" for i in range(d)] + ["y"]), comments="")
 
 
-def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
+def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
+                                                                   MoonsEnvironmentSpec]:
+    """Read the task manifest and the task files of ``splits``.
+
+    Every manifest entry is checked; the files of the other splits are not
+    read, and those splits come back empty.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
@@ -176,19 +182,22 @@ def load_tasks(directory) -> tuple[MetaDataset, MoonsEnvironmentSpec]:
         raise ValueError(f"unsupported task format version {manifest.get('format_version')}")
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
-    splits: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
+    loaded: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
     for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest")):
         what = f"task manifest entry {pos}"
         split = require_key(entry, "split", what)
-        if split not in splits:
+        if split not in loaded:
             raise ValueError(f"unknown split {split!r} in manifest")
-        task = _read_task_csv(directory / require_key(entry, "file", what),
-                              require_key(entry, "task_id", what))
+        file = require_key(entry, "file", what)
+        task_id = require_key(entry, "task_id", what)
+        if split not in splits:
+            continue
+        task = _read_task_csv(directory / file, task_id)
         if "rotation_deg" in entry:
             task.provenance = TaskProvenance(
                 entry["rotation_deg"], tuple(entry["center"]), entry["scale"])
-        splits[split].append(task)
-    return MetaDataset(**splits), spec
+        loaded[split].append(task)
+    return MetaDataset(**loaded), spec
 
 
 def require_key(doc, key: str, what: str):

@@ -350,6 +350,12 @@ def test_criterion_gradient_integrity():
          lambda a: ad.hard_select_st(ad.softmax(a, axis=0), ad.constant(np.array(
              [[1.0, -2.0], [0.3, 0.8], [2.0, 0.1]])), soft=True), (3, 1)),
         ("bce", lambda a: ad.binary_cross_entropy(a, np.array([1.0, -1.0, 1.0])), (3, 1)),
+        ("attention_select_soft", lambda a: ad.attention_select(
+            ad.constant(np.array([[0.6, -1.2]])), a,
+            [(ad.constant(np.array([[1.0, -0.5], [0.3, 0.8]])), ad.constant(np.zeros((1, 2)))),
+             (ad.constant(np.array([[-0.7, 0.2], [1.1, 0.4]])), ad.constant(np.ones((1, 2))))],
+            np.array([[1.0, -2.0], [0.3, 0.8], [2.0, 0.1], [-0.5, 1.5]]), 0.9,
+            soft=True)[1], (4, 2)),
     ]
     for name, build, shape in op_cases:
         x = rng.normal(shape)

@@ -191,6 +191,30 @@ class TestStraightThrough:
         ad.mean(ad.tanh(sel)).backward()
         assert_grad_close(logits_t.grad, finite_diff_grad(soft_loss, p_raw.copy()))
 
+    def test_attention_select_soft_twin_matches_fd(self):
+        # gradients w.r.t. the embedding, the keys and both heads' queries
+        values = Rng(12).normal((5, 3))
+
+        def build(z, keys, w0, b0, w1, b1):
+            _, rows = ad.attention_select(z, keys, [(w0, b0), (w1, b1)], values, 0.8,
+                                          soft=True)
+            return ad.mean(ad.tanh(rows))
+
+        check_op(build, (1, 4), (5, 2), (4, 2), (1, 2), (4, 2), (1, 2), seed=13)
+
+    def test_attention_select_forward_and_nan(self):
+        # both heads pick row 1, so it comes out once; NaN keys are non-finite
+        z = Tensor(np.array([[1.0, 0.0]]))
+        keys = Tensor(np.array([[0.0, 0.0], [9.0, 0.0], [-9.0, 0.0]]))
+        heads = [(Tensor(np.eye(2)), Tensor(np.zeros((1, 2)))),
+                 (Tensor(2.0 * np.eye(2)), Tensor(np.zeros((1, 2))))]
+        values = np.arange(6.0).reshape(3, 2)
+        positions, rows = ad.attention_select(z, keys, heads, values, 1.0)
+        assert positions == (1,) and np.array_equal(rows.data, [[2.0, 3.0]])
+        keys.data[0, 0] = np.nan
+        with pytest.raises(ad.NonFiniteError):
+            ad.attention_select(z, keys, heads, values, 1.0)
+
     def test_hard_select_rejects_bad_probs(self):
         values = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError):

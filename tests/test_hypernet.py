@@ -1,6 +1,7 @@
 """Hypernetwork component and architecture tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -196,6 +197,74 @@ class TestSampleCompressor:
         with pytest.raises(ValueError):
             sample_compress(params, cfg, ad.constant(np.zeros((3, 2))),
                             ad.constant(np.ones((3, 1))))
+
+
+def per_head_select(params, cfg, z, keys, features, labels, soft=False):
+    """The per-head graph that ``ad.attention_select`` stands for, the
+    reference: dense query, transpose, matmul, scale, softmax and
+    straight-through selection for each head, then the concat of the rows."""
+    values = ad.concat([features, labels], axis=1)
+    chosen, soft_rows = {}, []
+    for h in range(cfg.c):
+        query = mlp_forward(params, f"compressor.query{h}", z)
+        logits = ad.mul_scalar(ad.matmul(keys, ad.transpose(query)),
+                               1.0 / math.sqrt(cfg.attention_dim))
+        probs = ad.softmax(logits, axis=0)
+        row = ad.hard_select_st(probs, values, soft=soft)
+        soft_rows.append(row)
+        chosen.setdefault(int(np.argmax(probs.data[:, 0])), row)
+    positions = tuple(sorted(chosen))
+    return positions, ad.concat(soft_rows if soft else [chosen[p] for p in positions], 0)
+
+
+class TestAttentionSelect:
+    """The fused head node against ``per_head_select``, bit for bit.  Task
+    seed 8 makes two of the three heads collide."""
+
+    @staticmethod
+    def train_step(cfg, seed, fused, soft=False):
+        """One training step's forward and backward through the compressor;
+        returns (positions, rows, keys, z, params), gradients filled in."""
+        params = params_for(cfg)
+        task = small_task(m=30, seed=seed)
+        order = canonical_order(task.features, task.labels)
+        x = ad.constant(task.features[order])
+        y = ad.constant(task.labels[order].reshape(-1, 1))
+        xs_std = hypernet._standardized_input(x)
+        keys = mlp_forward(params, "compressor.keys", xs_std)
+        z = deepset_embed(params, "compressor.deepset", xs_std, y)
+        if fused:
+            heads = [(params[f"compressor.query{h}.w0"], params[f"compressor.query{h}.b0"])
+                     for h in range(cfg.c)]
+            positions, rows = ad.attention_select(
+                z, keys, heads, np.column_stack([x.data, y.data]),
+                1.0 / math.sqrt(cfg.attention_dim), soft=soft)
+        else:
+            positions, rows = per_head_select(params, cfg, z, keys, x, y, soft=soft)
+        gamma = reconstruct(params, cfg, rows, None, soft=soft)
+        logits = downstream_forward(gamma, downstream_shapes(2, cfg.mlp3),
+                                    ad.constant(task.features))
+        ad.binary_cross_entropy(logits, task.labels).backward()
+        return positions, rows, keys, z, params
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_selection_and_gradients_equal_per_head_graph(self, c, soft):
+        cfg = small_config("SCH_MINUS", c=c, b=0)
+        collided = False
+        for seed in (5, 8):
+            pos, rows, keys, z, params = self.train_step(cfg, seed, fused=True, soft=soft)
+            ref_pos, ref_rows, ref_keys, ref_z, ref_params = self.train_step(
+                cfg, seed, fused=False, soft=soft)
+            collided |= len(pos) < c
+            assert pos == ref_pos and np.array_equal(rows.data, ref_rows.data), seed
+            assert np.array_equal(keys.grad, ref_keys.grad), seed
+            assert np.array_equal(z.grad, ref_z.grad), seed
+            for name, t in params.items():
+                ref = ref_params[name].grad
+                assert (t.grad is None) == (ref is None), (seed, name)
+                assert t.grad is None or np.array_equal(t.grad, ref), (seed, name)
+        assert collided == (c == 3)
 
 
 class TestReconstructor:

@@ -61,8 +61,8 @@ class TestAdam:
     def test_colliding_head_is_skipped(self):
         # Two heads with equal queries select the same row; the duplicate's
         # row is dropped, so its query gets no gradient and Adam leaves its
-        # values and its step count alone (which rules out one vectorized
-        # update over a flat parameter buffer).
+        # values and its step count alone (so the step counts are per
+        # tensor, and a flat update must skip that tensor's segment).
         cfg = HypernetConfig("SCH_MINUS", c=2, b=0, mlp1=(12,), mlp2=(10,), mlp3=(5,),
                              deepset_dim=6, attention_dim=8)
         params = init_hypernet_params(cfg, Rng(1))
@@ -84,6 +84,61 @@ class TestAdam:
             assert opt.state[name].t == 0
             twin = f"compressor.query0.{kind}"
             assert params[twin].grad is not None and opt.state[twin].t == 1
+
+
+    def test_flat_step_equals_per_tensor_reference(self):
+        # the flat update against one adam_step call per tensor that got a
+        # gradient, bit for bit, with random skips; "never" gets no gradient
+        # at all, so its bias corrections 1 - beta^0 = 0 must never be formed
+        rng = Rng(21)
+        shapes = {"a": (3, 4), "b": (1, 4), "never": (2, 2), "c": (5,), "d": (4, 1)}
+        params = {n: Tensor(rng.normal(s), requires_grad=True) for n, s in shapes.items()}
+        ref_values = {n: p.data.copy() for n, p in params.items()}
+        ref_states = {n: AdamState(np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
+        opt = Adam(params, lr=3e-3)
+        for step in range(60):
+            if step == 30:  # a rebound p.data is what the next step updates
+                params["b"].data = ref_values["b"] = rng.normal(shapes["b"])
+            opt.zero_grad()
+            for name, p in params.items():
+                if name != "never" and rng.uniform(0.0, 1.0) < 0.7:
+                    p.grad = rng.normal(shapes[name]) * 10.0 ** rng.integers(-3, 3)
+                    ref_values[name] = adam_step(ref_values[name], p.grad,
+                                                 ref_states[name], lr=3e-3)
+            opt.step()
+            for name, p in params.items():
+                state, ref = opt.state[name], ref_states[name]
+                assert np.array_equal(p.data, ref_values[name]), (step, name)
+                assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
+                assert state.t == ref.t, (step, name)
+        assert opt.state["never"].t == 0 and opt.state["a"].t > 30
+
+    def test_training_step_leaves_constants_without_grad(self):
+        # backward computes and stores gradients only for tensors that need
+        # one; the inputs, their standardized copies and the noise are constants
+        cfg = HypernetConfig("PBSCH", c=2, b=4, mlp1=(12,), mlp2=(10,), mlp3=(5,),
+                             deepset_dim=6, attention_dim=8)
+        params = init_hypernet_params(cfg, Rng(2))
+        opt = Adam(params, lr=1e-3)
+        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), 0)
+        gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20],
+                                      rng=Rng(2))
+        assert art.c_effective == 2
+        logits = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[20:]))
+        loss = ad.binary_cross_entropy(logits, task.labels[20:])
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        constants = [t for t in nodes.values() if not t.requires_grad]
+        assert len(constants) >= 5
+        assert all(t.grad is None and not t._parents for t in constants)
+        assert all(t.grad is not None for t in params.values())
+        opt.step()
+        assert all(opt.state[name].t == 1 for name in params)
 
 
 class TestKaimingUniform:

@@ -157,6 +157,24 @@ class TestFileRoundTrip:
             assert back.provenance is not None
             assert back.provenance.scale == orig.provenance.scale
 
+    def test_load_reads_only_the_requested_splits(self, tmp_path):
+        spec = canonical_spec()
+        meta = gen_meta_dataset(spec)
+        save_tasks(tmp_path / "tasks", meta, spec)
+        (tmp_path / "tasks" / f"task_{meta.train[0].task_id:05d}.csv").unlink()
+        loaded, _ = load_tasks(tmp_path / "tasks", ("test",))
+        assert loaded.train == [] and loaded.val == []
+        assert [t.task_id for t in loaded.test] == [t.task_id for t in meta.test]
+        assert all(np.array_equal(a.features, b.features)
+                   for a, b in zip(loaded.test, meta.test))
+        with pytest.raises(FileNotFoundError):
+            load_tasks(tmp_path / "tasks", ("train", "val"))
+        # every manifest entry is still checked, read or not
+        manifest = tmp_path / "tasks" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"file"', '"fil"', 1))
+        with pytest.raises(ValueError, match="entry 0 has no key 'file'"):
+            load_tasks(tmp_path / "tasks", ("test",))
+
     def test_manifest_counts_match_files(self, tmp_path):
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
