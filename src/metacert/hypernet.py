@@ -9,10 +9,12 @@ Four meta-predictor variants share the same building blocks:
 
 The downstream parameters depend on the input dataset only through the
 bottleneck (selected rows, message), which is what the certificates charge
-for.  Set-valued inputs are sorted once, lexicographically by row, by
-``hypernet_forward`` / ``decode_gamma``; inner modules require canonical
-order.  Every architecture is therefore exactly permutation invariant, bit
-for bit.
+for.  ``encode`` runs the bottleneck.  ``hypernet_forward`` follows it with
+the message noise and ``reconstruct`` in one graph, which serves training
+only; evaluation decodes through the forward-only ``decode_gamma``.
+Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
+``decode_gamma``; inner modules require canonical order.  Every architecture
+is therefore exactly permutation invariant, bit for bit.
 
 Tasks arrive at wildly different locations and scales, and the networks use
 no batch normalization, so each set-consuming module standardizes its own
@@ -96,7 +98,6 @@ class CompressionArtifacts:
     indices: tuple[int, ...]                 # distinct, ascending, into the input set
     binary_message: np.ndarray | None        # values in {-1, +1}, or None
     gaussian_mean: np.ndarray | None         # posterior mean mu, or None
-    gamma: np.ndarray                        # flat downstream weights
     mlp3_shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -104,9 +105,6 @@ class CompressionArtifacts:
             raise ValueError("compression indices must be distinct")
         if self.binary_message is not None and self.gaussian_mean is not None:
             raise ValueError("at most one of binary message / Gaussian mean may be set")
-        expected = downstream_param_count(self.mlp3_shapes)
-        if self.gamma.size != expected:
-            raise ValueError(f"gamma has {self.gamma.size} entries, expected {expected}")
 
     @property
     def c_effective(self) -> int:
@@ -340,7 +338,7 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     constant vector, so the architecture degenerates gracefully to a pure
     encoder-decoder and gamma is the trunk output unchanged.
 
-    ``decode_gamma`` is the forward-only twin of the trunk and the fold.
+    It serves training; evaluation uses ``decode_gamma``, its forward-only twin.
     """
     if rows is None and message is None:
         raise ValueError("reconstruct needs compression rows or a message")
@@ -426,16 +424,14 @@ def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.nd
 # full forward
 
 
-def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
-                     features: np.ndarray, labels: np.ndarray,
-                     rng: Rng | None = None, eps: np.ndarray | None = None,
-                     soft: bool = False) -> tuple[Tensor, CompressionArtifacts]:
-    """Run the architecture on a task sample; returns (gamma, bottleneck).
+def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
+           labels: np.ndarray, soft: bool = False
+           ) -> tuple[CompressionArtifacts, Tensor | None, Tensor | None]:
+    """Run the bottleneck on a task sample; returns (artifacts, rows, message).
 
-    The sample is put in canonical order here, once, for every module.
-    Architectures with a Gaussian message add noise ``eps`` to the posterior
-    mean; pass ``eps`` explicitly (e.g. zeros for the deterministic decoder)
-    or supply ``rng`` to sample it.
+    The sample is put in canonical order here, once, for every module.  The
+    message is the binary one or the Gaussian mean before noise; a part the
+    architecture lacks is ``None``.  On constant parameters it builds no graph.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
@@ -443,31 +439,37 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
     x_t = ad.constant(features[order])
     y_t = ad.constant(labels[order])
     indices: tuple[int, ...] = ()
-    rows = None
+    rows = message = binary_message = gaussian_mean = None
     if cfg.c > 0:
         positions, rows = sample_compress(params, cfg, x_t, y_t, soft=soft)
         indices = tuple(sorted(int(order[pos]) for pos in positions))
-
-    message = None
-    binary_message = None
-    gaussian_mean = None
     if cfg.has_binary_message:
         message = msg_compress(params, x_t, y_t, soft=soft)
         binary_message = message.data.reshape(-1).copy()
     elif cfg.has_gaussian_message:
-        mu = pb_encode(params, x_t, y_t)
-        gaussian_mean = mu.data.reshape(-1).copy()
-        if eps is None:
-            if rng is None:
-                raise ValueError(f"{cfg.architecture} samples a message; pass rng or eps")
-            eps = rng.normal(cfg.b)
-        message = ad.add(mu, ad.constant(np.asarray(eps, dtype=np.float64).reshape(1, -1)))
-
-    gamma = reconstruct(params, cfg, rows, message, soft=soft)
-    shapes = downstream_shapes(cfg.input_dim, cfg.mlp3)
+        message = pb_encode(params, x_t, y_t)
+        gaussian_mean = message.data.reshape(-1).copy()
     artifacts = CompressionArtifacts(indices, binary_message, gaussian_mean,
-                                     gamma.data.reshape(-1).copy(), shapes)
-    return gamma, artifacts
+                                     downstream_shapes(cfg.input_dim, cfg.mlp3))
+    return artifacts, rows, message
+
+
+def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
+                     features: np.ndarray, labels: np.ndarray,
+                     eps: np.ndarray | None = None,
+                     soft: bool = False) -> tuple[Tensor, CompressionArtifacts]:
+    """Run the architecture on a task sample as one graph; returns (gamma, bottleneck).
+
+    ``encode``, then ``reconstruct``.  Architectures with a Gaussian message
+    add the noise ``eps`` to the posterior mean (zeros give the deterministic
+    decoder); the others ignore it.
+    """
+    artifacts, rows, message = encode(params, cfg, features, labels, soft=soft)
+    if cfg.has_gaussian_message:
+        if eps is None:
+            raise ValueError(f"{cfg.architecture} samples a message; pass eps")
+        message = ad.add(message, ad.constant(np.asarray(eps, dtype=np.float64).reshape(1, -1)))
+    return reconstruct(params, cfg, rows, message, soft=soft), artifacts
 
 
 def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,

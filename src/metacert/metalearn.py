@@ -1,13 +1,15 @@
 """Episodic meta-training, early stopping, sweeps, and per-task certification.
 
 Training loops over tasks in a seeded-shuffled order; each visit splits the
-task into support and query halves, runs the hypernetwork on the support set,
-and takes one Adam step on the query surrogate loss (binary cross-entropy).
-Validation 0-1 error is tracked every epoch with the message noise forced to
-zero, and the returned parameters are those of the best validation epoch.
+task into support and query halves, runs the hypernetwork graph on the
+support set, and takes one Adam step on the query surrogate loss (binary
+cross-entropy).  Nothing else is differentiated: validation (query 0-1 error
+each epoch, message noise at zero) and certification decode forward only,
+through ``encode`` on constant parameters and ``decode_gamma``.  The
+returned parameters are those of the best validation epoch.
 
 Certification consumes a *test* task only: the full sample goes through the
-hypernetwork, the empirical loss is measured on the complement of the
+bottleneck, the empirical loss is measured on the complement of the
 compression set, and the architecture-appropriate certificates are computed.
 The meta-training collection is never an input to certification.
 """
@@ -24,8 +26,8 @@ from . import autodiff as ad
 from . import bounds
 from .autodiff import Tensor
 from .hypernet import (CompressionArtifacts, HypernetConfig, decode_gamma,
-                       downstream_forward, downstream_logits, hypernet_forward,
-                       init_hypernet_params)
+                       downstream_forward, downstream_logits, encode,
+                       hypernet_forward, init_hypernet_params)
 from .optim import Adam
 from .rng import Rng
 from .tasks import TaskDataset
@@ -107,27 +109,30 @@ def split_support_query(task: TaskDataset, support_size: int,
     return perm[:support_size], perm[support_size:]
 
 
-def _task_logits(params: dict[str, Tensor], cfg: HypernetConfig, sup_x, sup_y,
-                 eval_x, rng: Rng | None = None,
-                 eps=None) -> tuple[Tensor, CompressionArtifacts]:
-    gamma, artifacts = hypernet_forward(params, cfg, sup_x, sup_y, rng=rng, eps=eps)
-    logits = downstream_forward(gamma, artifacts.mlp3_shapes, ad.constant(eval_x))
-    return logits, artifacts
+def _constants(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The same parameter arrays as constants: every op on them is a constant."""
+    return {name: ad.constant(t.data) for name, t in params.items()}
 
 
-def _zero_eps(cfg: HypernetConfig) -> np.ndarray | None:
-    return np.zeros(cfg.b) if cfg.has_gaussian_message else None
+def _query_logits(params, cfg, task: TaskDataset, support_size: int,
+                  rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Query logits and labels of the noise-free predictor decoded from a
+    seeded support set."""
+    sup, qry = split_support_query(task, support_size, rng)
+    artifacts, _, message = encode(params, cfg, task.features[sup], task.labels[sup])
+    gamma = decode_gamma(params, cfg, task.features[sup], task.labels[sup],
+                         artifacts.indices, None if message is None else message.data)
+    return (downstream_logits(gamma, artifacts.mlp3_shapes, task.features[qry])[0],
+            task.labels[qry])
 
 
 def _validation_error(params, cfg, protocol, tasks, rng: Rng) -> float:
     """Mean query 0-1 error over the validation tasks, message noise at zero."""
-    errs = []
-    for pos, task in enumerate(tasks):
-        sup, qry = split_support_query(task, protocol.support_size, rng.split(pos))
-        logits, _ = _task_logits(params, cfg, task.features[sup], task.labels[sup],
-                                 task.features[qry], eps=_zero_eps(cfg))
-        errs.append(ad.zero_one_loss(logits.data, task.labels[qry]))
-    return float(np.mean(errs))
+    params = _constants(params)
+    return float(np.mean([
+        ad.zero_one_loss(*_query_logits(params, cfg, task, protocol.support_size,
+                                        rng.split(pos)))
+        for pos, task in enumerate(tasks)]))
 
 
 def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
@@ -151,10 +156,12 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
             task = train_tasks[int(task_pos)]
             sup, qry = split_support_query(task, protocol.support_size,
                                            rng.split(2, epoch, int(task_pos), 0))
+            eps = rng.split(2, epoch, int(task_pos), 1).normal(cfg.b)
             try:
-                logits, _ = _task_logits(params, cfg, task.features[sup],
-                                         task.labels[sup], task.features[qry],
-                                         rng=rng.split(2, epoch, int(task_pos), 1))
+                gamma, artifacts = hypernet_forward(params, cfg, task.features[sup],
+                                                    task.labels[sup], eps=eps)
+                logits = downstream_forward(gamma, artifacts.mlp3_shapes,
+                                            ad.constant(task.features[qry]))
             except ad.NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite forward pass at epoch {epoch}, "
@@ -186,21 +193,15 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
 # certification
 
 
-def _complement_indices(m: int, indices) -> np.ndarray:
-    mask = np.ones(m, dtype=bool)
-    if len(indices) > 0:
-        mask[np.asarray(indices, dtype=np.intp)] = False
-    return np.nonzero(mask)[0]
-
-
-def _message_losses(params, cfg, task: TaskDataset, artifacts: CompressionArtifacts,
-                    messages: np.ndarray, kind: str) -> np.ndarray:
-    """Complement loss of the predictor decoded from each row of (n, b) ``messages``."""
-    comp = _complement_indices(len(task), artifacts.indices)
+def _complement_logits(params, cfg, task: TaskDataset, artifacts: CompressionArtifacts,
+                       messages: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Complement-set logits of the predictor decoded from each row of (n, b)
+    ``messages`` (``None`` for no message), and the complement labels."""
+    comp = np.delete(np.arange(len(task)), artifacts.indices)
     gammas = decode_gamma(params, cfg, task.features, task.labels,
                           artifacts.indices, messages)
-    logits = downstream_logits(gammas, artifacts.mlp3_shapes, task.features[comp])
-    return ad.row_losses(logits, task.labels[comp], kind)
+    return (downstream_logits(gammas, artifacts.mlp3_shapes, task.features[comp]),
+            task.labels[comp])
 
 
 def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
@@ -218,7 +219,8 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     messages = artifacts.gaussian_mean + rng.normal((n_mc, cfg.b))
-    draws = _message_losses(params, cfg, task, artifacts, messages, loss_kind)
+    draws = ad.row_losses(*_complement_logits(params, cfg, task, artifacts, messages),
+                          loss_kind)
     stderr = float(draws.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
     return float(draws.mean()), stderr
 
@@ -237,59 +239,47 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     m = len(task)
     if m <= cfg.c:
         raise ValueError(f"task size {m} must exceed compression size {cfg.c}")
-    gamma, artifacts = hypernet_forward(params, cfg, task.features, task.labels,
-                                        eps=_zero_eps(cfg))
-    comp = _complement_indices(m, artifacts.indices)
-    logits = downstream_forward(gamma, artifacts.mlp3_shapes,
-                                ad.constant(task.features)).data.reshape(-1)
+    params = _constants(params)
+    artifacts, _, message = encode(params, cfg, task.features, task.labels)
+    logits, labels = _complement_logits(params, cfg, task, artifacts,
+                                        None if message is None else message.data)
     c_eff = artifacts.c_effective
-    n_comp = m - c_eff
-    K = ad.zero_one_errors(logits[comp], task.labels[comp])
-    emp_01 = K / n_comp
-    emp_lin = ad.linear_loss(logits[comp], task.labels[comp])
+    K = ad.zero_one_errors(logits[0], labels)
+    emp_01 = K / (m - c_eff)
+    emp_lin = ad.linear_loss(logits[0], labels)
 
     entries: list[CertEntry] = []
-    sampled_message = None
-    if cfg.architecture in ("SCH_MINUS", "SCH_PLUS"):
-        sampled_message = artifacts.binary_message
+    sampled_message = artifacts.binary_message
+    if not cfg.has_gaussian_message:
         budget01 = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_01)
         entries.append(CertEntry("SCH_BINARY", bounds.bound_sch_binary(budget01, K),
                                  emp_01, "zero_one", None))
         budget_lin = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_lin)
         entries.append(CertEntry("SCH_REAL", bounds.bound_sch_real(budget_lin),
                                  emp_lin, "linear", None))
-    elif cfg.architecture == "PBH":
-        mu_sq = float(artifacts.gaussian_mean @ artifacts.gaussian_mean)
-        mc_mean, mc_se = mc_expected_loss(params, cfg, task, artifacts, n_mc,
-                                          rng.split(1), loss_kind)
-        budget = bounds.BoundBudget(m, 0, cfg.b, delta, emp_loss=mc_mean,
-                                    mu_norm_sq=mu_sq)
-        entries.append(CertEntry("PB", bounds.bound_pb(budget),
-                                 mc_mean, loss_kind, mc_se))
-    elif cfg.architecture == "PBSCH":
+    else:
         mu_sq = float(artifacts.gaussian_mean @ artifacts.gaussian_mean)
         mc_mean, mc_se = mc_expected_loss(params, cfg, task, artifacts, n_mc,
                                           rng.split(1), loss_kind)
         budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=mc_mean,
                                     mu_norm_sq=mu_sq)
-        entries.append(CertEntry("PBSCH", bounds.bound_pbsch(budget),
-                                 mc_mean, loss_kind, mc_se))
-        # disintegrated variant: one message sampled from the posterior
-        omega = artifacts.gaussian_mean + rng.split(2).normal(cfg.b)
-        sampled_message = omega
-        emp_star = float(_message_losses(params, cfg, task, artifacts, omega[None],
-                                         loss_kind)[0])
-        budget_star = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_star,
-                                         mu_norm_sq=mu_sq)
-        entries.append(CertEntry("PBSCH_DISINTEGRATED",
-                                 bounds.bound_pbsch_disintegrated(budget_star),
-                                 emp_star, loss_kind, None))
+        kind, bound = (("PB", bounds.bound_pb) if cfg.architecture == "PBH"
+                       else ("PBSCH", bounds.bound_pbsch))
+        entries.append(CertEntry(kind, bound(budget), mc_mean, loss_kind, mc_se))
+        if cfg.architecture == "PBSCH":
+            # disintegrated variant: one message sampled from the posterior
+            sampled_message = artifacts.gaussian_mean + rng.split(2).normal(cfg.b)
+            emp_star = float(ad.row_losses(*_complement_logits(
+                params, cfg, task, artifacts, sampled_message[None]), loss_kind)[0])
+            budget_star = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_star,
+                                             mu_norm_sq=mu_sq)
+            entries.append(CertEntry("PBSCH_DISINTEGRATED",
+                                     bounds.bound_pbsch_disintegrated(budget_star),
+                                     emp_star, loss_kind, None))
 
     # plain support/query test error, for table parity with meta-test usage
-    sup, qry = split_support_query(task, m // 2, rng.split(0))
-    q_logits, _ = _task_logits(params, cfg, task.features[sup], task.labels[sup],
-                               task.features[qry], eps=_zero_eps(cfg))
-    test_query_error = ad.zero_one_loss(q_logits.data, task.labels[qry])
+    test_query_error = ad.zero_one_loss(*_query_logits(params, cfg, task, m // 2,
+                                                       rng.split(0)))
 
     return CertRow(task.task_id, cfg.architecture, m, c_eff, cfg.b,
                    emp_01, emp_lin, test_query_error, entries,

@@ -160,18 +160,20 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
 
 
 def _write_task_csv(path: Path, task: TaskDataset) -> None:
+    # the bytes ``np.savetxt`` writes, from one format call over every row
     d = task.features.shape[1]
-    np.savetxt(path, np.column_stack([task.features, task.labels]),
-               fmt=["%.17g"] * d + ["%d"], delimiter=",",
-               header=",".join([f"x{i + 1}" for i in range(d)] + ["y"]), comments="")
+    rows = np.column_stack([task.features, task.labels])
+    line = ",".join(["%.17g"] * d + ["%d"]) + "\n"
+    path.write_text(",".join([f"x{i + 1}" for i in range(d)] + ["y"]) + "\n"
+                    + (line * len(rows)) % tuple(rows.reshape(-1).tolist()))
 
 
 def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
                                                                    MoonsEnvironmentSpec]:
     """Read the task manifest and the task files of ``splits``.
 
-    Every manifest entry is checked; the files of the other splits are not
-    read, and those splits come back empty.
+    Every manifest entry is checked, each ``task_id`` a distinct int >= 0;
+    the files of the other splits are not read, and those come back empty.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -183,6 +185,7 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
     loaded: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
+    seen_ids: set[int] = set()
     for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest")):
         what = f"task manifest entry {pos}"
         split = require_key(entry, "split", what)
@@ -190,6 +193,9 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
             raise ValueError(f"unknown split {split!r} in manifest")
         file = require_key(entry, "file", what)
         task_id = require_key(entry, "task_id", what)
+        if type(task_id) is not int or task_id < 0 or task_id in seen_ids:
+            raise ValueError(f"{what} key 'task_id' is {task_id!r}, expected an unused int >= 0")
+        seen_ids.add(task_id)
         if split not in splits:
             continue
         task = _read_task_csv(directory / file, task_id)

@@ -203,10 +203,18 @@ class TestPipeline:
         ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("split"), "'split'"),
         ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("file"), "'file'"),
         ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("task_id"), "'task_id'"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id=11.5), "11.5"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id=True), "True"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id=-1), "-1"),
+        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id="12"), "'12'"),
+        ("tasks/manifest.json",
+         lambda doc: doc["tasks"][-1].update(task_id=doc["tasks"][0]["task_id"]), "'task_id'"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
             "config_string_c", "manifest_unknown_key", "manifest_no_environment",
             "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
-            "entry_no_split", "entry_no_file", "entry_no_task_id"])
+            "entry_no_split", "entry_no_file", "entry_no_task_id", "entry_float_task_id",
+            "entry_bool_task_id", "entry_negative_task_id", "entry_string_task_id",
+            "entry_duplicate_task_id"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)

@@ -355,7 +355,7 @@ class TestBatchedDecode:
             eps = Rng(seed).normal((6, b))
             gammas = decode_gamma(params, cfg, task.features, task.labels,
                                   art.indices, art.gaussian_mean + eps)
-            assert gammas.shape == (6, art.gamma.size)
+            assert gammas.shape == (6, downstream_param_count(art.mlp3_shapes))
             for i in range(6):
                 gamma, _ = hypernet_forward(params, cfg, task.features, task.labels,
                                             eps=eps[i])
@@ -374,7 +374,7 @@ class TestBatchedDecode:
             message = None if art.binary_message is None else art.binary_message[None]
             gammas = decode_gamma(params, cfg, task.features, task.labels,
                                   art.indices, message)
-            assert gammas.shape == (1, art.gamma.size)
+            assert gammas.shape == (1, gamma.data.size)
             assert np.array_equal(gammas[0], gamma.data[0]), seed
         assert collided
 
@@ -414,7 +414,7 @@ class TestForwardAndArtifacts:
             cfg = small_config(arch, c=c, b=b)
             params = params_for(cfg)
             gamma, art = hypernet_forward(params, cfg, task.features, task.labels,
-                                          rng=Rng(77))
+                                          eps=Rng(77).normal(b))
             assert len(art.indices) <= c
             assert all(0 <= i < len(task) for i in art.indices)
             if arch == "SCH_MINUS":
@@ -423,7 +423,7 @@ class TestForwardAndArtifacts:
                 assert art.binary_message is not None and art.gaussian_mean is None
             else:
                 assert art.gaussian_mean is not None and art.binary_message is None
-            assert np.array_equal(art.gamma, gamma.data.reshape(-1))
+            assert gamma.data.shape == (1, downstream_param_count(art.mlp3_shapes))
 
     def test_pbh_zero_eps_equals_deterministic_decode(self):
         cfg = small_config("PBH", c=0, b=4)
@@ -439,8 +439,10 @@ class TestForwardAndArtifacts:
         cfg = small_config("PBSCH", c=2, b=3)
         params = params_for(cfg)
         task = small_task()
-        g1, _ = hypernet_forward(params, cfg, task.features, task.labels, rng=Rng(5))
-        g2, _ = hypernet_forward(params, cfg, task.features, task.labels, rng=Rng(5))
+        g1, _ = hypernet_forward(params, cfg, task.features, task.labels,
+                                 eps=Rng(5).normal(3))
+        g2, _ = hypernet_forward(params, cfg, task.features, task.labels,
+                                 eps=Rng(5).normal(3))
         assert np.array_equal(g1.data, g2.data)
 
     def test_full_permutation_invariance_all_architectures(self):
@@ -495,7 +497,7 @@ class TestForwardAndArtifacts:
             params = params_for(cfg)
             calls.clear()
             _, art = hypernet_forward(params, cfg, task.features, task.labels,
-                                      rng=Rng(7))
+                                      eps=Rng(7).normal(b))
             assert calls == [len(task)], arch
             calls.clear()
             message = (art.binary_message if art.gaussian_mean is None
@@ -542,17 +544,11 @@ class TestForwardAndArtifacts:
 class TestArtifactValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            CompressionArtifacts((1, 1), None, None, np.zeros(21),
-                                 downstream_shapes(2, (5,)))
+            CompressionArtifacts((1, 1), None, None, downstream_shapes(2, (5,)))
 
     def test_double_message_rejected(self):
         with pytest.raises(ValueError):
-            CompressionArtifacts((0,), np.ones(2), np.ones(2), np.zeros(21),
-                                 downstream_shapes(2, (5,)))
-
-    def test_gamma_size_checked(self):
-        with pytest.raises(ValueError):
-            CompressionArtifacts((0,), None, None, np.zeros(7),
+            CompressionArtifacts((0,), np.ones(2), np.ones(2),
                                  downstream_shapes(2, (5,)))
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from metacert import autodiff as ad
-from metacert.hypernet import (HypernetConfig, downstream_forward, hypernet_forward,
-                               init_hypernet_params)
+from metacert import metalearn
+from metacert.autodiff import Tensor
+from metacert.hypernet import (HypernetConfig, downstream_forward, encode,
+                               hypernet_forward, init_hypernet_params)
 from metacert.metalearn import (TrainProtocol, TrainingDivergedError,
                                 certify_task, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
@@ -294,6 +296,72 @@ class TestCertifyTask:
                                                    master_seed=1), 0)
         with pytest.raises(ValueError):
             certify_task(params, cfg, tiny, 0.05, Rng(0))
+
+
+ARCHS = [("PBH", 0, 3), ("SCH_MINUS", 3, 0), ("SCH_PLUS", 3, 3), ("PBSCH", 3, 3)]
+
+
+class TestForwardOnlyEvaluation:
+    """Validation and certification decode through ``encode`` on constant
+    parameters, ``decode_gamma`` and ``downstream_logits``; the graph decoder
+    ``hypernet_forward(eps=0)`` -> ``downstream_forward`` is the reference.
+    Task seed 8 makes two of the three heads collide."""
+
+    @staticmethod
+    def task(seed, m=30):
+        return gen_moons_task(MoonsEnvironmentSpec(n_train_tasks=1, n_test_tasks=1,
+                                                   examples_per_task=m, master_seed=seed), 0)
+
+    @pytest.mark.parametrize("arch, c, b", ARCHS)
+    def test_logits_equal_graph_forward(self, arch, c, b):
+        # the hypernet tests' sizes, under which task seed 8 collides heads
+        cfg = HypernetConfig(arch, c=c, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        params = init_hypernet_params(cfg, Rng(1).split(0))
+        frozen = metalearn._constants(params)
+        eps = np.zeros(b) if cfg.has_gaussian_message else None
+        collided = False
+        for seed in (5, 8):
+            task = self.task(seed)
+            gamma, art = hypernet_forward(params, cfg, task.features, task.labels, eps=eps)
+            collided |= art.c_effective < c
+            comp = np.setdiff1d(np.arange(len(task)), art.indices)
+            ref = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features))
+            art2, _, message = encode(frozen, cfg, task.features, task.labels)
+            assert art2.indices == art.indices
+            logits, labels = metalearn._complement_logits(
+                frozen, cfg, task, art2, None if message is None else message.data)
+            assert np.array_equal(logits[0], ref.data[comp, 0]), seed
+            assert np.array_equal(labels, task.labels[comp])
+
+            sup, qry = split_support_query(task, 17, Rng(seed))
+            gamma, art = hypernet_forward(params, cfg, task.features[sup],
+                                          task.labels[sup], eps=eps)
+            ref = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[qry]))
+            logits, labels = metalearn._query_logits(frozen, cfg, task, 17, Rng(seed))
+            assert np.array_equal(logits, ref.data[:, 0]), seed
+            assert np.array_equal(labels, task.labels[qry])
+        assert collided == (c > 0)
+
+    def test_certify_and_validation_build_no_gradient_graph(self, monkeypatch):
+        runs = []
+        for arch, c, b in ARCHS:
+            cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
+            runs.append((cfg, init_hypernet_params(cfg, Rng(6).split(0))))
+        tasks = [self.task(seed, m=40) for seed in (7, 8)]
+        needs_grad = []
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            needs_grad.append(self.requires_grad)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        for cfg, params in runs:
+            needs_grad.clear()
+            certify_task(params, cfg, tasks[0], 0.05, Rng(0), n_mc=4)
+            metalearn._validation_error(params, cfg, TrainProtocol(support_size=20),
+                                        tasks, Rng(3))
+            assert needs_grad and not any(needs_grad), cfg.architecture
 
 
 class TestSweep:

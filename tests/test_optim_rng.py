@@ -122,7 +122,7 @@ class TestAdam:
         opt = Adam(params, lr=1e-3)
         task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), 0)
         gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20],
-                                      rng=Rng(2))
+                                      eps=Rng(2).normal(cfg.b))
         assert art.c_effective == 2
         logits = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[20:]))
         loss = ad.binary_cross_entropy(logits, task.labels[20:])

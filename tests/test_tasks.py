@@ -9,8 +9,8 @@ from metacert import autodiff as ad
 from metacert.autodiff import Tensor
 from metacert.optim import Adam
 from metacert.rng import Rng
-from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, gen_meta_dataset,
-                            gen_moons_task, load_tasks, save_tasks,
+from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, _write_task_csv,
+                            gen_meta_dataset, gen_moons_task, load_tasks, save_tasks,
                             settings_from_json)
 
 
@@ -174,6 +174,15 @@ class TestFileRoundTrip:
         manifest.write_text(manifest.read_text().replace('"file"', '"fil"', 1))
         with pytest.raises(ValueError, match="entry 0 has no key 'file'"):
             load_tasks(tmp_path / "tasks", ("test",))
+
+    def test_task_file_bytes_equal_savetxt(self, tmp_path):
+        # reference: numpy's row-at-a-time writer, which the one-call format replaced
+        for task in gen_meta_dataset(canonical_spec()).test:
+            np.savetxt(tmp_path / "ref.csv", np.column_stack([task.features, task.labels]),
+                       fmt=["%.17g", "%.17g", "%d"], delimiter=",", header="x1,x2,y",
+                       comments="")
+            _write_task_csv(tmp_path / "task.csv", task)
+            assert (tmp_path / "task.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_manifest_counts_match_files(self, tmp_path):
         spec = canonical_spec()
