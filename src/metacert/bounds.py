@@ -133,40 +133,60 @@ def log_binomial(n: int, k: int) -> float:
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
-def _log_binom_cdf(n: int, K: int, r: float, log_coeffs: np.ndarray) -> float:
-    """ln sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k), for r strictly inside (0, 1)."""
-    k = np.arange(K + 1)
-    terms = log_coeffs + k * math.log(r) + (n - k) * math.log1p(-r)
-    top = terms.max()
-    return float(top + math.log(np.exp(terms - top).sum()))
-
-
 def binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> float:
     """sup { r : sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k) >= exp(log_delta_prime) }.
 
     The binomial CDF is summed in log space (the budget routinely sits around
     e^-53), and the supremum is found by bisection.  The sum starts at k = 0,
     the standard binomial-tail test-set convention.  The result grows with K
-    and with |log_delta_prime|.
+    and with |log_delta_prime|.  The one-threshold call of
+    ``binomial_tail_inverses``.
+    """
+    return binomial_tail_inverses(n, K, (log_delta_prime,))[0]
+
+
+def binomial_tail_inverses(n: int, K: int,
+                           log_delta_primes: Sequence[float]) -> list[float]:
+    """``binomial_tail_inverse`` at each threshold, the bisections in lockstep.
+
+    The binomial coefficients are computed once per (n, K), and each step
+    evaluates the log CDF of every still-active threshold as one
+    (rows, K + 1) array.  Each row keeps the scalar bisection's own break
+    rules, tolerance and iteration cap, and ``math.log`` / ``math.log1p``
+    are taken per row, so every result equals the one-threshold bisection's
+    bit for bit.
     """
     if not 0 <= K <= n:
         raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
-    if log_delta_prime > 0.0:
-        raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {log_delta_prime}")
+    for t in log_delta_primes:
+        if t > 0.0:
+            raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {t}")
     if K == n:
-        return 1.0  # CDF is identically 1
-    log_coeffs = gammaln(n + 1) - gammaln(np.arange(K + 1) + 1) - gammaln(n - np.arange(K + 1) + 1)
-    lo, hi = 0.0, 1.0  # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
+        return [1.0] * len(log_delta_primes)  # CDF is identically 1
+    k = np.arange(K + 1)
+    n_minus_k = n - k
+    log_coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n_minus_k + 1)
+    # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
+    lo = [0.0] * len(log_delta_primes)
+    hi = [1.0] * len(log_delta_primes)
+    active = range(len(log_delta_primes))
     for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if _log_binom_cdf(n, K, mid, log_coeffs) >= log_delta_prime:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
+        # drop a row whose interval is exhausted at float resolution
+        mids = {i: 0.5 * (lo[i] + hi[i]) for i in active}
+        active = [i for i in active if lo[i] < mids[i] < hi[i]]
+        if not active:
             break
+        log_r = np.array([[math.log(mids[i])] for i in active])
+        log_s = np.array([[math.log1p(-mids[i])] for i in active])
+        terms = log_coeffs + k * log_r + n_minus_k * log_s
+        top = terms.max(axis=1)
+        sums = np.exp(terms - top[:, None]).sum(axis=1)
+        for row, i in enumerate(active):
+            if float(top[row] + math.log(sums[row])) >= log_delta_primes[i]:
+                lo[i] = mids[i]
+            else:
+                hi[i] = mids[i]
+        active = [i for i in active if hi[i] - lo[i] > _BISECT_TOL]
     return lo
 
 
@@ -233,11 +253,8 @@ def bound_sch_binary(budget: BoundBudget, K: int) -> Certificate:
     conf_nats = math.log(1.0 / budget.delta)
     msg_nats = budget.b * math.log(2.0)
     comp_nats = -budget.log_prior_j
-    tail = [
-        binomial_tail_inverse(n, K, -(conf_nats)),
-        binomial_tail_inverse(n, K, -(conf_nats + msg_nats)),
-        binomial_tail_inverse(n, K, -(conf_nats + msg_nats + comp_nats)),
-    ]
+    tail = binomial_tail_inverses(n, K, (-(conf_nats), -(conf_nats + msg_nats),
+                                         -(conf_nats + msg_nats + comp_nats)))
     # The empirical row shows the raw error rate; the min-guard keeps the
     # cumulative sequence monotone for degenerate delta' > 1/2 inputs.
     rows = (

@@ -401,7 +401,9 @@ def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.nd
     Returns the (n, m) logits of the (m, d) features.  Each layer is one
     stacked matmul over the rows, ``(m, k) @ (n, k, h)``, whose per-row
     products are exactly the ``(m, k) @ (k, h)`` of ``downstream_forward``,
-    so row i matches it bit for bit.
+    so row i matches it bit for bit.  The bias add and the ReLU are written
+    into the matmul's output, so each layer holds one ``(n, m, h)`` buffer;
+    elementwise ops round the same in place, so the bits are unchanged.
     """
     expected = downstream_param_count(shapes)
     if gammas.ndim != 2 or gammas.shape[1] != expected:
@@ -413,10 +415,11 @@ def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.nd
     for layer, (fan_in, fan_out) in enumerate(shapes):
         w = gammas[:, offset:offset + fan_in * fan_out].reshape(n, fan_in, fan_out)
         offset += fan_in * fan_out
-        h = h @ w + gammas[:, None, offset:offset + fan_out]
+        h = h @ w
+        h += gammas[:, None, offset:offset + fan_out]
         offset += fan_out
         if layer < len(shapes) - 1:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h[:, :, 0]
 
 

@@ -11,6 +11,9 @@ returned parameters are those of the best validation epoch.
 Certification consumes a *test* task only: the full sample goes through the
 bottleneck, the empirical loss is measured on the complement of the
 compression set, and the architecture-appropriate certificates are computed.
+Every message a task's certificates score (the noise-free one, the
+Monte-Carlo draws and PBSCH's disintegrated draw) is drawn first and decoded
+in one stacked batch, so the compression rows are encoded once per task.
 The meta-training collection is never an input to certification.
 """
 
@@ -204,6 +207,13 @@ def _complement_logits(params, cfg, task: TaskDataset, artifacts: CompressionArt
             task.labels[comp])
 
 
+def _mean_stderr(draws: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-draw losses and its standard error (0 for one draw)."""
+    n = len(draws)
+    stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(draws.mean()), stderr
+
+
 def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
                      artifacts: CompressionArtifacts, n_mc: int, rng: Rng,
                      loss_kind: str = "zero_one") -> tuple[float, float]:
@@ -213,16 +223,16 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
     call, which consumes the stream exactly as n_mc successive
     ``rng.normal(b)`` draws would, decodes them as one batch, and averages
     the chosen loss over the complement set.  Returns (mean, standard error).
+    This is the standalone estimator: ``certify_task`` decodes the same draws
+    within its one stacked decode and gets the same bits.
     """
     if artifacts.gaussian_mean is None:
         raise ValueError("mc_expected_loss needs a Gaussian message bottleneck")
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     messages = artifacts.gaussian_mean + rng.normal((n_mc, cfg.b))
-    draws = ad.row_losses(*_complement_logits(params, cfg, task, artifacts, messages),
-                          loss_kind)
-    stderr = float(draws.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return float(draws.mean()), stderr
+    return _mean_stderr(ad.row_losses(
+        *_complement_logits(params, cfg, task, artifacts, messages), loss_kind))
 
 
 def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
@@ -235,21 +245,37 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     certified by the expectation-type (Gaussian-message) bounds; the sample
     compression architectures always emit both the binomial 0-1 certificate
     and the kl certificate on the linear loss.
+
+    Every message is drawn before anything is decoded and the messages are
+    stacked under the noise-free one: ``[mu; draws; omega]``, where the
+    ``n_mc`` posterior draws come from ``rng.split(1)`` (as in
+    ``mc_expected_loss``) and PBSCH's disintegrated message ``omega`` from
+    ``rng.split(2)``.  One decode then encodes the compression rows once and
+    scores every row; row i has the bits of decoding message i alone.
     """
     m = len(task)
     if m <= cfg.c:
         raise ValueError(f"task size {m} must exceed compression size {cfg.c}")
+    if cfg.has_gaussian_message and n_mc < 1:
+        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     params = _constants(params)
     artifacts, _, message = encode(params, cfg, task.features, task.labels)
-    logits, labels = _complement_logits(params, cfg, task, artifacts,
-                                        None if message is None else message.data)
+    messages = None if message is None else message.data
+    sampled_message = artifacts.binary_message
+    if cfg.has_gaussian_message:
+        mu = artifacts.gaussian_mean
+        stack = [messages, mu + rng.split(1).normal((n_mc, cfg.b))]
+        if cfg.architecture == "PBSCH":
+            sampled_message = mu + rng.split(2).normal(cfg.b)
+            stack.append(sampled_message[None])
+        messages = np.concatenate(stack)
+    logits, labels = _complement_logits(params, cfg, task, artifacts, messages)
     c_eff = artifacts.c_effective
     K = ad.zero_one_errors(logits[0], labels)
     emp_01 = K / (m - c_eff)
     emp_lin = ad.linear_loss(logits[0], labels)
 
     entries: list[CertEntry] = []
-    sampled_message = artifacts.binary_message
     if not cfg.has_gaussian_message:
         budget01 = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_01)
         entries.append(CertEntry("SCH_BINARY", bounds.bound_sch_binary(budget01, K),
@@ -258,19 +284,17 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
         entries.append(CertEntry("SCH_REAL", bounds.bound_sch_real(budget_lin),
                                  emp_lin, "linear", None))
     else:
-        mu_sq = float(artifacts.gaussian_mean @ artifacts.gaussian_mean)
-        mc_mean, mc_se = mc_expected_loss(params, cfg, task, artifacts, n_mc,
-                                          rng.split(1), loss_kind)
+        mu_sq = float(mu @ mu)
+        losses = ad.row_losses(logits[1:], labels, loss_kind)
+        mc_mean, mc_se = _mean_stderr(losses[:n_mc])
         budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=mc_mean,
                                     mu_norm_sq=mu_sq)
         kind, bound = (("PB", bounds.bound_pb) if cfg.architecture == "PBH"
                        else ("PBSCH", bounds.bound_pbsch))
         entries.append(CertEntry(kind, bound(budget), mc_mean, loss_kind, mc_se))
         if cfg.architecture == "PBSCH":
-            # disintegrated variant: one message sampled from the posterior
-            sampled_message = artifacts.gaussian_mean + rng.split(2).normal(cfg.b)
-            emp_star = float(ad.row_losses(*_complement_logits(
-                params, cfg, task, artifacts, sampled_message[None]), loss_kind)[0])
+            # disintegrated variant: the one sampled message, the last row
+            emp_star = float(losses[n_mc])
             budget_star = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_star,
                                              mu_norm_sq=mu_sq)
             entries.append(CertEntry("PBSCH_DISINTEGRATED",

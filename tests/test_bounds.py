@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from metacert import bounds
 from metacert.bounds import (BoundBudget, bernoulli_kl, binomial_tail_inverse,
-                             bound_catoni, bound_linear_subgaussian, bound_pb,
+                             binomial_tail_inverses, bound_catoni,
+                             bound_linear_subgaussian, bound_pb,
                              bound_pbsch, bound_pbsch_disintegrated,
                              bound_sch_binary, bound_sch_real,
                              compare_trainset_bounds, gaussian_kl, kl_inverse,
@@ -128,6 +130,88 @@ class TestBinomialTailInverse:
     def test_positive_log_delta_raises(self):
         with pytest.raises(ValueError):
             binomial_tail_inverse(10, 1, 0.5)
+
+
+# Reference: the one-threshold bisection as it stood before the lockstep
+# version, copied verbatim; the lockstep bisection must equal it bit for bit.
+_BISECT_TOL = 1e-12
+_BISECT_MAX_ITER = 200
+
+
+def _log_binom_cdf(n: int, K: int, r: float, log_coeffs: np.ndarray) -> float:
+    """ln sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k), for r strictly inside (0, 1)."""
+    k = np.arange(K + 1)
+    terms = log_coeffs + k * math.log(r) + (n - k) * math.log1p(-r)
+    top = terms.max()
+    return float(top + math.log(np.exp(terms - top).sum()))
+
+
+def scalar_binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> float:
+    """sup { r : sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k) >= exp(log_delta_prime) }.
+
+    The binomial CDF is summed in log space (the budget routinely sits around
+    e^-53), and the supremum is found by bisection.  The sum starts at k = 0,
+    the standard binomial-tail test-set convention.  The result grows with K
+    and with |log_delta_prime|.
+    """
+    if not 0 <= K <= n:
+        raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
+    if log_delta_prime > 0.0:
+        raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {log_delta_prime}")
+    if K == n:
+        return 1.0  # CDF is identically 1
+    log_coeffs = gammaln(n + 1) - gammaln(np.arange(K + 1) + 1) - gammaln(n - np.arange(K + 1) + 1)
+    lo, hi = 0.0, 1.0  # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval exhausted at float resolution
+        if _log_binom_cdf(n, K, mid, log_coeffs) >= log_delta_prime:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _BISECT_TOL:
+            break
+    return lo
+
+
+class TestLockstepBisection:
+    """``binomial_tail_inverses`` runs the three bisections of an SCH_BINARY
+    certificate in lockstep; each result equals the scalar reference above."""
+
+    @staticmethod
+    def grid():
+        rng = np.random.default_rng(2024)
+        cases = [(1, 0), (1, 1), (2, 1), (60, 0), (60, 59), (60, 60), (197, 3),
+                 (1992, 0), (1992, 1991)]
+        for _ in range(60):
+            n = int(rng.integers(1, 2001))
+            cases.append((n, int(rng.integers(0, n + 1))))
+        for n, K in cases:
+            random_ts = [-float(t) for t in rng.uniform(0.0, 80.0, 3)]
+            yield n, K, [0.0, -80.0, -math.log(20.0)] + random_ts
+
+    def test_equals_scalar_bisection(self):
+        for n, K, thresholds in self.grid():
+            ref = [scalar_binomial_tail_inverse(n, K, t) for t in thresholds]
+            assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
+            assert [binomial_tail_inverse(n, K, t) for t in thresholds] == ref, (n, K)
+
+    def test_sch_binary_certificate_uses_the_scalar_values(self):
+        budget = BoundBudget(m_prime=200, c=3, b=4, delta=0.05, emp_loss=7 / 197)
+        cert = bound_sch_binary(budget, 7)
+        conf = math.log(1 / 0.05)
+        msg = 4 * math.log(2.0)
+        comp = -budget.log_prior_j
+        ref = [scalar_binomial_tail_inverse(197, 7, -t)
+               for t in (conf, conf + msg, conf + msg + comp)]
+        assert [row[2] for row in cert.breakdown[1:]] == ref
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError):
+            binomial_tail_inverses(10, 11, (-1.0,))
+        with pytest.raises(ValueError):
+            binomial_tail_inverses(10, 1, (-1.0, 0.5))
 
 
 class TestGaussianDivergences:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,21 @@ class TestBatchedDecode:
             ref = downstream_forward(ad.constant(gammas[i:i + 1]), art.mlp3_shapes,
                                      ad.constant(task.features))
             assert np.array_equal(logits[i], ref.data[:, 0]), i
+
+    def test_logits_hold_one_buffer_per_layer(self):
+        # bias add and ReLU write into the matmul output: a 100-message batch
+        # on 198 complement rows peaks near one (n, m', h) buffer, not two
+        shapes = downstream_shapes(2, (5,))
+        gammas = Rng(0).normal((100, downstream_param_count(shapes)))
+        features = Rng(1).normal((198, 2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            downstream_logits(gammas, shapes, features)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 100 * 198 * 5 * 8
 
     def test_message_presence_and_width_checked(self):
         task = small_task()

@@ -364,6 +364,79 @@ class TestForwardOnlyEvaluation:
             assert needs_grad and not any(needs_grad), cfg.architecture
 
 
+class TestStackedCertification:
+    """``certify_task`` decodes ``[mu; draws; omega]`` in one stacked decode;
+    each certificate equals the separate decode it replaces, bit for bit.
+    Task seed 8 makes two of the three heads collide."""
+
+    N_MC = 6
+
+    @staticmethod
+    def make(arch, c):
+        cfg = HypernetConfig(arch, c=c, b=3, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        return cfg, init_hypernet_params(cfg, Rng(1).split(0))
+
+    @pytest.mark.parametrize("arch, c", [("PBH", 0), ("PBSCH", 3)])
+    @pytest.mark.parametrize("kind", ["zero_one", "linear"])
+    def test_certificates_equal_separate_decodes(self, arch, c, kind):
+        cfg, params = self.make(arch, c)
+        frozen = metalearn._constants(params)
+        collided = False
+        for seed in (5, 8):
+            task = TestForwardOnlyEvaluation.task(seed)
+            rng = Rng(30, (seed,))
+            row = certify_task(params, cfg, task, 0.05, rng, n_mc=self.N_MC,
+                               loss_kind=kind)
+            art, _, message = encode(frozen, cfg, task.features, task.labels)
+            collided |= art.c_effective < c
+            mean, stderr = mc_expected_loss(params, cfg, task, art, self.N_MC,
+                                            rng.split(1), kind)
+            entry = row.certificates[0]
+            assert (entry.emp_loss, entry.mc_stderr) == (mean, stderr), seed
+
+            logits, labels = metalearn._complement_logits(frozen, cfg, task, art,
+                                                          message.data)
+            assert row.emp_complement_01 == ad.zero_one_loss(logits[0], labels)
+            assert row.emp_complement_linear == ad.linear_loss(logits[0], labels)
+
+            if arch == "PBSCH":
+                omega = art.gaussian_mean + rng.split(2).normal(cfg.b)
+                logits, labels = metalearn._complement_logits(frozen, cfg, task, art,
+                                                              omega[None])
+                star = row.certificates[1]
+                assert star.kind == "PBSCH_DISINTEGRATED"
+                assert star.emp_loss == ad.row_losses(logits, labels, kind)[0], seed
+                assert np.array_equal(row.sampled_message, omega)
+            else:
+                assert row.sampled_message is None
+        assert collided == (c > 0)
+
+    def test_one_encode_and_one_decode_per_task(self, monkeypatch):
+        # the certificate decode gets every message at once; the other
+        # encode/decode pair is the support/query test error
+        calls = []
+        real_encode, real_decode = metalearn.encode, metalearn.decode_gamma
+
+        def spy_encode(*args, **kwargs):
+            calls.append(("encode", None))
+            return real_encode(*args, **kwargs)
+
+        def spy_decode(params, cfg, features, labels, indices, messages):
+            calls.append(("decode", None if messages is None else len(messages)))
+            return real_decode(params, cfg, features, labels, indices, messages)
+
+        monkeypatch.setattr(metalearn, "encode", spy_encode)
+        monkeypatch.setattr(metalearn, "decode_gamma", spy_decode)
+        task = TestForwardOnlyEvaluation.task(7, m=40)
+        for (arch, c, b), rows in zip(ARCHS, (5, None, 1, 6)):
+            cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
+            calls.clear()
+            certify_task(init_hypernet_params(cfg, Rng(6).split(0)), cfg, task, 0.05,
+                         Rng(0), n_mc=4)
+            assert [name for name, _ in calls] == ["encode", "decode"] * 2, arch
+            assert calls[1][1] == rows, arch
+
+
 class TestSweep:
     def test_single_point_grid_returns_that_point(self):
         meta = micro_meta(n_train=4, m=30)
