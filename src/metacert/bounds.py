@@ -55,12 +55,13 @@ class BoundBudget:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not 0.0 <= self.emp_loss <= 1.0:
             raise ValueError(f"emp_loss must be in [0, 1], got {self.emp_loss}")
-        if self.mu_norm_sq < 0.0:
-            raise ValueError("mu_norm_sq must be >= 0")
+        if not self.mu_norm_sq >= 0.0:
+            raise ValueError(f"mu_norm_sq must be >= 0, got {self.mu_norm_sq}")
         if self.log_prior_j is None:
             object.__setattr__(self, "log_prior_j", -log_binomial(self.m_prime, self.c))
-        elif self.log_prior_j > 0.0:
-            raise ValueError("log_prior_j is a log-probability, must be <= 0")
+        elif not self.log_prior_j <= 0.0:
+            raise ValueError(f"log_prior_j is a log-probability, must be <= 0, "
+                             f"got {self.log_prior_j}")
 
     @property
     def n_complement(self) -> int:
@@ -108,7 +109,7 @@ def kl_inverse(q: float, budget: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0.0 or q == 1.0:
         return q
@@ -159,7 +160,7 @@ def binomial_tail_inverses(n: int, K: int,
     if not 0 <= K <= n:
         raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
     for t in log_delta_primes:
-        if t > 0.0:
+        if not t <= 0.0:
             raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {t}")
     if K == n:
         return [1.0] * len(log_delta_primes)  # CDF is identically 1
@@ -193,15 +194,16 @@ def binomial_tail_inverses(n: int, K: int,
 def gaussian_kl(mu) -> float:
     """KL( N(mu, I) || N(0, I) ) = ||mu||^2 / 2."""
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
+    if np.isnan(mu).any():
+        raise ValueError(f"mu must not contain NaN, got {mu.tolist()}")
     return 0.5 * float(mu @ mu)
 
 
 def renyi_divergence_gaussian(mu, alpha: float) -> float:
     """Renyi divergence D_alpha( N(mu, I) || N(0, I) ) = alpha ||mu||^2 / 2."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    return 0.5 * alpha * float(mu @ mu)
+    return alpha * gaussian_kl(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +314,28 @@ def bound_pbsch_disintegrated(budget: BoundBudget) -> Certificate:
     )
 
 
+def _check_comparator_inputs(emp_loss: float, kl_msg: float, log_prior_j: float,
+                             delta: float) -> None:
+    """The input checks both comparator bounds share; NaN fails each of them."""
+    if math.isnan(emp_loss):
+        raise ValueError("emp_loss must not be NaN")
+    if not kl_msg >= 0.0:
+        raise ValueError(f"kl_msg must be >= 0, got {kl_msg}")
+    if not log_prior_j <= 0.0:
+        raise ValueError(f"log_prior_j must be <= 0, got {log_prior_j}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+
+
 def bound_catoni(C_param: float, exp_emp_loss: float, kl_msg: float,
                  log_prior_j: float, delta: float, n_eff: int) -> float:
     """Catoni-comparator bound, clamped to [0, 1].
 
     (1/(1-e^-C)) * [1 - exp(-C q - (kl_msg - ln(P_J(j) delta)) / n_eff)].
     """
-    if C_param <= 0.0:
+    if not C_param > 0.0:
         raise ValueError(f"C must be > 0, got {C_param}")
-    if log_prior_j > 0.0:
-        raise ValueError("log_prior_j must be <= 0")
+    _check_comparator_inputs(exp_emp_loss, kl_msg, log_prior_j, delta)
     exponent = -C_param * exp_emp_loss - (kl_msg - (log_prior_j + math.log(delta))) / n_eff
     value = (1.0 - math.exp(exponent)) / (1.0 - math.exp(-C_param))
     return min(1.0, max(0.0, value))
@@ -336,10 +350,11 @@ def bound_linear_subgaussian(lambda_: float, sigma_sq: float, emp_loss: float,
     / (lambda n_eff), with a Dirac prior collapsing the log-moment term to its
     single summand.  Not clamped: sub-Gaussian losses need not live in [0, 1].
     """
-    if lambda_ <= 0.0:
+    if not lambda_ > 0.0:
         raise ValueError(f"lambda must be > 0, got {lambda_}")
-    if log_prior_j > 0.0:
-        raise ValueError("log_prior_j must be <= 0")
+    if not sigma_sq >= 0.0:
+        raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
+    _check_comparator_inputs(emp_loss, kl_msg, log_prior_j, delta)
     log_mgf = n_minus_j * lambda_ * lambda_ * sigma_sq / 2.0
     return emp_loss + (kl_msg - log_prior_j + math.log(1.0 / delta) + log_mgf) / (lambda_ * n_eff)
 
@@ -367,8 +382,8 @@ def compare_trainset_bounds(m: int, comp_size: int, kl_val: float, delta: float,
     """
     if not 0 <= comp_size < m:
         raise ValueError(f"need 0 <= comp_size < m, got comp_size={comp_size}, m={m}")
-    if kl_val < 0.0:
-        raise ValueError("kl_val must be >= 0")
+    if not kl_val >= 0.0:
+        raise ValueError(f"kl_val must be >= 0, got {kl_val}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     n = m - comp_size

@@ -5,7 +5,9 @@ Every pipeline command is a pure function of (config file, input artifacts):
 a single master seed in the config governs all randomness, outputs land under
 the configured output directory, and rerunning a command reproduces its
 outputs byte for byte.  Exit codes: 0 success, 1 usage/config error,
-2 numeric failure.
+2 numeric failure (NaN inputs and non-finite task features included).
+``PIPELINE_COMMANDS``, ``BOUND_KINDS`` and ``metalearn.DEFAULT_GRID`` (the
+``sweep_<axis>`` keys) are the one list each of commands, kinds and axes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import bounds
 from .hypernet import HypernetConfig, load_checkpoint, save_checkpoint
-from .metalearn import (TrainingDivergedError, TrainProtocol, certify_task,
-                        meta_train, sweep)
+from .metalearn import (DEFAULT_GRID, SweepRow, TrainingDivergedError, TrainProtocol,
+                        certify_task, meta_train, sweep)
 from .rng import Rng, STREAM_CERTIFY, STREAM_SWEEP, STREAM_TRAIN
 from .tasks import MoonsEnvironmentSpec, gen_meta_dataset, load_tasks, save_tasks
 
@@ -69,6 +71,8 @@ _REQUIRED_KEYS = {"output_dir", "master_seed"}
 _PARSER_OF_TYPE = {"int": int, "float": float, "str": str,
                    "tuple[int, ...]": _parse_int_list,
                    "tuple[float, float]": _parse_float_pair}
+# sweep axis value type -> parser of its `sweep_<axis>` filter
+_AXIS_PARSER = {float: _parse_float_list, tuple: _parse_grid_lists, int: _parse_int_list}
 
 
 def _setting_fields(cls) -> list:
@@ -85,12 +89,7 @@ CONFIG_SCHEMA = {
     "delta": float,
     "certify_loss_kind": _parse_loss_kind,
     # optional filters of the sweep's default grid, one per grid axis
-    "sweep_learning_rate": _parse_float_list,
-    "sweep_mlp1": _parse_grid_lists,
-    "sweep_mlp2": _parse_grid_lists,
-    "sweep_mlp3": _parse_grid_lists,
-    "sweep_c": _parse_int_list,
-    "sweep_b": _parse_int_list,
+    **{f"sweep_{axis}": _AXIS_PARSER[type(v[0])] for axis, v in DEFAULT_GRID.items()},
     **{key: _PARSER_OF_TYPE[f.type] for key, f in _SETTING_FIELDS},
 }
 
@@ -138,13 +137,23 @@ def _build(cls, cfg: dict):
     return cls(**{f.name: cfg[key] for key, f in _setting_fields(cls)})
 
 
-def _write_run_json(out_dir: Path, command: str, cfg: dict) -> None:
-    doc = {"command": command, "config": dict(sorted(cfg.items()))}
-    (out_dir / f"run_{command}.json").write_text(json.dumps(doc, indent=1) + "\n")
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """``header`` then ``rows`` as CSV to ``path``, or to stdout when it is None."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _cell(value) -> str:
+    """A sweep.csv cell: floats as ``_fmt``, tuples comma-joined, None empty."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "" if value is None else _fmt(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +166,6 @@ def cmd_gen(cfg: dict) -> int:
     spec = _build(MoonsEnvironmentSpec, cfg)
     meta = gen_meta_dataset(spec)
     save_tasks(out_dir / "tasks", meta, spec)
-    _write_run_json(out_dir, "gen", cfg)
     print(f"generated {len(meta.train)} train / {len(meta.val)} val / "
           f"{len(meta.test)} test tasks under {out_dir / 'tasks'}")
     return 0
@@ -176,7 +184,6 @@ def cmd_train(cfg: dict) -> int:
     lines.append(f"best_epoch={log.best_epoch} best_val_error={_fmt(log.best_val_error)} "
                  f"stopped_early={log.stopped_early}")
     (out_dir / "train_log.txt").write_text("\n".join(lines) + "\n")
-    _write_run_json(out_dir, "train", cfg)
     print(f"trained {hcfg.architecture}: best val error {log.best_val_error:.4f} "
           f"at epoch {log.best_epoch} ({len(log.epochs)} epochs run)")
     return 0
@@ -203,11 +210,7 @@ def cmd_certify(cfg: dict) -> int:
                          "" if entry.mc_stderr is None else _fmt(entry.mc_stderr),
                          _fmt(entry.tau_star), _fmt(row.emp_complement_01),
                          _fmt(row.emp_complement_linear), _fmt(row.test_query_error)])
-    with open(out_dir / "certificates.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CERT_HEADER)
-        writer.writerows(rows)
-    _write_run_json(out_dir, "certify", cfg)
+    _write_csv(out_dir / "certificates.csv", CERT_HEADER, rows)
     print(f"certified {len(meta.test)} tasks -> {out_dir / 'certificates.csv'}")
     return 0
 
@@ -216,24 +219,13 @@ def cmd_sweep(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
     meta, _ = load_tasks(out_dir / "tasks", ("train", "val"))
     protocol = _build(TrainProtocol, cfg)
-    grid = {key.removeprefix("sweep_"): v for key, v in cfg.items()
-            if key.startswith("sweep_")}
+    grid = {axis: cfg[f"sweep_{axis}"] for axis in DEFAULT_GRID if f"sweep_{axis}" in cfg}
     rng = Rng(cfg["master_seed"]).split(STREAM_SWEEP)
     best, rows = sweep(meta.train, meta.val, cfg["architecture"], protocol, rng,
                        grid=grid or None, log_fn=lambda msg: print(msg, file=sys.stderr))
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["learning_rate", "mlp1", "mlp2", "mlp3", "c", "b",
-                         "val_error", "best_epoch", "skipped"])
-        for r in rows:
-            writer.writerow([
-                _fmt(r.learning_rate),
-                ",".join(map(str, r.mlp1)), ",".join(map(str, r.mlp2)),
-                ",".join(map(str, r.mlp3)), r.c, r.b,
-                "" if r.val_error is None else _fmt(r.val_error),
-                "" if r.best_epoch is None else r.best_epoch,
-                r.skipped or ""])
-    _write_run_json(out_dir, "sweep", cfg)
+    columns = [f.name for f in fields(SweepRow)]
+    _write_csv(out_dir / "sweep.csv", columns,
+               ([_cell(getattr(r, name)) for name in columns] for r in rows))
     if best is None:
         print("sweep finished: no valid grid point")
     else:
@@ -242,67 +234,62 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _print_certificate(cert: bounds.Certificate) -> None:
-    print(f"kind      {cert.kind}")
-    print(f"delta     {cert.delta:.12g}")
-    print(f"tau_star  {cert.tau_star:.12g}")
-    print(f"{'term':<24}{'nats':>18}{'cumulative_tau':>18}")
-    for label, nats, tau in cert.breakdown:
-        print(f"{label:<24}{nats:>18.12g}{tau:>18.12g}")
+def _required(args, flag: str):
+    if getattr(args, flag) is None:
+        raise ConfigError(f"bound {args.kind} requires --{flag}")
+    return getattr(args, flag)
+
+
+def _budget(args) -> bounds.BoundBudget:
+    return bounds.BoundBudget(_required(args, "m"), args.c, args.b, args.delta, args.emp_loss,
+                              args.mu_norm_sq, args.log_prior_j)
+
+
+def _log_prior_j(args) -> float:
+    """--log-prior-j, defaulting as ``BoundBudget`` does to -ln C(m, c)."""
+    budget = bounds.BoundBudget(_required(args, "m"), args.c, log_prior_j=args.log_prior_j)
+    return budget.log_prior_j
+
+
+# kind -> calculator of the parsed `bound` arguments, in the order usage lists
+# them.  A calculator returns a Certificate, a (comparator, tau*) pair or a number.
+BOUND_KINDS = {
+    "pb": lambda a: bounds.bound_pb(_budget(a)),
+    "sch-binary": lambda a: bounds.bound_sch_binary(_budget(a), _required(a, "errors")),
+    "sch-real": lambda a: bounds.bound_sch_real(_budget(a)),
+    "pbsch": lambda a: bounds.bound_pbsch(_budget(a)),
+    "pbsch-disintegrated": lambda a: bounds.bound_pbsch_disintegrated(_budget(a)),
+    "catoni": lambda a: ("CATONI", bounds.bound_catoni(
+        a.catoni_c, a.emp_loss, a.kl_msg, _log_prior_j(a), a.delta, a.m)),
+    "linear": lambda a: ("LINEAR", bounds.bound_linear_subgaussian(
+        a.lam, a.sigma_sq, a.emp_loss, a.kl_msg, _log_prior_j(a), a.delta, a.m, a.m - a.c)),
+    "kl": lambda a: bounds.bernoulli_kl(a.q, a.p),
+    "kl-inverse": lambda a: bounds.kl_inverse(a.q, a.budget),
+    "log-binomial": lambda a: bounds.log_binomial(_required(a, "m"), a.c),
+    "binomial-tail": lambda a: bounds.binomial_tail_inverse(
+        _required(a, "m"), a.errors if a.errors is not None else 0, a.log_delta_prime),
+    "gaussian-kl": lambda a: bounds.gaussian_kl(_parse_float_list(a.mu)),
+    "renyi": lambda a: bounds.renyi_divergence_gaussian(_parse_float_list(a.mu), a.alpha),
+}
 
 
 def cmd_bound(args) -> int:
-    calculators = {
-        "pb": bounds.bound_pb,
-        "sch-binary": lambda budget: bounds.bound_sch_binary(budget, args.errors),
-        "sch-real": bounds.bound_sch_real,
-        "pbsch": bounds.bound_pbsch,
-        "pbsch-disintegrated": bounds.bound_pbsch_disintegrated,
-    }
-    primitives = {
-        "kl": lambda: bounds.bernoulli_kl(args.q, args.p),
-        "kl-inverse": lambda: bounds.kl_inverse(args.q, args.budget),
-        "log-binomial": lambda: bounds.log_binomial(args.m, args.c),
-        "binomial-tail": lambda: bounds.binomial_tail_inverse(
-            args.m, args.errors if args.errors is not None else 0,
-            args.log_delta_prime),
-        "gaussian-kl": lambda: bounds.gaussian_kl(_parse_float_list(args.mu)),
-        "renyi": lambda: bounds.renyi_divergence_gaussian(_parse_float_list(args.mu),
-                                                          args.alpha),
-    }
-    needs_m = args.kind not in ("kl", "kl-inverse", "gaussian-kl", "renyi")
-    if needs_m and args.m is None:
-        raise ConfigError(f"bound {args.kind} requires --m")
-    if args.kind in primitives:
-        print(f"{primitives[args.kind]():.12g}")
-        return 0
-    if args.kind in calculators:
-        budget = bounds.BoundBudget(
-            m_prime=args.m, c=args.c, b=args.b, delta=args.delta,
-            emp_loss=args.emp_loss, mu_norm_sq=args.mu_norm_sq,
-            log_prior_j=args.log_prior_j)
-        if args.kind == "sch-binary" and args.errors is None:
-            raise ConfigError("sch-binary requires --errors")
-        cert = calculators[args.kind](budget)
-        _print_certificate(cert)
+    result = BOUND_KINDS[args.kind](args)
+    if isinstance(result, bounds.Certificate):
+        print(f"kind      {result.kind}")
+        print(f"delta     {result.delta:.12g}")
+        print(f"tau_star  {result.tau_star:.12g}")
+        print(f"{'term':<24}{'nats':>18}{'cumulative_tau':>18}")
+        for label, nats, tau in result.breakdown:
+            print(f"{label:<24}{nats:>18.12g}{tau:>18.12g}")
         if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["kind", "delta", "tau_star", "term", "nats", "cumulative_tau"])
-                for label, nats, tau in cert.breakdown:
-                    writer.writerow([cert.kind, _fmt(cert.delta), _fmt(cert.tau_star),
-                                     label, _fmt(nats), _fmt(tau)])
-    elif args.kind == "catoni":
-        value = bounds.bound_catoni(args.catoni_c, args.emp_loss, args.kl_msg,
-                                    args.log_prior_j or 0.0, args.delta, args.m)
-        print(f"kind      CATONI\ntau_star  {value:.12g}")
-    elif args.kind == "linear":
-        value = bounds.bound_linear_subgaussian(
-            args.lam, args.sigma_sq, args.emp_loss, args.kl_msg,
-            args.log_prior_j or 0.0, args.delta, args.m, args.m - args.c)
-        print(f"kind      LINEAR\ntau_star  {value:.12g}")
+            _write_csv(args.csv, ["kind", "delta", "tau_star", "term", "nats", "cumulative_tau"],
+                       ([result.kind, _fmt(result.delta), _fmt(result.tau_star),
+                         label, _fmt(nats), _fmt(tau)] for label, nats, tau in result.breakdown))
+    elif isinstance(result, tuple):
+        print(f"kind      {result[0]}\ntau_star  {result[1]:.12g}")
     else:
-        raise ConfigError(f"unknown bound kind {args.kind!r}")
+        print(f"{result:.12g}")
     return 0
 
 
@@ -312,13 +299,29 @@ def cmd_compare_bounds(args) -> int:
     grid = [0.0] if args.grid == 1 else list(np.linspace(0.0, 1.0, args.grid))
     rows = bounds.compare_trainset_bounds(args.m, args.comp_size, args.kl,
                                           args.delta, grid)
-    with nullcontext(sys.stdout) if args.csv is None else open(args.csv, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["val_loss", "bound_squared", "bound_kl_pinsker", "gap"])
-        for r in rows:
-            out.writerow([_fmt(r.val_loss), _fmt(r.bound_squared),
-                          _fmt(r.bound_kl_pinsker), _fmt(r.gap)])
+    _write_csv(args.csv, ["val_loss", "bound_squared", "bound_kl_pinsker", "gap"],
+               ([_fmt(r.val_loss), _fmt(r.bound_squared), _fmt(r.bound_kl_pinsker),
+                 _fmt(r.gap)] for r in rows))
     return 0
+
+
+# command -> (handler of the parsed config, help text)
+PIPELINE_COMMANDS = {
+    "gen": (cmd_gen, "generate the moons task environment"),
+    "train": (cmd_train, "meta-train a hypernetwork"),
+    "certify": (cmd_certify, "certify every test task"),
+    "sweep": (cmd_sweep, "grid search over hyperparameters"),
+}
+
+
+def _run_pipeline(args) -> int:
+    """Run a pipeline command on its config, then echo that in run_<command>.json."""
+    cfg = parse_config(args.config)
+    code = PIPELINE_COMMANDS[args.command][0](cfg)
+    doc = {"command": args.command, "config": dict(sorted(cfg.items()))}
+    (Path(cfg["output_dir"]) / f"run_{args.command}.json").write_text(
+        json.dumps(doc, indent=1) + "\n")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
                      description="meta-learned hypernetworks with risk certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (("gen", "generate the moons task environment"),
-                            ("train", "meta-train a hypernetwork"),
-                            ("certify", "certify every test task"),
-                            ("sweep", "grid search over hyperparameters")):
+    for name, (_, help_text) in PIPELINE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key = value config file")
+        p.set_defaults(run=_run_pipeline)
 
     p = sub.add_parser("bound", help="evaluate one certificate calculator")
-    p.add_argument("kind", choices=["pb", "sch-binary", "sch-real", "pbsch",
-                                    "pbsch-disintegrated", "catoni", "linear",
-                                    "kl", "kl-inverse", "log-binomial",
-                                    "binomial-tail", "gaussian-kl", "renyi"])
+    p.set_defaults(run=cmd_bound)
+    p.add_argument("kind", choices=list(BOUND_KINDS))
     p.add_argument("--m", type=int, default=None,
                    help="sample size (n_eff for catoni/linear; n for the primitives)")
     p.add_argument("--c", type=int, default=0, help="compression set size")
@@ -371,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the breakdown as CSV")
 
     p = sub.add_parser("compare-bounds", help="train-set vs complement-set bound gap table")
+    p.set_defaults(run=cmd_compare_bounds)
     p.add_argument("--m", type=int, default=10000)
     p.add_argument("--comp-size", type=int, default=2000, dest="comp_size")
     p.add_argument("--kl", type=float, default=100.0)
@@ -381,20 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command in ("gen", "train", "certify", "sweep"):
-            cfg = parse_config(args.config)
-            return {"gen": cmd_gen, "train": cmd_train,
-                    "certify": cmd_certify, "sweep": cmd_sweep}[args.command](cfg)
-        if args.command == "bound":
-            return cmd_bound(args)
-        return cmd_compare_bounds(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, TrainingDivergedError) as exc:

@@ -327,7 +327,8 @@ class SweepRow:
     skipped: str | None = None
 
 
-# Default grid, matching the published hyperparameter search space.
+# Default grid, matching the published hyperparameter search space: the one
+# list of sweep axes, in the order of ``SweepRow``'s leading fields.
 DEFAULT_GRID = {
     "learning_rate": [1e-3, 1e-4],
     "mlp1": [(200, 200), (500, 500)],
@@ -348,7 +349,7 @@ def sweep(train_tasks, val_tasks, architecture: str, protocol: TrainProtocol,
     """
     grid = {**DEFAULT_GRID, **(grid or {})}
     rows: list[SweepRow] = []
-    axes = [grid[key] for key in ("learning_rate", "mlp1", "mlp2", "mlp3", "c", "b")]
+    axes = [grid[axis] for axis in DEFAULT_GRID]
     for point, (lr, mlp1, mlp2, mlp3, c, b) in enumerate(itertools.product(*axes), start=1):
         mlp1, mlp2, mlp3 = tuple(mlp1), tuple(mlp2), tuple(mlp3)
         try:

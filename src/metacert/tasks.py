@@ -61,6 +61,8 @@ class TaskDataset:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features/labels length mismatch")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError(f"task {self.task_id}: features must be finite")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError(f"task {self.task_id}: labels must be -1 or +1")
         if len(np.unique(self.labels)) < 2:

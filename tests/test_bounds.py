@@ -77,6 +77,8 @@ class TestKlInverse:
     def test_negative_budget_raises(self):
         with pytest.raises(ValueError):
             kl_inverse(0.5, -0.1)
+        with pytest.raises(ValueError, match="budget"):
+            kl_inverse(0.1, math.nan)
 
 
 class TestLogBinomial:
@@ -130,6 +132,8 @@ class TestBinomialTailInverse:
     def test_positive_log_delta_raises(self):
         with pytest.raises(ValueError):
             binomial_tail_inverse(10, 1, 0.5)
+        with pytest.raises(ValueError, match="log_delta_prime"):
+            binomial_tail_inverse(100, 3, math.nan)
 
 
 # Reference: the one-threshold bisection as it stood before the lockstep
@@ -212,6 +216,8 @@ class TestLockstepBisection:
             binomial_tail_inverses(10, 11, (-1.0,))
         with pytest.raises(ValueError):
             binomial_tail_inverses(10, 1, (-1.0, 0.5))
+        with pytest.raises(ValueError):
+            binomial_tail_inverses(10, 1, (-1.0, math.nan))
 
 
 class TestGaussianDivergences:
@@ -232,6 +238,12 @@ class TestGaussianDivergences:
     def test_renyi_alpha_at_most_one_raises(self):
         with pytest.raises(ValueError):
             renyi_divergence_gaussian([1.0], 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            renyi_divergence_gaussian([1.0], math.nan)
+        with pytest.raises(ValueError, match="mu"):
+            renyi_divergence_gaussian([1.0, math.nan], 2.0)
+        with pytest.raises(ValueError, match="mu"):
+            gaussian_kl([math.nan])
 
 
 class TestWorkedCertificates:
@@ -324,6 +336,11 @@ class TestCatoni:
     def test_nonpositive_c_raises(self):
         with pytest.raises(ValueError):
             bound_catoni(0.0, 0.1, 0.0, 0.0, 0.05, 100)
+        args = (1.0, 0.1, 0.0, 0.0, 0.05)  # C, q, kl_msg, log_prior_j, delta
+        for pos in range(len(args)):
+            nan_args = [math.nan if i == pos else a for i, a in enumerate(args)]
+            with pytest.raises(ValueError):
+                bound_catoni(*nan_args, 100)
 
 
 class TestLinearSubgaussian:
@@ -345,6 +362,11 @@ class TestLinearSubgaussian:
     def test_nonpositive_lambda_raises(self):
         with pytest.raises(ValueError):
             bound_linear_subgaussian(0.0, 0.1, 0.1, 0.0, 0.0, 0.05, 100, 100)
+        args = (1.0, 0.1, 0.1, 0.0, 0.0, 0.05)  # lambda, sigma^2, q, kl_msg, log_prior_j, delta
+        for pos in range(len(args)):
+            nan_args = [math.nan if i == pos else a for i, a in enumerate(args)]
+            with pytest.raises(ValueError):
+                bound_linear_subgaussian(*nan_args, 100, 100)
 
 
 class TestCompareTrainsetBounds:
@@ -377,6 +399,8 @@ class TestCompareTrainsetBounds:
     def test_comp_size_at_least_m_raises(self):
         with pytest.raises(ValueError):
             compare_trainset_bounds(100, 100, 1.0, 0.05, [0.0])
+        with pytest.raises(ValueError, match="kl_val"):
+            compare_trainset_bounds(100, 10, math.nan, 0.05, [0.0])
 
 
 class TestBudgetAndCertificate:
@@ -393,6 +417,9 @@ class TestBudgetAndCertificate:
             BoundBudget(10, mu_norm_sq=-1.0)
         with pytest.raises(ValueError):
             BoundBudget(10, log_prior_j=0.5)
+        for field in ("delta", "emp_loss", "mu_norm_sq", "log_prior_j"):
+            with pytest.raises(ValueError, match=field):
+                BoundBudget(10, **{field: math.nan})
 
     def test_default_prior_is_uniform_over_distinct_sets(self):
         budget = BoundBudget(2000, c=8)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from metacert.bounds import log_binomial
 from metacert.cli import main, parse_config, ConfigError
 
 MICRO_CONFIG = """\
@@ -185,6 +186,24 @@ class TestPipeline:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("certify", "test")])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_the_task(self, tmp_path, capsys, command, split, cell):
+        cfg = write_config(tmp_path)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        if command == "certify":
+            assert main(["train", "--config", str(cfg)]) == 0
+        tasks = tmp_path / "out" / "tasks"
+        entry = next(e for e in json.loads((tasks / "manifest.json").read_text())["tasks"]
+                     if e["split"] == split)
+        lines = (tasks / entry["file"]).read_text().splitlines()
+        lines[2] = ",".join([*lines[2].split(",")[:-2], cell, lines[2].split(",")[-1]])
+        (tasks / entry["file"]).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: task {entry['task_id']}: features must be finite\n"
+
     @pytest.mark.parametrize("artifact, damage, name", [
         ("checkpoint.json", lambda doc: doc["params"].pop("recon.trunk.w0"),
          "recon.trunk.w0"),
@@ -321,6 +340,40 @@ class TestBoundCommand:
         assert main(["bound", "log-binomial", "--c", "3"]) == 1
         assert "--m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["pbsch", "--m", "400", "--c", "2", "--b", "8", "--emp-loss", "0.1",
+          "--mu-norm-sq", "nan"], "mu_norm_sq"),
+        (["sch-binary", "--m", "100", "--c", "2", "--errors", "3", "--log-prior-j", "nan"],
+         "log_prior_j"),
+        (["kl-inverse", "--q", "0.1", "--budget", "nan"], "budget"),
+        (["binomial-tail", "--m", "100", "--errors", "3", "--log-delta-prime", "nan"],
+         "log_delta_prime"),
+        (["catoni", "--m", "100", "--kl-msg", "nan"], "kl_msg"),
+        (["linear", "--m", "100", "--emp-loss", "nan"], "emp_loss"),
+        (["gaussian-kl", "--mu", "1,nan"], "mu"),
+        (["renyi", "--mu", "1", "--alpha", "nan"], "alpha"),
+    ], ids=["pbsch", "sch-binary", "kl-inverse", "binomial-tail", "catoni", "linear",
+            "gaussian-kl", "renyi"])
+    def test_nan_input_is_numeric_error(self, capsys, argv, name):
+        assert main(["bound", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "nan" in err.lower()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["linear", "--m", "100", "--c", "5", "--lambda", "1", "--sigma-sq", "0.01",
+          "--emp-loss", "0.1"], "kind      LINEAR\ntau_star  0.316075572155\n"),
+        (["catoni", "--m", "100", "--c", "5", "--catoni-c", "1"],
+         "kind      CATONI\ntau_star  0.301349999512\n"),
+    ], ids=["linear", "catoni"])
+    def test_comparator_prior_defaults_to_uniform_over_sets(self, capsys, argv, expected):
+        # -ln C(100, 5), the documented default of --log-prior-j
+        explicit = ["--log-prior-j", repr(-log_binomial(100, 5))]
+        assert main(["bound", *argv]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["bound", *argv, *explicit]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_bound_csv_output(self, tmp_path, capsys):
         path = tmp_path / "bound.csv"
         main(["bound", "pb", "--m", "100", "--csv", str(path)])
@@ -364,3 +417,94 @@ class TestCompareBoundsCommand:
 
     def test_invalid_comp_size_is_numeric_error(self, capsys):
         assert main(["compare-bounds", "--m", "10", "--comp-size", "10"]) == 2
+
+
+# The exact bytes every bound printer wrote before the command tables were
+# introduced; the float tests above parse with tolerances and would not
+# notice a changed format.
+PB_FLAGS = ["--m", "400", "--b", "8", "--emp-loss", "0.1", "--mu-norm-sq", "2.0"]
+TERMS = "term                                  nats    cumulative_tau\n"
+PINNED_STDOUT = [
+    (["pb", *PB_FLAGS],
+     "kind      PB\ndelta     0.05\ntau_star  0.168787921807\n" + TERMS
+     + "empirical_loss                           0               0.1\n"
+     "confidence                   6.68461172767    0.163552519278\n"
+     "message_cost                             1    0.168787921807\n"
+     "compression_set_cost                     0    0.168787921807\n"),
+    (["sch-binary", "--m", "400", "--c", "2", "--b", "8", "--errors", "10"],
+     "kind      SCH_BINARY\ndelta     0.05\ntau_star  0.102450380878\n" + TERMS
+     + "empirical_loss                           0   0.0251256281407\n"
+     "confidence                   2.99573227355    0.042245920481\n"
+     "message_cost                 5.54517744448    0.065770903384\n"
+     "compression_set_cost         11.2872787834    0.102450380878\n"),
+    (["sch-real", "--m", "400", "--c", "2", "--b", "8", "--emp-loss", "0.1"],
+     "kind      SCH_REAL\ndelta     0.05\ntau_star  0.232665804929\n" + TERMS
+     + "empirical_loss                           0               0.1\n"
+     "confidence                   6.68210545676    0.163719583099\n"
+     "message_cost                 5.54517744448    0.190141416071\n"
+     "compression_set_cost         11.2872787834    0.232665804929\n"),
+    (["pbsch", "--c", "2", *PB_FLAGS],
+     "kind      PBSCH\ndelta     0.05\ntau_star  0.216707334431\n" + TERMS
+     + "empirical_loss                           0               0.1\n"
+     "confidence                   6.68210545676    0.163719583099\n"
+     "message_cost                             1    0.168971814232\n"
+     "compression_set_cost         11.2872787834    0.216707334431\n"),
+    (["pbsch-disintegrated", "--c", "2", *PB_FLAGS],
+     "kind      PBSCH_DISINTEGRATED\ndelta     0.05\ntau_star  0.247478079519\n" + TERMS
+     + "empirical_loss                           0               0.1\n"
+     "confidence                   14.7530115455    0.200603430028\n"
+     "message_cost                             2    0.208426191643\n"
+     "compression_set_cost         11.2872787834    0.247478079519\n"),
+    (["catoni", "--m", "100", "--c", "0", "--catoni-c", "1", "--emp-loss", "0.1",
+      "--kl-msg", "2"],
+     "kind      CATONI\ntau_star  0.220298625293\n"),
+    (["linear", "--m", "100", "--c", "0", "--lambda", "1", "--sigma-sq", "0.01",
+      "--emp-loss", "0.1", "--kl-msg", "2"],
+     "kind      LINEAR\ntau_star  0.154957322736\n"),
+    (["kl", "--q", "0.1", "--p", "0.5"], "0.368064207168\n"),
+    (["kl-inverse", "--q", "0.1", "--budget", "0.05"], "0.220078601106\n"),
+    (["log-binomial", "--m", "10", "--c", "3"], "4.78749174278\n"),
+    (["binomial-tail", "--m", "100", "--errors", "3", "--log-delta-prime", "-3"],
+     "0.0757708510864\n"),
+    (["gaussian-kl", "--mu", "3,4"], "12.5\n"),
+    (["renyi", "--mu", "1,1", "--alpha", "2"], "2\n"),
+]
+GAP_TABLE = ("val_loss,bound_squared,bound_kl_pinsker,gap\n"
+             "0.0,0.454820838062698,0.0828371579428878,0.3719836801198102\n"
+             "0.5,0.854820838062698,0.5828371579428878,0.2719836801198102\n"
+             "1.0,1.254820838062698,1.0828371579428877,0.17198368011981024\n")
+
+
+class TestPinnedOutputBytes:
+    @pytest.mark.parametrize("argv, expected", PINNED_STDOUT,
+                             ids=[argv[0] for argv, _ in PINNED_STDOUT])
+    def test_bound_stdout(self, capsys, argv, expected):
+        assert main(["bound", *argv]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_bound_csv_file(self, tmp_path, capsys):
+        path = tmp_path / "pb.csv"
+        assert main(["bound", "pb", *PB_FLAGS, "--csv", str(path)]) == 0
+        assert capsys.readouterr().out == PINNED_STDOUT[0][1]
+        assert path.read_bytes() == (
+            b"kind,delta,tau_star,term,nats,cumulative_tau\n"
+            b"PB,0.05,0.1687879218072339,empirical_loss,0.0,0.1\n"
+            b"PB,0.05,0.1687879218072339,confidence,6.684611727667927,0.1635525192777095\n"
+            b"PB,0.05,0.1687879218072339,message_cost,1.0,0.1687879218072339\n"
+            b"PB,0.05,0.1687879218072339,compression_set_cost,0.0,0.1687879218072339\n")
+
+    def test_compare_bounds_stdout_and_csv(self, tmp_path, capsys):
+        assert main(["compare-bounds", "--grid", "3"]) == 0
+        assert capsys.readouterr() == (GAP_TABLE, "")
+        path = tmp_path / "gap.csv"
+        assert main(["compare-bounds", "--grid", "3", "--csv", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_bytes() == GAP_TABLE.encode()
+
+    def test_unknown_kind_error_line(self, capsys):
+        assert main(["bound", "bogus", "--m", "10"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: argument kind: invalid choice: 'bogus' (choose from 'pb', "
+            "'sch-binary', 'sch-real', 'pbsch', 'pbsch-disintegrated', 'catoni', "
+            "'linear', 'kl', 'kl-inverse', 'log-binomial', 'binomial-tail', "
+            "'gaussian-kl', 'renyi')\n"))

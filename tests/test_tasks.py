@@ -141,6 +141,13 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             TaskDataset(np.zeros((2, 2)), np.array([1.0, 1.0]), 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        features = np.zeros((2, 2))
+        features[1, 0] = value
+        with pytest.raises(ValueError, match="task 7: features must be finite"):
+            TaskDataset(features, np.array([-1.0, 1.0]), 7)
+
 
 class TestFileRoundTrip:
     def test_save_load_bitwise(self, tmp_path):
@@ -197,6 +204,17 @@ class TestFileRoundTrip:
         text = victim.read_text().replace(",1\n", ",2\n", 1)
         victim.write_text(text)
         with pytest.raises(ValueError, match="label"):
+            load_tasks(tmp_path / "tasks")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_in_file_is_rejected(self, tmp_path, cell):
+        spec = canonical_spec()
+        save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
+        victim = sorted((tmp_path / "tasks").glob("task_*.csv"))[0]
+        lines = victim.read_text().splitlines()
+        lines[1] = ",".join([cell, *lines[1].split(",")[1:]])
+        victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="features must be finite"):
             load_tasks(tmp_path / "tasks")
 
     def test_settings_from_json_checks_every_field(self):
