@@ -68,10 +68,6 @@ class Tensor:
         self._parents = tuple(parents) if requires_grad else ()
         self._backward = backward if requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 

@@ -11,14 +11,17 @@ Numerical conventions:
 * the two inversions (binary-kl and binomial tail) are plain bisections,
   tolerance 1e-12 on the argument with a hard cap of 200 iterations;
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
-  train-set comparison table deliberately reports unclamped values.
+  train-set comparison table deliberately reports unclamped values;
+* one builder, ``_certificate``, turns every certificate's three budget
+  terms (confidence, message, compression set) into its breakdown.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -211,36 +214,42 @@ def renyi_divergence_gaussian(mu, alpha: float) -> float:
 
 # Breakdown terms follow a fixed order: empirical loss, confidence term,
 # message cost, compression-set cost.
+_TERMS = ("confidence", "message_cost", "compression_set_cost")
 
 
-def _kl_certificate(kind: str, q: float, n_eff: int, delta: float,
-                    confidence_nats: float, message_nats: float,
-                    compression_nats: float) -> Certificate:
-    rows = [("empirical_loss", 0.0, kl_inverse(q, 0.0))]
-    acc = 0.0
-    for label, nats in (("confidence", confidence_nats),
-                        ("message_cost", message_nats),
-                        ("compression_set_cost", compression_nats)):
-        acc += nats
-        rows.append((label, nats, kl_inverse(q, acc / n_eff)))
-    return Certificate(kind=kind, tau_star=rows[-1][2], delta=delta, breakdown=tuple(rows))
+def _certificate(kind: str, delta: float, empirical: float, terms: tuple[float, float, float],
+                 invert: Callable[[list[float]], list[float]]) -> Certificate:
+    """The certificate charging ``terms`` (confidence, message and compression-set
+    nats) in order; ``invert`` maps their three cumulative sums to the three taus.
+
+    The empirical row shows ``empirical``; the min-guard keeps the cumulative
+    sequence monotone where a tail inversion at delta' > 1/2 falls below it.
+    """
+    taus = invert(list(itertools.accumulate(terms)))
+    rows = (("empirical_loss", 0.0, min(empirical, taus[0])), *zip(_TERMS, terms, taus))
+    return Certificate(kind=kind, tau_star=taus[-1], delta=delta, breakdown=rows)
+
+
+def _kl_certificate(kind: str, budget: BoundBudget, confidence_nats: float,
+                    message_nats: float) -> Certificate:
+    """The kl certificate of ``budget.emp_loss`` on the complement set."""
+    q, n = budget.emp_loss, budget.n_complement
+    return _certificate(kind, budget.delta, q,
+                        (confidence_nats, message_nats, -budget.log_prior_j),
+                        lambda cumulative: [kl_inverse(q, nats / n) for nats in cumulative])
 
 
 def bound_pb(budget: BoundBudget) -> Certificate:
     """PAC-Bayes certificate for the Gaussian-latent hypernetwork.
 
     tau* = kl_inverse(q, (||mu||^2/2 + ln(2 sqrt(m')/delta)) / m'); certifies
-    the posterior-expected loss on the task distribution.
+    the posterior-expected loss on the task distribution.  It is
+    ``bound_pbsch`` without a compression set, whose cost -ln C(m', 0) is
+    +0.0: there is no set to put a prior on, so ``log_prior_j`` is ignored.
     """
     if budget.c != 0:
         raise ValueError("the PAC-Bayes certificate has no compression set (c must be 0)")
-    m = budget.m_prime
-    return _kl_certificate(
-        "PB", budget.emp_loss, m, budget.delta,
-        confidence_nats=math.log(2.0 * math.sqrt(m) / budget.delta),
-        message_nats=0.5 * budget.mu_norm_sq,
-        compression_nats=0.0,
-    )
+    return replace(bound_pbsch(replace(budget, log_prior_j=None)), kind="PB")
 
 
 def bound_sch_binary(budget: BoundBudget, K: int) -> Certificate:
@@ -252,20 +261,10 @@ def bound_sch_binary(budget: BoundBudget, K: int) -> Certificate:
     n = budget.n_complement
     if not 0 <= K <= n:
         raise ValueError(f"error count K={K} outside [0, {n}]")
-    conf_nats = math.log(1.0 / budget.delta)
-    msg_nats = budget.b * math.log(2.0)
-    comp_nats = -budget.log_prior_j
-    tail = binomial_tail_inverses(n, K, (-(conf_nats), -(conf_nats + msg_nats),
-                                         -(conf_nats + msg_nats + comp_nats)))
-    # The empirical row shows the raw error rate; the min-guard keeps the
-    # cumulative sequence monotone for degenerate delta' > 1/2 inputs.
-    rows = (
-        ("empirical_loss", 0.0, min(K / n, tail[0])),
-        ("confidence", conf_nats, tail[0]),
-        ("message_cost", msg_nats, tail[1]),
-        ("compression_set_cost", comp_nats, tail[2]),
-    )
-    return Certificate(kind="SCH_BINARY", tau_star=tail[2], delta=budget.delta, breakdown=rows)
+    return _certificate(
+        "SCH_BINARY", budget.delta, K / n,
+        (math.log(1.0 / budget.delta), budget.b * math.log(2.0), -budget.log_prior_j),
+        lambda cumulative: binomial_tail_inverses(n, K, [-nats for nats in cumulative]))
 
 
 def bound_sch_real(budget: BoundBudget) -> Certificate:
@@ -274,28 +273,22 @@ def bound_sch_real(budget: BoundBudget) -> Certificate:
     tau* = kl_inverse(q, (ln(1/P_J(j)) + (b+1) ln 2 + ln sqrt(m'-c) + ln(1/delta)) / (m'-c)).
     """
     n = budget.n_complement
-    return _kl_certificate(
-        "SCH_REAL", budget.emp_loss, n, budget.delta,
-        confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
-        message_nats=budget.b * math.log(2.0),
-        compression_nats=-budget.log_prior_j,
-    )
+    return _kl_certificate("SCH_REAL", budget,
+                           confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
+                           message_nats=budget.b * math.log(2.0))
 
 
 def bound_pbsch(budget: BoundBudget) -> Certificate:
     """Hybrid certificate: compression set plus Gaussian message posterior.
 
     tau* = kl_inverse(q, (||mu||^2/2 + ln(1/P_J(j)) + ln(2 sqrt(m'-c)/delta)) / (m'-c));
-    certifies the message-posterior-expected loss.  With c = 0 and mu = 0 it
-    coincides with ``bound_pb``.
+    certifies the message-posterior-expected loss.  With c = 0 and the
+    default prior it is ``bound_pb``.
     """
     n = budget.n_complement
-    return _kl_certificate(
-        "PBSCH", budget.emp_loss, n, budget.delta,
-        confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
-        message_nats=0.5 * budget.mu_norm_sq,
-        compression_nats=-budget.log_prior_j,
-    )
+    return _kl_certificate("PBSCH", budget,
+                           confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
+                           message_nats=0.5 * budget.mu_norm_sq)
 
 
 def bound_pbsch_disintegrated(budget: BoundBudget) -> Certificate:
@@ -307,11 +300,9 @@ def bound_pbsch_disintegrated(budget: BoundBudget) -> Certificate:
     """
     n = budget.n_complement
     return _kl_certificate(
-        "PBSCH_DISINTEGRATED", budget.emp_loss, n, budget.delta,
+        "PBSCH_DISINTEGRATED", budget,
         confidence_nats=math.log(16.0) + 0.5 * math.log(n) + 3.0 * math.log(1.0 / budget.delta),
-        message_nats=budget.mu_norm_sq,
-        compression_nats=-budget.log_prior_j,
-    )
+        message_nats=budget.mu_norm_sq)
 
 
 def _check_comparator_inputs(emp_loss: float, kl_msg: float, log_prior_j: float,

@@ -275,6 +275,8 @@ BOUND_KINDS = {
 
 def cmd_bound(args) -> int:
     result = BOUND_KINDS[args.kind](args)
+    if args.csv and not isinstance(result, bounds.Certificate):
+        raise ConfigError(f"--csv writes a certificate breakdown; bound {args.kind} has none")
     if isinstance(result, bounds.Certificate):
         print(f"kind      {result.kind}")
         print(f"delta     {result.delta:.12g}")
@@ -367,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-delta-prime", type=float, default=0.0, dest="log_delta_prime")
     p.add_argument("--mu", default="0", help="comma-separated posterior mean vector")
     p.add_argument("--alpha", type=float, default=2.0, help="Renyi order")
-    p.add_argument("--csv", default=None, help="also write the breakdown as CSV")
+    p.add_argument("--csv", default=None,
+                   help="also write the breakdown as CSV (certificate kinds only)")
 
     p = sub.add_parser("compare-bounds", help="train-set vs complement-set bound gap table")
     p.set_defaults(run=cmd_compare_bounds)

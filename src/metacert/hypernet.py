@@ -9,9 +9,11 @@ Four meta-predictor variants share the same building blocks:
 
 The downstream parameters depend on the input dataset only through the
 bottleneck (selected rows, message), which is what the certificates charge
-for.  ``encode`` runs the bottleneck.  ``hypernet_forward`` follows it with
-the message noise and ``reconstruct`` in one graph, which serves training
-only; evaluation decodes through the forward-only ``decode_gamma``.
+for.  ``encode`` runs the bottleneck and returns its record,
+``CompressionArtifacts``: the compression set J and the message sigma.
+``hypernet_forward`` follows it with the message noise and ``reconstruct``
+in one graph, which serves training only; evaluation decodes through the
+forward-only ``decode_gamma``.
 Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
 ``decode_gamma``; inner modules require canonical order.  Every architecture
 is therefore exactly permutation invariant, bit for bit.
@@ -63,8 +65,9 @@ class HypernetConfig:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.c < 0 or self.b < 0:
             raise ValueError("c and b must be >= 0")
-        if self.deepset_dim < 1:
-            raise ValueError("deepset_dim must be >= 1")
+        for name in ("input_dim", "deepset_dim", "attention_dim"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         arch = self.architecture
         if arch == "PBH" and not (self.c == 0 and self.b >= 1):
             raise ValueError("PBH requires c = 0 and b >= 1")
@@ -74,9 +77,11 @@ class HypernetConfig:
             raise ValueError("SCH_PLUS requires c >= 1 and b >= 1")
         if arch == "PBSCH" and self.b < 1:
             raise ValueError("PBSCH requires b >= 1")
-        object.__setattr__(self, "mlp1", tuple(self.mlp1))
-        object.__setattr__(self, "mlp2", tuple(self.mlp2))
-        object.__setattr__(self, "mlp3", tuple(self.mlp3))
+        for name in ("mlp1", "mlp2", "mlp3"):
+            widths = tuple(getattr(self, name))
+            if not all(width >= 1 for width in widths):  # no layers at all is legal
+                raise ValueError(f"{name} widths must be >= 1, got {widths}")
+            object.__setattr__(self, name, widths)
 
     @property
     def has_gaussian_message(self) -> bool:
@@ -90,21 +95,23 @@ class HypernetConfig:
     def has_message(self) -> bool:
         return self.architecture != "SCH_MINUS"
 
+    @property
+    def mlp3_shapes(self) -> tuple[tuple[int, int], ...]:
+        """(fan_in, fan_out) of each downstream layer."""
+        return downstream_shapes(self.input_dim, self.mlp3)
+
 
 @dataclass
 class CompressionArtifacts:
-    """Per-task bottleneck output: the only channel from data to gamma."""
+    """Per-task bottleneck output (J, sigma): the only channel from data to gamma."""
 
-    indices: tuple[int, ...]                 # distinct, ascending, into the input set
-    binary_message: np.ndarray | None        # values in {-1, +1}, or None
-    gaussian_mean: np.ndarray | None         # posterior mean mu, or None
-    mlp3_shapes: tuple[tuple[int, int], ...]
+    indices: tuple[int, ...]     # J: distinct, ascending, into the input set
+    message: np.ndarray | None   # sigma: +-1 (SCH_PLUS), posterior mean mu (PBH,
+                                 # PBSCH), or None (SCH_MINUS)
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("compression indices must be distinct")
-        if self.binary_message is not None and self.gaussian_mean is not None:
-            raise ValueError("at most one of binary message / Gaussian mean may be set")
 
     @property
     def c_effective(self) -> int:
@@ -161,7 +168,7 @@ def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> dict[str, Tensor]:
     else:
         params["recon.const"] = kaiming_uniform_init((1, dp), dp, rng)
     trunk_in = dp + (cfg.b if cfg.has_message else 0)
-    gamma_size = downstream_param_count(downstream_shapes(d, cfg.mlp3))
+    gamma_size = downstream_param_count(cfg.mlp3_shapes)
     _init_mlp(params, "recon.trunk", [trunk_in, *cfg.mlp1, gamma_size], rng)
     return params
 
@@ -350,7 +357,7 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     # Fold x -> (x - mu)/scale into the first downstream layer: with W~, b~
     # emitted for standardized inputs, W1 = diag(1/scale) W~ and
     # b1 = b~ - (mu/scale) W~ give the identical predictor on raw features.
-    fan_in, fan_out = downstream_shapes(cfg.input_dim, cfg.mlp3)[0]
+    fan_in, fan_out = cfg.mlp3_shapes[0]
     w_tilde = ad.reshape(ad.slice_cols(raw, 0, fan_in * fan_out), (fan_in, fan_out))
     b_tilde = ad.slice_cols(raw, fan_in * fan_out, fan_in * fan_out + fan_out)
     w1 = ad.mul(w_tilde, ad.matmul(ad.transpose(inv_scale),
@@ -442,19 +449,16 @@ def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
     x_t = ad.constant(features[order])
     y_t = ad.constant(labels[order])
     indices: tuple[int, ...] = ()
-    rows = message = binary_message = gaussian_mean = None
+    rows = message = None
     if cfg.c > 0:
         positions, rows = sample_compress(params, cfg, x_t, y_t, soft=soft)
         indices = tuple(sorted(int(order[pos]) for pos in positions))
     if cfg.has_binary_message:
         message = msg_compress(params, x_t, y_t, soft=soft)
-        binary_message = message.data.reshape(-1).copy()
     elif cfg.has_gaussian_message:
         message = pb_encode(params, x_t, y_t)
-        gaussian_mean = message.data.reshape(-1).copy()
-    artifacts = CompressionArtifacts(indices, binary_message, gaussian_mean,
-                                     downstream_shapes(cfg.input_dim, cfg.mlp3))
-    return artifacts, rows, message
+    sigma = None if message is None else message.data.reshape(-1).copy()
+    return CompressionArtifacts(indices, sigma), rows, message
 
 
 def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
@@ -517,7 +521,7 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
         return raw
     # the fold of ``reconstruct``, on every row at once
     mu, inv_scale = mu.data, inv_scale.data
-    fan_in, fan_out = downstream_shapes(cfg.input_dim, cfg.mlp3)[0]
+    fan_in, fan_out = cfg.mlp3_shapes[0]
     n_w = fan_in * fan_out
     w_tilde = raw[:, :n_w].reshape(-1, fan_in, fan_out)
     w1 = w_tilde * (inv_scale.T @ np.ones((1, fan_out)))

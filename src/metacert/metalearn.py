@@ -10,7 +10,8 @@ returned parameters are those of the best validation epoch.
 
 Certification consumes a *test* task only: the full sample goes through the
 bottleneck, the empirical loss is measured on the complement of the
-compression set, and the architecture-appropriate certificates are computed.
+compression set, and the architecture-appropriate certificates are computed
+from one ``BoundBudget`` per task, which they share but for the empirical loss.
 Every message a task's certificates score (the noise-free one, the
 Monte-Carlo draws and PBSCH's disintegrated draw) is drawn first and decoded
 in one stacked batch, so the compression rows are encoded once per task.
@@ -51,6 +52,8 @@ class TrainProtocol:
     def __post_init__(self):
         if self.support_size < 1:
             raise ValueError("support_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 1 <= self.patience <= self.max_epochs:
             raise ValueError("need 1 <= patience <= max_epochs")
         if self.n_mc < 1:
@@ -74,11 +77,14 @@ class TrainingLog:
 
 @dataclass(frozen=True)
 class CertEntry:
-    kind: str
     certificate: bounds.Certificate
     emp_loss: float          # the empirical loss fed to the bound
     emp_loss_kind: str       # "zero_one" or "linear"
     mc_stderr: float | None  # standard error of the MC estimate, if any
+
+    @property
+    def kind(self) -> str:
+        return self.certificate.kind
 
     @property
     def tau_star(self) -> float:
@@ -122,10 +128,11 @@ def _query_logits(params, cfg, task: TaskDataset, support_size: int,
     """Query logits and labels of the noise-free predictor decoded from a
     seeded support set."""
     sup, qry = split_support_query(task, support_size, rng)
-    artifacts, _, message = encode(params, cfg, task.features[sup], task.labels[sup])
+    artifacts, _, _ = encode(params, cfg, task.features[sup], task.labels[sup])
+    message = artifacts.message
     gamma = decode_gamma(params, cfg, task.features[sup], task.labels[sup],
-                         artifacts.indices, None if message is None else message.data)
-    return (downstream_logits(gamma, artifacts.mlp3_shapes, task.features[qry])[0],
+                         artifacts.indices, None if message is None else message[None])
+    return (downstream_logits(gamma, cfg.mlp3_shapes, task.features[qry])[0],
             task.labels[qry])
 
 
@@ -161,9 +168,9 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
                                            rng.split(2, epoch, int(task_pos), 0))
             eps = rng.split(2, epoch, int(task_pos), 1).normal(cfg.b)
             try:
-                gamma, artifacts = hypernet_forward(params, cfg, task.features[sup],
-                                                    task.labels[sup], eps=eps)
-                logits = downstream_forward(gamma, artifacts.mlp3_shapes,
+                gamma, _ = hypernet_forward(params, cfg, task.features[sup],
+                                            task.labels[sup], eps=eps)
+                logits = downstream_forward(gamma, cfg.mlp3_shapes,
                                             ad.constant(task.features[qry]))
             except ad.NonFiniteError as exc:
                 raise TrainingDivergedError(
@@ -203,7 +210,7 @@ def _complement_logits(params, cfg, task: TaskDataset, artifacts: CompressionArt
     comp = np.delete(np.arange(len(task)), artifacts.indices)
     gammas = decode_gamma(params, cfg, task.features, task.labels,
                           artifacts.indices, messages)
-    return (downstream_logits(gammas, artifacts.mlp3_shapes, task.features[comp]),
+    return (downstream_logits(gammas, cfg.mlp3_shapes, task.features[comp]),
             task.labels[comp])
 
 
@@ -226,11 +233,11 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
     This is the standalone estimator: ``certify_task`` decodes the same draws
     within its one stacked decode and gets the same bits.
     """
-    if artifacts.gaussian_mean is None:
+    if not cfg.has_gaussian_message:
         raise ValueError("mc_expected_loss needs a Gaussian message bottleneck")
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    messages = artifacts.gaussian_mean + rng.normal((n_mc, cfg.b))
+    messages = artifacts.message + rng.normal((n_mc, cfg.b))
     return _mean_stderr(ad.row_losses(
         *_complement_logits(params, cfg, task, artifacts, messages), loss_kind))
 
@@ -259,14 +266,14 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     if cfg.has_gaussian_message and n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     params = _constants(params)
-    artifacts, _, message = encode(params, cfg, task.features, task.labels)
-    messages = None if message is None else message.data
-    sampled_message = artifacts.binary_message
+    artifacts, _, _ = encode(params, cfg, task.features, task.labels)
+    sigma = artifacts.message
+    messages = None if sigma is None else sigma[None]
+    sampled_message = sigma if cfg.has_binary_message else None
     if cfg.has_gaussian_message:
-        mu = artifacts.gaussian_mean
-        stack = [messages, mu + rng.split(1).normal((n_mc, cfg.b))]
+        stack = [messages, sigma + rng.split(1).normal((n_mc, cfg.b))]
         if cfg.architecture == "PBSCH":
-            sampled_message = mu + rng.split(2).normal(cfg.b)
+            sampled_message = sigma + rng.split(2).normal(cfg.b)
             stack.append(sampled_message[None])
         messages = np.concatenate(stack)
     logits, labels = _complement_logits(params, cfg, task, artifacts, messages)
@@ -275,31 +282,26 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     emp_01 = K / (m - c_eff)
     emp_lin = ad.linear_loss(logits[0], labels)
 
-    entries: list[CertEntry] = []
+    # one budget per task; its certificates differ only in the empirical loss
+    mu_sq = float(sigma @ sigma) if cfg.has_gaussian_message else 0.0
+    budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, mu_norm_sq=mu_sq)
+
+    def entry(bound, emp_loss: float, emp_loss_kind: str, mc_stderr=None) -> CertEntry:
+        return CertEntry(bound(replace(budget, emp_loss=emp_loss)), emp_loss,
+                         emp_loss_kind, mc_stderr)
+
     if not cfg.has_gaussian_message:
-        budget01 = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_01)
-        entries.append(CertEntry("SCH_BINARY", bounds.bound_sch_binary(budget01, K),
-                                 emp_01, "zero_one", None))
-        budget_lin = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_lin)
-        entries.append(CertEntry("SCH_REAL", bounds.bound_sch_real(budget_lin),
-                                 emp_lin, "linear", None))
+        entries = [entry(lambda b: bounds.bound_sch_binary(b, K), emp_01, "zero_one"),
+                   entry(bounds.bound_sch_real, emp_lin, "linear")]
     else:
-        mu_sq = float(mu @ mu)
         losses = ad.row_losses(logits[1:], labels, loss_kind)
         mc_mean, mc_se = _mean_stderr(losses[:n_mc])
-        budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=mc_mean,
-                                    mu_norm_sq=mu_sq)
-        kind, bound = (("PB", bounds.bound_pb) if cfg.architecture == "PBH"
-                       else ("PBSCH", bounds.bound_pbsch))
-        entries.append(CertEntry(kind, bound(budget), mc_mean, loss_kind, mc_se))
+        bound = bounds.bound_pb if cfg.architecture == "PBH" else bounds.bound_pbsch
+        entries = [entry(bound, mc_mean, loss_kind, mc_se)]
         if cfg.architecture == "PBSCH":
             # disintegrated variant: the one sampled message, the last row
-            emp_star = float(losses[n_mc])
-            budget_star = bounds.BoundBudget(m, c_eff, cfg.b, delta, emp_loss=emp_star,
-                                             mu_norm_sq=mu_sq)
-            entries.append(CertEntry("PBSCH_DISINTEGRATED",
-                                     bounds.bound_pbsch_disintegrated(budget_star),
-                                     emp_star, loss_kind, None))
+            entries.append(entry(bounds.bound_pbsch_disintegrated, float(losses[n_mc]),
+                                 loss_kind))
 
     # plain support/query test error, for table parity with meta-test usage
     test_query_error = ad.zero_one_loss(*_query_logits(params, cfg, task, m // 2,
@@ -340,7 +342,7 @@ DEFAULT_GRID = {
 
 
 def sweep(train_tasks, val_tasks, architecture: str, protocol: TrainProtocol,
-          rng: Rng, grid: dict | None = None, input_dim: int = 2,
+          rng: Rng, grid: dict | None = None,
           log_fn=None) -> tuple[SweepRow | None, list[SweepRow]]:
     """Train every valid grid point; select by validation error.
 
@@ -353,8 +355,7 @@ def sweep(train_tasks, val_tasks, architecture: str, protocol: TrainProtocol,
     for point, (lr, mlp1, mlp2, mlp3, c, b) in enumerate(itertools.product(*axes), start=1):
         mlp1, mlp2, mlp3 = tuple(mlp1), tuple(mlp2), tuple(mlp3)
         try:
-            cfg = HypernetConfig(architecture, c=c, b=b, input_dim=input_dim,
-                                 mlp1=mlp1, mlp2=mlp2, mlp3=mlp3)
+            cfg = HypernetConfig(architecture, c=c, b=b, mlp1=mlp1, mlp2=mlp2, mlp3=mlp3)
         except ValueError as exc:
             rows.append(SweepRow(lr, mlp1, mlp2, mlp3, c, b, None, None, skipped=str(exc)))
             if log_fn:

@@ -10,6 +10,9 @@ import numpy as np
 from .autodiff import Tensor
 from .rng import Rng
 
+# Adam's moment decays and denominator floor: the usual defaults, fixed
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def kaiming_uniform_init(shape, fan_in: int, rng: Rng) -> Tensor:
     """I.i.d. uniform on [-sqrt(6/fan_in), +sqrt(6/fan_in)].
@@ -30,16 +33,15 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
+def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """One bias-corrected Adam update of one tensor; mutates ``state``, returns
     the new value.  ``Adam.step`` matches it bit for bit on every tensor."""
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
@@ -55,13 +57,9 @@ class Adam:
     ``p.data`` rebound since the last step is copied into its segment first.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         size = sum(p.data.size for p in params.values())
         self._value, self._grad = np.empty(size), np.empty(size)
         self._m, self._v = np.zeros(size), np.zeros(size)
@@ -102,18 +100,17 @@ class Adam:
     def _update(self, seg: slice, t: int) -> None:
         """``adam_step`` in place on one segment: the same float operations
         in the same order, so the same bits."""
-        b1, b2 = self.beta1, self.beta2
         g, m, v = self._grad[seg], self._m[seg], self._v[seg]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        g2 = (1.0 - b2) * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        g2 = (1.0 - BETA2) * g
         g2 *= g
         v += g2
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
         np.sqrt(v_hat, out=v_hat)
-        v_hat += self.eps
+        v_hat += EPS
         m_hat *= self.lr
         m_hat /= v_hat
         self._value[seg] -= m_hat

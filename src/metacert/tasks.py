@@ -34,8 +34,19 @@ class MoonsEnvironmentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.examples_per_task % 2 != 0:
-            raise ValueError("examples_per_task must be even (balanced classes, equal split)")
+        # each check is written so that NaN fails it
+        for name in ("n_train_tasks", "n_test_tasks"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (self.examples_per_task >= 2 and self.examples_per_task % 2 == 0):
+            raise ValueError(f"examples_per_task must be even and >= 2 (balanced classes, "
+                             f"equal split), got {self.examples_per_task}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        for name in ("rotation_range", "center_range", "scale_range"):
+            low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+                raise ValueError(f"{name} must be finite with low <= high, got {low},{high}")
         if self.scale_range[0] <= 0.0:
             raise ValueError("scale range must be positive")
 

@@ -250,7 +250,7 @@ def _violations_for_model(spec, cfg, params, task_ids, delta, rng):
                 draws = []
                 draw_rng = rng.split(tid, 1)
                 for _ in range(100):
-                    omega = artifacts.gaussian_mean + draw_rng.normal(cfg.b)
+                    omega = artifacts.message + draw_rng.normal(cfg.b)
                     draws.append(_gamma_loss(params, cfg, task, row.indices, omega,
                                              fresh_x, fresh_y, entry.emp_loss_kind))
                 fresh = float(np.mean(draws))
@@ -389,7 +389,7 @@ def test_criterion_gradient_integrity():
         def loss_value():
             gamma, art = hypernet_forward(params, cfg, sup_x, sup_y, eps=eps,
                                           soft=True)
-            logits = downstream_forward(gamma, art.mlp3_shapes, ad.constant(qry_x))
+            logits = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(qry_x))
             return ad.binary_cross_entropy(logits, qry_y)
 
         loss_value().backward()

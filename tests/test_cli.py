@@ -186,6 +186,24 @@ class TestPipeline:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen", "n_test_tasks", "-1"), ("gen", "noise_sigma", "-1"),
+        ("gen", "scale_range", "nan,1"), ("gen", "rotation_range", "0,inf"),
+        ("gen", "examples_per_task", "-2"),
+        ("train", "attention_dim", "0"), ("train", "mlp1", "0"), ("train", "mlp3", "0"),
+        ("train", "mlp2", "-3"), ("train", "learning_rate", "-1"),
+        ("train", "learning_rate", "nan")])
+    def test_invalid_setting_names_the_field(self, tmp_path, capsys, command, key, value):
+        # each was an unrelated numpy error, or a silent 0-task / gradient-ascent run
+        text = MICRO_CONFIG.replace(f"\n{key} = ", f"\n# {key} = ") + f"{key} = {value}\n"
+        cfg = write_config(tmp_path, text)
+        if command == "train":
+            assert main(["gen", "--config", str(cfg)]) == 0
+            capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {key} ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command, split", [("train", "train"), ("certify", "test")])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_the_task(self, tmp_path, capsys, command, split, cell):
@@ -381,6 +399,25 @@ class TestBoundCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert rows[-1]["term"] == "compression_set_cost"
+
+    @pytest.mark.parametrize("argv", [
+        ["catoni", "--m", "100"],
+        ["linear", "--m", "100"],
+        ["kl", "--q", "0.1", "--p", "0.3"],
+        ["kl-inverse", "--q", "0.1", "--budget", "0.3"],
+        ["log-binomial", "--m", "10", "--c", "3"],
+        ["binomial-tail", "--m", "100", "--errors", "3"],
+        ["gaussian-kl", "--mu", "1,2"],
+        ["renyi", "--mu", "1,2"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_without_breakdown_is_usage_error(self, tmp_path, capsys, argv):
+        # these kinds have no breakdown: --csv used to be ignored, exit 0, no file
+        path = tmp_path / "out.csv"
+        assert main(["bound", *argv, "--csv", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "--csv" in err and argv[0] in err
+        assert not path.exists()
 
 
 class TestCompareBoundsCommand:

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def assert_forward_permutation_invariant(monkeypatch, cfg, task, perm):
     _, a1 = hypernet_forward(params, cfg, x, y)
     _, a2 = hypernet_forward(params, cfg, x[perm], y[perm])
     if cfg.has_binary_message:
-        assert np.array_equal(a1.binary_message, a2.binary_message)
+        assert np.array_equal(a1.message, a2.message)
     assert len(rows) == 2 and np.array_equal(rows[0], rows[1])
     assert sorted(a1.indices) == sorted(int(perm[i]) for i in a2.indices)
 
@@ -79,6 +80,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             HypernetConfig("NOPE", c=0, b=1)
         HypernetConfig("PBSCH", c=0, b=4)  # degenerate compression is legal
+
+    @pytest.mark.parametrize("field, value", [
+        ("attention_dim", 0), ("attention_dim", -1), ("input_dim", 0), ("deepset_dim", 0),
+        ("mlp1", (0,)), ("mlp2", (-3,)), ("mlp3", (0,)), ("mlp3", (5, 0)),
+        ("mlp1", (float("nan"),))])
+    def test_sizes_below_one_rejected(self, field, value):
+        # each used to fail later: division by zero, fan_in, reshape, negative dims
+        with pytest.raises(ValueError, match=f"^{field}"):
+            HypernetConfig("SCH_PLUS", c=2, b=3, **{**SMALL, field: value})
+
+    def test_empty_mlp_is_legal(self):
+        cfg = HypernetConfig("SCH_PLUS", c=2, b=3, **{**SMALL, "mlp1": (), "mlp3": ()})
+        assert cfg.mlp1 == () and cfg.mlp3_shapes == ((2, 1),)
 
 
 class TestDeepSet:
@@ -275,7 +289,7 @@ class TestReconstructor:
         rows = ad.constant(Rng(0).normal((2, 3)))
         msg = ad.constant(Rng(1).normal((1, 3)))
         gamma = reconstruct(params, cfg, rows, msg)
-        shapes = downstream_shapes(cfg.input_dim, cfg.mlp3)
+        shapes = cfg.mlp3_shapes
         assert gamma.data.shape == (1, downstream_param_count(shapes))
         assert downstream_param_count(shapes) == sum((a + 1) * b for a, b in shapes)
 
@@ -313,8 +327,7 @@ class TestReconstructor:
         params = params_for(cfg)
         assert "recon.const" in params
         gamma = reconstruct(params, cfg, None, ad.constant(np.zeros((1, 3))))
-        assert gamma.data.shape[1] == downstream_param_count(
-            downstream_shapes(cfg.input_dim, cfg.mlp3))
+        assert gamma.data.shape[1] == downstream_param_count(cfg.mlp3_shapes)
 
 
 class TestDownstream:
@@ -355,8 +368,8 @@ class TestBatchedDecode:
             collided |= art.c_effective < c
             eps = Rng(seed).normal((6, b))
             gammas = decode_gamma(params, cfg, task.features, task.labels,
-                                  art.indices, art.gaussian_mean + eps)
-            assert gammas.shape == (6, downstream_param_count(art.mlp3_shapes))
+                                  art.indices, art.message + eps)
+            assert gammas.shape == (6, downstream_param_count(cfg.mlp3_shapes))
             for i in range(6):
                 gamma, _ = hypernet_forward(params, cfg, task.features, task.labels,
                                             eps=eps[i])
@@ -372,7 +385,7 @@ class TestBatchedDecode:
             task = small_task(m=30, seed=seed)
             gamma, art = hypernet_forward(params, cfg, task.features, task.labels)
             collided |= art.c_effective < 3
-            message = None if art.binary_message is None else art.binary_message[None]
+            message = None if art.message is None else art.message[None]
             gammas = decode_gamma(params, cfg, task.features, task.labels,
                                   art.indices, message)
             assert gammas.shape == (1, gamma.data.size)
@@ -387,11 +400,11 @@ class TestBatchedDecode:
         _, art = hypernet_forward(params, cfg, task.features, task.labels,
                                   eps=np.zeros(3))
         gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                              art.gaussian_mean + Rng(3).normal((4, 3)))
-        logits = downstream_logits(gammas, art.mlp3_shapes, task.features)
+                              art.message + Rng(3).normal((4, 3)))
+        logits = downstream_logits(gammas, cfg.mlp3_shapes, task.features)
         assert logits.shape == (4, len(task))
         for i in range(4):
-            ref = downstream_forward(ad.constant(gammas[i:i + 1]), art.mlp3_shapes,
+            ref = downstream_forward(ad.constant(gammas[i:i + 1]), cfg.mlp3_shapes,
                                      ad.constant(task.features))
             assert np.array_equal(logits[i], ref.data[:, 0]), i
 
@@ -433,13 +446,15 @@ class TestForwardAndArtifacts:
                                           eps=Rng(77).normal(b))
             assert len(art.indices) <= c
             assert all(0 <= i < len(task) for i in art.indices)
+            # the bottleneck record is (J, sigma) and nothing else
+            assert [f.name for f in fields(art)] == ["indices", "message"]
             if arch == "SCH_MINUS":
-                assert art.binary_message is None and art.gaussian_mean is None
+                assert art.message is None
             elif arch == "SCH_PLUS":
-                assert art.binary_message is not None and art.gaussian_mean is None
-            else:
-                assert art.gaussian_mean is not None and art.binary_message is None
-            assert gamma.data.shape == (1, downstream_param_count(art.mlp3_shapes))
+                assert art.message.shape == (b,) and set(art.message) <= {-1.0, 1.0}
+            else:  # the posterior mean mu = tanh(.)
+                assert art.message.shape == (b,) and np.all(np.abs(art.message) < 1.0)
+            assert gamma.data.shape == (1, downstream_param_count(cfg.mlp3_shapes))
 
     def test_pbh_zero_eps_equals_deterministic_decode(self):
         cfg = small_config("PBH", c=0, b=4)
@@ -448,7 +463,7 @@ class TestForwardAndArtifacts:
         g1, art = hypernet_forward(params, cfg, task.features, task.labels,
                                    eps=np.zeros(4))
         g2 = decode_gamma(params, cfg, task.features, task.labels, (),
-                          art.gaussian_mean[None])
+                          art.message[None])
         assert np.array_equal(g1.data[0], g2[0])
 
     def test_same_rng_seed_reproduces_gamma(self):
@@ -487,7 +502,7 @@ class TestForwardAndArtifacts:
         other_x[list(art.indices)] = task.features[list(art.indices)]
         other_y[list(art.indices)] = task.labels[list(art.indices)]
         g2 = decode_gamma(params, cfg, other_x, other_y, art.indices,
-                          art.binary_message[None])
+                          art.message[None])
         assert np.array_equal(gamma.data[0], g2[0])
 
     def test_decode_matches_forward_for_sch(self):
@@ -516,10 +531,8 @@ class TestForwardAndArtifacts:
                                       eps=Rng(7).normal(b))
             assert calls == [len(task)], arch
             calls.clear()
-            message = (art.binary_message if art.gaussian_mean is None
-                       else art.gaussian_mean)
             decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                         None if message is None else message[None])
+                         None if art.message is None else art.message[None])
             assert calls == ([art.c_effective] if c > 0 else []), arch
 
     def test_mlp_forward_builds_one_tensor_per_layer(self, monkeypatch):
@@ -554,18 +567,13 @@ class TestForwardAndArtifacts:
         task = small_task()
         _, art = hypernet_forward(params, cfg, task.features, task.labels,
                                   eps=np.zeros(8))
-        assert 0.5 * float(art.gaussian_mean @ art.gaussian_mean) <= cfg.b / 2
+        assert 0.5 * float(art.message @ art.message) <= cfg.b / 2
 
 
 class TestArtifactValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            CompressionArtifacts((1, 1), None, None, downstream_shapes(2, (5,)))
-
-    def test_double_message_rejected(self):
-        with pytest.raises(ValueError):
-            CompressionArtifacts((0,), np.ones(2), np.ones(2),
-                                 downstream_shapes(2, (5,)))
+            CompressionArtifacts((1, 1), None)
 
 
 class TestCheckpoint:

@@ -126,6 +126,12 @@ class TestMetaTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             meta_train(meta.train, meta.val, cfg, protocol, Rng(5))
 
+    @pytest.mark.parametrize("lr", [-1.0, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_non_negative(self, lr):
+        # -1 used to train by gradient ascent and exit 0
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainProtocol(support_size=20, learning_rate=lr)
+
     def test_needs_tasks(self):
         meta = micro_meta()
         cfg = HypernetConfig("SCH_MINUS", c=2, b=0, **SMALL)
@@ -153,7 +159,7 @@ class TestMcExpectedLoss:
         comp = np.setdiff1d(np.arange(len(self.task)), self.artifacts.indices)
         gamma, _ = hypernet_forward(self.params, self.cfg, self.task.features,
                                     self.task.labels, eps=eps)
-        logits = downstream_forward(gamma, self.artifacts.mlp3_shapes,
+        logits = downstream_forward(gamma, self.cfg.mlp3_shapes,
                                     ad.constant(self.task.features[comp]))
         assert mean == ad.zero_one_loss(logits.data, self.task.labels[comp])
         assert stderr == 0.0
@@ -174,7 +180,7 @@ class TestMcExpectedLoss:
         for _ in range(n_mc):
             gamma, _ = hypernet_forward(params, cfg, self.task.features,
                                         self.task.labels, eps=rng.normal(cfg.b))
-            logits = downstream_forward(gamma, art.mlp3_shapes,
+            logits = downstream_forward(gamma, cfg.mlp3_shapes,
                                         ad.constant(self.task.features[comp]))
             draws.append(loss(logits.data, self.task.labels[comp]))
         draws = np.array(draws)
@@ -205,7 +211,7 @@ class TestMcExpectedLoss:
         comp = np.setdiff1d(np.arange(len(self.task)), self.artifacts.indices)
         gamma, _ = hypernet_forward(self.params, self.cfg, self.task.features,
                                     self.task.labels, eps=np.zeros(self.cfg.b))
-        logits = downstream_forward(gamma, self.artifacts.mlp3_shapes,
+        logits = downstream_forward(gamma, self.cfg.mlp3_shapes,
                                     ad.constant(self.task.features[comp]))
         assert mean == ad.linear_loss(logits.data, self.task.labels[comp])
 
@@ -325,7 +331,7 @@ class TestForwardOnlyEvaluation:
             gamma, art = hypernet_forward(params, cfg, task.features, task.labels, eps=eps)
             collided |= art.c_effective < c
             comp = np.setdiff1d(np.arange(len(task)), art.indices)
-            ref = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features))
+            ref = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features))
             art2, _, message = encode(frozen, cfg, task.features, task.labels)
             assert art2.indices == art.indices
             logits, labels = metalearn._complement_logits(
@@ -336,7 +342,7 @@ class TestForwardOnlyEvaluation:
             sup, qry = split_support_query(task, 17, Rng(seed))
             gamma, art = hypernet_forward(params, cfg, task.features[sup],
                                           task.labels[sup], eps=eps)
-            ref = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[qry]))
+            ref = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features[qry]))
             logits, labels = metalearn._query_logits(frozen, cfg, task, 17, Rng(seed))
             assert np.array_equal(logits, ref.data[:, 0]), seed
             assert np.array_equal(labels, task.labels[qry])
@@ -400,7 +406,7 @@ class TestStackedCertification:
             assert row.emp_complement_linear == ad.linear_loss(logits[0], labels)
 
             if arch == "PBSCH":
-                omega = art.gaussian_mean + rng.split(2).normal(cfg.b)
+                omega = art.message + rng.split(2).normal(cfg.b)
                 logits, labels = metalearn._complement_logits(frozen, cfg, task, art,
                                                               omega[None])
                 star = row.certificates[1]

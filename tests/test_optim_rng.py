@@ -74,7 +74,7 @@ class TestAdam:
         opt = Adam(params, lr=1e-2)
         gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20])
         assert art.c_effective == 1
-        logits = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[20:]))
+        logits = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features[20:]))
         ad.binary_cross_entropy(logits, task.labels[20:]).backward()
         opt.step()
         for kind in ("w0", "b0"):
@@ -124,7 +124,7 @@ class TestAdam:
         gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20],
                                       eps=Rng(2).normal(cfg.b))
         assert art.c_effective == 2
-        logits = downstream_forward(gamma, art.mlp3_shapes, ad.constant(task.features[20:]))
+        logits = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features[20:]))
         loss = ad.binary_cross_entropy(logits, task.labels[20:])
         loss.backward()
         nodes, stack = {}, [loss]

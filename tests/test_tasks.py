@@ -80,6 +80,16 @@ class TestGeneration:
         with pytest.raises(ValueError):
             canonical_spec(examples_per_task=41)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_train_tasks", -1), ("n_test_tasks", -1), ("examples_per_task", -2),
+        ("examples_per_task", 0),
+        ("noise_sigma", -1.0), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+        ("scale_range", (math.nan, 1.0)), ("rotation_range", (0.0, math.inf)),
+        ("center_range", (1.0, -1.0)), ("center_range", (-math.inf, 0.0))])
+    def test_invalid_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            MoonsEnvironmentSpec(**{field: value})
+
     def test_linear_probe_fails_but_small_mlp_separates(self):
         # noiseless canonical moons: not linearly separable, but a width-5
         # one-hidden-layer MLP drives the training error to zero
