@@ -245,6 +245,12 @@ def _budget(args) -> bounds.BoundBudget:
                               args.mu_norm_sq, args.log_prior_j)
 
 
+def _bound_pb(args) -> bounds.Certificate:
+    if args.log_prior_j is not None:
+        raise ConfigError("--log-prior-j prices a compression set; bound pb has none")
+    return bounds.bound_pb(_budget(args))
+
+
 def _log_prior_j(args) -> float:
     """--log-prior-j, defaulting as ``BoundBudget`` does to -ln C(m, c)."""
     budget = bounds.BoundBudget(_required(args, "m"), args.c, log_prior_j=args.log_prior_j)
@@ -254,7 +260,7 @@ def _log_prior_j(args) -> float:
 # kind -> calculator of the parsed `bound` arguments, in the order usage lists
 # them.  A calculator returns a Certificate, a (comparator, tau*) pair or a number.
 BOUND_KINDS = {
-    "pb": lambda a: bounds.bound_pb(_budget(a)),
+    "pb": _bound_pb,
     "sch-binary": lambda a: bounds.bound_sch_binary(_budget(a), _required(a, "errors")),
     "sch-real": lambda a: bounds.bound_sch_real(_budget(a)),
     "pbsch": lambda a: bounds.bound_pbsch(_budget(a)),

@@ -19,14 +19,14 @@ Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
 is therefore exactly permutation invariant, bit for bit.
 
 Tasks arrive at wildly different locations and scales, and the networks use
-no batch normalization, so each set-consuming module standardizes its own
-input view: the compressor and message networks standardize the support
-features they receive, and the reconstructor standardizes the compression
-rows by the rows' own statistics, folding the inverse affine map into the
-first downstream layer it emits.  Every statistic is a function of the
-module's own legitimate input (the full support set for the compressors, the
-compression rows alone for the reconstructor), so the information-bottleneck
-separation is preserved exactly.
+no batch normalization, so every set is standardized by its own statistics:
+``encode`` standardizes the input set once for the compressor and message
+head, and the reconstructor standardizes its own rows, the compression rows,
+folding the inverse affine map into the first downstream layer it emits.
+Every statistic is a function of the module's own legitimate input (the full
+input set for the compressor and message head, the compression rows alone
+for the reconstructor), so the information-bottleneck separation is
+preserved exactly.
 """
 
 from __future__ import annotations
@@ -196,19 +196,13 @@ def set_statistics(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(std, floor)
 
 
-def _standardize(features: Tensor, mean: np.ndarray, std: np.ndarray) -> Tensor:
-    m = features.data.shape[0]
-    centered = ad.sub(features, ad.constant(np.tile(mean, (m, 1))))
-    return ad.mul_elem(centered, np.tile(1.0 / std, (m, 1)))
-
-
 def _standardized_input(features: Tensor) -> Tensor:
     """The input set standardized by its own statistics, as a constant.
 
     The input set carries no gradient, so the map is applied in numpy, with
-    the same arithmetic as ``_standardize``.  On a canonically ordered set
-    the statistics are exactly permutation invariant, float summation order
-    included.
+    the same per-element arithmetic as ``_encode_rows``.  On a canonically
+    ordered set the statistics are exactly permutation invariant, float
+    summation order included.
     """
     mean, std = set_statistics(features.data)
     return ad.constant((features.data - mean) * (1.0 / std))
@@ -240,44 +234,48 @@ def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
     return ad.mul_scalar(ad.transpose(pooled), 1.0 / m)     # (1, d')
 
 
-def pb_encode(params: dict[str, Tensor], features: Tensor, labels: Tensor) -> Tensor:
+def pb_encode(params: dict[str, Tensor], xs_std: Tensor, labels: Tensor) -> Tensor:
     """Gaussian posterior mean mu = tanh(trunk(deepset(S))), each entry in (-1, 1).
 
-    ``features`` and ``labels`` form a canonically ordered set.
+    ``xs_std`` and ``labels`` form a canonically ordered set whose features
+    ``encode`` has standardized (``_standardized_input``).
     """
-    z = deepset_embed(params, "message.deepset", _standardized_input(features), labels)
+    z = deepset_embed(params, "message.deepset", xs_std, labels)
     return ad.tanh(mlp_forward(params, "message.trunk", z))
 
 
-def msg_compress(params: dict[str, Tensor], features: Tensor, labels: Tensor,
+def msg_compress(params: dict[str, Tensor], xs_std: Tensor, labels: Tensor,
                  soft: bool = False) -> Tensor:
     """Binary message in {-1, +1}^b; straight-through sign on the same trunk.
 
-    ``features`` and ``labels`` form a canonically ordered set.
+    ``xs_std`` and ``labels`` form a canonically ordered set whose features
+    ``encode`` has standardized (``_standardized_input``).
     """
-    z = deepset_embed(params, "message.deepset", _standardized_input(features), labels)
+    z = deepset_embed(params, "message.deepset", xs_std, labels)
     return ad.sign_st(mlp_forward(params, "message.trunk", z), soft=soft)
 
 
-def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, features: Tensor,
-                    labels: Tensor, soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
+def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, xs_std: Tensor,
+                    labels: Tensor, values: np.ndarray,
+                    soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
     """Select ``cfg.c`` rows with independent scaled dot-product attention heads.
 
-    ``features`` and ``labels`` form a canonically ordered set.  Queries are
-    per-head projections of the set embedding, keys come from a shared
-    feedforward network over the (standardized) features, and the values
-    are the raw (feature, label) rows themselves.  Each head
-    contributes its argmax row through a straight-through selection; heads
-    may agree, in which case the duplicate rows are dropped so the output
-    depends on the distinct selected set only.
+    ``xs_std`` and ``labels`` form a canonically ordered set whose features
+    ``encode`` has standardized (``_standardized_input``); ``values`` holds
+    the same set's raw ``(features | label)`` rows, in the same order.
+    Queries are per-head projections of the set embedding, keys come from a
+    shared feedforward network over the standardized features, and the
+    values are the raw rows themselves.  Each head contributes its argmax
+    row through a straight-through selection; heads may agree, in which
+    case the duplicate rows are dropped so the output depends on the
+    distinct selected set only.
 
     Returns (distinct selected indices in the input's coordinates, ascending;
     selected rows, one per distinct index, in that order).
     """
-    m = features.data.shape[0]
+    m = xs_std.data.shape[0]
     if cfg.c > m:
         raise ValueError(f"compression size {cfg.c} exceeds set size {m}")
-    xs_std = _standardized_input(features)
     keys = mlp_forward(params, "compressor.keys", xs_std)
     z = deepset_embed(params, "compressor.deepset", xs_std, labels)
     heads = [(params[f"compressor.query{h}.w0"], params[f"compressor.query{h}.b0"])
@@ -285,8 +283,7 @@ def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, features: Te
     # ascending positions of a canonically ordered set: the rows come out in
     # canonical content order, so they are permutation invariant too (the
     # soft twin's mixture rows come one per head, with no deduplication)
-    return ad.attention_select(z, keys, heads,
-                               np.concatenate([features.data, labels.data], axis=1),
+    return ad.attention_select(z, keys, heads, values,
                                1.0 / math.sqrt(cfg.attention_dim), soft=soft)
 
 
@@ -298,6 +295,11 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
     by their own statistics, and those statistics as (1, d) rows: the mean
     and the inverse scale.  With no rows (c = 0) the embedding is the learned
     constant ``recon.const`` and there are no statistics.
+
+    Both branches centre and scale with the same ``sub``/``mul`` pair, the
+    statistics broadcast to every row by ``ones_col @ .``, which copies a row
+    exactly.  The soft twin computes the statistics with graph ops; the
+    production ones are ``set_statistics`` constants.
     """
     if rows is None:
         return params["recon.const"], None, None
@@ -305,21 +307,22 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
     feats = ad.slice_cols(rows, 0, d)
     labs = ad.slice_cols(rows, d, d + 1)
     n = feats.data.shape[0]
+    ones_col = ad.constant(np.ones((n, 1)))
+    if soft:
+        row_mean = ad.constant(np.full((1, n), 1.0 / n))
+        mu = ad.matmul(row_mean, feats)                              # (1, d)
+    else:
+        mean, std = set_statistics(feats.data)
+        mu = ad.constant(mean.reshape(1, -1))
+    centered = ad.sub(feats, ad.matmul(ones_col, mu))
     if soft:
         # differentiable statistics; scale = sqrt(var + floor^2) smooths the floor
-        row_mean = ad.constant(np.full((1, n), 1.0 / n))
-        ones_col = ad.constant(np.ones((n, 1)))
-        mu = ad.matmul(row_mean, feats)                              # (1, d)
-        centered = ad.sub(feats, ad.matmul(ones_col, mu))
         var = ad.matmul(row_mean, ad.mul(centered, centered))
         inv_scale = ad.power_scalar(
             ad.add(var, ad.constant(np.full((1, d), _STD_FLOOR_ABS ** 2))), -0.5)
-        feats_std = ad.mul(centered, ad.matmul(ones_col, inv_scale))
     else:
-        mean_np, std_np = set_statistics(feats.data)
-        mu = ad.constant(mean_np.reshape(1, -1))
-        inv_scale = ad.constant((1.0 / std_np).reshape(1, -1))
-        feats_std = _standardize(feats, mean_np, std_np)
+        inv_scale = ad.constant((1.0 / std).reshape(1, -1))
+    feats_std = ad.mul(centered, ad.matmul(ones_col, inv_scale))
     return deepset_embed(params, "recon.deepset", feats_std, labs), mu, inv_scale
 
 
@@ -357,13 +360,13 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     # Fold x -> (x - mu)/scale into the first downstream layer: with W~, b~
     # emitted for standardized inputs, W1 = diag(1/scale) W~ and
     # b1 = b~ - (mu/scale) W~ give the identical predictor on raw features.
-    fan_in, fan_out = cfg.mlp3_shapes[0]
-    w_tilde = ad.reshape(ad.slice_cols(raw, 0, fan_in * fan_out), (fan_in, fan_out))
-    b_tilde = ad.slice_cols(raw, fan_in * fan_out, fan_in * fan_out + fan_out)
+    fan_in, fan_out, w_start, b_start, stop = gamma_layout(cfg.mlp3_shapes)[0]
+    w_tilde = ad.reshape(ad.slice_cols(raw, w_start, b_start), (fan_in, fan_out))
+    b_tilde = ad.slice_cols(raw, b_start, stop)
     w1 = ad.mul(w_tilde, ad.matmul(ad.transpose(inv_scale),
                                    ad.constant(np.ones((1, fan_out)))))
     b1 = ad.sub(b_tilde, ad.matmul(ad.mul(mu, inv_scale), w_tilde))
-    rest = ad.slice_cols(raw, fan_in * fan_out + fan_out, raw.data.shape[1])
+    rest = ad.slice_cols(raw, stop, raw.data.shape[1])
     return ad.concat([ad.reshape(w1, (1, fan_in * fan_out)), b1, rest], axis=1)
 
 
@@ -376,29 +379,39 @@ def downstream_shapes(input_dim: int, mlp3) -> tuple[tuple[int, int], ...]:
     return tuple(zip(sizes[:-1], sizes[1:]))
 
 
+def gamma_layout(shapes) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Where each downstream layer lives in gamma.
+
+    One ``(fan_in, fan_out, w_start, b_start, stop)`` row per layer, in
+    order: the layer's fan_in x fan_out weight block (row-major) fills
+    columns ``w_start:b_start`` and its fan_out biases ``b_start:stop``.
+    The last row's ``stop`` is the parameter count.
+    """
+    layout, start = [], 0
+    for fan_in, fan_out in shapes:
+        b_start = start + fan_in * fan_out
+        layout.append((fan_in, fan_out, start, b_start, b_start + fan_out))
+        start = b_start + fan_out
+    return tuple(layout)
+
+
 def downstream_param_count(shapes) -> int:
-    return sum(a * b + b for a, b in shapes)
+    return gamma_layout(shapes)[-1][-1]
 
 
 def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
-    """Evaluate the MLP whose weights are unpacked from ``gamma``.
+    """Evaluate the MLP whose weights ``gamma_layout`` unpacks from ``gamma``.
 
-    Layout per layer, in order: fan_in x fan_out weight block (row-major),
-    then fan_out biases.  Hidden activations are ReLU, output is one logit.
+    Hidden activations are ReLU, output is one logit.
     """
-    expected = downstream_param_count(shapes)
-    if gamma.data.shape != (1, expected):
+    layout = gamma_layout(shapes)
+    if gamma.data.shape != (1, layout[-1][-1]):
         raise ValueError(f"gamma shape {gamma.data.shape} does not match "
-                         f"{expected} downstream parameters")
+                         f"{layout[-1][-1]} downstream parameters")
     h = features
-    offset = 0
-    for layer, (fan_in, fan_out) in enumerate(shapes):
-        w = ad.reshape(ad.slice_cols(gamma, offset, offset + fan_in * fan_out),
-                       (fan_in, fan_out))
-        offset += fan_in * fan_out
-        bias = ad.slice_cols(gamma, offset, offset + fan_out)
-        offset += fan_out
-        h = ad.dense(h, w, bias, relu=layer < len(shapes) - 1)
+    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
+        w = ad.reshape(ad.slice_cols(gamma, w_start, b_start), (fan_in, fan_out))
+        h = ad.dense(h, w, ad.slice_cols(gamma, b_start, stop), relu=layer < len(layout) - 1)
     return h
 
 
@@ -412,20 +425,15 @@ def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.nd
     into the matmul's output, so each layer holds one ``(n, m, h)`` buffer;
     elementwise ops round the same in place, so the bits are unchanged.
     """
-    expected = downstream_param_count(shapes)
-    if gammas.ndim != 2 or gammas.shape[1] != expected:
+    layout = gamma_layout(shapes)
+    if gammas.ndim != 2 or gammas.shape[1] != layout[-1][-1]:
         raise ValueError(f"gamma rows of shape {gammas.shape} do not match "
-                         f"{expected} downstream parameters")
-    n = gammas.shape[0]
+                         f"{layout[-1][-1]} downstream parameters")
     h = features
-    offset = 0
-    for layer, (fan_in, fan_out) in enumerate(shapes):
-        w = gammas[:, offset:offset + fan_in * fan_out].reshape(n, fan_in, fan_out)
-        offset += fan_in * fan_out
-        h = h @ w
-        h += gammas[:, None, offset:offset + fan_out]
-        offset += fan_out
-        if layer < len(shapes) - 1:
+    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
+        h = h @ gammas[:, w_start:b_start].reshape(-1, fan_in, fan_out)
+        h += gammas[:, None, b_start:stop]
+        if layer < len(layout) - 1:
             np.maximum(h, 0.0, out=h)
     return h[:, :, 0]
 
@@ -446,17 +454,19 @@ def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     order = canonical_order(features, labels)
-    x_t = ad.constant(features[order])
-    y_t = ad.constant(labels[order])
+    x, y = features[order], labels[order]
+    xs_std = _standardized_input(ad.constant(x))
+    y_t = ad.constant(y)
     indices: tuple[int, ...] = ()
     rows = message = None
     if cfg.c > 0:
-        positions, rows = sample_compress(params, cfg, x_t, y_t, soft=soft)
+        positions, rows = sample_compress(params, cfg, xs_std, y_t,
+                                          np.concatenate([x, y], axis=1), soft=soft)
         indices = tuple(sorted(int(order[pos]) for pos in positions))
     if cfg.has_binary_message:
-        message = msg_compress(params, x_t, y_t, soft=soft)
+        message = msg_compress(params, xs_std, y_t, soft=soft)
     elif cfg.has_gaussian_message:
-        message = pb_encode(params, x_t, y_t)
+        message = pb_encode(params, xs_std, y_t)
     sigma = None if message is None else message.data.reshape(-1).copy()
     return CompressionArtifacts(indices, sigma), rows, message
 
@@ -521,12 +531,11 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
         return raw
     # the fold of ``reconstruct``, on every row at once
     mu, inv_scale = mu.data, inv_scale.data
-    fan_in, fan_out = cfg.mlp3_shapes[0]
-    n_w = fan_in * fan_out
-    w_tilde = raw[:, :n_w].reshape(-1, fan_in, fan_out)
+    fan_in, fan_out, w_start, b_start, stop = gamma_layout(cfg.mlp3_shapes)[0]
+    w_tilde = raw[:, w_start:b_start].reshape(-1, fan_in, fan_out)
     w1 = w_tilde * (inv_scale.T @ np.ones((1, fan_out)))
-    b1 = raw[:, n_w:n_w + fan_out] - ((mu * inv_scale) @ w_tilde)[:, 0, :]
-    return np.concatenate([w1.reshape(-1, n_w), b1, raw[:, n_w + fan_out:]], axis=1)
+    b1 = raw[:, b_start:stop] - ((mu * inv_scale) @ w_tilde)[:, 0, :]
+    return np.concatenate([w1.reshape(-1, fan_in * fan_out), b1, raw[:, stop:]], axis=1)
 
 
 # ---------------------------------------------------------------------------

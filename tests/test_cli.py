@@ -392,6 +392,14 @@ class TestBoundCommand:
         assert main(["bound", *argv, *explicit]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_pb_rejects_log_prior_j(self, capsys):
+        # PB has no compression set: the flag used to be ignored, exit 0
+        assert main(["bound", "pb", "--m", "400", "--emp-loss", "0.1",
+                     "--log-prior-j", "-3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "--log-prior-j" in err and "pb" in err
+
     def test_bound_csv_output(self, tmp_path, capsys):
         path = tmp_path / "bound.csv"
         main(["bound", "pb", "--m", "100", "--csv", str(path)])

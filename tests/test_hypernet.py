@@ -13,12 +13,13 @@ from metacert import hypernet
 from metacert.autodiff import Tensor
 from metacert.hypernet import (CompressionArtifacts, HypernetConfig,
                                canonical_order, decode_gamma, deepset_embed, downstream_forward,
+                               encode,
                                downstream_logits, downstream_param_count,
                                downstream_shapes,
                                hypernet_forward, init_hypernet_params,
                                load_checkpoint, mlp_forward, msg_compress,
                                pb_encode, reconstruct, sample_compress,
-                               save_checkpoint)
+                               save_checkpoint, set_statistics)
 from metacert.rng import Rng
 from metacert.tasks import MoonsEnvironmentSpec, gen_moons_task
 
@@ -37,6 +38,16 @@ def small_task(m=30, seed=5):
 
 def params_for(cfg, seed=1):
     return init_hypernet_params(cfg, Rng(seed).split(0))
+
+
+def std_set(features):
+    """A feature set standardized by its own statistics, as ``encode`` hands it on."""
+    return hypernet._standardized_input(ad.constant(features))
+
+
+def value_rows(x, y):
+    """The raw ``(features | label)`` rows the compressor selects from."""
+    return np.column_stack([x.data, y.data])
 
 
 def assert_forward_permutation_invariant(monkeypatch, cfg, task, perm):
@@ -131,7 +142,7 @@ class TestEncoders:
         cfg = small_config("PBSCH", c=2, b=5)
         params = params_for(cfg)
         task = small_task()
-        mu = pb_encode(params, ad.constant(task.features),
+        mu = pb_encode(params, std_set(task.features),
                        ad.constant(task.labels.reshape(-1, 1)))
         assert mu.data.shape == (1, 5)
         assert np.all(np.abs(mu.data) < 1.0)  # tanh range bounds the message cost
@@ -143,7 +154,7 @@ class TestEncoders:
             if name.startswith("message.trunk"):
                 t.data = np.zeros_like(t.data)
         task = small_task()
-        mu = pb_encode(params, ad.constant(task.features),
+        mu = pb_encode(params, std_set(task.features),
                        ad.constant(task.labels.reshape(-1, 1)))
         assert np.array_equal(mu.data, np.zeros((1, 4)))
 
@@ -151,7 +162,7 @@ class TestEncoders:
         cfg = small_config("SCH_PLUS", c=2, b=6)
         params = params_for(cfg)
         task = small_task()
-        omega = msg_compress(params, ad.constant(task.features),
+        omega = msg_compress(params, std_set(task.features),
                              ad.constant(task.labels.reshape(-1, 1)))
         assert set(np.unique(omega.data)) <= {-1.0, 1.0}
 
@@ -164,7 +175,7 @@ class TestEncoders:
         cfg = small_config("SCH_PLUS", c=2, b=4)
         params = params_for(cfg)
         task = small_task()
-        omega = msg_compress(params, ad.constant(task.features),
+        omega = msg_compress(params, std_set(task.features),
                              ad.constant(task.labels.reshape(-1, 1)))
         ad.mean(omega).backward()
         trunk_grads = [np.abs(t.grad).sum() for n, t in params.items()
@@ -178,7 +189,7 @@ class TestSampleCompressor:
         params = params_for(cfg)
         x = ad.constant(np.array([[0.3, -0.8]]))
         y = ad.constant(np.array([[1.0]]))
-        indices, rows = sample_compress(params, cfg, x, y)
+        indices, rows = sample_compress(params, cfg, std_set(x.data), y, value_rows(x, y))
         assert indices == (0,)
         assert np.array_equal(rows.data, [[0.3, -0.8, 1.0]])
 
@@ -199,7 +210,7 @@ class TestSampleCompressor:
         params["compressor.keys.w0"].data[0, :] = 10.0
         x = ad.constant(task.features)
         y = ad.constant(task.labels.reshape(-1, 1))
-        indices, _ = sample_compress(params, cfg, x, y)
+        indices, _ = sample_compress(params, cfg, std_set(x.data), y, value_rows(x, y))
         query = mlp_forward(params, "compressor.query0",
                             deepset_embed(params, "compressor.deepset",
                                           ad.constant(task.features), y))
@@ -210,8 +221,8 @@ class TestSampleCompressor:
         cfg = small_config("SCH_MINUS", c=5, b=0)
         params = params_for(cfg)
         with pytest.raises(ValueError):
-            sample_compress(params, cfg, ad.constant(np.zeros((3, 2))),
-                            ad.constant(np.ones((3, 1))))
+            x, y = ad.constant(np.zeros((3, 2))), ad.constant(np.ones((3, 1)))
+            sample_compress(params, cfg, std_set(x.data), y, value_rows(x, y))
 
 
 def per_head_select(params, cfg, z, keys, features, labels, soft=False):
@@ -343,6 +354,13 @@ class TestDownstream:
         gamma = ad.constant(np.array([[1.0, 2.0, 0.5]]))
         out = downstream_forward(gamma, shapes, ad.constant(np.array([[1.0, 1.0]])))
         assert out.data[0, 0] == pytest.approx(3.5, abs=1e-15)
+
+    def test_gamma_layout_tiles_gamma(self):
+        # (fan_in, fan_out, w_start, b_start, stop) per layer, back to back
+        shapes = downstream_shapes(2, (5, 3))
+        assert hypernet.gamma_layout(shapes) == (
+            (2, 5, 0, 10, 15), (5, 3, 15, 30, 33), (3, 1, 33, 36, 37))
+        assert downstream_param_count(shapes) == 37
 
     def test_gamma_length_mismatch_rejected(self):
         shapes = downstream_shapes(2, (5,))
@@ -529,6 +547,29 @@ class TestForwardAndArtifacts:
             calls.clear()
             _, art = hypernet_forward(params, cfg, task.features, task.labels,
                                       eps=Rng(7).normal(b))
+            assert calls == [len(task)], arch
+            calls.clear()
+            decode_gamma(params, cfg, task.features, task.labels, art.indices,
+                         None if art.message is None else art.message[None])
+            assert calls == ([art.c_effective] if c > 0 else []), arch
+
+    def test_set_statistics_runs_once_per_set(self, monkeypatch):
+        # encode standardizes the input set once for the compressor and the
+        # message head; decode_gamma standardizes the compression rows once
+        calls = []
+
+        def counting(features):
+            calls.append(len(features))
+            return set_statistics(features)
+
+        monkeypatch.setattr(hypernet, "set_statistics", counting)
+        task = small_task(m=24)
+        for arch, c, b in (("PBH", 0, 3), ("SCH_MINUS", 2, 0),
+                           ("SCH_PLUS", 2, 3), ("PBSCH", 2, 3)):
+            cfg = small_config(arch, c=c, b=b)
+            params = params_for(cfg)
+            calls.clear()
+            art, _, _ = encode(params, cfg, task.features, task.labels)
             assert calls == [len(task)], arch
             calls.clear()
             decode_gamma(params, cfg, task.features, task.labels, art.indices,
