@@ -7,7 +7,9 @@ the configured output directory, and rerunning a command reproduces its
 outputs byte for byte.  Exit codes: 0 success, 1 usage/config error,
 2 numeric failure (NaN inputs and non-finite task features included).
 ``PIPELINE_COMMANDS``, ``BOUND_KINDS`` and ``metalearn.DEFAULT_GRID`` (the
-``sweep_<axis>`` keys) are the one list each of commands, kinds and axes.
+``sweep_<axis>`` keys) are the one list each of commands, kinds and axes;
+``BOUND_KINDS`` also names the flags each kind reads, and a kind's parser
+accepts no other.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +71,7 @@ _CLI_DEFAULTS = {"architecture": "SCH_MINUS", "compression_size": 3, "support_si
 _FIXED_FIELDS = {"input_dim"}
 _REQUIRED_KEYS = {"output_dir", "master_seed"}
 _PARSER_OF_TYPE = {"int": int, "float": float, "str": str,
-                   "tuple[int, ...]": _parse_int_list,
+                   "float | None": float, "tuple[int, ...]": _parse_int_list,
                    "tuple[float, float]": _parse_float_pair}
 # sweep axis value type -> parser of its `sweep_<axis>` filter
 _AXIS_PARSER = {float: _parse_float_list, tuple: _parse_grid_lists, int: _parse_int_list}
@@ -234,59 +236,76 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _required(args, flag: str):
-    if getattr(args, flag) is None:
-        raise ConfigError(f"bound {args.kind} requires --{flag}")
-    return getattr(args, flag)
-
-
 def _budget(args) -> bounds.BoundBudget:
-    return bounds.BoundBudget(_required(args, "m"), args.c, args.b, args.delta, args.emp_loss,
-                              args.mu_norm_sq, args.log_prior_j)
-
-
-def _bound_pb(args) -> bounds.Certificate:
-    if args.log_prior_j is not None:
-        raise ConfigError("--log-prior-j prices a compression set; bound pb has none")
-    return bounds.bound_pb(_budget(args))
+    """The ``BoundBudget`` of the budget flags a kind declares."""
+    return bounds.BoundBudget(**{f.name: getattr(args, f.name)
+                                 for f in fields(bounds.BoundBudget) if hasattr(args, f.name)})
 
 
 def _log_prior_j(args) -> float:
     """--log-prior-j, defaulting as ``BoundBudget`` does to -ln C(m, c)."""
-    budget = bounds.BoundBudget(_required(args, "m"), args.c, log_prior_j=args.log_prior_j)
-    return budget.log_prior_j
+    return bounds.BoundBudget(args.m_prime, args.c, log_prior_j=args.log_prior_j).log_prior_j
 
 
-# kind -> calculator of the parsed `bound` arguments, in the order usage lists
-# them.  A calculator returns a Certificate, a (comparator, tau*) pair or a number.
+# `bound` flag -> its add_argument keywords.  The budget flags are the fields of
+# BoundBudget, whose type and default they take; --m's field has no default,
+# so --m is required wherever a kind declares it.
+_BUDGET_HELP = {"m_prime": "sample size (n_eff for catoni/linear; n for the primitives)",
+                "c": "compression set size", "b": "message size in bits",
+                "log_prior_j": "ln P_J(j); defaults to -ln C(m, c)"}
+BOUND_FLAGS = {
+    **{"m" if f.name == "m_prime" else f.name.replace("_", "-"): dict(
+        dest=f.name, type=_PARSER_OF_TYPE[f.type], default=f.default,
+        required=f.default is MISSING, help=_BUDGET_HELP.get(f.name))
+       for f in fields(bounds.BoundBudget)},
+    "errors": dict(type=int, default=0, help="0-1 error count"),
+    "kl-msg": dict(type=float, default=0.0, help="KL divergence of the message posterior"),
+    "catoni-c": dict(type=float, default=1.0), "log-delta-prime": dict(type=float, default=0.0),
+    "lambda": dict(type=float, default=1.0, dest="lam"), "sigma-sq": dict(type=float, default=0.0),
+    "q": dict(type=float, default=0.0, help="first Bernoulli argument"),
+    "p": dict(type=float, default=0.5, help="second Bernoulli argument"),
+    "budget": dict(type=float, default=0.0, help="kl budget in nats"),
+    "mu": dict(default="0", help="comma-separated posterior mean vector"),
+    "alpha": dict(type=float, default=2.0, help="Renyi order"),
+    "csv": dict(help="also write the breakdown as CSV"),
+}
+
+_PBSCH_FLAGS = "m c delta emp-loss mu-norm-sq log-prior-j csv"
+
+# kind -> (calculator of its parsed arguments, the flags it reads), in the order
+# usage lists them; a flag marked "!" is required.  A kind's parser accepts
+# exactly its flags.  A calculator returns a Certificate, a (comparator, tau*)
+# pair or a number; the five certificate kinds, and only they, take --csv.
 BOUND_KINDS = {
-    "pb": _bound_pb,
-    "sch-binary": lambda a: bounds.bound_sch_binary(_budget(a), _required(a, "errors")),
-    "sch-real": lambda a: bounds.bound_sch_real(_budget(a)),
-    "pbsch": lambda a: bounds.bound_pbsch(_budget(a)),
-    "pbsch-disintegrated": lambda a: bounds.bound_pbsch_disintegrated(_budget(a)),
-    "catoni": lambda a: ("CATONI", bounds.bound_catoni(
-        a.catoni_c, a.emp_loss, a.kl_msg, _log_prior_j(a), a.delta, a.m)),
-    "linear": lambda a: ("LINEAR", bounds.bound_linear_subgaussian(
-        a.lam, a.sigma_sq, a.emp_loss, a.kl_msg, _log_prior_j(a), a.delta, a.m, a.m - a.c)),
-    "kl": lambda a: bounds.bernoulli_kl(a.q, a.p),
-    "kl-inverse": lambda a: bounds.kl_inverse(a.q, a.budget),
-    "log-binomial": lambda a: bounds.log_binomial(_required(a, "m"), a.c),
-    "binomial-tail": lambda a: bounds.binomial_tail_inverse(
-        _required(a, "m"), a.errors if a.errors is not None else 0, a.log_delta_prime),
-    "gaussian-kl": lambda a: bounds.gaussian_kl(_parse_float_list(a.mu)),
-    "renyi": lambda a: bounds.renyi_divergence_gaussian(_parse_float_list(a.mu), a.alpha),
+    "pb": (lambda a: bounds.bound_pb(_budget(a)), "m delta emp-loss mu-norm-sq csv"),
+    "sch-binary": (lambda a: bounds.bound_sch_binary(_budget(a), a.errors),
+                   "m c b delta log-prior-j errors! csv"),
+    "sch-real": (lambda a: bounds.bound_sch_real(_budget(a)),
+                 "m c b delta emp-loss log-prior-j csv"),
+    "pbsch": (lambda a: bounds.bound_pbsch(_budget(a)), _PBSCH_FLAGS),
+    "pbsch-disintegrated": (lambda a: bounds.bound_pbsch_disintegrated(_budget(a)), _PBSCH_FLAGS),
+    "catoni": (lambda a: ("CATONI", bounds.bound_catoni(
+        a.catoni_c, a.emp_loss, a.kl_msg, _log_prior_j(a), a.delta, a.m_prime)),
+        "m c delta emp-loss kl-msg log-prior-j catoni-c"),
+    "linear": (lambda a: ("LINEAR", bounds.bound_linear_subgaussian(
+        a.lam, a.sigma_sq, a.emp_loss, a.kl_msg, _log_prior_j(a), a.delta, a.m_prime,
+        a.m_prime - a.c)), "m c delta emp-loss kl-msg log-prior-j lambda sigma-sq"),
+    "kl": (lambda a: bounds.bernoulli_kl(a.q, a.p), "q p"),
+    "kl-inverse": (lambda a: bounds.kl_inverse(a.q, a.budget), "q budget"),
+    "log-binomial": (lambda a: bounds.log_binomial(a.m_prime, a.c), "m c"),
+    "binomial-tail": (lambda a: bounds.binomial_tail_inverse(
+        a.m_prime, a.errors, a.log_delta_prime), "m errors log-delta-prime"),
+    "gaussian-kl": (lambda a: bounds.gaussian_kl(_parse_float_list(a.mu)), "mu"),
+    "renyi": (lambda a: bounds.renyi_divergence_gaussian(_parse_float_list(a.mu), a.alpha),
+              "mu alpha"),
 }
 
 
 def cmd_bound(args) -> int:
-    result = BOUND_KINDS[args.kind](args)
-    if args.csv and not isinstance(result, bounds.Certificate):
-        raise ConfigError(f"--csv writes a certificate breakdown; bound {args.kind} has none")
+    result = BOUND_KINDS[args.kind][0](args)
     if isinstance(result, bounds.Certificate):
-        print(f"kind      {result.kind}")
-        print(f"delta     {result.delta:.12g}")
-        print(f"tau_star  {result.tau_star:.12g}")
+        print(f"kind      {result.kind}\ndelta     {result.delta:.12g}\n"
+              f"tau_star  {result.tau_star:.12g}")
         print(f"{'term':<24}{'nats':>18}{'cumulative_tau':>18}")
         for label, nats, tau in result.breakdown:
             print(f"{label:<24}{nats:>18.12g}{tau:>18.12g}")
@@ -337,8 +356,17 @@ def _run_pipeline(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # single-line, machine-parsable usage errors
+    """Single-line, machine-parsable usage errors; an argument no parser
+    declares is an error of the innermost parser, named by its prog."""
+
+    def error(self, message):
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            raise ConfigError(f"{self.prog}: unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,30 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate one certificate calculator")
     p.set_defaults(run=cmd_bound)
-    p.add_argument("kind", choices=list(BOUND_KINDS))
-    p.add_argument("--m", type=int, default=None,
-                   help="sample size (n_eff for catoni/linear; n for the primitives)")
-    p.add_argument("--c", type=int, default=0, help="compression set size")
-    p.add_argument("--b", type=int, default=0, help="message size in bits")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--emp-loss", type=float, default=0.0, dest="emp_loss")
-    p.add_argument("--mu-norm-sq", type=float, default=0.0, dest="mu_norm_sq")
-    p.add_argument("--log-prior-j", type=float, default=None, dest="log_prior_j",
-                   help="ln P_J(j); defaults to -ln C(m, c)")
-    p.add_argument("--errors", type=int, default=None, help="0-1 error count (sch-binary)")
-    p.add_argument("--kl-msg", type=float, default=0.0, dest="kl_msg",
-                   help="KL divergence of the message posterior (catoni/linear)")
-    p.add_argument("--catoni-c", type=float, default=1.0, dest="catoni_c")
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
-    p.add_argument("--sigma-sq", type=float, default=0.0, dest="sigma_sq")
-    p.add_argument("--q", type=float, default=0.0, help="first Bernoulli argument")
-    p.add_argument("--p", type=float, default=0.5, help="second Bernoulli argument")
-    p.add_argument("--budget", type=float, default=0.0, help="kl budget in nats")
-    p.add_argument("--log-delta-prime", type=float, default=0.0, dest="log_delta_prime")
-    p.add_argument("--mu", default="0", help="comma-separated posterior mean vector")
-    p.add_argument("--alpha", type=float, default=2.0, help="Renyi order")
-    p.add_argument("--csv", default=None,
-                   help="also write the breakdown as CSV (certificate kinds only)")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, (_, flags) in BOUND_KINDS.items():
+        k = kinds.add_parser(kind, allow_abbrev=False)  # else pb would read --c as --csv
+        for flag in flags.split():
+            name = flag.rstrip("!")
+            k.add_argument(f"--{name}", **BOUND_FLAGS[name]).required |= name != flag
 
     p = sub.add_parser("compare-bounds", help="train-set vs complement-set bound gap table")
     p.set_defaults(run=cmd_compare_bounds)

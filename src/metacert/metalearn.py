@@ -11,7 +11,8 @@ returned parameters are those of the best validation epoch.
 Certification consumes a *test* task only: the full sample goes through the
 bottleneck, the empirical loss is measured on the complement of the
 compression set, and the architecture-appropriate certificates are computed
-from one ``BoundBudget`` per task, which they share but for the empirical loss.
+from one ``BoundBudget`` per task, which they share but for the empirical loss;
+its compression-set prior is the size-aware 1 / (c C(m', |j|)).
 Every message a task's certificates score (the noise-free one, the
 Monte-Carlo draws and PBSCH's disintegrated draw) is drawn first and decoded
 in one stacked batch, so the compression rows are encoded once per task.
@@ -282,9 +283,13 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     emp_01 = K / (m - c_eff)
     emp_lin = ad.linear_loss(logits[0], labels)
 
-    # one budget per task; its certificates differ only in the empirical loss
+    # one budget per task; its certificates differ only in the empirical loss.
+    # Collided heads give |j| = c_eff < c, so the prior spreads over every size
+    # 1..c: P_J(j) = 1 / (c C(m, |j|)), of total mass 1 (Marchand & Sokolova 2005)
     mu_sq = float(sigma @ sigma) if cfg.has_gaussian_message else 0.0
-    budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, mu_norm_sq=mu_sq)
+    log_prior_j = -(math.log(cfg.c) + bounds.log_binomial(m, c_eff)) if cfg.c else None
+    budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, mu_norm_sq=mu_sq,
+                                log_prior_j=log_prior_j)
 
     def entry(bound, emp_loss: float, emp_loss_kind: str, mc_stderr=None) -> CertEntry:
         return CertEntry(bound(replace(budget, emp_loss=emp_loss)), emp_loss,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -306,15 +307,15 @@ class TestBoundCommand:
         assert tau == pytest.approx(0.02635, abs=1e-5)
 
     @pytest.mark.parametrize("kind, cert_kind, flags", [
-        ("pb", "PB", ["--c", "0"]),
-        ("sch-binary", "SCH_BINARY", ["--c", "2", "--errors", "10"]),
-        ("sch-real", "SCH_REAL", ["--c", "2"]),
-        ("pbsch", "PBSCH", ["--c", "2"]),
-        ("pbsch-disintegrated", "PBSCH_DISINTEGRATED", ["--c", "2"]),
+        ("pb", "PB", ["--emp-loss", "0.1", "--mu-norm-sq", "2.0"]),
+        ("sch-binary", "SCH_BINARY", ["--b", "8", "--c", "2", "--errors", "10"]),
+        ("sch-real", "SCH_REAL", ["--b", "8", "--emp-loss", "0.1", "--c", "2"]),
+        ("pbsch", "PBSCH", ["--emp-loss", "0.1", "--mu-norm-sq", "2.0", "--c", "2"]),
+        ("pbsch-disintegrated", "PBSCH_DISINTEGRATED",
+         ["--emp-loss", "0.1", "--mu-norm-sq", "2.0", "--c", "2"]),
     ], ids=["pb", "sch-binary", "sch-real", "pbsch", "pbsch-disintegrated"])
     def test_breakdown_table_printed(self, capsys, kind, cert_kind, flags):
-        assert main(["bound", kind, "--m", "400", "--b", "8", "--emp-loss", "0.1",
-                     "--mu-norm-sq", "2.0", *flags]) == 0
+        assert main(["bound", kind, "--m", "400", *flags]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["kind", cert_kind]
         for label in ("empirical_loss", "confidence", "message_cost",
@@ -359,7 +360,7 @@ class TestBoundCommand:
         assert "--m" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, name", [
-        (["pbsch", "--m", "400", "--c", "2", "--b", "8", "--emp-loss", "0.1",
+        (["pbsch", "--m", "400", "--c", "2", "--emp-loss", "0.1",
           "--mu-norm-sq", "nan"], "mu_norm_sq"),
         (["sch-binary", "--m", "100", "--c", "2", "--errors", "3", "--log-prior-j", "nan"],
          "log_prior_j"),
@@ -428,6 +429,123 @@ class TestBoundCommand:
         assert not path.exists()
 
 
+# kind -> the flags it reads, each exactly once; --m is required wherever it
+# appears, and --errors for sch-binary
+BOUND_KIND_FLAGS = {
+    "pb": ["m", "delta", "emp-loss", "mu-norm-sq", "csv"],
+    "sch-binary": ["m", "c", "b", "delta", "log-prior-j", "errors", "csv"],
+    "sch-real": ["m", "c", "b", "delta", "emp-loss", "log-prior-j", "csv"],
+    "pbsch": ["m", "c", "delta", "emp-loss", "mu-norm-sq", "log-prior-j", "csv"],
+    "pbsch-disintegrated": ["m", "c", "delta", "emp-loss", "mu-norm-sq", "log-prior-j", "csv"],
+    "catoni": ["m", "c", "delta", "emp-loss", "kl-msg", "log-prior-j", "catoni-c"],
+    "linear": ["m", "c", "delta", "emp-loss", "kl-msg", "log-prior-j", "lambda", "sigma-sq"],
+    "kl": ["q", "p"],
+    "kl-inverse": ["q", "budget"],
+    "log-binomial": ["m", "c"],
+    "binomial-tail": ["m", "errors", "log-delta-prime"],
+    "gaussian-kl": ["mu"],
+    "renyi": ["mu", "alpha"],
+}
+_PBSCH_PERTURBED = {"m": "300", "c": "3", "delta": "0.01", "emp-loss": "0.2",
+                    "mu-norm-sq": "2.0", "log-prior-j": "-3", "csv": None}
+# kind -> (a base argv, flag -> a value that must change what the kind prints)
+PERTURBED = {
+    "pb": (["--m", "400", "--emp-loss", "0.1"],
+           {"m": "300", "delta": "0.01", "emp-loss": "0.2", "mu-norm-sq": "2.0", "csv": None}),
+    "sch-binary": (["--m", "400", "--c", "2", "--errors", "10"],
+                   {"m": "300", "c": "3", "b": "8", "delta": "0.01", "log-prior-j": "-3",
+                    "errors": "11", "csv": None}),
+    "sch-real": (["--m", "400", "--c", "2", "--emp-loss", "0.1"],
+                 {"m": "300", "c": "3", "b": "8", "delta": "0.01", "emp-loss": "0.2",
+                  "log-prior-j": "-3", "csv": None}),
+    "pbsch": (["--m", "400", "--c", "2", "--emp-loss", "0.1"], _PBSCH_PERTURBED),
+    "pbsch-disintegrated": (["--m", "400", "--c", "2", "--emp-loss", "0.1"], _PBSCH_PERTURBED),
+    "catoni": (["--m", "100", "--c", "5", "--emp-loss", "0.1"],
+               {"m": "200", "c": "3", "delta": "0.01", "emp-loss": "0.2", "kl-msg": "2",
+                "log-prior-j": "-3", "catoni-c": "2"}),
+    "linear": (["--m", "100", "--c", "5", "--emp-loss", "0.1", "--sigma-sq", "0.01"],
+               {"m": "200", "c": "3", "delta": "0.01", "emp-loss": "0.2", "kl-msg": "2",
+                "log-prior-j": "-3", "lambda": "2", "sigma-sq": "0.02"}),
+    "kl": (["--q", "0.1", "--p", "0.5"], {"q": "0.2", "p": "0.3"}),
+    "kl-inverse": (["--q", "0.1", "--budget", "0.05"], {"q": "0.2", "budget": "0.1"}),
+    "log-binomial": (["--m", "10", "--c", "3"], {"m": "11", "c": "4"}),
+    "binomial-tail": (["--m", "100", "--log-delta-prime", "-3"],
+                      {"m": "50", "errors": "3", "log-delta-prime": "-4"}),
+    "gaussian-kl": (["--mu", "3,4"], {"mu": "1,2"}),
+    "renyi": (["--mu", "1,1"], {"mu": "1,2", "alpha": "3"}),
+}
+
+
+def _with_flag(argv, flag, value):
+    """``argv`` with --flag set to ``value``: replaced if present, else appended."""
+    if f"--{flag}" in argv:
+        i = argv.index(f"--{flag}")
+        return [*argv[:i + 1], value, *argv[i + 2:]]
+    return [*argv, f"--{flag}", value]
+
+
+class TestBoundKindFlags:
+    """Each `bound` kind's parser declares exactly the flags its calculator reads."""
+
+    @pytest.mark.parametrize("kind", list(BOUND_KIND_FLAGS))
+    def test_help_lists_exactly_the_flags_the_kind_reads(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", kind, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        declared = [flag[2:] for flag in re.findall(r"--[a-z-]+", usage)]
+        assert declared == BOUND_KIND_FLAGS[kind]
+        assert set(PERTURBED[kind][1]) == set(declared)
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["pb", "--m", "400", "--emp-loss", "0.1", "--b", "64"], ["--b"]),
+        (["pbsch", "--m", "400", "--c", "2", "--emp-loss", "0.1", "--b", "8"], ["--b"]),
+        (["sch-binary", "--m", "100", "--c", "2", "--errors", "3", "--emp-loss", "0.9"],
+         ["--emp-loss"]),
+        (["catoni", "--m", "100", "--mu-norm-sq", "50"], ["--mu-norm-sq"]),
+        (["kl-inverse", "--q", "0.1", "--budget", "0.3", "--m", "7", "--delta", "0.5"],
+         ["--m", "--delta"]),
+        (["sch-binary", "--m", "100", "--c", "2", "--errors", "3", "--emp-loss", "1.5"],
+         ["--emp-loss"]),
+        (["pbsch", "--m", "400", "--c", "2", "--emp-loss", "0.1", "--b", "-1"], ["--b"]),
+        (["pb", "--m", "400", "--c", "0"], ["--c"]),
+    ], ids=["pb-b", "pbsch-b", "sch-binary-emp-loss", "catoni-mu-norm-sq",
+            "kl-inverse-m-delta", "sch-binary-emp-loss-out-of-range", "pbsch-negative-b",
+            "pb-c"])
+    def test_flag_the_kind_does_not_read_is_usage_error(self, capsys, argv, flags):
+        # each used to exit 0 with the flagless value, or 2 on a value never used
+        assert main(["bound", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        words = err.split()
+        assert f"{argv[0]}:" in words and all(flag in words for flag in flags)
+
+    @pytest.mark.parametrize("kind, flag", [(kind, flag) for kind, (_, perturbed)
+                                            in PERTURBED.items() for flag in perturbed])
+    def test_every_declared_flag_changes_the_output(self, tmp_path, capsys, kind, flag):
+        base, perturbed = PERTURBED[kind]
+        assert main(["bound", kind, *base]) == 0
+        expected = capsys.readouterr().out
+        if flag == "csv":
+            path = tmp_path / "breakdown.csv"
+            assert main(["bound", kind, *base, "--csv", str(path)]) == 0
+            assert capsys.readouterr().out == expected
+            tau_star = expected.splitlines()[2].split()[1]
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [f"{float(r['tau_star']):.12g}" for r in rows] == [tau_star] * 4
+        else:
+            assert main(["bound", kind, *_with_flag(base, flag, perturbed[flag])]) == 0
+            assert capsys.readouterr().out != expected
+
+    @pytest.mark.parametrize("kind", [k for k, flags in BOUND_KIND_FLAGS.items() if "m" in flags])
+    def test_m_is_required_wherever_declared(self, capsys, kind):
+        base = PERTURBED[kind][0]
+        i = base.index("--m")
+        assert main(["bound", kind, *base[:i], *base[i + 2:]]) == 1
+        assert "--m" in capsys.readouterr().err
+
+
 class TestCompareBoundsCommand:
     def test_default_gap_table(self, capsys):
         assert main(["compare-bounds", "--grid", "3"]) == 0
@@ -467,7 +585,7 @@ class TestCompareBoundsCommand:
 # The exact bytes every bound printer wrote before the command tables were
 # introduced; the float tests above parse with tolerances and would not
 # notice a changed format.
-PB_FLAGS = ["--m", "400", "--b", "8", "--emp-loss", "0.1", "--mu-norm-sq", "2.0"]
+PB_FLAGS = ["--m", "400", "--emp-loss", "0.1", "--mu-norm-sq", "2.0"]
 TERMS = "term                                  nats    cumulative_tau\n"
 PINNED_STDOUT = [
     (["pb", *PB_FLAGS],

@@ -1,12 +1,15 @@
 """Meta-training loop, Monte-Carlo estimation, certification, and sweep tests."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from metacert import autodiff as ad
-from metacert import metalearn
+from metacert import bounds, metalearn
 from metacert.autodiff import Tensor
 from metacert.hypernet import (HypernetConfig, downstream_forward, encode,
                                hypernet_forward, init_hypernet_params)
@@ -252,15 +255,24 @@ class TestCertifyTask:
             assert 0.0 <= e.tau_star <= 1.0
             assert e.tau_star >= e.emp_loss
 
-    def test_sch_binary_zero_error_closed_form(self):
-        # complement with zero errors: tau* = 1 - exp((ln d - ln C(m, c)) / (m - c))
+    def test_sch_binary_matches_exact_binomial_tail(self):
+        # tau* = sup { r : P[Bin(n, r) <= K] >= delta / (c C(m, |j|)) }, n = m - |j|,
+        # at the row's own K, against an exact math.comb CDF root-found by brentq;
+        # with K = 0 it is the closed form 1 - (delta / (c C(m, |j|)))^(1/n)
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
         row = certify_task(params, cfg, task, 0.05, Rng(0), n_mc=5)
-        if row.emp_complement_01 == 0.0:  # depends on the random init
-            from metacert.bounds import log_binomial
-            m, c = row.m_prime, row.c_effective
-            expect = 1 - math.exp((math.log(0.05) - log_binomial(m, c)) / (m - c))
-            assert row.certificates[0].tau_star == pytest.approx(expect, abs=1e-9)
+        m, c_eff = row.m_prime, row.c_effective
+        n = m - c_eff
+        K = round(row.emp_complement_01 * n)
+        assert row.certificates[0].emp_loss == K / n
+        threshold = 0.05 / (cfg.c * math.comb(m, c_eff))
+
+        def cdf_gap(r):
+            return sum(math.comb(n, k) * r ** k * (1 - r) ** (n - k)
+                       for k in range(K + 1)) - threshold
+
+        expect = optimize.brentq(cdf_gap, K / n, 1.0, xtol=1e-14)
+        assert row.certificates[0].tau_star == pytest.approx(expect, abs=1e-9)
 
     def test_pbh_certificate(self):
         cfg, params, task = self.make("PBH", 0, 3)
@@ -302,6 +314,46 @@ class TestCertifyTask:
                                                    master_seed=1), 0)
         with pytest.raises(ValueError):
             certify_task(params, cfg, tiny, 0.05, Rng(0))
+
+
+class TestCompressionSetPrior:
+    """A task is certified under the size-aware prior P_J(j) = 1 / (c C(m', |j|))
+    over the sets of sizes 1..c, so heads that collide (|j| = c_effective < c)
+    still leave a prior of total mass at most 1 (Marchand & Sokolova 2005)."""
+
+    @pytest.mark.parametrize("m_prime", range(1, 9))
+    def test_prior_mass_at_most_one(self, m_prime):
+        for c in range(1, min(4, m_prime) + 1):
+            sets = [j for size in range(1, c + 1)
+                    for j in itertools.combinations(range(m_prime), size)]
+            size_aware = sum(Fraction(1, c * math.comb(m_prime, len(j))) for j in sets)
+            uniform_per_size = sum(Fraction(1, math.comb(m_prime, len(j))) for j in sets)
+            assert size_aware <= 1
+            assert uniform_per_size == c  # the fixed-size prior, summed over sizes
+
+    @pytest.mark.parametrize("arch, b", [("SCH_MINUS", 0), ("SCH_PLUS", 3), ("PBSCH", 3)])
+    def test_certificates_charge_size_aware_prior(self, arch, b):
+        c = 3
+        cfg = HypernetConfig(arch, c=c, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        params = init_hypernet_params(cfg, Rng(1).split(0))
+        collided = False
+        for seed in (5, 8):  # task seed 8 makes two of the three heads collide
+            task = TestForwardOnlyEvaluation.task(seed)
+            row = certify_task(params, cfg, task, 0.05, Rng(30, (seed,)), n_mc=6)
+            art, _, _ = encode(metalearn._constants(params), cfg, task.features, task.labels)
+            m, c_eff = row.m_prime, row.c_effective
+            collided |= c_eff < c
+            mu_sq = float(art.message @ art.message) if cfg.has_gaussian_message else 0.0
+            K = round(row.emp_complement_01 * (m - c_eff))
+            bound_of = {"SCH_BINARY": lambda budget: bounds.bound_sch_binary(budget, K),
+                        "SCH_REAL": bounds.bound_sch_real, "PBSCH": bounds.bound_pbsch,
+                        "PBSCH_DISINTEGRATED": bounds.bound_pbsch_disintegrated}
+            for entry in row.certificates:
+                budget = bounds.BoundBudget(
+                    m, c_eff, b, 0.05, emp_loss=entry.emp_loss, mu_norm_sq=mu_sq,
+                    log_prior_j=-(math.log(c) + bounds.log_binomial(m, c_eff)))
+                assert entry.tau_star == bound_of[entry.kind](budget).tau_star, (seed, entry)
+        assert collided
 
 
 ARCHS = [("PBH", 0, 3), ("SCH_MINUS", 3, 0), ("SCH_PLUS", 3, 3), ("PBSCH", 3, 3)]
