@@ -327,6 +327,8 @@ def bound_catoni(C_param: float, exp_emp_loss: float, kl_msg: float,
     if not C_param > 0.0:
         raise ValueError(f"C must be > 0, got {C_param}")
     _check_comparator_inputs(exp_emp_loss, kl_msg, log_prior_j, delta)
+    if not 0.0 <= exp_emp_loss <= 1.0:
+        raise ValueError(f"emp_loss must be in [0, 1], got {exp_emp_loss}")
     exponent = -C_param * exp_emp_loss - (kl_msg - (log_prior_j + math.log(delta))) / n_eff
     value = (1.0 - math.exp(exponent)) / (1.0 - math.exp(-C_param))
     return min(1.0, max(0.0, value))

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import bounds
 from .hypernet import HypernetConfig, load_checkpoint, save_checkpoint
-from .metalearn import (DEFAULT_GRID, SweepRow, TrainingDivergedError, TrainProtocol,
-                        certify_task, meta_train, sweep)
+from .metalearn import (DEFAULT_GRID, CertifyProtocol, SweepRow, TrainingDivergedError,
+                        TrainProtocol, certify_task, meta_train, sweep)
 from .rng import Rng, STREAM_CERTIFY, STREAM_SWEEP, STREAM_TRAIN
 from .tasks import MoonsEnvironmentSpec, gen_meta_dataset, load_tasks, save_tasks
 
@@ -56,18 +56,14 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(s.strip()) for s in text.split(",") if s.strip()]
 
 
-def _parse_loss_kind(text: str) -> str:
-    if text not in ("zero_one", "linear"):
-        raise ValueError(f"expected zero_one or linear, got {text!r}")
-    return text
-
-
 # A run config sets the fields of these dataclasses.  Where the CLI departs
-# from them: two fields have other key names, three keys other defaults, and
-# the moons tasks fix the input dimension.
-_SETTINGS = (MoonsEnvironmentSpec, HypernetConfig, TrainProtocol)
-_KEY_OF_FIELD = {"c": "compression_size", "b": "message_size"}
+# from them: three fields have other key names, three keys other defaults, one
+# key is checked by its record as it is parsed, and the moons tasks fix the
+# input dimension.
+_SETTINGS = (MoonsEnvironmentSpec, HypernetConfig, TrainProtocol, CertifyProtocol)
+_KEY_OF_FIELD = {"c": "compression_size", "b": "message_size", "loss_kind": "certify_loss_kind"}
 _CLI_DEFAULTS = {"architecture": "SCH_MINUS", "compression_size": 3, "support_size": 100}
+_CLI_PARSERS = {"certify_loss_kind": lambda text: CertifyProtocol(loss_kind=text).loss_kind}
 _FIXED_FIELDS = {"input_dim"}
 _REQUIRED_KEYS = {"output_dir", "master_seed"}
 _PARSER_OF_TYPE = {"int": int, "float": float, "str": str,
@@ -88,20 +84,14 @@ _SETTING_FIELDS = [kf for cls in _SETTINGS for kf in _setting_fields(cls)]
 # key -> parser
 CONFIG_SCHEMA = {
     "output_dir": str,
-    "delta": float,
-    "certify_loss_kind": _parse_loss_kind,
     # optional filters of the sweep's default grid, one per grid axis
     **{f"sweep_{axis}": _AXIS_PARSER[type(v[0])] for axis, v in DEFAULT_GRID.items()},
-    **{key: _PARSER_OF_TYPE[f.type] for key, f in _SETTING_FIELDS},
+    **{key: _CLI_PARSERS.get(key, _PARSER_OF_TYPE[f.type]) for key, f in _SETTING_FIELDS},
 }
 
 # the value of every key a config may leave out, except the sweep filters
-CONFIG_DEFAULTS = {
-    "delta": 0.05,
-    "certify_loss_kind": "zero_one",
-    **{key: _CLI_DEFAULTS.get(key, f.default) for key, f in _SETTING_FIELDS
-       if key not in _REQUIRED_KEYS},
-}
+CONFIG_DEFAULTS = {key: _CLI_DEFAULTS.get(key, f.default) for key, f in _SETTING_FIELDS
+                   if key not in _REQUIRED_KEYS}
 
 
 def parse_config(path) -> dict:
@@ -198,16 +188,16 @@ CERT_HEADER = ["task_id", "architecture", "kind", "m_prime", "c_effective", "b",
 
 def cmd_certify(cfg: dict) -> int:
     out_dir = Path(cfg["output_dir"])
+    protocol = _build(CertifyProtocol, cfg)
     meta, _ = load_tasks(out_dir / "tasks", ("test",))
     hcfg, params, _ = load_checkpoint(out_dir / "checkpoint.json")
     rng = Rng(cfg["master_seed"]).split(STREAM_CERTIFY)
     rows = []
     for task in meta.test:
-        row = certify_task(params, hcfg, task, cfg["delta"], rng.split(task.task_id),
-                           n_mc=cfg["n_mc"], loss_kind=cfg["certify_loss_kind"])
+        row = certify_task(params, hcfg, task, protocol, rng.split(task.task_id))
         for entry in row.certificates:
             rows.append([row.task_id, row.architecture, entry.kind, row.m_prime,
-                         row.c_effective, row.b, _fmt(cfg["delta"]),
+                         row.c_effective, row.b, _fmt(protocol.delta),
                          _fmt(entry.emp_loss), entry.emp_loss_kind,
                          "" if entry.mc_stderr is None else _fmt(entry.mc_stderr),
                          _fmt(entry.tau_star), _fmt(row.emp_complement_01),
@@ -223,7 +213,8 @@ def cmd_sweep(cfg: dict) -> int:
     protocol = _build(TrainProtocol, cfg)
     grid = {axis: cfg[f"sweep_{axis}"] for axis in DEFAULT_GRID if f"sweep_{axis}" in cfg}
     rng = Rng(cfg["master_seed"]).split(STREAM_SWEEP)
-    best, rows = sweep(meta.train, meta.val, cfg["architecture"], protocol, rng,
+    hypernet = {f.name: cfg[key] for key, f in _setting_fields(HypernetConfig)}
+    best, rows = sweep(meta.train, meta.val, hypernet, protocol, rng,
                        grid=grid or None, log_fn=lambda msg: print(msg, file=sys.stderr))
     columns = [f.name for f in fields(SweepRow)]
     _write_csv(out_dir / "sweep.csv", columns,
@@ -265,7 +256,7 @@ BOUND_FLAGS = {
     "q": dict(type=float, default=0.0, help="first Bernoulli argument"),
     "p": dict(type=float, default=0.5, help="second Bernoulli argument"),
     "budget": dict(type=float, default=0.0, help="kl budget in nats"),
-    "mu": dict(default="0", help="comma-separated posterior mean vector"),
+    "mu": dict(type=_parse_float_list, default="0", help="comma-separated posterior mean vector"),
     "alpha": dict(type=float, default=2.0, help="Renyi order"),
     "csv": dict(help="also write the breakdown as CSV"),
 }
@@ -295,9 +286,8 @@ BOUND_KINDS = {
     "log-binomial": (lambda a: bounds.log_binomial(a.m_prime, a.c), "m c"),
     "binomial-tail": (lambda a: bounds.binomial_tail_inverse(
         a.m_prime, a.errors, a.log_delta_prime), "m errors log-delta-prime"),
-    "gaussian-kl": (lambda a: bounds.gaussian_kl(_parse_float_list(a.mu)), "mu"),
-    "renyi": (lambda a: bounds.renyi_divergence_gaussian(_parse_float_list(a.mu), a.alpha),
-              "mu alpha"),
+    "gaussian-kl": (lambda a: bounds.gaussian_kl(a.mu), "mu"),
+    "renyi": (lambda a: bounds.renyi_divergence_gaussian(a.mu, a.alpha), "mu alpha"),
 }
 
 

@@ -48,7 +48,6 @@ class TrainProtocol:
     learning_rate: float = 1e-4
     max_epochs: int = 200
     patience: int = 20
-    n_mc: int = 100
 
     def __post_init__(self):
         if self.support_size < 1:
@@ -57,8 +56,23 @@ class TrainProtocol:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 1 <= self.patience <= self.max_epochs:
             raise ValueError("need 1 <= patience <= max_epochs")
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
+
+
+@dataclass(frozen=True)
+class CertifyProtocol:
+    """The settings a certificate depends on: the confidence ``delta`` (its
+    range is checked by ``BoundBudget``), the number of posterior draws
+    behind the Monte-Carlo expectation bounds, and the loss they certify."""
+
+    delta: float = 0.05
+    n_mc: int = 100
+    loss_kind: str = "zero_one"
+
+    def __post_init__(self):
+        if not self.n_mc >= 1:
+            raise ValueError(f"n_mc must be >= 1, got {self.n_mc}")
+        if self.loss_kind not in ("zero_one", "linear"):
+            raise ValueError(f"expected zero_one or linear, got {self.loss_kind!r}")
 
 
 @dataclass
@@ -244,15 +258,14 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
 
 
 def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
-                 delta: float, rng: Rng, n_mc: int = 100,
-                 loss_kind: str = "zero_one") -> CertRow:
+                 protocol: CertifyProtocol, rng: Rng) -> CertRow:
     """Certify the predictor the hypernetwork emits for one fresh task.
 
     The full task sample feeds the bottleneck; empirical losses are measured
-    on the complement of the compression set.  ``loss_kind`` selects the loss
-    certified by the expectation-type (Gaussian-message) bounds; the sample
-    compression architectures always emit both the binomial 0-1 certificate
-    and the kl certificate on the linear loss.
+    on the complement of the compression set.  ``protocol.loss_kind`` selects
+    the loss certified by the expectation-type (Gaussian-message) bounds; the
+    sample compression architectures always emit both the binomial 0-1
+    certificate and the kl certificate on the linear loss.
 
     Every message is drawn before anything is decoded and the messages are
     stacked under the noise-free one: ``[mu; draws; omega]``, where the
@@ -264,8 +277,7 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     m = len(task)
     if m <= cfg.c:
         raise ValueError(f"task size {m} must exceed compression size {cfg.c}")
-    if cfg.has_gaussian_message and n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
+    n_mc, loss_kind = protocol.n_mc, protocol.loss_kind
     params = _constants(params)
     artifacts, _, _ = encode(params, cfg, task.features, task.labels)
     sigma = artifacts.message
@@ -288,7 +300,7 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     # 1..c: P_J(j) = 1 / (c C(m, |j|)), of total mass 1 (Marchand & Sokolova 2005)
     mu_sq = float(sigma @ sigma) if cfg.has_gaussian_message else 0.0
     log_prior_j = -(math.log(cfg.c) + bounds.log_binomial(m, c_eff)) if cfg.c else None
-    budget = bounds.BoundBudget(m, c_eff, cfg.b, delta, mu_norm_sq=mu_sq,
+    budget = bounds.BoundBudget(m, c_eff, cfg.b, protocol.delta, mu_norm_sq=mu_sq,
                                 log_prior_j=log_prior_j)
 
     def entry(bound, emp_loss: float, emp_loss_kind: str, mc_stderr=None) -> CertEntry:
@@ -346,11 +358,14 @@ DEFAULT_GRID = {
 }
 
 
-def sweep(train_tasks, val_tasks, architecture: str, protocol: TrainProtocol,
+def sweep(train_tasks, val_tasks, hypernet: dict, protocol: TrainProtocol,
           rng: Rng, grid: dict | None = None,
           log_fn=None) -> tuple[SweepRow | None, list[SweepRow]]:
     """Train every valid grid point; select by validation error.
 
+    ``hypernet`` holds ``HypernetConfig`` fields, ``architecture`` at least.
+    A grid point replaces the learning rate of ``protocol`` and the fields
+    named by the other axes; every other setting is the same at each point.
     Invalid architecture/size combinations are skipped and recorded.  Ties
     break toward the smaller compression set, then the smaller message.
     """
@@ -360,7 +375,7 @@ def sweep(train_tasks, val_tasks, architecture: str, protocol: TrainProtocol,
     for point, (lr, mlp1, mlp2, mlp3, c, b) in enumerate(itertools.product(*axes), start=1):
         mlp1, mlp2, mlp3 = tuple(mlp1), tuple(mlp2), tuple(mlp3)
         try:
-            cfg = HypernetConfig(architecture, c=c, b=b, mlp1=mlp1, mlp2=mlp2, mlp3=mlp3)
+            cfg = HypernetConfig(**hypernet | dict(c=c, b=b, mlp1=mlp1, mlp2=mlp2, mlp3=mlp3))
         except ValueError as exc:
             rows.append(SweepRow(lr, mlp1, mlp2, mlp3, c, b, None, None, skipped=str(exc)))
             if log_fn:

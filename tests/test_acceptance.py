@@ -24,7 +24,7 @@ from metacert.cli import main as cli_main
 from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward,
                                downstream_shapes, hypernet_forward,
                                init_hypernet_params)
-from metacert.metalearn import TrainProtocol, certify_task, meta_train
+from metacert.metalearn import CertifyProtocol, TrainProtocol, certify_task, meta_train
 from metacert.rng import Rng, STREAM_CERTIFY, STREAM_TRAIN
 from metacert.tasks import MoonsEnvironmentSpec, gen_meta_dataset, gen_moons_task
 
@@ -204,7 +204,8 @@ def test_criterion_moons_end_to_end(moons_environment, trained_sch):
     spec, meta = moons_environment
     cfg, params, log = trained_sch
     rng = Rng(ACCEPT_SEED).split(STREAM_CERTIFY)
-    errors = [certify_task(params, cfg, task, 0.05, rng.split(task.task_id)).test_query_error
+    errors = [certify_task(params, cfg, task, CertifyProtocol(0.05),
+                           rng.split(task.task_id)).test_query_error
               for task in meta.test]
     mean_err = float(np.mean(errors))
     report("moons-end-to-end", mean_err <= 0.15,
@@ -235,7 +236,7 @@ def _violations_for_model(spec, cfg, params, task_ids, delta, rng):
     totals: dict[str, int] = {}
     for tid in task_ids:
         task = gen_moons_task(spec, tid)
-        row = certify_task(params, cfg, task, delta, rng.split(tid), n_mc=100)
+        row = certify_task(params, cfg, task, CertifyProtocol(delta, n_mc=100), rng.split(tid))
         fresh_x, fresh_y = _fresh_eval_set(spec, tid)
         for entry in row.certificates:
             fresh = None

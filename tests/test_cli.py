@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+from metacert import cli, metalearn
 from metacert.bounds import log_binomial
-from metacert.cli import main, parse_config, ConfigError
+from metacert.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, main, parse_config, ConfigError
+from metacert.metalearn import DEFAULT_GRID
 
 MICRO_CONFIG = """\
 # micro moons environment for fast pipeline tests
@@ -80,8 +82,8 @@ class TestConfigParsing:
         assert main(["gen", "--config", str(cfg)]) == 0
         seen = {}
 
-        def fake_sweep(train, val, architecture, protocol, rng, grid=None, log_fn=None):
-            seen.update(architecture=architecture, grid=grid)
+        def fake_sweep(train, val, hypernet, protocol, rng, grid=None, log_fn=None):
+            seen.update(architecture=hypernet["architecture"], grid=grid)
             return None, []
 
         monkeypatch.setattr("metacert.cli.sweep", fake_sweep)
@@ -117,6 +119,13 @@ class TestConfigParsing:
         cfg.write_text("output_dir = x\nmaster_seed = 1\nwhatever = 3\n")
         assert main(["gen", "--config", str(cfg)]) == 1
         assert "whatever" in capsys.readouterr().err
+
+    def test_every_setting_key_is_a_record_field(self):
+        # one schema: no key but output_dir and the sweep filters is hand-written
+        settings = {key for cls in cli._SETTINGS for key, _ in cli._setting_fields(cls)}
+        filters = {f"sweep_{axis}" for axis in DEFAULT_GRID}
+        assert set(CONFIG_SCHEMA) - {"output_dir"} - filters == settings
+        assert set(CONFIG_DEFAULTS) == settings - {"master_seed"}
 
 
 class TestPipeline:
@@ -170,6 +179,24 @@ class TestPipeline:
         assert len(rows) == 2
         skipped = [r for r in rows if r["skipped"]]
         assert len(skipped) == 1 and skipped[0]["c"] == "0"
+
+    def test_sweep_points_keep_the_configured_hypernet_sizes(self, tmp_path, monkeypatch):
+        # a grid point used to fall back to deepset_dim 16 and attention_dim 32
+        sweep_cfg = MICRO_CONFIG + (
+            "sweep_learning_rate = 0.001\nsweep_mlp1 = 12\nsweep_mlp2 = 10\n"
+            "sweep_mlp3 = 4\nsweep_c = 1,2\nsweep_b = 0\n")
+        cfg = write_config(tmp_path, sweep_cfg)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        trained = []
+        real_meta_train = metalearn.meta_train
+
+        def spy_meta_train(train, val, hcfg, protocol, rng):
+            trained.append((hcfg.deepset_dim, hcfg.attention_dim))
+            return real_meta_train(train, val, hcfg, protocol, rng)
+
+        monkeypatch.setattr("metacert.metalearn.meta_train", spy_meta_train)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert trained == [(6, 8), (6, 8)]
 
     def test_train_on_nan_feature_exits_numeric_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -274,13 +301,29 @@ class TestPipeline:
         cfg = write_config(tmp_path, pbsch)
         assert main(["gen", "--config", str(cfg)]) == 0
         assert main(["train", "--config", str(cfg)]) == 0
-        # train checks n_mc through its protocol; certify reads it directly
+        # train never reads n_mc; certify checks it through its protocol
         cfg = write_config(tmp_path, pbsch.replace("n_mc = 4", "n_mc = 0"))
         capsys.readouterr()
         assert main(["certify", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "n_mc" in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("architecture, message_size", [("SCH_MINUS", 0), ("PBSCH", 3)])
+    def test_only_certify_reads_n_mc(self, tmp_path, capsys, architecture, message_size):
+        # train used to reject n_mc = 0, which it never reads, and certify
+        # accepted it for an architecture without Monte-Carlo draws
+        text = (MICRO_CONFIG.replace("architecture = SCH_MINUS", f"architecture = {architecture}")
+                .replace("message_size = 0", f"message_size = {message_size}")
+                .replace("n_mc = 4", "n_mc = 0"))
+        cfg = write_config(tmp_path, text)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["certify", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "n_mc" in err
 
     def test_train_without_tasks_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -378,6 +421,23 @@ class TestBoundCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert name in err and "nan" in err.lower()
+
+    @pytest.mark.parametrize("emp_loss", ["-3", "1.7"])
+    def test_catoni_emp_loss_outside_unit_interval_is_numeric_error(self, capsys, emp_loss):
+        # Catoni's bound is for [0, 1] losses: -3 used to certify tau_star 0
+        assert main(["bound", "catoni", "--m", "100", "--emp-loss", emp_loss]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "emp_loss" in err
+
+    @pytest.mark.parametrize("argv", [["gaussian-kl", "--mu", "abc"],
+                                      ["renyi", "--mu", "1,x"]])
+    def test_malformed_mu_is_usage_error(self, capsys, argv):
+        # was a numeric error (exit 2), unlike every other malformed flag value
+        assert main(["bound", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "--mu" in err
 
     @pytest.mark.parametrize("argv, expected", [
         (["linear", "--m", "100", "--c", "5", "--lambda", "1", "--sigma-sq", "0.01",

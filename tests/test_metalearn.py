@@ -13,7 +13,7 @@ from metacert import bounds, metalearn
 from metacert.autodiff import Tensor
 from metacert.hypernet import (HypernetConfig, downstream_forward, encode,
                                hypernet_forward, init_hypernet_params)
-from metacert.metalearn import (TrainProtocol, TrainingDivergedError,
+from metacert.metalearn import (CertifyProtocol, TrainProtocol, TrainingDivergedError,
                                 certify_task, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
 from metacert.rng import Rng
@@ -246,7 +246,7 @@ class TestCertifyTask:
 
     def test_sch_minus_certificates(self):
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
-        row = certify_task(params, cfg, task, 0.05, Rng(0), n_mc=5)
+        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=5), Rng(0))
         kinds = [e.kind for e in row.certificates]
         assert kinds == ["SCH_BINARY", "SCH_REAL"]
         assert row.certificates[0].emp_loss_kind == "zero_one"
@@ -260,7 +260,7 @@ class TestCertifyTask:
         # at the row's own K, against an exact math.comb CDF root-found by brentq;
         # with K = 0 it is the closed form 1 - (delta / (c C(m, |j|)))^(1/n)
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
-        row = certify_task(params, cfg, task, 0.05, Rng(0), n_mc=5)
+        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=5), Rng(0))
         m, c_eff = row.m_prime, row.c_effective
         n = m - c_eff
         K = round(row.emp_complement_01 * n)
@@ -276,7 +276,7 @@ class TestCertifyTask:
 
     def test_pbh_certificate(self):
         cfg, params, task = self.make("PBH", 0, 3)
-        row = certify_task(params, cfg, task, 0.05, Rng(0), n_mc=16)
+        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=16), Rng(0))
         kinds = [e.kind for e in row.certificates]
         assert kinds == ["PB"]
         assert row.c_effective == 0
@@ -284,7 +284,7 @@ class TestCertifyTask:
 
     def test_pbsch_certificates(self):
         cfg, params, task = self.make("PBSCH", 2, 3)
-        row = certify_task(params, cfg, task, 0.05, Rng(0), n_mc=16)
+        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=16), Rng(0))
         kinds = [e.kind for e in row.certificates]
         assert kinds == ["PBSCH", "PBSCH_DISINTEGRATED"]
         # the disintegrated certificate refers to one sampled predictor,
@@ -294,8 +294,8 @@ class TestCertifyTask:
 
     def test_repeat_certification_bit_identical(self):
         cfg, params, task = self.make("PBSCH", 2, 3)
-        r1 = certify_task(params, cfg, task, 0.05, Rng(42, (9,)), n_mc=8)
-        r2 = certify_task(params, cfg, task, 0.05, Rng(42, (9,)), n_mc=8)
+        r1 = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=8), Rng(42, (9,)))
+        r2 = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=8), Rng(42, (9,)))
         assert r1.test_query_error == r2.test_query_error
         for e1, e2 in zip(r1.certificates, r2.certificates):
             assert e1.tau_star == e2.tau_star and e1.emp_loss == e2.emp_loss
@@ -304,8 +304,8 @@ class TestCertifyTask:
         # same parameters certify the same task identically no matter what
         # other tasks exist; the API admits no meta-training input at all
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
-        r1 = certify_task(params, cfg, task, 0.05, Rng(1))
-        r2 = certify_task(params, cfg, task, 0.05, Rng(1))
+        r1 = certify_task(params, cfg, task, CertifyProtocol(0.05), Rng(1))
+        r2 = certify_task(params, cfg, task, CertifyProtocol(0.05), Rng(1))
         assert r1.certificates[0].tau_star == r2.certificates[0].tau_star
 
     def test_task_too_small_rejected(self):
@@ -313,7 +313,7 @@ class TestCertifyTask:
         tiny = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=2,
                                                    master_seed=1), 0)
         with pytest.raises(ValueError):
-            certify_task(params, cfg, tiny, 0.05, Rng(0))
+            certify_task(params, cfg, tiny, CertifyProtocol(0.05), Rng(0))
 
 
 class TestCompressionSetPrior:
@@ -339,7 +339,8 @@ class TestCompressionSetPrior:
         collided = False
         for seed in (5, 8):  # task seed 8 makes two of the three heads collide
             task = TestForwardOnlyEvaluation.task(seed)
-            row = certify_task(params, cfg, task, 0.05, Rng(30, (seed,)), n_mc=6)
+            row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=6),
+                               Rng(30, (seed,)))
             art, _, _ = encode(metalearn._constants(params), cfg, task.features, task.labels)
             m, c_eff = row.m_prime, row.c_effective
             collided |= c_eff < c
@@ -416,7 +417,7 @@ class TestForwardOnlyEvaluation:
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         for cfg, params in runs:
             needs_grad.clear()
-            certify_task(params, cfg, tasks[0], 0.05, Rng(0), n_mc=4)
+            certify_task(params, cfg, tasks[0], CertifyProtocol(0.05, n_mc=4), Rng(0))
             metalearn._validation_error(params, cfg, TrainProtocol(support_size=20),
                                         tasks, Rng(3))
             assert needs_grad and not any(needs_grad), cfg.architecture
@@ -443,8 +444,8 @@ class TestStackedCertification:
         for seed in (5, 8):
             task = TestForwardOnlyEvaluation.task(seed)
             rng = Rng(30, (seed,))
-            row = certify_task(params, cfg, task, 0.05, rng, n_mc=self.N_MC,
-                               loss_kind=kind)
+            row = certify_task(params, cfg, task,
+                               CertifyProtocol(0.05, n_mc=self.N_MC, loss_kind=kind), rng)
             art, _, message = encode(frozen, cfg, task.features, task.labels)
             collided |= art.c_effective < c
             mean, stderr = mc_expected_loss(params, cfg, task, art, self.N_MC,
@@ -489,8 +490,8 @@ class TestStackedCertification:
         for (arch, c, b), rows in zip(ARCHS, (5, None, 1, 6)):
             cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
             calls.clear()
-            certify_task(init_hypernet_params(cfg, Rng(6).split(0)), cfg, task, 0.05,
-                         Rng(0), n_mc=4)
+            certify_task(init_hypernet_params(cfg, Rng(6).split(0)), cfg, task,
+                         CertifyProtocol(0.05, n_mc=4), Rng(0))
             assert [name for name, _ in calls] == ["encode", "decode"] * 2, arch
             assert calls[1][1] == rows, arch
 
@@ -501,7 +502,7 @@ class TestSweep:
         protocol = TrainProtocol(support_size=10, max_epochs=2, patience=2)
         grid = {"learning_rate": [1e-3], "mlp1": [(8,)], "mlp2": [(8,)],
                 "mlp3": [(4,)], "c": [2], "b": [0]}
-        best, rows = sweep(meta.train, meta.val, "SCH_MINUS", protocol, Rng(3),
+        best, rows = sweep(meta.train, meta.val, {"architecture": "SCH_MINUS"}, protocol, Rng(3),
                            grid=grid)
         assert len(rows) == 1 and best is rows[0]
         assert best.c == 2 and best.skipped is None
@@ -512,7 +513,7 @@ class TestSweep:
         grid = {"learning_rate": [1e-3], "mlp1": [(8,)], "mlp2": [(8,)],
                 "mlp3": [(4,)], "c": [0, 2], "b": [0]}
         messages = []
-        best, rows = sweep(meta.train, meta.val, "SCH_MINUS", protocol, Rng(3),
+        best, rows = sweep(meta.train, meta.val, {"architecture": "SCH_MINUS"}, protocol, Rng(3),
                            grid=grid, log_fn=messages.append)
         assert len(rows) == 2
         skipped = [r for r in rows if r.skipped]
