@@ -8,8 +8,12 @@ Numerical conventions:
 
 * all probabilities are carried as natural logarithms end to end, so that
   products of tiny priors (e.g. 1/C(2000, 8) * 2^-128 * delta) are routine;
-* the two inversions (binary-kl and binomial tail) are plain bisections,
-  tolerance 1e-12 on the argument with a hard cap of 200 iterations;
+* the two inversions (binary-kl and binomial tail) are bisections,
+  tolerance 1e-12 on the argument with a hard cap of 200 iterations; the
+  binomial-tail one evaluates in one batch the path a guess of the
+  root predicts, and takes its steps only up to the first exact decision
+  the guess got wrong, so each step it takes, and its result, is the plain
+  bisection's;
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
   train-set comparison table deliberately reports unclamped values;
 * one builder, ``_certificate``, turns every certificate's three budget
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtri, gammaln
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
@@ -151,14 +155,20 @@ def binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> float:
 
 def binomial_tail_inverses(n: int, K: int,
                            log_delta_primes: Sequence[float]) -> list[float]:
-    """``binomial_tail_inverse`` at each threshold, the bisections in lockstep.
+    """``binomial_tail_inverse`` at each threshold, each bisection's path
+    evaluated in speculated batches.
 
-    The binomial coefficients are computed once per (n, K), and each step
-    evaluates the log CDF of every still-active threshold as one
-    (rows, K + 1) array.  Each row keeps the scalar bisection's own break
-    rules, tolerance and iteration cap, and ``math.log`` / ``math.log1p``
-    are taken per row, so every result equals the one-threshold bisection's
-    bit for bit.
+    Each round lists, for every unfinished threshold, the midpoints its
+    bisection would visit from the current bracket if every decision went the
+    way a fixed guess of the root predicts (``_root_guesses``), under the
+    scalar bisection's own break rules, tolerance and iteration cap.  The log
+    CDF at all listed midpoints is then one (midpoints, K + 1) array, and each
+    bisection replays its list with the exact decisions up to the first one
+    the guess got wrong; the next round re-speculates from there.  Up to that
+    point every listed midpoint is the one the bisection itself computes, and
+    ``math.log`` / ``math.log1p`` are taken per midpoint, so every result
+    equals the one-threshold bisection's bit for bit whatever the guesses are.
+    Each round consumes at least one step of every unfinished bisection.
     """
     if not 0 <= K <= n:
         raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
@@ -170,28 +180,65 @@ def binomial_tail_inverses(n: int, K: int,
     k = np.arange(K + 1)
     n_minus_k = n - k
     log_coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n_minus_k + 1)
+    guesses = _root_guesses(n, K, log_delta_primes)
     # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
     lo = [0.0] * len(log_delta_primes)
     hi = [1.0] * len(log_delta_primes)
+    steps = [0] * len(log_delta_primes)
     active = range(len(log_delta_primes))
-    for _ in range(_BISECT_MAX_ITER):
-        # drop a row whose interval is exhausted at float resolution
-        mids = {i: 0.5 * (lo[i] + hi[i]) for i in active}
-        active = [i for i in active if lo[i] < mids[i] < hi[i]]
+    while True:
+        # a row with no next midpoint is exhausted at float resolution or capped
+        paths = {i: _speculated_path(lo[i], hi[i], guesses[i], _BISECT_MAX_ITER - steps[i])
+                 for i in active}
+        active = [i for i in active if paths[i]]
         if not active:
-            break
-        log_r = np.array([[math.log(mids[i])] for i in active])
-        log_s = np.array([[math.log1p(-mids[i])] for i in active])
+            return lo
+        mids = [mid for i in active for mid in paths[i]]
+        log_r = np.array([math.log(mid) for mid in mids])[:, None]
+        log_s = np.array([math.log1p(-mid) for mid in mids])[:, None]
         terms = log_coeffs + k * log_r + n_minus_k * log_s
         top = terms.max(axis=1)
         sums = np.exp(terms - top[:, None]).sum(axis=1)
-        for row, i in enumerate(active):
-            if float(top[row] + math.log(sums[row])) >= log_delta_primes[i]:
-                lo[i] = mids[i]
-            else:
-                hi[i] = mids[i]
+        top, sums = top.tolist(), sums.tolist()
+        row = 0
+        for i in active:
+            for j, mid in enumerate(paths[i], row):
+                above = top[j] + math.log(sums[j]) >= log_delta_primes[i]
+                steps[i] += 1
+                if above:
+                    lo[i] = mid
+                else:
+                    hi[i] = mid
+                if hi[i] - lo[i] <= _BISECT_TOL or above != (mid <= guesses[i]):
+                    break  # converged, or the rest of the path is not the bisection's
+            row += len(paths[i])
         active = [i for i in active if hi[i] - lo[i] > _BISECT_TOL]
-    return lo
+
+
+def _root_guesses(n: int, K: int, log_delta_primes: Sequence[float]) -> list[float]:
+    """scipy's estimate of each root of CDF(r) = delta', which
+    ``binomial_tail_inverses`` uses only to predict its bisections'
+    decisions: any value, NaN included, leaves its results unchanged."""
+    with np.errstate(all="ignore"):
+        return bdtri(K, n, np.exp(np.asarray(log_delta_primes, dtype=np.float64))).tolist()
+
+
+def _speculated_path(lo: float, hi: float, guess: float, max_steps: int) -> list[float]:
+    """The midpoints the bisection visits from (lo, hi) in at most ``max_steps``
+    steps if each decision is ``mid <= guess``, under its break rules."""
+    path = []
+    while len(path) < max_steps:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # interval exhausted at float resolution
+        path.append(mid)
+        if mid <= guess:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _BISECT_TOL:
+            break
+    return path
 
 
 def gaussian_kl(mu) -> float:

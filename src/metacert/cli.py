@@ -56,6 +56,16 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(s.strip()) for s in text.split(",") if s.strip()]
 
 
+def _float_list_flag(text: str) -> list[float]:
+    """``_parse_float_list`` for a flag: argparse's own message for a failed
+    ``type`` would name the parser function instead of the expected value."""
+    try:
+        return _parse_float_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of floats, got {text!r}") from None
+
+
 # A run config sets the fields of these dataclasses.  Where the CLI departs
 # from them: three fields have other key names, three keys other defaults, one
 # key is checked by its record as it is parsed, and the moons tasks fix the
@@ -256,7 +266,7 @@ BOUND_FLAGS = {
     "q": dict(type=float, default=0.0, help="first Bernoulli argument"),
     "p": dict(type=float, default=0.5, help="second Bernoulli argument"),
     "budget": dict(type=float, default=0.0, help="kl budget in nats"),
-    "mu": dict(type=_parse_float_list, default="0", help="comma-separated posterior mean vector"),
+    "mu": dict(type=_float_list_flag, default="0", help="comma-separated posterior mean vector"),
     "alpha": dict(type=float, default=2.0, help="Renyi order"),
     "csv": dict(help="also write the breakdown as CSV"),
 }

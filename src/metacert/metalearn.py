@@ -60,15 +60,17 @@ class TrainProtocol:
 
 @dataclass(frozen=True)
 class CertifyProtocol:
-    """The settings a certificate depends on: the confidence ``delta`` (its
-    range is checked by ``BoundBudget``), the number of posterior draws
-    behind the Monte-Carlo expectation bounds, and the loss they certify."""
+    """The settings a certificate depends on: the confidence ``delta`` in
+    (0, 1], the number of posterior draws behind the Monte-Carlo expectation
+    bounds, and the loss they certify."""
 
     delta: float = 0.05
     n_mc: int = 100
     loss_kind: str = "zero_one"
 
     def __post_init__(self):
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if not self.n_mc >= 1:
             raise ValueError(f"n_mc must be >= 1, got {self.n_mc}")
         if self.loss_kind not in ("zero_one", "linear"):

@@ -220,6 +220,70 @@ class TestLockstepBisection:
             binomial_tail_inverses(10, 1, (-1.0, math.nan))
 
 
+class _CountingMath:
+    """``math`` with a count of ``log1p`` calls: ``binomial_tail_inverses``
+    takes one per evaluated midpoint."""
+
+    def __init__(self):
+        self.log1p_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log1p(self, x):
+        self.log1p_calls += 1
+        return math.log1p(x)
+
+
+class TestSpeculatedBisection:
+    """``binomial_tail_inverses`` evaluates each bisection's predicted path in
+    one batch and replays it; the results are the scalar bisection's whatever
+    the predictions, and the batches evaluate few midpoints beyond its own."""
+
+    @pytest.mark.parametrize("guess", [math.nan, 0.0, 0.5, 1.0])
+    def test_any_guess_gives_the_scalar_bits(self, monkeypatch, guess):
+        monkeypatch.setattr(bounds, "_root_guesses", lambda n, K, ts: [guess] * len(ts))
+        for n, K, thresholds in TestLockstepBisection.grid():
+            ref = [scalar_binomial_tail_inverse(n, K, t) for t in thresholds]
+            assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
+
+    def test_extreme_thresholds_give_the_scalar_bits(self):
+        # exp(-1000) and exp(-inf) underflow to 0, where scipy's guess degenerates
+        rng = np.random.default_rng(5)
+        cases = [(1, 0), (2, 1), (197, 0), (197, 196), (5000, 0), (5000, 4999)]
+        for _ in range(12):
+            n = int(rng.integers(1, 5001))
+            cases.append((n, int(rng.integers(0, n + 1))))
+        thresholds = [0.0, -math.inf, -1000.0]
+        for n, K in cases:
+            ref = [scalar_binomial_tail_inverse(n, K, t) for t in thresholds]
+            assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
+
+    def test_evaluates_few_midpoints_beyond_the_scalar_bisection(self, monkeypatch):
+        # perfbench-like SCH_BINARY certificates: m' = 200, c = 3, b = 4, delta = 0.05
+        rng = np.random.default_rng(14)
+        budget = BoundBudget(m_prime=200, c=3, b=4, delta=0.05,
+                             log_prior_j=-math.log(3) - log_binomial(200, 3))
+        conf = math.log(1 / 0.05)
+        cumulative = (conf, conf + 4 * math.log(2.0), conf + 4 * math.log(2.0)
+                      - budget.log_prior_j)
+        scalar_calls = []
+        counted_cdf = _log_binom_cdf
+
+        def counting_cdf(*args):
+            scalar_calls.append(1)
+            return counted_cdf(*args)
+
+        monkeypatch.setitem(globals(), "_log_binom_cdf", counting_cdf)
+        counting_math = _CountingMath()
+        monkeypatch.setattr(bounds, "math", counting_math)
+        for _ in range(100):
+            K = int(rng.integers(24, 135))
+            ref = [scalar_binomial_tail_inverse(197, K, -nats) for nats in cumulative]
+            assert [row[2] for row in bound_sch_binary(budget, K).breakdown[1:]] == ref
+        assert 0 < counting_math.log1p_calls <= 1.2 * len(scalar_calls)
+
+
 class TestGaussianDivergences:
     def test_kl_zero_mean(self):
         assert gaussian_kl(np.zeros(4)) == 0.0

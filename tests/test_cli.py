@@ -325,6 +325,22 @@ class TestPipeline:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "n_mc" in err
 
+    @pytest.mark.parametrize("delta", ["5", "nan"])
+    def test_certify_checks_delta_before_reading_tasks(self, tmp_path, capsys, delta):
+        # without test tasks no certificate reached BoundBudget's check, so
+        # certify exited 0 and wrote a header-only certificates.csv
+        text = (MICRO_CONFIG.replace("n_test_tasks = 3", "n_test_tasks = 0")
+                + f"delta = {delta}\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["certify", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "delta" in err
+        assert not (tmp_path / "out" / "certificates.csv").exists()
+
     def test_train_without_tasks_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["train", "--config", str(cfg)])
@@ -438,6 +454,13 @@ class TestBoundCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "--mu" in err
+
+    def test_malformed_mu_names_the_flag_not_its_parser(self, capsys):
+        assert main(["bound", "gaussian-kl", "--mu", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--mu" in err and "comma-separated list of floats" in err
+        assert "_parse" not in err
 
     @pytest.mark.parametrize("argv, expected", [
         (["linear", "--m", "100", "--c", "5", "--lambda", "1", "--sigma-sq", "0.01",
