@@ -18,7 +18,8 @@ Only the handful of primitives the hypernetworks need are provided:
 * ``dense``, one fused dense layer ``x @ w + b``, optionally ReLU'd;
 * ``attention_select``, one node for all attention heads of the sample
   compressor: per-head queries, scaled dot-product logits, softmax and
-  straight-through row selection;
+  straight-through row selection (its forward, ``attention_probs``, also
+  serves the forward-only encoder on plain arrays);
 * structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
   ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
   ``reshape``, ``slice_cols``;
@@ -366,6 +367,27 @@ def hard_select_st(probs: Tensor, values: Tensor, soft: bool = False) -> Tensor:
     return Tensor(y, parents=(probs, values), backward=backward, op="hard_select_st")
 
 
+def attention_probs(z: np.ndarray, keys: np.ndarray, w: np.ndarray, b: np.ndarray,
+                    scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of ``attention_select``'s heads, on plain arrays.
+
+    ``w`` and ``b`` hold the c heads' query layers side by side.  Returns
+    the queries of the (..., 1, d') embeddings ``z``, (..., c, a), and each
+    head's softmax over the m rows of the (..., m, a) ``keys``,
+    (..., c, m, 1).  Leading axes stack independent sets; every product
+    keeps one set's shapes, ``(1, d') @ (d', c a)`` and
+    ``(m, a) @ (a, 1)``, so each set gets the bits it gets alone.
+    """
+    a = keys.shape[-1]
+    queries = (z @ w + b).reshape(*z.shape[:-2], w.shape[1] // a, a)
+    logits = (keys[..., None, :, :] @ queries[..., None]) * scale
+    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    probs = e / e.sum(axis=-2, keepdims=True)
+    if np.isnan(probs).any():
+        raise NonFiniteError("NaN in selection probabilities")
+    return queries, probs
+
+
 def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: float,
                      soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
     """``c`` scaled dot-product attention heads, each selecting one row of ``values``.
@@ -383,10 +405,11 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
 
     One node stands for the per-head graph dense -> transpose -> matmul ->
     mul_scalar -> softmax -> hard_select_st plus the concat of the rows, and
-    matches it bit for bit: the queries are one ``z @ [w_0 | ... | w_c-1]``
-    product and the logits one stacked ``(1, m, a) @ (c, a, 1)`` product (a
-    flat ``(m, a) @ (a, c)`` GEMM rounds differently), and backward runs the
-    heads last to first with the per-head shapes, as that graph did.  (A
+    matches it bit for bit: ``attention_probs`` takes the queries as one
+    ``z @ [w_0 | ... | w_c-1]`` product and the logits as one stacked
+    ``(1, m, a) @ (c, a, 1)`` product (a flat ``(m, a) @ (a, c)`` GEMM rounds
+    differently), and backward runs the heads last to first with the
+    per-head shapes, as that graph did.  (A
     zero gradient entry may differ in sign where a softmax underflows to an
     exact 0; Adam's update is the same for either sign.)
     """
@@ -398,13 +421,9 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
         raise ValueError(f"attention_select shapes: z {z.data.shape}, keys {keys.data.shape}, "
                          f"values {values.shape}, heads "
                          f"{[(w.data.shape, b.data.shape) for w, b in heads]}")
-    queries = (z.data @ np.concatenate([w.data for w, _ in heads], axis=1)
-               + np.concatenate([b.data for _, b in heads], axis=1)).reshape(c, a)
-    logits = (keys.data[None] @ queries[:, :, None]) * scale         # (c, m, 1)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    if np.isnan(probs).any():
-        raise NonFiniteError("NaN in selection probabilities")
+    queries, probs = attention_probs(z.data, keys.data,
+                                     np.concatenate([w.data for w, _ in heads], axis=1),
+                                     np.concatenate([b.data for _, b in heads], axis=1), scale)
     owner: dict[int, int] = {}  # selected position -> first head selecting it
     for h, pos in enumerate(np.argmax(probs[:, :, 0], axis=1)):
         owner.setdefault(int(pos), h)

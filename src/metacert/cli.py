@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds
 from .hypernet import HypernetConfig, load_checkpoint, save_checkpoint
 from .metalearn import (DEFAULT_GRID, CertifyProtocol, SweepRow, TrainingDivergedError,
-                        TrainProtocol, certify_task, meta_train, sweep)
+                        TrainProtocol, certify_tasks, meta_train, sweep)
 from .rng import Rng, STREAM_CERTIFY, STREAM_SWEEP, STREAM_TRAIN
 from .tasks import MoonsEnvironmentSpec, gen_meta_dataset, load_tasks, save_tasks
 
@@ -203,8 +203,7 @@ def cmd_certify(cfg: dict) -> int:
     hcfg, params, _ = load_checkpoint(out_dir / "checkpoint.json")
     rng = Rng(cfg["master_seed"]).split(STREAM_CERTIFY)
     rows = []
-    for task in meta.test:
-        row = certify_task(params, hcfg, task, protocol, rng.split(task.task_id))
+    for row in certify_tasks(params, hcfg, meta.test, protocol, rng):
         for entry in row.certificates:
             rows.append([row.task_id, row.architecture, entry.kind, row.m_prime,
                          row.c_effective, row.b, _fmt(protocol.delta),

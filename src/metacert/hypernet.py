@@ -12,17 +12,20 @@ bottleneck (selected rows, message), which is what the certificates charge
 for.  ``encode`` runs the bottleneck and returns its record,
 ``CompressionArtifacts``: the compression set J and the message sigma.
 ``hypernet_forward`` follows it with the message noise and ``reconstruct``
-in one graph, which serves training only; evaluation decodes through the
-forward-only ``decode_gamma``.
+in one graph; the graph serves training only.  Evaluation runs forward-only
+twins in plain numpy over stacks of sets: ``encode_sets`` encodes a stack of
+equal-size task samples and ``decode_gamma`` decodes a chunk of stored
+artifacts, each set with the bits of the graph on that set alone.
 Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
-``decode_gamma``; inner modules require canonical order.  Every architecture
-is therefore exactly permutation invariant, bit for bit.
+``encode_sets`` / ``decode_gamma``; inner modules require canonical order.
+Every architecture is therefore exactly permutation invariant, bit for bit.
 
 Tasks arrive at wildly different locations and scales, and the networks use
 no batch normalization, so every set is standardized by its own statistics:
-``encode`` standardizes the input set once for the compressor and message
-head, and the reconstructor standardizes its own rows, the compression rows,
-folding the inverse affine map into the first downstream layer it emits.
+``encode`` (``encode_sets``) standardizes each input set once for the
+compressor and message head, and the reconstructor standardizes its own
+rows, the compression rows, folding the inverse affine map into the first
+downstream layer it emits.
 Every statistic is a function of the module's own legitimate input (the full
 input set for the compressor and message head, the compression rows alone
 for the reconstructor), so the information-bottleneck separation is
@@ -150,6 +153,25 @@ def mlp_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return x
 
 
+def _mlp_rows(params: dict[str, Tensor], prefix: str, x: np.ndarray) -> np.ndarray:
+    """Forward-only ``mlp_forward`` of a stack (..., n, k) of row sets.
+
+    Each layer is one stacked matmul with the per-set shapes,
+    ``(..., n, k) @ (k, h)``, so every set gets the bits of ``mlp_forward``
+    on that set alone; the bias add and the ReLU are written into the
+    product's buffer, which rounds the same.
+    """
+    n_layers = _mlp_layer_count(params, prefix)
+    if n_layers == 0:
+        raise KeyError(f"no parameters under prefix {prefix!r}")
+    for i in range(n_layers):
+        x = x @ params[f"{prefix}.w{i}"].data
+        x += params[f"{prefix}.b{i}"].data
+        if i < n_layers - 1:
+            np.maximum(x, 0.0, out=x)
+    return x
+
+
 def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> dict[str, Tensor]:
     """Create all parameters in a fixed order from a single stream."""
     params: dict[str, Tensor] = {}
@@ -185,14 +207,16 @@ _STD_FLOOR_REL = 0.05
 def set_statistics(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate mean and floored standard deviation of a point set.
 
-    A single point gets unit scale (centering only).
+    ``features`` is one (m, d) set or a stack (..., m, d) of equal-size
+    sets, each reduced over its own rows.  A single point gets unit scale
+    (centering only).
     """
     feats = np.asarray(features, dtype=np.float64)
-    mean = feats.mean(axis=0)
-    if feats.shape[0] < 2:
+    mean = feats.mean(axis=-2)
+    if feats.shape[-2] < 2:
         return mean, np.ones_like(mean)
-    std = feats.std(axis=0)
-    floor = max(_STD_FLOOR_ABS, _STD_FLOOR_REL * float(std.max()))
+    std = feats.std(axis=-2)
+    floor = np.maximum(_STD_FLOOR_ABS, _STD_FLOOR_REL * std.max(axis=-1, keepdims=True))
     return mean, np.maximum(std, floor)
 
 
@@ -211,11 +235,33 @@ def _standardized_input(features: Tensor) -> Tensor:
 def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Lexicographic row order of [features | labels]; ties keep input order.
 
-    Encoding a set through this order makes every aggregation exactly
-    permutation invariant, including the floating-point summation order.
+    ``features`` is one (m, d) set or a stack (..., m, d) of equal-size
+    sets with (..., m) labels; each set gets its own order.  Encoding a set
+    through this order makes every aggregation exactly permutation
+    invariant, including the floating-point summation order.
     """
-    joined = np.column_stack([features, np.asarray(labels).reshape(len(features), -1)])
-    return np.lexsort(tuple(joined[:, j] for j in reversed(range(joined.shape[1]))))
+    features = np.asarray(features)
+    joined = np.concatenate(
+        [features, np.reshape(labels, (*features.shape[:-1], 1))], axis=-1)
+    return np.lexsort(tuple(joined[..., j] for j in reversed(range(joined.shape[-1]))))
+
+
+def _standardized_sets(features: np.ndarray, labels: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical order and own-statistics standardization of a stack of sets.
+
+    (T, m, d) features and (T, m) labels give each set's canonical order
+    (T, m), its standardized features (T, m, d) and its labels (T, m, 1) in
+    that order, and its mean and inverse scale (T, d).  Set t gets the bits
+    of ``_standardized_input`` and of the production ``_encode_rows`` on set
+    t alone: the sort, the statistics and the map each run over its own rows.
+    """
+    order = canonical_order(features, labels)
+    x = np.take_along_axis(features, order[:, :, None], axis=1)
+    y = np.take_along_axis(labels, order, axis=1)[:, :, None]
+    mean, std = set_statistics(x)
+    inv_scale = 1.0 / std
+    return order, (x - mean[:, None]) * inv_scale[:, None], y, mean, inv_scale
 
 
 def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
@@ -232,6 +278,22 @@ def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
     rows = mlp_forward(params, prefix, features)
     pooled = ad.matmul(ad.transpose(rows), labels)          # (d', 1)
     return ad.mul_scalar(ad.transpose(pooled), 1.0 / m)     # (1, d')
+
+
+def _embed_sets(params: dict[str, Tensor], prefix: str, features: np.ndarray,
+                labels: np.ndarray) -> np.ndarray:
+    """Forward-only ``deepset_embed`` of a stack of canonically ordered sets.
+
+    (T, m, d) features and (T, m, 1) labels give the (T, 1, d') embeddings;
+    the pooling is one ``(T, d', m) @ (T, m, 1)`` product, set t's bits
+    those of ``deepset_embed`` on set t.
+    """
+    m = features.shape[1]
+    if m == 0:
+        raise ValueError("cannot embed an empty set")
+    rows = _mlp_rows(params, prefix, features)
+    pooled = rows.transpose(0, 2, 1) @ labels                  # (T, d', 1)
+    return pooled.transpose(0, 2, 1) * (1.0 / m)               # (T, 1, d')
 
 
 def pb_encode(params: dict[str, Tensor], xs_std: Tensor, labels: Tensor) -> Tensor:
@@ -449,7 +511,8 @@ def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
 
     The sample is put in canonical order here, once, for every module.  The
     message is the binary one or the Gaussian mean before noise; a part the
-    architecture lacks is ``None``.  On constant parameters it builds no graph.
+    architecture lacks is ``None``.  It serves training; evaluation uses
+    ``encode_sets``, its forward-only twin over stacks of samples.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
@@ -489,53 +552,112 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
     return reconstruct(params, cfg, rows, message, soft=soft), artifacts
 
 
+def encode_sets(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
+                labels: np.ndarray) -> list[CompressionArtifacts]:
+    """Forward-only ``encode`` of a stack of equal-size task samples.
+
+    ``features`` is (T, m, d) and ``labels`` (T, m); returns one
+    ``CompressionArtifacts`` per sample, in order.  It runs in plain numpy
+    on the parameter arrays and builds no graph; ``encode`` serves training.
+    Every product keeps the per-sample shapes of ``encode``'s graph ops,
+    ``(T, m, k) @ (k, h)`` for the per-row networks, ``(T, 1, k) @ (k, h)``
+    for the embeddings' heads and ``(T, 1, m, a) @ (T, c, a, 1)`` for the
+    attention logits (``ad.attention_probs``), and every reduction (the canonical sort, the
+    statistics, the softmax) runs over each sample's own rows: a flat
+    ``(T m, k) @ (k, h)`` product would round differently.  So sample t's
+    artifacts are ``encode``'s on sample t alone, bit for bit.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n_sets, m, _ = features.shape
+    order, xs_std, y, _, _ = _standardized_sets(features, labels)
+    indices: list[tuple[int, ...]] = [()] * n_sets
+    if cfg.c > 0:
+        if cfg.c > m:
+            raise ValueError(f"compression size {cfg.c} exceeds set size {m}")
+        # the forward of ``sample_compress`` -> ``ad.attention_select``
+        heads = [f"compressor.query{h}" for h in range(cfg.c)]
+        _, probs = ad.attention_probs(
+            _embed_sets(params, "compressor.deepset", xs_std, y),
+            _mlp_rows(params, "compressor.keys", xs_std),
+            np.concatenate([params[f"{head}.w0"].data for head in heads], axis=1),
+            np.concatenate([params[f"{head}.b0"].data for head in heads], axis=1),
+            1.0 / math.sqrt(cfg.attention_dim))                          # (T, c, m, 1)
+        picked = np.take_along_axis(order, np.argmax(probs[..., 0], axis=2), axis=1)
+        indices = [tuple(sorted(set(row.tolist()))) for row in picked]
+    messages = [None] * n_sets
+    if cfg.has_message:
+        out = _mlp_rows(params, "message.trunk",
+                        _embed_sets(params, "message.deepset", xs_std, y))  # (T, 1, b)
+        sigma = np.where(out >= 0.0, 1.0, -1.0) if cfg.has_binary_message else np.tanh(out)
+        messages = list(sigma[:, 0])
+    return [CompressionArtifacts(j, message) for j, message in zip(indices, messages)]
+
+
 def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
                  features: np.ndarray, labels: np.ndarray,
                  indices, messages: np.ndarray | None) -> np.ndarray:
     """Rebuild gamma rows from stored bottleneck artifacts, forward only.
 
-    The compression rows are reassembled from the task data at ``indices``,
-    put in canonical order and encoded once; then every row of the (n, b)
-    ``messages`` matrix (one row of no message for ``None``) goes through the
+    One set: (m, d) ``features``, (m,) ``labels``, its compression
+    ``indices`` and an (n, b) ``messages`` matrix (``None`` for one row of
+    no message) give the (n, G) gamma rows.  A chunk of T sets: (T, m, d)
+    features, (T, m) labels, T index tuples and (T, n, b) messages give
+    (T, n, G); the one-set call is the chunk of one.
+
+    Each set's compression rows are reassembled from its data, put in
+    canonical order and encoded once, every set with the same number of
+    rows in one stack; then every message row of every set goes through the
     reconstructor trunk and the fold in plain numpy, with no graph.  Each
-    matmul is stacked over the messages with the per-message shapes,
-    ``(n, 1, k) @ (k, h)``: a flat ``(n, k) @ (k, h)`` product rounds
-    differently, while the stacked one makes row i of the (n, G) result
-    match the ``hypernet_forward`` gamma for message i bit for bit, which is
-    exactly the property the certificates rely on.
+    matmul keeps the per-message shapes, ``(T, n, 1, k) @ (k, h)``: a flat
+    ``(T n, k) @ (k, h)`` product rounds differently, while the stacked one
+    makes row i of set t match the ``hypernet_forward`` gamma of set t and
+    message i bit for bit, which is exactly the property the certificates
+    rely on.
     """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 2:
+        return decode_gamma(params, cfg, features[None], np.asarray(labels)[None], [indices],
+                            None if messages is None else np.asarray(messages)[None])[0]
     if (messages is None) == cfg.has_message:
-        raise ValueError(f"{cfg.architecture} needs an (n, {cfg.b}) message matrix"
+        raise ValueError(f"{cfg.architecture} needs an (n, {cfg.b}) message matrix per set"
                          if cfg.has_message else f"{cfg.architecture} takes no messages")
-    rows = None
-    if len(indices) > 0:
-        idx = np.asarray(indices, dtype=np.intp)
-        feats = np.asarray(features, dtype=np.float64)[idx]
-        labs = np.asarray(labels, dtype=np.float64)[idx]
-        rows = ad.constant(np.column_stack([feats, labs])[canonical_order(feats, labs)])
-    emb, mu, inv_scale = _encode_rows(params, cfg, rows)
-    x = emb.data[None]                                               # (1, 1, d')
+    n_sets = len(features)
+    if len(indices) != n_sets:
+        raise ValueError(f"{len(indices)} index sets for {n_sets} sets")
+    labels = np.asarray(labels, dtype=np.float64)
+    emb = np.empty((n_sets, 1, cfg.deepset_dim))
+    mean = np.empty((n_sets, cfg.input_dim))
+    inv_scale = np.empty_like(mean)
+    for size in sorted({len(j) for j in indices}):
+        sets = np.array([t for t, j in enumerate(indices) if len(j) == size])
+        if size == 0:
+            emb[sets] = params["recon.const"].data
+            continue
+        # the production half of ``_encode_rows``, for every set of this size
+        idx = np.array([indices[t] for t in sets], dtype=np.intp)
+        _, feats_std, labs, mean[sets], inv_scale[sets] = _standardized_sets(
+            features[sets[:, None], idx], labels[sets[:, None], idx])
+        emb[sets] = _embed_sets(params, "recon.deepset", feats_std, labs)
+    x = emb[:, None]                                                 # (T, 1, 1, d')
     if messages is not None:
         messages = np.asarray(messages, dtype=np.float64)
-        if messages.ndim != 2 or messages.shape[1] != cfg.b:
-            raise ValueError(f"messages must have shape (n, {cfg.b}), got {messages.shape}")
-        x = np.concatenate([np.broadcast_to(x, (len(messages), 1, x.shape[2])),
-                            messages[:, None, :]], axis=2)
-    n_layers = _mlp_layer_count(params, "recon.trunk")
-    for i in range(n_layers):
-        x = x @ params[f"recon.trunk.w{i}"].data + params[f"recon.trunk.b{i}"].data
-        if i < n_layers - 1:
-            x = np.maximum(x, 0.0)
-    raw = x[:, 0, :]
-    if mu is None:
+        if messages.ndim != 3 or len(messages) != n_sets or messages.shape[2] != cfg.b:
+            raise ValueError(f"messages must have shape ({n_sets}, n, {cfg.b}), "
+                             f"got {messages.shape}")
+        x = np.concatenate([np.broadcast_to(x, (n_sets, messages.shape[1], 1, x.shape[3])),
+                            messages[:, :, None, :]], axis=3)
+    raw = _mlp_rows(params, "recon.trunk", x)[:, :, 0, :]             # (T, n, G)
+    if cfg.c == 0:
         return raw
     # the fold of ``reconstruct``, on every row at once
-    mu, inv_scale = mu.data, inv_scale.data
     fan_in, fan_out, w_start, b_start, stop = gamma_layout(cfg.mlp3_shapes)[0]
-    w_tilde = raw[:, w_start:b_start].reshape(-1, fan_in, fan_out)
-    w1 = w_tilde * (inv_scale.T @ np.ones((1, fan_out)))
-    b1 = raw[:, b_start:stop] - ((mu * inv_scale) @ w_tilde)[:, 0, :]
-    return np.concatenate([w1.reshape(-1, fan_in * fan_out), b1, raw[:, stop:]], axis=1)
+    w_tilde = raw[..., w_start:b_start].reshape(*raw.shape[:2], fan_in, fan_out)
+    w1 = w_tilde * inv_scale[:, None, :, None]
+    shift = (mean * inv_scale).reshape(n_sets, 1, 1, fan_in) @ w_tilde
+    b1 = raw[..., b_start:stop] - shift[:, :, 0, :]
+    return np.concatenate([w1.reshape(*raw.shape[:2], fan_in * fan_out), b1,
+                           raw[..., stop:]], axis=2)
 
 
 # ---------------------------------------------------------------------------

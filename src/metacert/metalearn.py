@@ -4,19 +4,26 @@ Training loops over tasks in a seeded-shuffled order; each visit splits the
 task into support and query halves, runs the hypernetwork graph on the
 support set, and takes one Adam step on the query surrogate loss (binary
 cross-entropy).  Nothing else is differentiated: validation (query 0-1 error
-each epoch, message noise at zero) and certification decode forward only,
-through ``encode`` on constant parameters and ``decode_gamma``.  The
-returned parameters are those of the best validation epoch.
+each epoch, message noise at zero) and certification run forward only, in
+plain numpy, over stacked chunks of tasks: one ``encode_sets`` call encodes
+a chunk's samples and one ``decode_gamma`` call decodes its predictors, each
+task with the bits of its own graph forward.  ``_chunk_size`` sizes every
+chunk against the one byte budget ``CHUNK_BYTES``.  The returned parameters
+are those of the best validation epoch.
 
-Certification consumes a *test* task only: the full sample goes through the
-bottleneck, the empirical loss is measured on the complement of the
-compression set, and the architecture-appropriate certificates are computed
-from one ``BoundBudget`` per task, which they share but for the empirical loss;
-its compression-set prior is the size-aware 1 / (c C(m', |j|)).
-Every message a task's certificates score (the noise-free one, the
-Monte-Carlo draws and PBSCH's disintegrated draw) is drawn first and decoded
-in one stacked batch, so the compression rows are encoded once per task.
-The meta-training collection is never an input to certification.
+Certification consumes *test* tasks only, each on its own: the full sample
+goes through the bottleneck, the empirical loss is measured on the
+complement of the compression set, and the architecture-appropriate
+certificates are computed from one ``BoundBudget`` per task, which they
+share but for the empirical loss; its compression-set prior is the
+size-aware 1 / (c C(m', |j|)).  ``certify_tasks`` decodes equal-size
+tasks in stacked chunks (``_decode_chunk``) and hands each task's share to
+``certify_task``, which scores it; called alone, ``certify_task`` decodes
+its task as a chunk of one.  Every message a task's certificates score (the
+noise-free one, the Monte-Carlo draws and PBSCH's disintegrated draw) is
+drawn first and decoded in one stacked batch with the rest of its chunk, so
+the compression rows are encoded once per task.  The meta-training
+collection is never an input to certification.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from . import autodiff as ad
 from . import bounds
 from .autodiff import Tensor
 from .hypernet import (CompressionArtifacts, HypernetConfig, decode_gamma,
-                       downstream_forward, downstream_logits, encode,
+                       downstream_forward, downstream_logits, encode_sets,
                        hypernet_forward, init_hypernet_params)
 from .optim import Adam
 from .rng import Rng
@@ -135,31 +142,53 @@ def split_support_query(task: TaskDataset, support_size: int,
     return perm[:support_size], perm[support_size:]
 
 
-def _constants(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """The same parameter arrays as constants: every op on them is a constant."""
-    return {name: ad.constant(t.data) for name, t in params.items()}
+# The byte budget of one stacked evaluation chunk: its encode buffers (set
+# size x the widest layer, per task) and its decode rows (message rows x the
+# widest layer, per task).  A chunk holds at least one task.
+CHUNK_BYTES = 2 ** 20
 
 
-def _query_logits(params, cfg, task: TaskDataset, support_size: int,
-                  rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_size(params: dict[str, Tensor], set_size: int, n_rows: int) -> int:
+    """How many tasks of ``set_size`` examples and ``n_rows`` decoded message
+    rows one stacked chunk holds within ``CHUNK_BYTES``."""
+    widest = max(t.data.shape[-1] for t in params.values())
+    return max(1, CHUNK_BYTES // (8 * widest * (set_size + n_rows)))
+
+
+def _chunks(params: dict[str, Tensor], positions: list[int], set_size: int,
+            n_rows: int) -> list[list[int]]:
+    """``positions`` cut, in order, into stacked chunks of ``_chunk_size`` tasks."""
+    size = _chunk_size(params, set_size, n_rows)
+    return [positions[start:start + size] for start in range(0, len(positions), size)]
+
+
+def _query_logits(params, cfg, tasks: list[TaskDataset], support_size: int,
+                  rngs: list[Rng]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Query logits and labels of the noise-free predictor decoded from a
-    seeded support set."""
-    sup, qry = split_support_query(task, support_size, rng)
-    artifacts, _, _ = encode(params, cfg, task.features[sup], task.labels[sup])
-    message = artifacts.message
-    gamma = decode_gamma(params, cfg, task.features[sup], task.labels[sup],
-                         artifacts.indices, None if message is None else message[None])
-    return (downstream_logits(gamma, cfg.mlp3_shapes, task.features[qry])[0],
-            task.labels[qry])
+    seeded support set of each task, task i split by ``rngs[i]``.
+
+    The support sets, all of ``support_size`` examples, are encoded and
+    decoded as one stack; each task's logits have the bits of its own graph
+    forward.  Callers pass one chunk (``_chunks``)."""
+    splits = [split_support_query(task, support_size, rng) for task, rng in zip(tasks, rngs)]
+    xs = np.stack([task.features[sup] for task, (sup, _) in zip(tasks, splits)])
+    ys = np.stack([task.labels[sup] for task, (sup, _) in zip(tasks, splits)])
+    arts = encode_sets(params, cfg, xs, ys)
+    messages = np.stack([a.message[None] for a in arts]) if cfg.has_message else None
+    gammas = decode_gamma(params, cfg, xs, ys, [a.indices for a in arts], messages)
+    return [(downstream_logits(gamma, cfg.mlp3_shapes, task.features[qry])[0], task.labels[qry])
+            for gamma, task, (_, qry) in zip(gammas, tasks, splits)]
 
 
 def _validation_error(params, cfg, protocol, tasks, rng: Rng) -> float:
-    """Mean query 0-1 error over the validation tasks, message noise at zero."""
-    params = _constants(params)
-    return float(np.mean([
-        ad.zero_one_loss(*_query_logits(params, cfg, task, protocol.support_size,
-                                        rng.split(pos)))
-        for pos, task in enumerate(tasks)]))
+    """Mean query 0-1 error over the validation tasks, message noise at zero;
+    task ``pos`` is split by ``rng.split(pos)``."""
+    errors = []
+    for chunk in _chunks(params, list(range(len(tasks))), protocol.support_size, 1):
+        errors += [ad.zero_one_loss(*pair) for pair in _query_logits(
+            params, cfg, [tasks[pos] for pos in chunk], protocol.support_size,
+            [rng.split(pos) for pos in chunk])]
+    return float(np.mean(errors))
 
 
 def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
@@ -220,13 +249,11 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
 # certification
 
 
-def _complement_logits(params, cfg, task: TaskDataset, artifacts: CompressionArtifacts,
-                       messages: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Complement-set logits of the predictor decoded from each row of (n, b)
-    ``messages`` (``None`` for no message), and the complement labels."""
-    comp = np.delete(np.arange(len(task)), artifacts.indices)
-    gammas = decode_gamma(params, cfg, task.features, task.labels,
-                          artifacts.indices, messages)
+def _complement_logits(cfg, task: TaskDataset, indices,
+                       gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complement-set logits of the predictor of each (n, G) gamma row decoded
+    for ``task`` with compression set ``indices``, and the complement labels."""
+    comp = np.delete(np.arange(len(task)), indices)
     return (downstream_logits(gammas, cfg.mlp3_shapes, task.features[comp]),
             task.labels[comp])
 
@@ -248,19 +275,115 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
     ``rng.normal(b)`` draws would, decodes them as one batch, and averages
     the chosen loss over the complement set.  Returns (mean, standard error).
     This is the standalone estimator: ``certify_task`` decodes the same draws
-    within its one stacked decode and gets the same bits.
+    within its stacked decode and gets the same bits.
     """
     if not cfg.has_gaussian_message:
         raise ValueError("mc_expected_loss needs a Gaussian message bottleneck")
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     messages = artifacts.message + rng.normal((n_mc, cfg.b))
+    gammas = decode_gamma(params, cfg, task.features, task.labels, artifacts.indices,
+                          messages)
     return _mean_stderr(ad.row_losses(
-        *_complement_logits(params, cfg, task, artifacts, messages), loss_kind))
+        *_complement_logits(cfg, task, artifacts.indices, gammas), loss_kind))
+
+
+def _check_certifiable(cfg: HypernetConfig, task: TaskDataset) -> None:
+    """Certification encodes the full sample and, for the test-query error, a
+    half-sample support set: both must hold a compression set."""
+    m = len(task)
+    if m // 2 < max(1, cfg.c):
+        raise ValueError(f"task {task.task_id} has {m} examples, too few for compression "
+                         f"size {cfg.c}: its test-query pass encodes a half-sample support "
+                         f"set of {m // 2}, which needs at least {max(1, cfg.c)}")
+
+
+def _message_rows(cfg: HypernetConfig, protocol: CertifyProtocol) -> int:
+    """The row count of every ``_message_stack`` (1 with no message)."""
+    if not cfg.has_gaussian_message:
+        return 1
+    return 1 + protocol.n_mc + (cfg.architecture == "PBSCH")
+
+
+def _message_stack(cfg: HypernetConfig, protocol: CertifyProtocol, sigma: np.ndarray | None,
+                   rng: Rng) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A task's message stack ``[mu; draws; omega]`` and its sampled message.
+
+    The noise-free message heads the stack.  A Gaussian message adds the
+    ``n_mc`` posterior draws from ``rng.split(1)`` (as in
+    ``mc_expected_loss``) and, for PBSCH, the disintegrated draw ``omega``
+    from ``rng.split(2)``.  The sampled message is ``CertRow``'s: omega for
+    PBSCH, sigma for SCH_PLUS, else ``None``.  With no message there is no
+    stack.  ``_message_rows`` counts its rows.
+    """
+    if sigma is None:
+        return None, None
+    if cfg.has_binary_message:
+        return sigma[None], sigma
+    stack = [sigma[None], sigma + rng.split(1).normal((protocol.n_mc, cfg.b))]
+    omega = None
+    if cfg.architecture == "PBSCH":
+        omega = sigma + rng.split(2).normal(cfg.b)
+        stack.append(omega[None])
+    return np.concatenate(stack), omega
+
+
+@dataclass(frozen=True)
+class DecodedTask:
+    """One task's share of a certification chunk's stacked forward pass."""
+
+    artifacts: CompressionArtifacts
+    gammas: np.ndarray                  # (n, G), one row per row of its message stack
+    sampled_message: np.ndarray | None  # as in ``_message_stack``
+    test_query_error: float
+
+
+def _decode_chunk(params, cfg: HypernetConfig, tasks: list[TaskDataset],
+                  protocol: CertifyProtocol, rngs: list[Rng]) -> list[DecodedTask]:
+    """The forward pass of a chunk of equal-size tasks, task i drawing from
+    ``rngs[i]``: one ``encode_sets`` of the full samples, one ``decode_gamma``
+    of every task's message stack, and one stacked support/query pass for the
+    test-query error, which splits task i with ``rngs[i].split(0)``."""
+    xs = np.stack([task.features for task in tasks])
+    ys = np.stack([task.labels for task in tasks])
+    arts = encode_sets(params, cfg, xs, ys)
+    stacks = [_message_stack(cfg, protocol, art.message, rng) for art, rng in zip(arts, rngs)]
+    messages = np.stack([stack for stack, _ in stacks]) if cfg.has_message else None
+    gammas = decode_gamma(params, cfg, xs, ys, [art.indices for art in arts], messages)
+    # plain support/query test error, for table parity with meta-test usage
+    queries = _query_logits(params, cfg, tasks, len(tasks[0]) // 2,
+                            [rng.split(0) for rng in rngs])
+    return [DecodedTask(art, gamma, sampled, ad.zero_one_loss(*query))
+            for art, gamma, (_, sampled), query in zip(arts, gammas, stacks, queries)]
+
+
+def certify_tasks(params: dict[str, Tensor], cfg: HypernetConfig, tasks: list[TaskDataset],
+                  protocol: CertifyProtocol, rng: Rng) -> list[CertRow]:
+    """Certify each task as ``certify_task`` with ``rng.split(task.task_id)``.
+
+    Every task's size is checked before anything is encoded.  Tasks of one
+    size are decoded in stacked chunks (``_decode_chunk``), then each task is
+    certified from its share by ``certify_task``.  Rows come back in task
+    order, each with the bits of ``certify_task`` on that task alone.
+    """
+    for task in tasks:
+        _check_certifiable(cfg, task)
+    by_size: dict[int, list[int]] = {}
+    for pos, task in enumerate(tasks):
+        by_size.setdefault(len(task), []).append(pos)
+    rows: list[CertRow | None] = [None] * len(tasks)
+    for m, positions in by_size.items():
+        for chunk in _chunks(params, positions, m, _message_rows(cfg, protocol)):
+            rngs = [rng.split(tasks[pos].task_id) for pos in chunk]
+            decoded = _decode_chunk(params, cfg, [tasks[pos] for pos in chunk], protocol, rngs)
+            for pos, task_rng, share in zip(chunk, rngs, decoded):
+                rows[pos] = certify_task(params, cfg, tasks[pos], protocol, task_rng, share)
+    return rows
 
 
 def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
-                 protocol: CertifyProtocol, rng: Rng) -> CertRow:
+                 protocol: CertifyProtocol, rng: Rng,
+                 decoded: DecodedTask | None = None) -> CertRow:
     """Certify the predictor the hypernetwork emits for one fresh task.
 
     The full task sample feeds the bottleneck; empirical losses are measured
@@ -270,29 +393,22 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     certificate and the kl certificate on the linear loss.
 
     Every message is drawn before anything is decoded and the messages are
-    stacked under the noise-free one: ``[mu; draws; omega]``, where the
-    ``n_mc`` posterior draws come from ``rng.split(1)`` (as in
-    ``mc_expected_loss``) and PBSCH's disintegrated message ``omega`` from
-    ``rng.split(2)``.  One decode then encodes the compression rows once and
-    scores every row; row i has the bits of decoding message i alone.
+    stacked under the noise-free one (``_message_stack``).  One decode then
+    encodes the compression rows once and scores every row; row i has the
+    bits of decoding message i alone.  The test-query error splits the task
+    with ``rng.split(0)``.
+
+    ``decoded`` is the task's share of a chunk decoded by ``certify_tasks``,
+    which drew from this same ``rng``; without it the task is checked and
+    decoded as a chunk of one.
     """
-    m = len(task)
-    if m <= cfg.c:
-        raise ValueError(f"task size {m} must exceed compression size {cfg.c}")
+    if decoded is None:
+        _check_certifiable(cfg, task)
+        decoded, = _decode_chunk(params, cfg, [task], protocol, [rng])
     n_mc, loss_kind = protocol.n_mc, protocol.loss_kind
-    params = _constants(params)
-    artifacts, _, _ = encode(params, cfg, task.features, task.labels)
-    sigma = artifacts.message
-    messages = None if sigma is None else sigma[None]
-    sampled_message = sigma if cfg.has_binary_message else None
-    if cfg.has_gaussian_message:
-        stack = [messages, sigma + rng.split(1).normal((n_mc, cfg.b))]
-        if cfg.architecture == "PBSCH":
-            sampled_message = sigma + rng.split(2).normal(cfg.b)
-            stack.append(sampled_message[None])
-        messages = np.concatenate(stack)
-    logits, labels = _complement_logits(params, cfg, task, artifacts, messages)
-    c_eff = artifacts.c_effective
+    m, artifacts = len(task), decoded.artifacts
+    logits, labels = _complement_logits(cfg, task, artifacts.indices, decoded.gammas)
+    sigma, c_eff = artifacts.message, artifacts.c_effective
     K = ad.zero_one_errors(logits[0], labels)
     emp_01 = K / (m - c_eff)
     emp_lin = ad.linear_loss(logits[0], labels)
@@ -322,13 +438,9 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
             entries.append(entry(bounds.bound_pbsch_disintegrated, float(losses[n_mc]),
                                  loss_kind))
 
-    # plain support/query test error, for table parity with meta-test usage
-    test_query_error = ad.zero_one_loss(*_query_logits(params, cfg, task, m // 2,
-                                                       rng.split(0)))
-
     return CertRow(task.task_id, cfg.architecture, m, c_eff, cfg.b,
-                   emp_01, emp_lin, test_query_error, entries,
-                   indices=artifacts.indices, sampled_message=sampled_message)
+                   emp_01, emp_lin, decoded.test_query_error, entries,
+                   indices=artifacts.indices, sampled_message=decoded.sampled_message)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,25 @@ STREAM_SWEEP = 3
 
 
 class Rng:
-    """One random stream, identified by (master seed, key tuple)."""
+    """One random stream, identified by (master seed, key tuple).
+
+    The generator is built on the first draw, so a stream that is only split
+    never builds one.
+    """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
         if any(k < 0 for k in self.key):
             raise ValueError("split indices must be non-negative")
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        self._generator: np.random.Generator | None = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._generator is None:
+            seq = np.random.SeedSequence(self.seed, spawn_key=self.key)
+            self._generator = np.random.Generator(np.random.PCG64(seq))
+        return self._generator
 
     def split(self, *indices: int) -> "Rng":
         """Derive an independent child stream by extending the key tuple."""

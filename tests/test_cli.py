@@ -4,12 +4,17 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from metacert import cli, metalearn
 from metacert.bounds import log_binomial
 from metacert.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, main, parse_config, ConfigError
+from metacert.hypernet import HypernetConfig, init_hypernet_params, save_checkpoint
 from metacert.metalearn import DEFAULT_GRID
+from metacert.rng import Rng
+from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset, gen_moons_task,
+                            save_tasks)
 
 MICRO_CONFIG = """\
 # micro moons environment for fast pipeline tests
@@ -158,6 +163,50 @@ class TestPipeline:
         first = (out / "certificates.csv").read_bytes()
         main(["certify", "--config", str(cfg)])
         assert (out / "certificates.csv").read_bytes() == first
+
+    def test_certify_mixed_task_sizes_equals_per_task_certification(self, tmp_path,
+                                                                    monkeypatch):
+        # a test split of seven 30-example and four 40-example tasks, certified
+        # in chunks of 3 that neither count fills; under these sizes and
+        # parameters task seed 8 collides two of the three attention heads
+        out = tmp_path / "out"
+        cfg = HypernetConfig("PBSCH", c=3, b=3, mlp1=(12,), mlp2=(10,), mlp3=(5,),
+                             deepset_dim=6, attention_dim=8)
+        sizes_seeds = [(30, 8), (40, 5), (30, 5), (30, 9), (40, 8), (30, 12), (30, 13),
+                       (40, 6), (30, 14), (40, 7), (30, 15)]
+        test = [gen_moons_task(MoonsEnvironmentSpec(examples_per_task=m, master_seed=seed), 0)
+                for m, seed in sizes_seeds]
+        test = [TaskDataset(t.features, t.labels, task_id=50 + i) for i, t in enumerate(test)]
+        save_tasks(out / "tasks", MetaDataset([], [], test), MoonsEnvironmentSpec())
+        save_checkpoint(out / "checkpoint.json", cfg,
+                        init_hypernet_params(cfg, Rng(1).split(0)), 77)
+        conf = write_config(tmp_path, "output_dir = {out}\nmaster_seed = 77\nn_mc = 4\n")
+        chunks = []
+        real_decode = metalearn.decode_gamma
+
+        def spy_decode(params, hcfg, features, *args):
+            chunks.append(np.shape(features)[:2])
+            return real_decode(params, hcfg, features, *args)
+
+        monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 3)
+        monkeypatch.setattr(metalearn, "decode_gamma", spy_decode)
+        assert main(["certify", "--config", str(conf)]) == 0
+        # full samples, then half-sample support sets, per chunk
+        assert chunks == [(3, 30), (3, 15), (3, 30), (3, 15), (1, 30), (1, 15),
+                          (3, 40), (3, 20), (1, 40), (1, 20)]
+        chunked = (out / "certificates.csv").read_bytes()
+        with open(out / "certificates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["task_id"]) for r in rows[::2]] == [t.task_id for t in test]
+        assert any(int(r["c_effective"]) < 3 for r in rows)
+
+        def per_task(params, hcfg, tasks, protocol, rng):
+            return [metalearn.certify_task(params, hcfg, task, protocol, rng.split(task.task_id))
+                    for task in tasks]
+
+        monkeypatch.setattr(cli, "certify_tasks", per_task)
+        assert main(["certify", "--config", str(conf)]) == 0
+        assert (out / "certificates.csv").read_bytes() == chunked
 
     def test_run_json_echoes_resolved_config(self, tmp_path):
         cfg = write_config(tmp_path)

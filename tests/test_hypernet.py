@@ -535,7 +535,7 @@ class TestForwardAndArtifacts:
         calls = []
 
         def counting(features, labels):
-            calls.append(len(features))
+            calls.append(np.shape(features)[:-1])  # (set size) or (sets, set size)
             return canonical_order(features, labels)
 
         monkeypatch.setattr(hypernet, "canonical_order", counting)
@@ -547,11 +547,11 @@ class TestForwardAndArtifacts:
             calls.clear()
             _, art = hypernet_forward(params, cfg, task.features, task.labels,
                                       eps=Rng(7).normal(b))
-            assert calls == [len(task)], arch
+            assert calls == [(len(task),)], arch
             calls.clear()
             decode_gamma(params, cfg, task.features, task.labels, art.indices,
                          None if art.message is None else art.message[None])
-            assert calls == ([art.c_effective] if c > 0 else []), arch
+            assert calls == ([(1, art.c_effective)] if c > 0 else []), arch
 
     def test_set_statistics_runs_once_per_set(self, monkeypatch):
         # encode standardizes the input set once for the compressor and the
@@ -559,7 +559,7 @@ class TestForwardAndArtifacts:
         calls = []
 
         def counting(features):
-            calls.append(len(features))
+            calls.append(np.shape(features)[:-1])  # (set size) or (sets, set size)
             return set_statistics(features)
 
         monkeypatch.setattr(hypernet, "set_statistics", counting)
@@ -570,11 +570,11 @@ class TestForwardAndArtifacts:
             params = params_for(cfg)
             calls.clear()
             art, _, _ = encode(params, cfg, task.features, task.labels)
-            assert calls == [len(task)], arch
+            assert calls == [(len(task),)], arch
             calls.clear()
             decode_gamma(params, cfg, task.features, task.labels, art.indices,
                          None if art.message is None else art.message[None])
-            assert calls == ([art.c_effective] if c > 0 else []), arch
+            assert calls == ([(1, art.c_effective)] if c > 0 else []), arch
 
     def test_mlp_forward_builds_one_tensor_per_layer(self, monkeypatch):
         params = params_for(small_config("SCH_MINUS", c=1, b=0, mlp1=(12, 7)))

@@ -11,13 +11,14 @@ from scipy import optimize
 from metacert import autodiff as ad
 from metacert import bounds, metalearn
 from metacert.autodiff import Tensor
-from metacert.hypernet import (HypernetConfig, downstream_forward, encode,
-                               hypernet_forward, init_hypernet_params)
+from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward, encode,
+                               encode_sets, hypernet_forward, init_hypernet_params)
 from metacert.metalearn import (CertifyProtocol, TrainProtocol, TrainingDivergedError,
-                                certify_task, mc_expected_loss, meta_train,
+                                certify_task, certify_tasks, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
 from metacert.rng import Rng
-from metacert.tasks import MoonsEnvironmentSpec, gen_meta_dataset, gen_moons_task
+from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, gen_meta_dataset,
+                            gen_moons_task)
 
 SMALL = dict(mlp1=(16,), mlp2=(12,), mlp3=(5,), deepset_dim=6, attention_dim=8)
 
@@ -315,6 +316,23 @@ class TestCertifyTask:
         with pytest.raises(ValueError):
             certify_task(params, cfg, tiny, CertifyProtocol(0.05), Rng(0))
 
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_half_sample_smaller_than_c_rejected_before_any_encode(self, monkeypatch, m):
+        # m > c, but the test-query pass encodes a half-sample support set of
+        # m // 2 < c examples
+        cfg, params, task = self.make("SCH_MINUS", 3, 0)
+        small = TaskDataset(task.features[:m], np.resize([1.0, -1.0], m), task_id=17)
+        encoded = []
+        monkeypatch.setattr(metalearn, "encode_sets", lambda *args: encoded.append(args))
+        message = (f"task 17 has {m} examples, too few for compression size 3: its "
+                   f"test-query pass encodes a half-sample support set of {m // 2}, "
+                   f"which needs at least 3")
+        with pytest.raises(ValueError, match=message):
+            certify_task(params, cfg, small, CertifyProtocol(0.05), Rng(0))
+        with pytest.raises(ValueError, match=message):
+            certify_tasks(params, cfg, [task, small], CertifyProtocol(0.05), Rng(0))
+        assert encoded == []
+
 
 class TestCompressionSetPrior:
     """A task is certified under the size-aware prior P_J(j) = 1 / (c C(m', |j|))
@@ -341,7 +359,7 @@ class TestCompressionSetPrior:
             task = TestForwardOnlyEvaluation.task(seed)
             row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=6),
                                Rng(30, (seed,)))
-            art, _, _ = encode(metalearn._constants(params), cfg, task.features, task.labels)
+            art, _, _ = encode(params, cfg, task.features, task.labels)
             m, c_eff = row.m_prime, row.c_effective
             collided |= c_eff < c
             mu_sq = float(art.message @ art.message) if cfg.has_gaussian_message else 0.0
@@ -361,9 +379,10 @@ ARCHS = [("PBH", 0, 3), ("SCH_MINUS", 3, 0), ("SCH_PLUS", 3, 3), ("PBSCH", 3, 3)
 
 
 class TestForwardOnlyEvaluation:
-    """Validation and certification decode through ``encode`` on constant
-    parameters, ``decode_gamma`` and ``downstream_logits``; the graph decoder
-    ``hypernet_forward(eps=0)`` -> ``downstream_forward`` is the reference.
+    """Validation and certification encode stacks of task samples with
+    ``encode_sets`` and decode chunks of them with ``decode_gamma`` and
+    ``downstream_logits``; the graph ``encode`` and the graph decoder
+    ``hypernet_forward(eps=0)`` -> ``downstream_forward`` are the reference.
     Task seed 8 makes two of the three heads collide."""
 
     @staticmethod
@@ -376,29 +395,38 @@ class TestForwardOnlyEvaluation:
         # the hypernet tests' sizes, under which task seed 8 collides heads
         cfg = HypernetConfig(arch, c=c, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
         params = init_hypernet_params(cfg, Rng(1).split(0))
-        frozen = metalearn._constants(params)
         eps = np.zeros(b) if cfg.has_gaussian_message else None
+        seeds = (5, 8, 9, 12)
+        tasks = [self.task(seed) for seed in seeds]
+        xs = np.stack([task.features for task in tasks])
+        ys = np.stack([task.labels for task in tasks])
+        arts = encode_sets(params, cfg, xs, ys)
+        messages = np.stack([a.message[None] for a in arts]) if cfg.has_message else None
+        gammas = decode_gamma(params, cfg, xs, ys, [a.indices for a in arts], messages)
+        queries = metalearn._query_logits(params, cfg, tasks, 17, [Rng(seed) for seed in seeds])
         collided = False
-        for seed in (5, 8):
-            task = self.task(seed)
-            gamma, art = hypernet_forward(params, cfg, task.features, task.labels, eps=eps)
+        for seed, task, art, gamma, query in zip(seeds, tasks, arts, gammas, queries):
+            ref_art, _, _ = encode(params, cfg, task.features, task.labels)
+            assert art.indices == ref_art.indices, seed
+            assert (art.message is None) == (ref_art.message is None)
+            assert art.message is None or np.array_equal(art.message, ref_art.message), seed
+            ref_gamma, ref_art = hypernet_forward(params, cfg, task.features, task.labels,
+                                                  eps=eps)
+            assert art.indices == ref_art.indices, seed
             collided |= art.c_effective < c
             comp = np.setdiff1d(np.arange(len(task)), art.indices)
-            ref = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features))
-            art2, _, message = encode(frozen, cfg, task.features, task.labels)
-            assert art2.indices == art.indices
-            logits, labels = metalearn._complement_logits(
-                frozen, cfg, task, art2, None if message is None else message.data)
+            ref = downstream_forward(ref_gamma, cfg.mlp3_shapes, ad.constant(task.features))
+            logits, labels = metalearn._complement_logits(cfg, task, art.indices, gamma)
             assert np.array_equal(logits[0], ref.data[comp, 0]), seed
             assert np.array_equal(labels, task.labels[comp])
 
             sup, qry = split_support_query(task, 17, Rng(seed))
-            gamma, art = hypernet_forward(params, cfg, task.features[sup],
-                                          task.labels[sup], eps=eps)
-            ref = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features[qry]))
-            logits, labels = metalearn._query_logits(frozen, cfg, task, 17, Rng(seed))
-            assert np.array_equal(logits, ref.data[:, 0]), seed
-            assert np.array_equal(labels, task.labels[qry])
+            ref_gamma, _ = hypernet_forward(params, cfg, task.features[sup],
+                                            task.labels[sup], eps=eps)
+            ref = downstream_forward(ref_gamma, cfg.mlp3_shapes,
+                                     ad.constant(task.features[qry]))
+            assert np.array_equal(query[0], ref.data[:, 0]), seed
+            assert np.array_equal(query[1], task.labels[qry])
         assert collided == (c > 0)
 
     def test_certify_and_validation_build_no_gradient_graph(self, monkeypatch):
@@ -407,20 +435,20 @@ class TestForwardOnlyEvaluation:
             cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
             runs.append((cfg, init_hypernet_params(cfg, Rng(6).split(0))))
         tasks = [self.task(seed, m=40) for seed in (7, 8)]
-        needs_grad = []
+        built = []
         init = Tensor.__init__
 
         def recording_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            needs_grad.append(self.requires_grad)
+            built.append(self.requires_grad)
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         for cfg, params in runs:
-            needs_grad.clear()
             certify_task(params, cfg, tasks[0], CertifyProtocol(0.05, n_mc=4), Rng(0))
+            certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=4), Rng(0))
             metalearn._validation_error(params, cfg, TrainProtocol(support_size=20),
                                         tasks, Rng(3))
-            assert needs_grad and not any(needs_grad), cfg.architecture
+            assert built == [], cfg.architecture
 
 
 class TestStackedCertification:
@@ -439,29 +467,30 @@ class TestStackedCertification:
     @pytest.mark.parametrize("kind", ["zero_one", "linear"])
     def test_certificates_equal_separate_decodes(self, arch, c, kind):
         cfg, params = self.make(arch, c)
-        frozen = metalearn._constants(params)
         collided = False
         for seed in (5, 8):
             task = TestForwardOnlyEvaluation.task(seed)
             rng = Rng(30, (seed,))
             row = certify_task(params, cfg, task,
                                CertifyProtocol(0.05, n_mc=self.N_MC, loss_kind=kind), rng)
-            art, _, message = encode(frozen, cfg, task.features, task.labels)
+            art, _, _ = encode(params, cfg, task.features, task.labels)
             collided |= art.c_effective < c
             mean, stderr = mc_expected_loss(params, cfg, task, art, self.N_MC,
                                             rng.split(1), kind)
             entry = row.certificates[0]
             assert (entry.emp_loss, entry.mc_stderr) == (mean, stderr), seed
 
-            logits, labels = metalearn._complement_logits(frozen, cfg, task, art,
-                                                          message.data)
+            gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
+                                  art.message[None])
+            logits, labels = metalearn._complement_logits(cfg, task, art.indices, gammas)
             assert row.emp_complement_01 == ad.zero_one_loss(logits[0], labels)
             assert row.emp_complement_linear == ad.linear_loss(logits[0], labels)
 
             if arch == "PBSCH":
                 omega = art.message + rng.split(2).normal(cfg.b)
-                logits, labels = metalearn._complement_logits(frozen, cfg, task, art,
-                                                              omega[None])
+                gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
+                                      omega[None])
+                logits, labels = metalearn._complement_logits(cfg, task, art.indices, gammas)
                 star = row.certificates[1]
                 assert star.kind == "PBSCH_DISINTEGRATED"
                 assert star.emp_loss == ad.row_losses(logits, labels, kind)[0], seed
@@ -470,30 +499,102 @@ class TestStackedCertification:
                 assert row.sampled_message is None
         assert collided == (c > 0)
 
-    def test_one_encode_and_one_decode_per_task(self, monkeypatch):
-        # the certificate decode gets every message at once; the other
-        # encode/decode pair is the support/query test error
-        calls = []
-        real_encode, real_decode = metalearn.encode, metalearn.decode_gamma
+    @pytest.mark.parametrize("arch, c, b", ARCHS)
+    @pytest.mark.parametrize("kind", ["zero_one", "linear"])
+    def test_chunked_rows_equal_per_task_rows(self, monkeypatch, arch, c, b, kind):
+        # chunks of 2 over 5 tasks, one of them (seed 8) with collided heads
+        cfg = HypernetConfig(arch, c=c, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        params = init_hypernet_params(cfg, Rng(1).split(0))
+        tasks = [TaskDataset(t.features, t.labels, task_id=20 + i) for i, t in enumerate(
+            TestForwardOnlyEvaluation.task(seed) for seed in (5, 8, 9, 12, 13))]
+        protocol = CertifyProtocol(0.05, n_mc=self.N_MC, loss_kind=kind)
+        monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
+        rows = certify_tasks(params, cfg, tasks, protocol, Rng(30))
+        assert any(row.c_effective < c for row in rows) == (c > 0)
+        for task, row in zip(tasks, rows):
+            ref = certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
+            assert row.task_id == task.task_id
+            assert ((row.m_prime, row.c_effective, row.indices, row.emp_complement_01,
+                     row.emp_complement_linear, row.test_query_error, row.certificates)
+                    == (ref.m_prime, ref.c_effective, ref.indices, ref.emp_complement_01,
+                        ref.emp_complement_linear, ref.test_query_error, ref.certificates))
+            assert (row.sampled_message is None) == (ref.sampled_message is None)
+            assert (row.sampled_message is None
+                    or np.array_equal(row.sampled_message, ref.sampled_message))
 
-        def spy_encode(*args, **kwargs):
-            calls.append(("encode", None))
-            return real_encode(*args, **kwargs)
+    def test_chunk_size_follows_the_byte_budget(self):
+        # the benchmark shapes: widest layer 100, 200 examples, n_mc = 100
+        cfg = HypernetConfig("PBSCH", c=2, b=4)
+        params = init_hypernet_params(cfg, Rng(0))
+        assert metalearn._chunk_size(params, 200, 102) == (
+            metalearn.CHUNK_BYTES // (8 * 100 * 302)) == 4
+        assert metalearn._chunk_size(params, 200, 10002) == 1  # never below one task
+
+    @pytest.mark.parametrize("arch, c, b", ARCHS)
+    def test_message_rows_count_the_message_stack(self, arch, c, b):
+        cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
+        sigma = np.linspace(-0.5, 0.5, b) if cfg.has_message else None
+        for n_mc in (1, 4):
+            protocol = CertifyProtocol(0.05, n_mc=n_mc)
+            stack, _ = metalearn._message_stack(cfg, protocol, sigma, Rng(2))
+            rows = 1 if stack is None else len(stack)
+            assert rows == metalearn._message_rows(cfg, protocol), (arch, n_mc)
+
+    def test_each_task_is_certified_by_certify_task(self, monkeypatch):
+        # the chunks decode; ``certify_task`` then certifies each task from its
+        # share, under its own stream
+        cfg, params = self.make("PBSCH", 3)
+        tasks = [TaskDataset(t.features, t.labels, task_id=40 + i) for i, t in enumerate(
+            TestForwardOnlyEvaluation.task(seed) for seed in (5, 8, 9))]
+        calls = []
+        real = metalearn.certify_task
+
+        def spy(params, cfg, task, protocol, rng, decoded=None):
+            calls.append((task.task_id, decoded is not None))
+            return real(params, cfg, task, protocol, rng, decoded)
+
+        monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
+        monkeypatch.setattr(metalearn, "certify_task", spy)
+        certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=self.N_MC), Rng(30))
+        assert calls == [(40, True), (41, True), (42, True)]
+
+    def test_chunked_validation_error_equals_one_chunk(self, monkeypatch):
+        cfg, params = self.make("SCH_PLUS", 3)
+        tasks = [TestForwardOnlyEvaluation.task(seed) for seed in (5, 8, 9, 12, 13)]
+        protocol = TrainProtocol(support_size=17)
+        whole = metalearn._validation_error(params, cfg, protocol, tasks, Rng(3))
+        monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
+        assert metalearn._validation_error(params, cfg, protocol, tasks, Rng(3)) == whole
+
+    def test_one_encode_and_one_decode_per_task(self, monkeypatch):
+        # the certificate decode gets every message of every task at once; the
+        # other encode/decode pair is the support/query test error
+        calls = []
+        real_encode, real_decode = metalearn.encode_sets, metalearn.decode_gamma
+
+        def spy_encode(params, cfg, features, labels):
+            calls.append(("encode", len(features), None))
+            return real_encode(params, cfg, features, labels)
 
         def spy_decode(params, cfg, features, labels, indices, messages):
-            calls.append(("decode", None if messages is None else len(messages)))
+            calls.append(("decode", len(features),
+                          None if messages is None else messages.shape[1]))
             return real_decode(params, cfg, features, labels, indices, messages)
 
-        monkeypatch.setattr(metalearn, "encode", spy_encode)
+        monkeypatch.setattr(metalearn, "encode_sets", spy_encode)
         monkeypatch.setattr(metalearn, "decode_gamma", spy_decode)
-        task = TestForwardOnlyEvaluation.task(7, m=40)
+        tasks = [TestForwardOnlyEvaluation.task(seed, m=40) for seed in (7, 8, 9)]
         for (arch, c, b), rows in zip(ARCHS, (5, None, 1, 6)):
             cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
+            params = init_hypernet_params(cfg, Rng(6).split(0))
             calls.clear()
-            certify_task(init_hypernet_params(cfg, Rng(6).split(0)), cfg, task,
-                         CertifyProtocol(0.05, n_mc=4), Rng(0))
-            assert [name for name, _ in calls] == ["encode", "decode"] * 2, arch
-            assert calls[1][1] == rows, arch
+            certify_task(params, cfg, tasks[0], CertifyProtocol(0.05, n_mc=4), Rng(0))
+            assert [name for name, _, _ in calls] == ["encode", "decode"] * 2, arch
+            assert calls[1] == ("decode", 1, rows), arch
+            calls.clear()
+            certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=4), Rng(0))
+            assert [(name, n) for name, n, _ in calls] == [("encode", 3), ("decode", 3)] * 2
+            assert calls[1] == ("decode", 3, rows), arch
 
 
 class TestSweep:

@@ -191,3 +191,32 @@ class TestRng:
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             Rng(1).split(-1)
+
+    def test_lazy_generator_draws_as_an_eagerly_built_one(self):
+        for key in ((), (2,), (1, 5, 0)):
+            eager = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(11, spawn_key=key)))
+            lazy = Rng(11, key)
+            assert np.array_equal(lazy.normal((3, 4)), eager.standard_normal((3, 4)))
+            assert np.array_equal(lazy.uniform(-1.0, 2.0, 5), eager.uniform(-1.0, 2.0, 5))
+            assert np.array_equal(lazy.integers(0, 9, 6), eager.integers(0, 9, 6))
+            assert np.array_equal(lazy.permutation(9), eager.permutation(9))
+
+    def test_split_only_stream_builds_no_generator(self, monkeypatch):
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counting(seed):
+            built.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        parent = Rng(3).split(2)
+        children = [parent.split(task_id) for task_id in range(4)]
+        grandchild = children[0].split(1)
+        assert built == []
+        grandchild.normal(2)
+        grandchild.normal(2)
+        assert len(built) == 1
+        with pytest.raises(ValueError):  # the key check does not wait for a draw
+            parent.split(-1)
