@@ -20,9 +20,18 @@ Only the handful of primitives the hypernetworks need are provided:
   compressor: per-head queries, scaled dot-product logits, softmax and
   straight-through row selection (its forward, ``attention_probs``, also
   serves the forward-only encoder on plain arrays);
+* one node per fused model stage, each with a numpy forward that the
+  forward-only evaluation also runs over stacks of sets: ``set_pool``
+  (``pooled``), the DeepSet pooling (1/m) M^T y; ``standardize``
+  (``standardized``), a set's rows mapped by ``(x - mean) * inv_scale``;
+  ``fold`` (``folded``), that map folded into the first layer of packed
+  MLP weights; ``packed_mlp`` (``packed_mlp_forward``), an MLP whose
+  weights and biases are unpacked from one row;
 * structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
   ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
-  ``reshape``, ``slice_cols``;
+  ``reshape``, ``slice_cols``.  The fused nodes replaced every ``src/``
+  call of ``transpose``, ``reshape``, ``mul_scalar`` and ``sub``; they stay
+  as the tests' reference ops;
 * activations ``tanh`` and ``softmax``;
 * straight-through surrogates ``sign_st`` and ``hard_select_st``;
 * the ``binary_cross_entropy`` loss, plus the non-differentiable metrics
@@ -30,7 +39,8 @@ Only the handful of primitives the hypernetworks need are provided:
   ``row_losses``, the last two for each row of a stack of logits.
 
 Tensors are 1-D or 2-D, everything is float64, and no op mutates its
-inputs' values.
+inputs' values.  The fused nodes run their helpers on 2-D operands; the
+stacked (..., m, k) forms serve the evaluation path only.
 """
 
 from __future__ import annotations
@@ -108,6 +118,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _accum_cols(t: Tensor, start: int, stop: int | None, g: np.ndarray) -> None:
+    """Add ``g`` into columns ``start:stop`` of t's gradient, which starts as zeros."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[:, start:stop] += g
+
+
 def constant(data) -> Tensor:
     return Tensor(data)
 
@@ -139,10 +156,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
             or b.data.shape != (1, w.data.shape[1])):
         raise ValueError(f"dense shape mismatch: {x.data.shape} @ {w.data.shape} "
                          f"+ {b.data.shape}")
-    pre = x.data @ w.data + b.data
+    pre = x.data @ w.data
+    pre += b.data  # the bias and the ReLU write into the product's buffer
     if relu:
         mask = pre > 0.0  # g * mask casts it to 1.0 / 0.0
-        pre = np.maximum(pre, 0.0)
+        np.maximum(pre, 0.0, out=pre)
 
     def backward(g):
         if relu:
@@ -279,9 +297,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"bad column slice [{start}:{stop}] of {a.data.shape}")
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += g
+        _accum_cols(a, start, stop, g)
 
     return Tensor(a.data[:, start:stop].copy(), parents=(a,), backward=backward,
                   op="slice_cols")
@@ -454,6 +470,150 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
 
     parents = (z, keys, *(t for pair in heads for t in pair))
     return positions, Tensor(y, parents=parents, backward=backward, op="attention_select")
+
+
+# ---------------------------------------------------------------------------
+# fused model stages
+#
+# Each node's forward is a numpy helper that the forward-only evaluation
+# path also runs, on stacks (..., m, k) of sets whose every product keeps
+# one set's shapes; on the graph the operands are 2-D.  Each backward
+# replays the float operations of the structural chain the node replaced
+# (the same products on the same layouts), and accumulates into a column
+# range of a parent as ``slice_cols`` does (``_accum_cols``).
+
+
+def pooled(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Set pooling (1/m) rows^T labels of (..., m, k) rows and (..., m, 1)
+    labels, as (..., 1, k) rows."""
+    m = rows.shape[-2]
+    if m == 0:
+        raise ValueError("cannot embed an empty set")
+    return np.swapaxes(np.swapaxes(rows, -1, -2) @ labels, -1, -2) * (1.0 / m)
+
+
+def set_pool(rows: Tensor, labels: Tensor) -> Tensor:
+    """``pooled`` of (m, k) rows and an (m, 1) label column, as a (1, k) node."""
+    y = pooled(rows.data, labels.data)
+
+    def backward(g):
+        g_pooled = g.T * (1.0 / rows.data.shape[0])
+        if labels.requires_grad:
+            _accum(labels, rows.data @ g_pooled)
+        if rows.requires_grad:
+            _accum(rows, (g_pooled @ labels.data.T).T)
+
+    return Tensor(y, parents=(rows, labels), backward=backward, op="set_pool")
+
+
+def standardized(x: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray) -> np.ndarray:
+    """The affine map ``(x - mean) * inv_scale`` of each row of ``x``."""
+    return (x - mean) * inv_scale
+
+
+def standardize(rows: Tensor, mean: Tensor, inv_scale: Tensor) -> Tensor:
+    """``standardized`` of the first d columns of the (n, k) ``rows`` by
+    (1, d) ``mean`` and ``inv_scale`` rows, each of which may need a gradient."""
+    d = mean.data.shape[1]
+    x = rows.data[:, :d]
+
+    def backward(g):
+        g_x = g * inv_scale.data
+        if rows.requires_grad:
+            _accum_cols(rows, 0, d, g_x)
+        if mean.requires_grad:
+            _accum(mean, -g_x.sum(axis=0, keepdims=True))
+        if inv_scale.requires_grad:
+            _accum(inv_scale, (g * (x - mean.data)).sum(axis=0, keepdims=True))
+
+    return Tensor(standardized(x, mean.data, inv_scale.data), parents=(rows, mean, inv_scale),
+                  backward=backward, op="standardize")
+
+
+def folded(raw: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray, fan_out: int) -> np.ndarray:
+    """Fold ``standardized``'s map into the first layer of packed MLP weights.
+
+    The (..., G) ``raw`` rows open with a layer emitted for standardized
+    inputs: its fan_in x fan_out weights W~ (row-major), then its fan_out
+    biases b~, where fan_in is the width of ``mean`` and ``inv_scale``,
+    whose leading axes broadcast against raw's.  W = diag(inv_scale) W~ and
+    b = b~ - (mean inv_scale) W~ give the identical layer on raw inputs.
+    """
+    fan_in = mean.shape[-1]
+    b_start = fan_in * fan_out
+    w_tilde = raw[..., :b_start].reshape(*raw.shape[:-1], fan_in, fan_out)
+    shift = (mean * inv_scale)[..., None, :] @ w_tilde
+    return np.concatenate([(w_tilde * inv_scale[..., None]).reshape(*raw.shape[:-1], b_start),
+                           raw[..., b_start:b_start + fan_out] - shift[..., 0, :],
+                           raw[..., b_start + fan_out:]], axis=-1)
+
+
+def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
+    """``folded`` of a (1, G) ``raw`` row with (1, fan_in) ``mean`` and
+    ``inv_scale`` rows, each of which may need a gradient."""
+    fan_in = mean.data.shape[1]
+    b_start = fan_in * fan_out
+    w_tilde = raw.data[0, :b_start].reshape(fan_in, fan_out)
+
+    def backward(g):
+        g_w = g[0, :b_start].reshape(fan_in, fan_out)
+        g_shift = -g[:, b_start:b_start + fan_out]
+        if raw.requires_grad:
+            g_tilde = (mean.data * inv_scale.data).T @ g_shift + g_w * inv_scale.data.T
+            _accum_cols(raw, 0, b_start, g_tilde.reshape(1, -1))
+            _accum_cols(raw, b_start, None, g[:, b_start:])
+        if mean.requires_grad or inv_scale.requires_grad:
+            g_scaled = g_shift @ w_tilde.T
+            if mean.requires_grad:
+                _accum(mean, g_scaled * inv_scale.data)
+            if inv_scale.requires_grad:
+                _accum(inv_scale, (g_w * w_tilde).sum(axis=1)[None] + g_scaled * mean.data)
+
+    y = folded(raw.data[0], mean.data[0], inv_scale.data[0], fan_out)[None]
+    return Tensor(y, parents=(raw, mean, inv_scale), backward=backward, op="fold")
+
+
+def packed_mlp_forward(gammas: np.ndarray, layout, x: np.ndarray,
+                       outputs: list | None = None) -> np.ndarray:
+    """The MLP packed in ``gammas`` on ``x``; appends each layer's output to
+    ``outputs`` when given, and returns the last.
+
+    ``layout`` holds one ``(fan_in, fan_out, w_start, b_start, stop)`` per
+    layer; hidden layers are ReLU'd, the last is linear.  A (G,) ``gammas``
+    row gives 2-D products ``(m, k) @ (k, h)``; (n, G) rows give
+    ``(m, k) @ (n, k, h)`` stacks, whose row i has the bits of row i alone.
+    The bias add and the ReLU write into the product's buffer.
+    """
+    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
+        x = x @ gammas[..., w_start:b_start].reshape(*gammas.shape[:-1], fan_in, fan_out)
+        x += gammas[..., None, b_start:stop]
+        if layer < len(layout) - 1:
+            np.maximum(x, 0.0, out=x)
+        if outputs is not None:
+            outputs.append(x)
+    return x
+
+
+def packed_mlp(gamma: Tensor, layout, x: Tensor) -> Tensor:
+    """The MLP packed in a (1, G) ``gamma`` row on (m, k) inputs ``x``, as one
+    node: ``packed_mlp_forward``."""
+    outs = [x.data]
+    packed_mlp_forward(gamma.data[0], layout, x.data, outs)
+
+    def backward(g):
+        for layer in reversed(range(len(layout))):
+            fan_in, fan_out, w_start, b_start, stop = layout[layer]
+            if layer < len(layout) - 1:
+                g = g * (outs[layer + 1] > 0.0)  # the ReLU's mask
+            if gamma.requires_grad:
+                _accum_cols(gamma, b_start, stop, g.sum(axis=0))
+                _accum_cols(gamma, w_start, b_start, (outs[layer].T @ g).reshape(-1))
+            if layer or x.requires_grad:
+                g = g @ gamma.data[0, w_start:b_start].reshape(fan_in, fan_out).T
+        if x.requires_grad:
+            _accum(x, g)
+
+    return Tensor(outs[-1], parents=(gamma, x), backward=backward, op="packed_mlp")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ for.  ``encode`` runs the bottleneck and returns its record,
 in one graph; the graph serves training only.  Evaluation runs forward-only
 twins in plain numpy over stacks of sets: ``encode_sets`` encodes a stack of
 equal-size task samples and ``decode_gamma`` decodes a chunk of stored
-artifacts, each set with the bits of the graph on that set alone.
+artifacts, each set with the bits of the graph on that set alone.  The
+graph and the stacked evaluation share each forward stage: the set pooling,
+the standardization map, the fold and the downstream MLP are one numpy
+helper each in ``autodiff``, which a fused graph node runs on one set and
+the evaluation path on a stack.
 Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
 ``encode_sets`` / ``decode_gamma``; inner modules require canonical order.
 Every architecture is therefore exactly permutation invariant, bit for bit.
@@ -212,10 +216,14 @@ def set_statistics(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (centering only).
     """
     feats = np.asarray(features, dtype=np.float64)
-    mean = feats.mean(axis=-2)
-    if feats.shape[-2] < 2:
+    m = feats.shape[-2]
+    # the ufunc sequence of ``np.mean`` and ``np.std``, one mean for both
+    mean = np.add.reduce(feats, axis=-2) / m
+    if m < 2:
         return mean, np.ones_like(mean)
-    std = feats.std(axis=-2)
+    dev = feats - mean[..., None, :]
+    dev *= dev
+    std = np.sqrt(np.add.reduce(dev, axis=-2) / m)
     floor = np.maximum(_STD_FLOOR_ABS, _STD_FLOOR_REL * std.max(axis=-1, keepdims=True))
     return mean, np.maximum(std, floor)
 
@@ -229,7 +237,7 @@ def _standardized_input(features: Tensor) -> Tensor:
     summation order included.
     """
     mean, std = set_statistics(features.data)
-    return ad.constant((features.data - mean) * (1.0 / std))
+    return ad.constant(ad.standardized(features.data, mean, 1.0 / std))
 
 
 def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -261,7 +269,7 @@ def _standardized_sets(features: np.ndarray, labels: np.ndarray
     y = np.take_along_axis(labels, order, axis=1)[:, :, None]
     mean, std = set_statistics(x)
     inv_scale = 1.0 / std
-    return order, (x - mean[:, None]) * inv_scale[:, None], y, mean, inv_scale
+    return order, ad.standardized(x, mean[:, None], inv_scale[:, None]), y, mean, inv_scale
 
 
 def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
@@ -272,12 +280,7 @@ def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
     caller supplies the rows in canonical order, which fixes the float
     summation order and so makes z exactly permutation invariant.
     """
-    m = features.data.shape[0]
-    if m == 0:
-        raise ValueError("cannot embed an empty set")
-    rows = mlp_forward(params, prefix, features)
-    pooled = ad.matmul(ad.transpose(rows), labels)          # (d', 1)
-    return ad.mul_scalar(ad.transpose(pooled), 1.0 / m)     # (1, d')
+    return ad.set_pool(mlp_forward(params, prefix, features), labels)
 
 
 def _embed_sets(params: dict[str, Tensor], prefix: str, features: np.ndarray,
@@ -288,12 +291,7 @@ def _embed_sets(params: dict[str, Tensor], prefix: str, features: np.ndarray,
     the pooling is one ``(T, d', m) @ (T, m, 1)`` product, set t's bits
     those of ``deepset_embed`` on set t.
     """
-    m = features.shape[1]
-    if m == 0:
-        raise ValueError("cannot embed an empty set")
-    rows = _mlp_rows(params, prefix, features)
-    pooled = rows.transpose(0, 2, 1) @ labels                  # (T, d', 1)
-    return pooled.transpose(0, 2, 1) * (1.0 / m)               # (T, 1, d')
+    return ad.pooled(_mlp_rows(params, prefix, features), labels)
 
 
 def pb_encode(params: dict[str, Tensor], xs_std: Tensor, labels: Tensor) -> Tensor:
@@ -358,33 +356,27 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
     and the inverse scale.  With no rows (c = 0) the embedding is the learned
     constant ``recon.const`` and there are no statistics.
 
-    Both branches centre and scale with the same ``sub``/``mul`` pair, the
-    statistics broadcast to every row by ``ones_col @ .``, which copies a row
-    exactly.  The soft twin computes the statistics with graph ops; the
-    production ones are ``set_statistics`` constants.
+    Both branches standardize the rows with ``ad.standardize``.  The soft
+    twin computes the statistics with graph ops, centering the rows for the
+    variance through the same node; the production ones are
+    ``set_statistics`` constants.
     """
     if rows is None:
         return params["recon.const"], None, None
     d = cfg.input_dim
-    feats = ad.slice_cols(rows, 0, d)
     labs = ad.slice_cols(rows, d, d + 1)
-    n = feats.data.shape[0]
-    ones_col = ad.constant(np.ones((n, 1)))
-    if soft:
-        row_mean = ad.constant(np.full((1, n), 1.0 / n))
-        mu = ad.matmul(row_mean, feats)                              # (1, d)
-    else:
-        mean, std = set_statistics(feats.data)
-        mu = ad.constant(mean.reshape(1, -1))
-    centered = ad.sub(feats, ad.matmul(ones_col, mu))
     if soft:
         # differentiable statistics; scale = sqrt(var + floor^2) smooths the floor
+        row_mean = ad.constant(np.full((1, rows.data.shape[0]), 1.0 / rows.data.shape[0]))
+        mu = ad.matmul(row_mean, ad.slice_cols(rows, 0, d))
+        centered = ad.standardize(rows, mu, ad.constant(np.ones((1, d))))
         var = ad.matmul(row_mean, ad.mul(centered, centered))
         inv_scale = ad.power_scalar(
             ad.add(var, ad.constant(np.full((1, d), _STD_FLOOR_ABS ** 2))), -0.5)
     else:
-        inv_scale = ad.constant((1.0 / std).reshape(1, -1))
-    feats_std = ad.mul(centered, ad.matmul(ones_col, inv_scale))
+        mean, std = set_statistics(rows.data[:, :d])
+        mu, inv_scale = ad.constant(mean[None]), ad.constant((1.0 / std)[None])
+    feats_std = ad.standardize(rows, mu, inv_scale)
     return deepset_embed(params, "recon.deepset", feats_std, labs), mu, inv_scale
 
 
@@ -419,17 +411,8 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     raw = mlp_forward(params, "recon.trunk", trunk_in)
     if mu is None:
         return raw
-    # Fold x -> (x - mu)/scale into the first downstream layer: with W~, b~
-    # emitted for standardized inputs, W1 = diag(1/scale) W~ and
-    # b1 = b~ - (mu/scale) W~ give the identical predictor on raw features.
-    fan_in, fan_out, w_start, b_start, stop = gamma_layout(cfg.mlp3_shapes)[0]
-    w_tilde = ad.reshape(ad.slice_cols(raw, w_start, b_start), (fan_in, fan_out))
-    b_tilde = ad.slice_cols(raw, b_start, stop)
-    w1 = ad.mul(w_tilde, ad.matmul(ad.transpose(inv_scale),
-                                   ad.constant(np.ones((1, fan_out)))))
-    b1 = ad.sub(b_tilde, ad.matmul(ad.mul(mu, inv_scale), w_tilde))
-    rest = ad.slice_cols(raw, stop, raw.data.shape[1])
-    return ad.concat([ad.reshape(w1, (1, fan_in * fan_out)), b1, rest], axis=1)
+    # fold x -> (x - mu) / scale into the first downstream layer
+    return ad.fold(raw, mu, inv_scale, cfg.mlp3_shapes[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +453,7 @@ def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
     if gamma.data.shape != (1, layout[-1][-1]):
         raise ValueError(f"gamma shape {gamma.data.shape} does not match "
                          f"{layout[-1][-1]} downstream parameters")
-    h = features
-    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
-        w = ad.reshape(ad.slice_cols(gamma, w_start, b_start), (fan_in, fan_out))
-        h = ad.dense(h, w, ad.slice_cols(gamma, b_start, stop), relu=layer < len(layout) - 1)
-    return h
+    return ad.packed_mlp(gamma, layout, features)
 
 
 def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.ndarray:
@@ -483,21 +462,14 @@ def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.nd
     Returns the (n, m) logits of the (m, d) features.  Each layer is one
     stacked matmul over the rows, ``(m, k) @ (n, k, h)``, whose per-row
     products are exactly the ``(m, k) @ (k, h)`` of ``downstream_forward``,
-    so row i matches it bit for bit.  The bias add and the ReLU are written
-    into the matmul's output, so each layer holds one ``(n, m, h)`` buffer;
-    elementwise ops round the same in place, so the bits are unchanged.
+    so row i matches it bit for bit; both run ``ad.packed_mlp_forward``.
+    Each layer holds one ``(n, m, h)`` buffer.
     """
     layout = gamma_layout(shapes)
     if gammas.ndim != 2 or gammas.shape[1] != layout[-1][-1]:
         raise ValueError(f"gamma rows of shape {gammas.shape} do not match "
                          f"{layout[-1][-1]} downstream parameters")
-    h = features
-    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
-        h = h @ gammas[:, w_start:b_start].reshape(-1, fan_in, fan_out)
-        h += gammas[:, None, b_start:stop]
-        if layer < len(layout) - 1:
-            np.maximum(h, 0.0, out=h)
-    return h[:, :, 0]
+    return ad.packed_mlp_forward(gammas, layout, features)[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +623,7 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
     if cfg.c == 0:
         return raw
     # the fold of ``reconstruct``, on every row at once
-    fan_in, fan_out, w_start, b_start, stop = gamma_layout(cfg.mlp3_shapes)[0]
-    w_tilde = raw[..., w_start:b_start].reshape(*raw.shape[:2], fan_in, fan_out)
-    w1 = w_tilde * inv_scale[:, None, :, None]
-    shift = (mean * inv_scale).reshape(n_sets, 1, 1, fan_in) @ w_tilde
-    b1 = raw[..., b_start:stop] - shift[:, :, 0, :]
-    return np.concatenate([w1.reshape(*raw.shape[:2], fan_in * fan_out), b1,
-                           raw[..., stop:]], axis=2)
+    return ad.folded(raw, mean[:, None], inv_scale[:, None], cfg.mlp3_shapes[0][1])
 
 
 # ---------------------------------------------------------------------------

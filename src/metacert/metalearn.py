@@ -298,34 +298,38 @@ def _check_certifiable(cfg: HypernetConfig, task: TaskDataset) -> None:
                          f"set of {m // 2}, which needs at least {max(1, cfg.c)}")
 
 
+def _message_blocks(cfg: HypernetConfig, protocol: CertifyProtocol) -> list[tuple]:
+    """The layout of a task's message stack ``[mu; draws; omega]``, one
+    ``(stream, rows)`` per block: the noise-free message (no stream), then,
+    for a Gaussian message, the ``n_mc`` posterior draws from
+    ``rng.split(1)`` (as in ``mc_expected_loss``) and, for PBSCH, the
+    disintegrated draw omega from ``rng.split(2)``."""
+    blocks = [(None, 1)]
+    if cfg.has_gaussian_message:
+        blocks.append((1, protocol.n_mc))
+    if cfg.architecture == "PBSCH":
+        blocks.append((2, 1))
+    return blocks
+
+
 def _message_rows(cfg: HypernetConfig, protocol: CertifyProtocol) -> int:
     """The row count of every ``_message_stack`` (1 with no message)."""
-    if not cfg.has_gaussian_message:
-        return 1
-    return 1 + protocol.n_mc + (cfg.architecture == "PBSCH")
+    return sum(rows for _, rows in _message_blocks(cfg, protocol))
 
 
 def _message_stack(cfg: HypernetConfig, protocol: CertifyProtocol, sigma: np.ndarray | None,
                    rng: Rng) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """A task's message stack ``[mu; draws; omega]`` and its sampled message.
-
-    The noise-free message heads the stack.  A Gaussian message adds the
-    ``n_mc`` posterior draws from ``rng.split(1)`` (as in
-    ``mc_expected_loss``) and, for PBSCH, the disintegrated draw ``omega``
-    from ``rng.split(2)``.  The sampled message is ``CertRow``'s: omega for
-    PBSCH, sigma for SCH_PLUS, else ``None``.  With no message there is no
-    stack.  ``_message_rows`` counts its rows.
-    """
+    """A task's message stack, laid out by ``_message_blocks``, and its
+    sampled message: omega for PBSCH, sigma for SCH_PLUS, else ``None``.
+    With no message there is no stack."""
     if sigma is None:
         return None, None
-    if cfg.has_binary_message:
-        return sigma[None], sigma
-    stack = [sigma[None], sigma + rng.split(1).normal((protocol.n_mc, cfg.b))]
-    omega = None
+    stack = np.concatenate([sigma[None] if stream is None
+                            else sigma + rng.split(stream).normal((rows, cfg.b))
+                            for stream, rows in _message_blocks(cfg, protocol)])
     if cfg.architecture == "PBSCH":
-        omega = sigma + rng.split(2).normal(cfg.b)
-        stack.append(omega[None])
-    return np.concatenate(stack), omega
+        return stack, stack[-1].copy()
+    return stack, sigma if cfg.has_binary_message else None
 
 
 @dataclass(frozen=True)

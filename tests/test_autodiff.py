@@ -223,6 +223,117 @@ class TestStraightThrough:
             ad.hard_select_st(Tensor(np.array([[0.7], [0.7]])), values)
 
 
+# A downstream MLP 2 -> 5 -> 4 -> 1 packed in one row: (fan_in, fan_out,
+# w_start, b_start, stop) per layer, as ``hypernet.gamma_layout`` writes it.
+LAYOUT = ((2, 5, 0, 10, 15), (5, 4, 15, 35, 39), (4, 1, 39, 43, 44))
+
+
+def pool_chain(rows, labels):
+    """The structural chain ``set_pool`` replaced."""
+    pooled = ad.matmul(ad.transpose(rows), labels)
+    return ad.mul_scalar(ad.transpose(pooled), 1.0 / rows.data.shape[0])
+
+
+def standardize_chain(rows, mean, inv_scale):
+    """The structural chain ``standardize`` replaced, statistics broadcast by
+    ``ones @ .``."""
+    ones = ad.constant(np.ones((rows.data.shape[0], 1)))
+    feats = ad.slice_cols(rows, 0, mean.data.shape[1])
+    return ad.mul(ad.sub(feats, ad.matmul(ones, mean)), ad.matmul(ones, inv_scale))
+
+
+def fold_chain(raw, mean, inv_scale, fan_out):
+    """The structural chain ``fold`` replaced."""
+    fan_in = mean.data.shape[1]
+    b_start, stop = fan_in * fan_out, fan_in * fan_out + fan_out
+    w_tilde = ad.reshape(ad.slice_cols(raw, 0, b_start), (fan_in, fan_out))
+    w1 = ad.mul(w_tilde, ad.matmul(ad.transpose(inv_scale), ad.constant(np.ones((1, fan_out)))))
+    b1 = ad.sub(ad.slice_cols(raw, b_start, stop), ad.matmul(ad.mul(mean, inv_scale), w_tilde))
+    rest = ad.slice_cols(raw, stop, raw.data.shape[1])
+    return ad.concat([ad.reshape(w1, (1, b_start)), b1, rest], axis=1)
+
+
+def packed_mlp_chain(gamma, layout, x):
+    """The structural chain ``packed_mlp`` replaced: one ``dense`` per layer."""
+    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
+        w = ad.reshape(ad.slice_cols(gamma, w_start, b_start), (fan_in, fan_out))
+        x = ad.dense(x, w, ad.slice_cols(gamma, b_start, stop), relu=layer < len(layout) - 1)
+    return x
+
+
+class TestFusedStages:
+    """The fused model-stage nodes.  Gradients match finite differences with
+    every parent needing one, as the soft twin's statistics do; forward and
+    gradients equal the replaced structural chain bit for bit, where the
+    statistics are constants; and each forward equals its stacked evaluation
+    helper bit for bit."""
+
+    def test_set_pool_gradients(self):
+        check_op(lambda rows, labels: ad.mean(ad.tanh(ad.set_pool(rows, labels))),
+                 (5, 3), (5, 1), seed=20)
+
+    def test_standardize_gradients(self):
+        check_op(lambda rows, mean, inv: ad.mean(ad.tanh(ad.standardize(rows, mean, inv))),
+                 (4, 3), (1, 2), (1, 2), seed=21)
+
+    def test_fold_gradients(self):
+        # a 2 x 3 first layer (weights 0:6, biases 6:9) and four more entries
+        check_op(lambda raw, mean, inv: ad.mean(ad.tanh(ad.fold(raw, mean, inv, 3))),
+                 (1, 13), (1, 2), (1, 2), seed=22)
+
+    def test_packed_mlp_gradients(self):
+        check_op(lambda gamma, x: ad.mean(ad.tanh(ad.packed_mlp(gamma, LAYOUT, x))),
+                 (1, 44), (6, 2), seed=23)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nodes_replay_their_chains(self, seed):
+        rng = Rng(40 + seed)
+        rows = rng.normal((60, 16))
+        labels = np.where(rng.normal((60, 1)) >= 0.0, 1.0, -1.0)
+        mean, inv = rng.normal((1, 2)), np.exp(rng.normal((1, 2)))
+        cases = (
+            (ad.set_pool, pool_chain, (rows, labels), (True, False)),
+            (ad.set_pool, pool_chain, (rows, labels), (True, True)),
+            (ad.standardize, standardize_chain, (rows[:3, :3], mean, inv), (True, False, False)),
+            (lambda *a: ad.fold(*a, 5), lambda *a: fold_chain(*a, 5),
+             (rng.normal((1, 21)), mean, inv), (True, False, False)),
+            (lambda *a: ad.packed_mlp(a[0], LAYOUT, a[1]), lambda *a: packed_mlp_chain(
+                a[0], LAYOUT, a[1]), (rng.normal((1, 44)), rng.normal((30, 2))), (True, False)),
+        )
+        for fused, chain, datas, needs in cases:
+            results = []
+            for build in (fused, chain):
+                args = [Tensor(d.copy(), requires_grad=r) for d, r in zip(datas, needs)]
+                out = build(*args)
+                ad.mean(ad.tanh(out)).backward()
+                results.append([out.data.tobytes()] + [a.grad.tobytes() for a in args
+                                                       if a.requires_grad])
+            assert results[0] == results[1], fused
+
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_forward_equals_stacked_helper(self, n_sets):
+        rng = Rng(50 + n_sets)
+        rows = rng.normal((n_sets, 40, 16))
+        labels = np.where(rng.normal((n_sets, 40, 1)) >= 0.0, 1.0, -1.0)
+        mean, inv = rng.normal((n_sets, 1, 2)), np.exp(rng.normal((n_sets, 1, 2)))
+        raw, gammas, x = rng.normal((n_sets, 4, 21)), rng.normal((n_sets, 44)), rng.normal((30, 2))
+        pooled = ad.pooled(rows, labels)
+        standardized = ad.standardized(rows[..., :2], mean, inv)
+        folded = ad.folded(raw, mean, inv, 5)
+        outputs = ad.packed_mlp_forward(gammas, LAYOUT, x)
+        for t in range(n_sets):
+            stats = Tensor(mean[t]), Tensor(inv[t])
+            assert (ad.set_pool(Tensor(rows[t]), Tensor(labels[t])).data.tobytes()
+                    == pooled[t].tobytes())
+            assert (ad.standardize(Tensor(rows[t]), *stats).data.tobytes()
+                    == standardized[t].tobytes())
+            for i in range(4):
+                assert (ad.fold(Tensor(raw[t, i:i + 1]), *stats, 5).data.tobytes()
+                        == folded[t, i:i + 1].tobytes())
+            assert (ad.packed_mlp(Tensor(gammas[t:t + 1]), LAYOUT, Tensor(x)).data.tobytes()
+                    == outputs[t].tobytes())
+
+
 class TestGraphMechanics:
     def test_fanout_accumulates_both_paths(self):
         x = Tensor(np.array([[1.5, -0.5]]), requires_grad=True)

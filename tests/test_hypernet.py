@@ -333,6 +333,38 @@ class TestReconstructor:
         with pytest.raises(ValueError):
             reconstruct(params, cfg, None, None)
 
+    def test_soft_twin_gradients_match_finite_differences(self):
+        # soft=True computes the compression rows' statistics with graph ops,
+        # so every parent of the fused pooling, standardization, fold and
+        # downstream nodes needs a gradient; the rows' label column is one
+        cfg = small_config("PBSCH", c=3, b=2)
+        params = params_for(cfg)
+        rows_data = np.column_stack([Rng(4).normal((3, 2)), [1.0, -1.0, 1.0]])
+        message = ad.constant(Rng(5).normal((1, 2)))
+        task = small_task(m=12)
+
+        def loss(rows):
+            gamma = reconstruct(params, cfg, rows, message, soft=True)
+            logits = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features))
+            return ad.binary_cross_entropy(logits, task.labels)
+
+        rows = Tensor(rows_data, requires_grad=True)
+        loss(rows).backward()
+        checked = [(rows.grad, rows_data)] + [(t.grad, t.data) for name, t in params.items()
+                                              if name.startswith("recon.")]
+        for analytic, data in checked:
+            numeric = np.zeros_like(data)
+            for i in np.ndindex(data.shape):
+                keep = data[i]
+                data[i] = keep + 1e-5
+                up = loss(Tensor(rows_data)).item()
+                data[i] = keep - 1e-5
+                down = loss(Tensor(rows_data)).item()
+                data[i] = keep
+                numeric[i] = (up - down) / 2e-5
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
+            assert (np.abs(analytic - numeric) / denom).max() < 1e-4
+
     def test_degenerate_compression_uses_learned_constant(self):
         cfg = small_config("PBSCH", c=0, b=3)
         params = params_for(cfg)
@@ -593,6 +625,31 @@ class TestForwardAndArtifacts:
             built.clear()
             mlp_forward(prefix, "compressor.keys", x)
             assert len(built) == n_layers
+
+    def test_training_step_builds_one_node_per_fused_stage(self, monkeypatch):
+        # one PBSCH c=2 b=4 training step at the default widths; the DeepSet
+        # poolings, the row standardization, the fold and the downstream net
+        # are one node each, with no transpose/reshape/mul_scalar chains
+        cfg = HypernetConfig("PBSCH", c=2, b=4)
+        params = params_for(cfg)
+        task = small_task(m=200)
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        gamma, art = hypernet_forward(params, cfg, task.features[:100], task.labels[:100],
+                                      eps=Rng(3).normal(cfg.b))
+        logits = downstream_forward(gamma, cfg.mlp3_shapes, ad.constant(task.features[100:]))
+        ad.binary_cross_entropy(logits, task.labels[100:]).backward()
+        assert art.c_effective == 2
+        assert len(built) <= 32
+        assert sum(t.requires_grad for t in built) <= 25
+        assert not {t.op for t in built} & {"transpose", "reshape", "mul_scalar"}
+        assert all(t.grad is not None for t in params.values())
 
     def test_gaussian_arch_requires_rng_or_eps(self):
         cfg = small_config("PBH", c=0, b=2)
