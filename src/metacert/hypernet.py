@@ -228,7 +228,7 @@ def set_statistics(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.maximum(std, floor)
 
 
-def _standardized_input(features: Tensor) -> Tensor:
+def _standardized_input(features: np.ndarray) -> Tensor:
     """The input set standardized by its own statistics, as a constant.
 
     The input set carries no gradient, so the map is applied in numpy, with
@@ -236,8 +236,8 @@ def _standardized_input(features: Tensor) -> Tensor:
     ordered set the statistics are exactly permutation invariant, float
     summation order included.
     """
-    mean, std = set_statistics(features.data)
-    return ad.constant(ad.standardized(features.data, mean, 1.0 / std))
+    mean, std = set_statistics(features)
+    return ad.constant(ad.standardized(features, mean, 1.0 / std))
 
 
 def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -490,7 +490,7 @@ def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     order = canonical_order(features, labels)
     x, y = features[order], labels[order]
-    xs_std = _standardized_input(ad.constant(x))
+    xs_std = _standardized_input(x)
     y_t = ad.constant(y)
     indices: tuple[int, ...] = ()
     rows = message = None

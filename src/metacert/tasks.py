@@ -18,7 +18,7 @@ import numpy as np
 from .rng import Rng, STREAM_TASKS
 
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 VALIDATION_FRACTION = 0.2  # task-level holdout carved from the training tasks
 
 
@@ -74,9 +74,10 @@ class TaskDataset:
             raise ValueError("features/labels length mismatch")
         if not np.all(np.isfinite(self.features)):
             raise ValueError(f"task {self.task_id}: features must be finite")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+        positive = self.labels == 1.0
+        if not (positive | (self.labels == -1.0)).all():
             raise ValueError(f"task {self.task_id}: labels must be -1 or +1")
-        if len(np.unique(self.labels)) < 2:
+        if positive.all() or not positive.any():
             raise ValueError(f"task {self.task_id}: both classes must be present")
 
     def __len__(self) -> int:
@@ -146,18 +147,34 @@ def gen_meta_dataset(spec: MoonsEnvironmentSpec) -> MetaDataset:
 
 
 # ---------------------------------------------------------------------------
-# file I/O: one CSV per task plus a JSON manifest
+# file I/O: one ``<split>.npy`` array per split plus a JSON manifest
+
+
+def _split_file(split: str) -> str:
+    """The file holding a split's ``[features | label]`` rows."""
+    return f"{split}.npy"
 
 
 def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path:
+    """Write each non-empty split as one float64 array and the manifest.
+
+    A split's array stacks its tasks' ``[features | label]`` rows in
+    manifest order; each manifest entry counts its task's examples and
+    features.  The tasks of one split must share a feature dimension.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for split, tasks in (("train", meta.train), ("val", meta.val), ("test", meta.test)):
+        if not tasks:
+            continue
+        d = tasks[0].features.shape[1]
         for task in tasks:
-            fname = f"task_{task.task_id:05d}.csv"
-            _write_task_csv(directory / fname, task)
-            entry = {"task_id": task.task_id, "file": fname, "split": split}
+            if task.features.shape[1] != d:
+                raise ValueError(f"task {task.task_id} has {task.features.shape[1]} features, "
+                                 f"but the {split} split's first task has {d}")
+            entry = {"task_id": task.task_id, "file": _split_file(split), "split": split,
+                     "examples": len(task), "features": d}
             if task.provenance is not None:
                 entry.update({
                     "rotation_deg": task.provenance.rotation_deg,
@@ -165,6 +182,9 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
                     "scale": task.provenance.scale,
                 })
             entries.append(entry)
+        rows = np.column_stack([np.concatenate([t.features for t in tasks]),
+                                np.concatenate([t.labels for t in tasks])])
+        np.save(directory / _split_file(split), rows, allow_pickle=False)
     manifest = {"format_version": FORMAT_VERSION,
                 "environment": dataclasses.asdict(spec), "tasks": entries}
     path = directory / MANIFEST_NAME
@@ -172,21 +192,12 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
     return path
 
 
-def _write_task_csv(path: Path, task: TaskDataset) -> None:
-    # the bytes ``np.savetxt`` writes, from one format call over every row
-    d = task.features.shape[1]
-    rows = np.column_stack([task.features, task.labels])
-    line = ",".join(["%.17g"] * d + ["%d"]) + "\n"
-    path.write_text(",".join([f"x{i + 1}" for i in range(d)] + ["y"]) + "\n"
-                    + (line * len(rows)) % tuple(rows.reshape(-1).tolist()))
-
-
 def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
                                                                    MoonsEnvironmentSpec]:
-    """Read the task manifest and the task files of ``splits``.
+    """Read the task manifest and the split arrays of ``splits``.
 
     Every manifest entry is checked, each ``task_id`` a distinct int >= 0;
-    the files of the other splits are not read, and those come back empty.
+    the arrays of the other splits are not read, and those come back empty.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -197,26 +208,57 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
         raise ValueError(f"unsupported task format version {manifest.get('format_version')}")
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
-    loaded: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
+    listed: dict[str, list[dict]] = {"train": [], "val": [], "test": []}
     seen_ids: set[int] = set()
     for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest")):
         what = f"task manifest entry {pos}"
         split = require_key(entry, "split", what)
-        if split not in loaded:
+        if split not in listed:
             raise ValueError(f"unknown split {split!r} in manifest")
         file = require_key(entry, "file", what)
+        if file != _split_file(split):
+            raise ValueError(f"{what} key 'file' is {file!r}, expected {_split_file(split)!r}")
         task_id = require_key(entry, "task_id", what)
         if type(task_id) is not int or task_id < 0 or task_id in seen_ids:
             raise ValueError(f"{what} key 'task_id' is {task_id!r}, expected an unused int >= 0")
         seen_ids.add(task_id)
-        if split not in splits:
-            continue
-        task = _read_task_csv(directory / file, task_id)
-        if "rotation_deg" in entry:
-            task.provenance = TaskProvenance(
-                entry["rotation_deg"], tuple(entry["center"]), entry["scale"])
-        loaded[split].append(task)
+        for key in ("examples", "features"):
+            count = require_key(entry, key, what)
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{what} key {key!r} is {count!r}, expected an int >= 0")
+        listed[split].append(entry)
+    loaded = {split: _read_split(directory / _split_file(split), entries)
+              if split in splits and entries else [] for split, entries in listed.items()}
     return MetaDataset(**loaded), spec
+
+
+def _read_split(path: Path, entries: list[dict]) -> list[TaskDataset]:
+    """Cut a split's array into its manifest entries' tasks, checking its shape."""
+    if not path.exists():
+        raise FileNotFoundError(f"task file missing: {path}")
+    try:
+        rows = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if rows.ndim != 2 or rows.dtype != np.float64:
+        raise ValueError(f"{path}: expected a 2-D float64 array, got {rows.ndim}-D {rows.dtype}")
+    n_rows, n_cols = rows.shape
+    total = sum(entry["examples"] for entry in entries)
+    if n_rows != total:
+        raise ValueError(f"{path}: {n_rows} rows, but its manifest entries count {total}")
+    tasks, start = [], 0
+    for entry in entries:
+        d, stop = entry["features"], start + entry["examples"]
+        if n_cols != d + 1:
+            raise ValueError(f"{path}: {n_cols} columns, but task {entry['task_id']} "
+                             f"has {d} features and a label")
+        provenance = (TaskProvenance(entry["rotation_deg"], tuple(entry["center"]),
+                                     entry["scale"]) if "rotation_deg" in entry else None)
+        # copies keep both arrays C-contiguous, as freshly generated tasks are
+        tasks.append(TaskDataset(rows[start:stop, :d].copy(), rows[start:stop, d].copy(),
+                                 entry["task_id"], provenance))
+        start = stop
+    return tasks
 
 
 def require_key(doc, key: str, what: str):
@@ -256,17 +298,3 @@ def _has_type(value, annotation: str) -> bool:
             items = items[:1] * len(value)
         return len(value) == len(items) and all(map(_has_type, value, items))
     return type(value).__name__ == annotation or (annotation == "float" and type(value) is int)
-
-
-def _read_task_csv(path: Path, task_id: int) -> TaskDataset:
-    if not path.exists():
-        raise FileNotFoundError(f"task file missing: {path}")
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[-1] != "y":
-            raise ValueError(f"{path}: malformed header {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: expected {len(header)} columns, got {data.shape[1]}")
-    # copies keep both arrays C-contiguous, as freshly generated tasks are
-    return TaskDataset(data[:, :-1].copy(), data[:, -1].copy(), task_id)

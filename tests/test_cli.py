@@ -208,6 +208,21 @@ class TestPipeline:
         assert main(["certify", "--config", str(conf)]) == 0
         assert (out / "certificates.csv").read_bytes() == chunked
 
+    def test_gen_rerun_writes_byte_identical_tasks(self, tmp_path):
+        cfg = write_config(tmp_path)
+        tasks = tmp_path / "out" / "tasks"
+
+        def tree():
+            return {path.name: path.read_bytes() for path in sorted(tasks.iterdir())}
+
+        assert main(["gen", "--config", str(cfg)]) == 0
+        first = tree()
+        for path in tasks.iterdir():
+            path.unlink()
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert set(first) == {"manifest.json", "train.npy", "val.npy", "test.npy"}
+        assert tree() == first
+
     def test_run_json_echoes_resolved_config(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["gen", "--config", str(cfg)])
@@ -254,9 +269,9 @@ class TestPipeline:
         manifest = json.loads((tasks / "manifest.json").read_text())
         task_file = tasks / next(e["file"] for e in manifest["tasks"]
                                  if e["split"] == "train")
-        lines = task_file.read_text().splitlines()
-        lines[1] = ",".join(["nan", *lines[1].split(",")[1:]])
-        task_file.write_text("\n".join(lines) + "\n")
+        rows = np.load(task_file)
+        rows[0, 0] = np.nan
+        np.save(task_file, rows)
         capsys.readouterr()
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -291,9 +306,10 @@ class TestPipeline:
         tasks = tmp_path / "out" / "tasks"
         entry = next(e for e in json.loads((tasks / "manifest.json").read_text())["tasks"]
                      if e["split"] == split)
-        lines = (tasks / entry["file"]).read_text().splitlines()
-        lines[2] = ",".join([*lines[2].split(",")[:-2], cell, lines[2].split(",")[-1]])
-        (tasks / entry["file"]).write_text("\n".join(lines) + "\n")
+        # the split's first task holds the array's first rows
+        rows = np.load(tasks / entry["file"])
+        rows[1, -2] = float(cell)
+        np.save(tasks / entry["file"], rows)
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err

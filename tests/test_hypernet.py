@@ -42,7 +42,7 @@ def params_for(cfg, seed=1):
 
 def std_set(features):
     """A feature set standardized by its own statistics, as ``encode`` hands it on."""
-    return hypernet._standardized_input(ad.constant(features))
+    return hypernet._standardized_input(features)
 
 
 def value_rows(x, y):
@@ -256,7 +256,7 @@ class TestAttentionSelect:
         order = canonical_order(task.features, task.labels)
         x = ad.constant(task.features[order])
         y = ad.constant(task.labels[order].reshape(-1, 1))
-        xs_std = hypernet._standardized_input(x)
+        xs_std = hypernet._standardized_input(x.data)
         keys = mlp_forward(params, "compressor.keys", xs_std)
         z = deepset_embed(params, "compressor.deepset", xs_std, y)
         if fused:

@@ -1,6 +1,8 @@
 """Moons environment generation and task file round-trips."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from metacert import autodiff as ad
 from metacert.autodiff import Tensor
 from metacert.optim import Adam
 from metacert.rng import Rng
-from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, _write_task_csv,
+from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset,
                             gen_meta_dataset, gen_moons_task, load_tasks, save_tasks,
                             settings_from_json)
 
@@ -151,12 +153,30 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             TaskDataset(np.zeros((2, 2)), np.array([1.0, 1.0]), 0)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.0, 1.0], "labels must be -1 or +1"), ([-1.0, 2.0], "labels must be -1 or +1"),
+        ([np.nan, 1.0], "labels must be -1 or +1"), ([-1.0, -0.5], "labels must be -1 or +1"),
+        ([1.0, 1.0], "both classes must be present"),
+        ([-1.0, -1.0], "both classes must be present"), ([], "both classes must be present")],
+        ids=["zero", "two", "nan", "fraction", "only_positive", "only_negative", "empty"])
+    def test_label_checks_name_the_task(self, labels, message):
+        with pytest.raises(ValueError, match=f"^task 3: {re.escape(message)}$"):
+            TaskDataset(np.zeros((len(labels), 2)), np.array(labels), 3)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, value):
         features = np.zeros((2, 2))
         features[1, 0] = value
         with pytest.raises(ValueError, match="task 7: features must be finite"):
             TaskDataset(features, np.array([-1.0, 1.0]), 7)
+
+
+def _count_one_more_example(directory):
+    """Make the first manifest entry count one example its array does not hold."""
+    manifest = directory / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["tasks"][0]["examples"] += 1
+    manifest.write_text(json.dumps(doc))
 
 
 class TestFileRoundTrip:
@@ -171,6 +191,9 @@ class TestFileRoundTrip:
             assert orig.task_id == back.task_id
             assert np.array_equal(orig.features, back.features)
             assert np.array_equal(orig.labels, back.labels)
+            # the stacked BLAS products' bits depend on the operands' layout
+            for array in (back.features, back.labels):
+                assert array.dtype == np.float64 and array.flags.c_contiguous
             assert back.provenance is not None
             assert back.provenance.scale == orig.provenance.scale
 
@@ -178,7 +201,7 @@ class TestFileRoundTrip:
         spec = canonical_spec()
         meta = gen_meta_dataset(spec)
         save_tasks(tmp_path / "tasks", meta, spec)
-        (tmp_path / "tasks" / f"task_{meta.train[0].task_id:05d}.csv").unlink()
+        (tmp_path / "tasks" / "train.npy").unlink()
         loaded, _ = load_tasks(tmp_path / "tasks", ("test",))
         assert loaded.train == [] and loaded.val == []
         assert [t.task_id for t in loaded.test] == [t.task_id for t in meta.test]
@@ -192,27 +215,22 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match="entry 0 has no key 'file'"):
             load_tasks(tmp_path / "tasks", ("test",))
 
-    def test_task_file_bytes_equal_savetxt(self, tmp_path):
-        # reference: numpy's row-at-a-time writer, which the one-call format replaced
-        for task in gen_meta_dataset(canonical_spec()).test:
-            np.savetxt(tmp_path / "ref.csv", np.column_stack([task.features, task.labels]),
-                       fmt=["%.17g", "%.17g", "%d"], delimiter=",", header="x1,x2,y",
-                       comments="")
-            _write_task_csv(tmp_path / "task.csv", task)
-            assert (tmp_path / "task.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
     def test_manifest_counts_match_files(self, tmp_path):
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
-        csvs = list((tmp_path / "tasks").glob("task_*.csv"))
-        assert len(csvs) == spec.n_train_tasks + spec.n_test_tasks
+        entries = json.loads((tmp_path / "tasks" / "manifest.json").read_text())["tasks"]
+        rows = {path.name: len(np.load(path)) for path in (tmp_path / "tasks").glob("*.npy")}
+        assert rows == {name: sum(e["examples"] for e in entries if e["file"] == name)
+                        for name in ("train.npy", "val.npy", "test.npy")}
+        assert len(entries) == spec.n_train_tasks + spec.n_test_tasks
 
     def test_bad_label_in_file_is_rejected(self, tmp_path):
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
-        victim = sorted((tmp_path / "tasks").glob("task_*.csv"))[0]
-        text = victim.read_text().replace(",1\n", ",2\n", 1)
-        victim.write_text(text)
+        victim = tmp_path / "tasks" / "train.npy"
+        rows = np.load(victim)
+        rows[np.flatnonzero(rows[:, -1] == 1)[0], -1] = 2
+        np.save(victim, rows)
         with pytest.raises(ValueError, match="label"):
             load_tasks(tmp_path / "tasks")
 
@@ -220,12 +238,74 @@ class TestFileRoundTrip:
     def test_non_finite_feature_in_file_is_rejected(self, tmp_path, cell):
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
-        victim = sorted((tmp_path / "tasks").glob("task_*.csv"))[0]
-        lines = victim.read_text().splitlines()
-        lines[1] = ",".join([cell, *lines[1].split(",")[1:]])
-        victim.write_text("\n".join(lines) + "\n")
+        victim = tmp_path / "tasks" / "train.npy"
+        rows = np.load(victim)
+        rows[0, 0] = float(cell)
+        np.save(victim, rows)
         with pytest.raises(ValueError, match="features must be finite"):
             load_tasks(tmp_path / "tasks")
+
+    def test_empty_split_round_trips_without_a_file(self, tmp_path):
+        spec = canonical_spec()
+        test = gen_meta_dataset(spec).test
+        save_tasks(tmp_path / "tasks", MetaDataset([], [], test), spec)
+        assert not (tmp_path / "tasks" / "train.npy").exists()
+        loaded, _ = load_tasks(tmp_path / "tasks")
+        assert loaded.train == [] and loaded.val == []
+        assert [t.task_id for t in loaded.test] == [t.task_id for t in test]
+
+    def test_mixed_feature_dimension_in_a_split_is_refused(self, tmp_path):
+        spec = canonical_spec()
+        test = gen_meta_dataset(spec).test
+        test[2] = TaskDataset(np.ones((4, 3)), np.array([1.0, -1.0, 1.0, -1.0]), 77)
+        with pytest.raises(ValueError, match="^task 77 has 3 features, but the test split's "
+                                             "first task has 2$"):
+            save_tasks(tmp_path / "tasks", MetaDataset([], [], test), spec)
+
+    @pytest.mark.parametrize("key, value", [
+        ("file", "test.npy"), ("file", "../train.npy"), ("examples", -1),
+        ("examples", 40.0), ("features", True)])
+    def test_bad_entry_file_or_count_is_refused_in_any_split(self, tmp_path, key, value):
+        spec = canonical_spec()
+        save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
+        manifest = tmp_path / "tasks" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["tasks"][0][key] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^task manifest entry 0 key '{key}' is "):
+            load_tasks(tmp_path / "tasks", ("test",))
+
+    def test_format_version_1_is_refused(self, tmp_path):
+        spec = canonical_spec()
+        save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
+        manifest = tmp_path / "tasks" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["format_version"] = 1
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^unsupported task format version 1$"):
+            load_tasks(tmp_path / "tasks")
+
+    @pytest.mark.parametrize("damage, message", [
+        (_count_one_more_example, "rows, but its manifest entries count"),
+        (lambda d: np.save(d / "train.npy", np.load(d / "train.npy").astype(np.float32)),
+         "expected a 2-D float64 array, got 2-D float32"),
+        (lambda d: np.save(d / "train.npy", np.load(d / "train.npy").reshape(-1)),
+         "expected a 2-D float64 array, got 1-D float64"),
+        (lambda d: np.save(d / "train.npy", np.load(d / "train.npy")[:, 1:]),
+         "2 columns, but task 0 has 2 features and a label"),
+        (lambda d: np.save(d / "train.npy", np.array([{"x": 1.0}], dtype=object),
+                           allow_pickle=True), "pickle"),
+    ], ids=["count_mismatch", "float32", "one_dimensional", "missing_column",
+            "pickled_object_array"])
+    def test_damaged_split_array_names_the_file(self, tmp_path, damage, message):
+        spec = canonical_spec()
+        save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
+        damage(tmp_path / "tasks")
+        with pytest.raises(ValueError, match="train.npy: .*" + message):
+            load_tasks(tmp_path / "tasks")
+        # the other splits' arrays are not opened
+        loaded, _ = load_tasks(tmp_path / "tasks", ("test",))
+        assert len(loaded.test) == spec.n_test_tasks
 
     def test_settings_from_json_checks_every_field(self):
         doc = {"n_train_tasks": 10, "n_test_tasks": 4, "examples_per_task": 40,
