@@ -18,15 +18,14 @@ Only the handful of primitives the hypernetworks need are provided:
 * ``dense``, one fused dense layer ``x @ w + b``, optionally ReLU'd;
 * ``attention_select``, one node for all attention heads of the sample
   compressor: per-head queries, scaled dot-product logits, softmax and
-  straight-through row selection (its forward, ``attention_probs``, also
-  serves the forward-only encoder on plain arrays);
-* one node per fused model stage, each with a numpy forward that the
-  forward-only evaluation also runs over stacks of sets: ``set_pool``
-  (``pooled``), the DeepSet pooling (1/m) M^T y; ``standardize``
-  (``standardized``), a set's rows mapped by ``(x - mean) * inv_scale``;
-  ``fold`` (``folded``), that map folded into the first layer of packed
-  MLP weights; ``packed_mlp`` (``packed_mlp_forward``), an MLP whose
-  weights and biases are unpacked from one row;
+  straight-through row selection (its forward is ``attention_probs``);
+* one node per fused model stage, each running a numpy forward:
+  ``set_pool`` (``pooled``), the DeepSet pooling (1/m) M^T y;
+  ``standardize`` (``standardized``), a set's rows mapped by
+  ``(x - mean) * inv_scale``; ``fold`` (``folded``), that map folded into
+  the first layer of packed MLP weights; ``packed_mlp``
+  (``packed_mlp_forward``, which also decodes stacks of gamma rows), an
+  MLP whose weights and biases are unpacked from one row;
 * structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
   ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
   ``reshape``, ``slice_cols``.  The fused nodes replaced every ``src/``
@@ -38,9 +37,16 @@ Only the handful of primitives the hypernetworks need are provided:
   ``zero_one_errors``, ``zero_one_loss`` and ``linear_loss``, and
   ``row_losses``, the last two for each row of a stack of logits.
 
-Tensors are 1-D or 2-D, everything is float64, and no op mutates its
-inputs' values.  The fused nodes run their helpers on 2-D operands; the
-stacked (..., m, k) forms serve the evaluation path only.
+Everything is float64 and no op mutates its inputs' values.  A tensor that
+needs a gradient is 1-D or 2-D.  A tensor with more axes is a constant
+stack (T, ..., m, k) of independent sets, and building one that would need
+a gradient raises ``ValueError``.  ``dense``, ``set_pool``, ``standardize``,
+``fold``, ``slice_cols``, ``tanh``, ``sign_st``, ``concat`` and
+``attention_select`` take such stacks, so forward-only evaluation runs the
+training graph's own modules over many sets at once.  Every stacked product
+keeps one set's shapes, e.g. ``(T, m, k) @ (k, h)``, so each set gets the
+bits of the same op on that set alone; a flat ``(T m, k) @ (k, h)`` product
+would round differently.  Backward closures are 2-D code only.
 """
 
 from __future__ import annotations
@@ -57,14 +63,17 @@ class NonFiniteError(ValueError):
 
 
 class Tensor:
-    """Dense array node in a reverse-mode computation graph."""
+    """Dense array node in a reverse-mode computation graph.
+
+    It needs a gradient when built with ``requires_grad=True`` or when a
+    parent does; then it must be 1-D or 2-D.  A tensor with more axes is a
+    constant stack of sets.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        if self.data.ndim > 2:
-            raise ValueError(f"tensors are at most 2-D, got shape {self.data.shape}")
         self.grad = None
         self.op = op
         self._seq = next(_SEQ)
@@ -75,6 +84,8 @@ class Tensor:
             if p.requires_grad:
                 requires_grad = True
                 break
+        if requires_grad and self.data.ndim > 2:
+            raise ValueError(f"a stack of shape {self.data.shape} cannot need a gradient")
         self.requires_grad = requires_grad
         self._parents = tuple(parents) if requires_grad else ()
         self._backward = backward if requires_grad else None
@@ -151,20 +162,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
-    """One dense layer ``x @ w + b`` with a (1, n) bias row, ReLU'd if ``relu``."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+    """One dense layer ``x @ w + b`` with a (1, n) bias row, ReLU'd if ``relu``;
+    ``x`` is (m, k) or a constant stack (..., m, k)."""
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
             or b.data.shape != (1, w.data.shape[1])):
         raise ValueError(f"dense shape mismatch: {x.data.shape} @ {w.data.shape} "
                          f"+ {b.data.shape}")
-    pre = x.data @ w.data
-    pre += b.data  # the bias and the ReLU write into the product's buffer
+    out = x.data @ w.data
+    out += b.data  # the bias and the ReLU write into the product's buffer
     if relu:
-        mask = pre > 0.0  # g * mask casts it to 1.0 / 0.0
-        np.maximum(pre, 0.0, out=pre)
+        np.maximum(out, 0.0, out=out)
 
     def backward(g):
         if relu:
-            g = g * mask
+            g = g * (out > 0.0)  # the ReLU's mask: out > 0 exactly where x @ w + b > 0
         if b.requires_grad:
             _accum(b, g.sum(axis=0, keepdims=True))
         if x.requires_grad:
@@ -172,7 +183,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         if w.requires_grad:
             _accum(w, x.data.T @ g)
 
-    return Tensor(pre, parents=(x, w, b), backward=backward, op="dense")
+    return Tensor(out, parents=(x, w, b), backward=backward, op="dense")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -293,13 +304,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.data.shape[1]):
+    if a.data.ndim < 2 or not (0 <= start <= stop <= a.data.shape[-1]):
         raise ValueError(f"bad column slice [{start}:{stop}] of {a.data.shape}")
 
     def backward(g):
         _accum_cols(a, start, stop, g)
 
-    return Tensor(a.data[:, start:stop].copy(), parents=(a,), backward=backward,
+    return Tensor(a.data[..., start:stop].copy(), parents=(a,), backward=backward,
                   op="slice_cols")
 
 
@@ -417,7 +428,9 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
     gradient.  Returns (the distinct selected positions, ascending; their
     rows of the constant (m, k) ``values``, in that order).  With
     ``soft=True`` the rows are every head's mixture p^T values, in head
-    order.
+    order.  On a constant stack, (T, 1, d') ``z``, (T, m, a) ``keys`` and
+    (T, m, k) ``values``, it returns one tuple of distinct ascending
+    positions per set and no rows (``None``).
 
     One node stands for the per-head graph dense -> transpose -> matmul ->
     mul_scalar -> softmax -> hard_select_st plus the concat of the rows, and
@@ -430,9 +443,10 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
     exact 0; Adam's update is the same for either sign.)
     """
     c = len(heads)
-    m, a = keys.data.shape
-    if (c == 0 or z.data.shape[0] != 1 or values.shape[0] != m
-            or any(w.data.shape != (z.data.shape[1], a) or b.data.shape != (1, a)
+    m, a = keys.data.shape[-2:]
+    parents = (z, keys, *(t for pair in heads for t in pair))
+    if (c == 0 or z.data.shape[-2] != 1 or values.shape[-2] != m
+            or any(w.data.shape != (z.data.shape[-1], a) or b.data.shape != (1, a)
                    for w, b in heads)):
         raise ValueError(f"attention_select shapes: z {z.data.shape}, keys {keys.data.shape}, "
                          f"values {values.shape}, heads "
@@ -440,9 +454,14 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
     queries, probs = attention_probs(z.data, keys.data,
                                      np.concatenate([w.data for w, _ in heads], axis=1),
                                      np.concatenate([b.data for _, b in heads], axis=1), scale)
+    picks = np.argmax(probs[..., 0], axis=-1)  # each head's row
+    if keys.data.ndim > 2:
+        if any(t.requires_grad for t in parents):
+            raise ValueError(f"a stack of shape {keys.data.shape} cannot need a gradient")
+        return tuple(tuple(sorted(set(row))) for row in picks.reshape(-1, c).tolist()), None
     owner: dict[int, int] = {}  # selected position -> first head selecting it
-    for h, pos in enumerate(np.argmax(probs[:, :, 0], axis=1)):
-        owner.setdefault(int(pos), h)
+    for h, pos in enumerate(picks.tolist()):
+        owner.setdefault(pos, h)
     positions = tuple(sorted(owner))
     if soft:
         kept = list(range(c))
@@ -468,16 +487,15 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
             if w.requires_grad:
                 _accum(w, z.data.T @ g_query)
 
-    parents = (z, keys, *(t for pair in heads for t in pair))
     return positions, Tensor(y, parents=parents, backward=backward, op="attention_select")
 
 
 # ---------------------------------------------------------------------------
 # fused model stages
 #
-# Each node's forward is a numpy helper that the forward-only evaluation
-# path also runs, on stacks (..., m, k) of sets whose every product keeps
-# one set's shapes; on the graph the operands are 2-D.  Each backward
+# Each node's forward is a numpy helper that also takes constant stacks
+# (..., m, k) of sets, every product keeping one set's shapes; a node that
+# needs a gradient has 2-D operands.  Each backward
 # replays the float operations of the structural chain the node replaced
 # (the same products on the same layouts), and accumulates into a column
 # range of a parent as ``slice_cols`` does (``_accum_cols``).
@@ -493,7 +511,8 @@ def pooled(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def set_pool(rows: Tensor, labels: Tensor) -> Tensor:
-    """``pooled`` of (m, k) rows and an (m, 1) label column, as a (1, k) node."""
+    """``pooled`` of (m, k) rows and an (m, 1) label column, as a (1, k) node
+    (or of a constant stack of such sets)."""
     y = pooled(rows.data, labels.data)
 
     def backward(g):
@@ -513,9 +532,10 @@ def standardized(x: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray) -> np.n
 
 def standardize(rows: Tensor, mean: Tensor, inv_scale: Tensor) -> Tensor:
     """``standardized`` of the first d columns of the (n, k) ``rows`` by
-    (1, d) ``mean`` and ``inv_scale`` rows, each of which may need a gradient."""
-    d = mean.data.shape[1]
-    x = rows.data[:, :d]
+    (1, d) ``mean`` and ``inv_scale`` rows, each of which may need a gradient
+    (or of a constant stack of such sets, with (..., 1, d) statistics)."""
+    d = mean.data.shape[-1]
+    x = rows.data[..., :d]
 
     def backward(g):
         g_x = g * inv_scale.data
@@ -550,12 +570,14 @@ def folded(raw: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray, fan_out: in
 
 def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
     """``folded`` of a (1, G) ``raw`` row with (1, fan_in) ``mean`` and
-    ``inv_scale`` rows, each of which may need a gradient."""
-    fan_in = mean.data.shape[1]
+    ``inv_scale`` rows, each of which may need a gradient (or of a constant
+    stack (..., 1, G) with (..., 1, fan_in) statistics whose leading axes
+    broadcast against raw's)."""
+    fan_in = mean.data.shape[-1]
     b_start = fan_in * fan_out
-    w_tilde = raw.data[0, :b_start].reshape(fan_in, fan_out)
 
     def backward(g):
+        w_tilde = raw.data[0, :b_start].reshape(fan_in, fan_out)
         g_w = g[0, :b_start].reshape(fan_in, fan_out)
         g_shift = -g[:, b_start:b_start + fan_out]
         if raw.requires_grad:
@@ -569,7 +591,8 @@ def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
             if inv_scale.requires_grad:
                 _accum(inv_scale, (g_w * w_tilde).sum(axis=1)[None] + g_scaled * mean.data)
 
-    y = folded(raw.data[0], mean.data[0], inv_scale.data[0], fan_out)[None]
+    y = folded(raw.data[..., 0, :], mean.data[..., 0, :], inv_scale.data[..., 0, :],
+               fan_out)[..., None, :]
     return Tensor(y, parents=(raw, mean, inv_scale), backward=backward, op="fold")
 
 

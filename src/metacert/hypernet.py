@@ -12,14 +12,12 @@ bottleneck (selected rows, message), which is what the certificates charge
 for.  ``encode`` runs the bottleneck and returns its record,
 ``CompressionArtifacts``: the compression set J and the message sigma.
 ``hypernet_forward`` follows it with the message noise and ``reconstruct``
-in one graph; the graph serves training only.  Evaluation runs forward-only
-twins in plain numpy over stacks of sets: ``encode_sets`` encodes a stack of
-equal-size task samples and ``decode_gamma`` decodes a chunk of stored
-artifacts, each set with the bits of the graph on that set alone.  The
-graph and the stacked evaluation share each forward stage: the set pooling,
-the standardization map, the fold and the downstream MLP are one numpy
-helper each in ``autodiff``, which a fused graph node runs on one set and
-the evaluation path on a stack.
+in one graph, which training differentiates.  Evaluation runs the same
+modules, forward only, on constant parameters over constant stacks of sets
+(see ``autodiff``): ``encode_sets`` encodes a stack of equal-size task
+samples and ``decode_gamma`` decodes a chunk of stored artifacts, each set
+with the bits of the graph on that set alone.  So the function certified is
+the function trained, written once.
 Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
 ``encode_sets`` / ``decode_gamma``; inner modules require canonical order.
 Every architecture is therefore exactly permutation invariant, bit for bit.
@@ -157,25 +155,6 @@ def mlp_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return x
 
 
-def _mlp_rows(params: dict[str, Tensor], prefix: str, x: np.ndarray) -> np.ndarray:
-    """Forward-only ``mlp_forward`` of a stack (..., n, k) of row sets.
-
-    Each layer is one stacked matmul with the per-set shapes,
-    ``(..., n, k) @ (k, h)``, so every set gets the bits of ``mlp_forward``
-    on that set alone; the bias add and the ReLU are written into the
-    product's buffer, which rounds the same.
-    """
-    n_layers = _mlp_layer_count(params, prefix)
-    if n_layers == 0:
-        raise KeyError(f"no parameters under prefix {prefix!r}")
-    for i in range(n_layers):
-        x = x @ params[f"{prefix}.w{i}"].data
-        x += params[f"{prefix}.b{i}"].data
-        if i < n_layers - 1:
-            np.maximum(x, 0.0, out=x)
-    return x
-
-
 def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> dict[str, Tensor]:
     """Create all parameters in a fixed order from a single stream."""
     params: dict[str, Tensor] = {}
@@ -229,7 +208,8 @@ def set_statistics(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _standardized_input(features: np.ndarray) -> Tensor:
-    """The input set standardized by its own statistics, as a constant.
+    """The input set, or each set of a stack, standardized by its own
+    statistics, as a constant.
 
     The input set carries no gradient, so the map is applied in numpy, with
     the same per-element arithmetic as ``_encode_rows``.  On a canonically
@@ -237,7 +217,7 @@ def _standardized_input(features: np.ndarray) -> Tensor:
     summation order included.
     """
     mean, std = set_statistics(features)
-    return ad.constant(ad.standardized(features, mean, 1.0 / std))
+    return ad.constant(ad.standardized(features, mean[..., None, :], 1.0 / std[..., None, :]))
 
 
 def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -254,22 +234,16 @@ def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(joined[..., j] for j in reversed(range(joined.shape[-1]))))
 
 
-def _standardized_sets(features: np.ndarray, labels: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical order and own-statistics standardization of a stack of sets.
-
-    (T, m, d) features and (T, m) labels give each set's canonical order
-    (T, m), its standardized features (T, m, d) and its labels (T, m, 1) in
-    that order, and its mean and inverse scale (T, d).  Set t gets the bits
-    of ``_standardized_input`` and of the production ``_encode_rows`` on set
-    t alone: the sort, the statistics and the map each run over its own rows.
-    """
+def _canonical_sets(features: np.ndarray, labels: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (m, d) set, or a stack (..., m, d) of equal-size sets with
+    (..., m) labels, in canonical order: (the order, the sorted features,
+    the sorted labels as (..., m, 1)).  Each set is sorted on its own."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.reshape(np.asarray(labels, dtype=np.float64), (*features.shape[:-1], 1))
     order = canonical_order(features, labels)
-    x = np.take_along_axis(features, order[:, :, None], axis=1)
-    y = np.take_along_axis(labels, order, axis=1)[:, :, None]
-    mean, std = set_statistics(x)
-    inv_scale = 1.0 / std
-    return order, ad.standardized(x, mean[:, None], inv_scale[:, None]), y, mean, inv_scale
+    return (order, np.take_along_axis(features, order[..., None], axis=-2),
+            np.take_along_axis(labels, order[..., None], axis=-2))
 
 
 def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
@@ -281,17 +255,6 @@ def deepset_embed(params: dict[str, Tensor], prefix: str, features: Tensor,
     summation order and so makes z exactly permutation invariant.
     """
     return ad.set_pool(mlp_forward(params, prefix, features), labels)
-
-
-def _embed_sets(params: dict[str, Tensor], prefix: str, features: np.ndarray,
-                labels: np.ndarray) -> np.ndarray:
-    """Forward-only ``deepset_embed`` of a stack of canonically ordered sets.
-
-    (T, m, d) features and (T, m, 1) labels give the (T, 1, d') embeddings;
-    the pooling is one ``(T, d', m) @ (T, m, 1)`` product, set t's bits
-    those of ``deepset_embed`` on set t.
-    """
-    return ad.pooled(_mlp_rows(params, prefix, features), labels)
 
 
 def pb_encode(params: dict[str, Tensor], xs_std: Tensor, labels: Tensor) -> Tensor:
@@ -330,10 +293,11 @@ def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, xs_std: Tens
     case the duplicate rows are dropped so the output depends on the
     distinct selected set only.
 
-    Returns (distinct selected indices in the input's coordinates, ascending;
-    selected rows, one per distinct index, in that order).
+    Returns (distinct selected positions in the set, ascending; selected
+    rows, one per distinct position, in that order).  On a constant stack
+    of sets the positions are one tuple per set, and there are no rows.
     """
-    m = xs_std.data.shape[0]
+    m = xs_std.data.shape[-2]
     if cfg.c > m:
         raise ValueError(f"compression size {cfg.c} exceeds set size {m}")
     keys = mlp_forward(params, "compressor.keys", xs_std)
@@ -353,7 +317,8 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
 
     Returns the set embedding (1, d') of the compression rows, standardized
     by their own statistics, and those statistics as (1, d) rows: the mean
-    and the inverse scale.  With no rows (c = 0) the embedding is the learned
+    and the inverse scale.  A constant stack (..., c', d + 1) of row sets
+    gives a stack of each.  With no rows (c = 0) the embedding is the learned
     constant ``recon.const`` and there are no statistics.
 
     Both branches standardize the rows with ``ad.standardize``.  The soft
@@ -374,8 +339,8 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
         inv_scale = ad.power_scalar(
             ad.add(var, ad.constant(np.full((1, d), _STD_FLOOR_ABS ** 2))), -0.5)
     else:
-        mean, std = set_statistics(rows.data[:, :d])
-        mu, inv_scale = ad.constant(mean[None]), ad.constant((1.0 / std)[None])
+        mean, std = set_statistics(rows.data[..., :d])
+        mu, inv_scale = ad.constant(mean[..., None, :]), ad.constant((1.0 / std)[..., None, :])
     feats_std = ad.standardize(rows, mu, inv_scale)
     return deepset_embed(params, "recon.deepset", feats_std, labs), mu, inv_scale
 
@@ -402,7 +367,7 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     constant vector, so the architecture degenerates gracefully to a pure
     encoder-decoder and gamma is the trunk output unchanged.
 
-    It serves training; evaluation uses ``decode_gamma``, its forward-only twin.
+    ``decode_gamma`` runs its modules over a chunk of stored artifacts.
     """
     if rows is None and message is None:
         raise ValueError("reconstruct needs compression rows or a message")
@@ -476,6 +441,28 @@ def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.nd
 # full forward
 
 
+def _bottleneck(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
+                labels: np.ndarray, soft: bool = False
+                ) -> tuple[np.ndarray, tuple | None, Tensor | None, Tensor | None]:
+    """The bottleneck modules on one task sample or a stack of equal-size samples.
+
+    Returns (the canonical order; the compressor's positions into it, or
+    ``None`` with no compressor; its rows; the message, or ``None``), from
+    ``sample_compress`` and ``msg_compress`` or ``pb_encode``.
+    """
+    order, x, y = _canonical_sets(features, labels)
+    xs_std, y_t = _standardized_input(x), ad.constant(y)
+    positions = rows = message = None
+    if cfg.c > 0:
+        positions, rows = sample_compress(params, cfg, xs_std, y_t,
+                                          np.concatenate([x, y], axis=-1), soft=soft)
+    if cfg.has_binary_message:
+        message = msg_compress(params, xs_std, y_t, soft=soft)
+    elif cfg.has_gaussian_message:
+        message = pb_encode(params, xs_std, y_t)
+    return order, positions, rows, message
+
+
 def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
            labels: np.ndarray, soft: bool = False
            ) -> tuple[CompressionArtifacts, Tensor | None, Tensor | None]:
@@ -483,25 +470,11 @@ def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
 
     The sample is put in canonical order here, once, for every module.  The
     message is the binary one or the Gaussian mean before noise; a part the
-    architecture lacks is ``None``.  It serves training; evaluation uses
-    ``encode_sets``, its forward-only twin over stacks of samples.
+    architecture lacks is ``None``.  ``encode_sets`` runs the same modules on
+    a constant stack of samples.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    order = canonical_order(features, labels)
-    x, y = features[order], labels[order]
-    xs_std = _standardized_input(x)
-    y_t = ad.constant(y)
-    indices: tuple[int, ...] = ()
-    rows = message = None
-    if cfg.c > 0:
-        positions, rows = sample_compress(params, cfg, xs_std, y_t,
-                                          np.concatenate([x, y], axis=1), soft=soft)
-        indices = tuple(sorted(int(order[pos]) for pos in positions))
-    if cfg.has_binary_message:
-        message = msg_compress(params, xs_std, y_t, soft=soft)
-    elif cfg.has_gaussian_message:
-        message = pb_encode(params, xs_std, y_t)
+    order, positions, rows, message = _bottleneck(params, cfg, features, labels, soft=soft)
+    indices = () if positions is None else tuple(sorted(int(order[pos]) for pos in positions))
     sigma = None if message is None else message.data.reshape(-1).copy()
     return CompressionArtifacts(indices, sigma), rows, message
 
@@ -524,46 +497,34 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
     return reconstruct(params, cfg, rows, message, soft=soft), artifacts
 
 
+def _constants(params: dict[str, Tensor], *prefixes: str) -> dict[str, Tensor]:
+    """The parameters under ``prefixes`` as constants sharing their arrays:
+    modules run on them build no gradient graph, and may take stacks."""
+    return {name: ad.constant(t.data) for name, t in params.items() if name.startswith(prefixes)}
+
+
 def encode_sets(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
                 labels: np.ndarray) -> list[CompressionArtifacts]:
-    """Forward-only ``encode`` of a stack of equal-size task samples.
+    """``encode`` of a stack of equal-size task samples, forward only.
 
     ``features`` is (T, m, d) and ``labels`` (T, m); returns one
-    ``CompressionArtifacts`` per sample, in order.  It runs in plain numpy
-    on the parameter arrays and builds no graph; ``encode`` serves training.
-    Every product keeps the per-sample shapes of ``encode``'s graph ops,
-    ``(T, m, k) @ (k, h)`` for the per-row networks, ``(T, 1, k) @ (k, h)``
-    for the embeddings' heads and ``(T, 1, m, a) @ (T, c, a, 1)`` for the
-    attention logits (``ad.attention_probs``), and every reduction (the canonical sort, the
-    statistics, the softmax) runs over each sample's own rows: a flat
-    ``(T m, k) @ (k, h)`` product would round differently.  So sample t's
-    artifacts are ``encode``'s on sample t alone, bit for bit.
+    ``CompressionArtifacts`` per sample, in order.  It runs ``encode``'s
+    modules on constant parameters over the whole stack.  Every product
+    keeps one sample's shapes, ``(T, m, k) @ (k, h)`` for the per-row
+    networks, ``(T, 1, k) @ (k, h)`` for the embeddings' heads and
+    ``(T, 1, m, a) @ (T, c, a, 1)`` for the attention logits, and every
+    reduction (the canonical sort, the statistics, the softmax) runs over
+    each sample's own rows: a flat ``(T m, k) @ (k, h)`` product would round
+    differently.  So sample t's artifacts are ``encode``'s on sample t
+    alone, bit for bit.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    n_sets, m, _ = features.shape
-    order, xs_std, y, _, _ = _standardized_sets(features, labels)
-    indices: list[tuple[int, ...]] = [()] * n_sets
-    if cfg.c > 0:
-        if cfg.c > m:
-            raise ValueError(f"compression size {cfg.c} exceeds set size {m}")
-        # the forward of ``sample_compress`` -> ``ad.attention_select``
-        heads = [f"compressor.query{h}" for h in range(cfg.c)]
-        _, probs = ad.attention_probs(
-            _embed_sets(params, "compressor.deepset", xs_std, y),
-            _mlp_rows(params, "compressor.keys", xs_std),
-            np.concatenate([params[f"{head}.w0"].data for head in heads], axis=1),
-            np.concatenate([params[f"{head}.b0"].data for head in heads], axis=1),
-            1.0 / math.sqrt(cfg.attention_dim))                          # (T, c, m, 1)
-        picked = np.take_along_axis(order, np.argmax(probs[..., 0], axis=2), axis=1)
-        indices = [tuple(sorted(set(row.tolist()))) for row in picked]
-    messages = [None] * n_sets
-    if cfg.has_message:
-        out = _mlp_rows(params, "message.trunk",
-                        _embed_sets(params, "message.deepset", xs_std, y))  # (T, 1, b)
-        sigma = np.where(out >= 0.0, 1.0, -1.0) if cfg.has_binary_message else np.tanh(out)
-        messages = list(sigma[:, 0])
-    return [CompressionArtifacts(j, message) for j, message in zip(indices, messages)]
+    constants = _constants(params, "compressor.", "message.")
+    order, positions, _, message = _bottleneck(constants, cfg, features, labels)
+    n_sets = len(order)
+    indices = [()] * n_sets if positions is None else [
+        tuple(sorted(o[list(pos)].tolist())) for o, pos in zip(order, positions)]
+    messages = [None] * n_sets if message is None else list(message.data[:, 0])
+    return [CompressionArtifacts(j, sigma) for j, sigma in zip(indices, messages)]
 
 
 def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
@@ -577,15 +538,16 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
     features, (T, m) labels, T index tuples and (T, n, b) messages give
     (T, n, G); the one-set call is the chunk of one.
 
-    Each set's compression rows are reassembled from its data, put in
-    canonical order and encoded once, every set with the same number of
-    rows in one stack; then every message row of every set goes through the
-    reconstructor trunk and the fold in plain numpy, with no graph.  Each
-    matmul keeps the per-message shapes, ``(T, n, 1, k) @ (k, h)``: a flat
-    ``(T n, k) @ (k, h)`` product rounds differently, while the stacked one
-    makes row i of set t match the ``hypernet_forward`` gamma of set t and
-    message i bit for bit, which is exactly the property the certificates
-    rely on.
+    Each set's compression rows are gathered from its data, put in canonical
+    order and encoded once by ``_encode_rows`` on constant parameters, every
+    set with the same number of rows in one stack.  Then each set's
+    embedding is broadcast over its message rows, and every row of every
+    set goes through the reconstructor trunk (``mlp_forward``) and
+    ``ad.fold`` as one constant stack.  Each matmul keeps the per-message
+    shapes, ``(T, n, 1, k) @ (k, h)``: a flat ``(T n, k) @ (k, h)`` product
+    rounds differently, while the stacked one makes row i of set t match the
+    ``hypernet_forward`` gamma of set t and message i bit for bit, which is
+    exactly the property the certificates rely on.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 2:
@@ -597,20 +559,22 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
     n_sets = len(features)
     if len(indices) != n_sets:
         raise ValueError(f"{len(indices)} index sets for {n_sets} sets")
+    params = _constants(params, "recon.")
     labels = np.asarray(labels, dtype=np.float64)
     emb = np.empty((n_sets, 1, cfg.deepset_dim))
-    mean = np.empty((n_sets, cfg.input_dim))
+    mean = np.empty((n_sets, 1, cfg.input_dim))
     inv_scale = np.empty_like(mean)
     for size in sorted({len(j) for j in indices}):
         sets = np.array([t for t, j in enumerate(indices) if len(j) == size])
-        if size == 0:
-            emb[sets] = params["recon.const"].data
-            continue
-        # the production half of ``_encode_rows``, for every set of this size
-        idx = np.array([indices[t] for t in sets], dtype=np.intp)
-        _, feats_std, labs, mean[sets], inv_scale[sets] = _standardized_sets(
-            features[sets[:, None], idx], labels[sets[:, None], idx])
-        emb[sets] = _embed_sets(params, "recon.deepset", feats_std, labs)
+        rows = None
+        if size:
+            idx = np.array([indices[t] for t in sets], dtype=np.intp)
+            _, x, y = _canonical_sets(features[sets[:, None], idx], labels[sets[:, None], idx])
+            rows = ad.constant(np.concatenate([x, y], axis=-1))
+        size_emb, size_mean, size_inv_scale = _encode_rows(params, cfg, rows)
+        emb[sets] = size_emb.data
+        if size:
+            mean[sets], inv_scale[sets] = size_mean.data, size_inv_scale.data
     x = emb[:, None]                                                 # (T, 1, 1, d')
     if messages is not None:
         messages = np.asarray(messages, dtype=np.float64)
@@ -619,11 +583,12 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
                              f"got {messages.shape}")
         x = np.concatenate([np.broadcast_to(x, (n_sets, messages.shape[1], 1, x.shape[3])),
                             messages[:, :, None, :]], axis=3)
-    raw = _mlp_rows(params, "recon.trunk", x)[:, :, 0, :]             # (T, n, G)
-    if cfg.c == 0:
-        return raw
-    # the fold of ``reconstruct``, on every row at once
-    return ad.folded(raw, mean[:, None], inv_scale[:, None], cfg.mlp3_shapes[0][1])
+    raw = mlp_forward(params, "recon.trunk", ad.constant(x))        # (T, n, 1, G)
+    if cfg.c > 0:
+        # the fold of ``reconstruct``, on every row at once
+        raw = ad.fold(raw, ad.constant(mean[:, None]), ad.constant(inv_scale[:, None]),
+                      cfg.mlp3_shapes[0][1])
+    return raw.data[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Training loops over tasks in a seeded-shuffled order; each visit splits the
 task into support and query halves, runs the hypernetwork graph on the
 support set, and takes one Adam step on the query surrogate loss (binary
 cross-entropy).  Nothing else is differentiated: validation (query 0-1 error
-each epoch, message noise at zero) and certification run forward only, in
-plain numpy, over stacked chunks of tasks: one ``encode_sets`` call encodes
-a chunk's samples and one ``decode_gamma`` call decodes its predictors, each
-task with the bits of its own graph forward.  ``_chunk_size`` sizes every
-chunk against the one byte budget ``CHUNK_BYTES``.  The returned parameters
-are those of the best validation epoch.
+each epoch, message noise at zero) and certification run the same modules
+forward only, on constant parameters, over stacked chunks of tasks: one
+``encode_sets`` call encodes a chunk's samples and one ``decode_gamma`` call
+decodes its predictors, each task with the bits of its own graph forward.
+``_chunk_size`` sizes every chunk against the one byte budget
+``CHUNK_BYTES``.  The returned parameters are those of the best validation
+epoch.
 
 Certification consumes *test* tasks only, each on its own: the full sample
 goes through the bottleneck, the empirical loss is measured on the

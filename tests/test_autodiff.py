@@ -266,7 +266,8 @@ class TestFusedStages:
     every parent needing one, as the soft twin's statistics do; forward and
     gradients equal the replaced structural chain bit for bit, where the
     statistics are constants; and each forward equals its stacked evaluation
-    helper bit for bit."""
+    helper, and each node on a constant stack equals it on each set alone,
+    bit for bit."""
 
     def test_set_pool_gradients(self):
         check_op(lambda rows, labels: ad.mean(ad.tanh(ad.set_pool(rows, labels))),
@@ -321,17 +322,55 @@ class TestFusedStages:
         standardized = ad.standardized(rows[..., :2], mean, inv)
         folded = ad.folded(raw, mean, inv, 5)
         outputs = ad.packed_mlp_forward(gammas, LAYOUT, x)
+        # the graph nodes on constant stacks of the same sets
+        w, b = rng.normal((16, 7)), rng.normal((1, 7))
+        heads = [(Tensor(rng.normal((16, 3))), Tensor(rng.normal((1, 3)))) for _ in range(4)]
+        dense = {relu: ad.dense(Tensor(rows), Tensor(w), Tensor(b), relu) for relu in (0, 1)}
+        node_pooled = ad.set_pool(Tensor(rows), Tensor(labels))
+        node_standardized = ad.standardize(Tensor(rows), Tensor(mean), Tensor(inv))
+        node_folded = ad.fold(Tensor(raw[:, :, None]), Tensor(mean[:, None]),
+                              Tensor(inv[:, None]), 5)
+        sliced = ad.slice_cols(Tensor(rows), 3, 9)
+        keys = rows[..., :3] * 4.0  # sharp softmaxes, so heads collide
+        positions, no_rows = ad.attention_select(Tensor(pooled), Tensor(keys), heads, rows, 0.5)
+        assert no_rows is None and len(positions) == n_sets
         for t in range(n_sets):
             stats = Tensor(mean[t]), Tensor(inv[t])
             assert (ad.set_pool(Tensor(rows[t]), Tensor(labels[t])).data.tobytes()
-                    == pooled[t].tobytes())
+                    == pooled[t].tobytes() == node_pooled.data[t].tobytes())
             assert (ad.standardize(Tensor(rows[t]), *stats).data.tobytes()
-                    == standardized[t].tobytes())
+                    == standardized[t].tobytes() == node_standardized.data[t].tobytes())
             for i in range(4):
                 assert (ad.fold(Tensor(raw[t, i:i + 1]), *stats, 5).data.tobytes()
-                        == folded[t, i:i + 1].tobytes())
+                        == folded[t, i:i + 1].tobytes() == node_folded.data[t, i].tobytes())
             assert (ad.packed_mlp(Tensor(gammas[t:t + 1]), LAYOUT, Tensor(x)).data.tobytes()
                     == outputs[t].tobytes())
+            for relu, node in dense.items():
+                assert (ad.dense(Tensor(rows[t]), Tensor(w), Tensor(b), relu).data.tobytes()
+                        == node.data[t].tobytes())
+            assert ad.slice_cols(Tensor(rows[t]), 3, 9).data.tobytes() == sliced.data[t].tobytes()
+            alone, _ = ad.attention_select(Tensor(pooled[t]), Tensor(keys[t]), heads, rows[t], 0.5)
+            assert positions[t] == alone
+
+
+class TestStackRule:
+    """A tensor with more than 2 axes is a constant stack: it never needs a
+    gradient."""
+
+    def test_stack_leaf_cannot_need_a_gradient(self):
+        with pytest.raises(ValueError, match=r"\(2, 3, 4\)"):
+            Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        assert not Tensor(np.ones((2, 3, 4))).requires_grad
+
+    def test_op_on_a_stack_with_a_gradient_parent_raises(self):
+        stack = Tensor(np.ones((2, 3, 4)))
+        w, b = Tensor(np.ones((4, 5)), requires_grad=True), Tensor(np.zeros((1, 5)))
+        with pytest.raises(ValueError, match=r"\(2, 3, 5\)"):
+            ad.dense(stack, w, b, relu=True)
+        query = Tensor(np.ones((5, 4)), requires_grad=True), Tensor(np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"stack of shape \(2, 3, 4\)"):
+            ad.attention_select(Tensor(np.ones((2, 1, 5))), stack, [query], np.ones((2, 3, 1)), 1.0)
+        assert not ad.dense(stack, Tensor(w.data), b, relu=True).requires_grad
 
 
 class TestGraphMechanics:

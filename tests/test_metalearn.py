@@ -440,7 +440,7 @@ class TestForwardOnlyEvaluation:
 
         def recording_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            built.append(self.requires_grad)
+            built.append(self)
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         for cfg, params in runs:
@@ -448,7 +448,10 @@ class TestForwardOnlyEvaluation:
             certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=4), Rng(0))
             metalearn._validation_error(params, cfg, TrainProtocol(support_size=20),
                                         tasks, Rng(3))
-            assert built == [], cfg.architecture
+            assert all(not t.requires_grad and t._parents == () and t._backward is None
+                       for t in built), cfg.architecture
+            assert all(t.grad is None for t in params.values()), cfg.architecture
+            built.clear()
 
 
 class TestStackedCertification:
