@@ -9,11 +9,12 @@ Numerical conventions:
 * all probabilities are carried as natural logarithms end to end, so that
   products of tiny priors (e.g. 1/C(2000, 8) * 2^-128 * delta) are routine;
 * the two inversions (binary-kl and binomial tail) are bisections,
-  tolerance 1e-12 on the argument with a hard cap of 200 iterations; the
-  binomial-tail one evaluates in one batch the path a guess of the
-  root predicts, and takes its steps only up to the first exact decision
-  the guess got wrong, so each step it takes, and its result, is the plain
-  bisection's;
+  tolerance 1e-12 on the argument with a hard cap of 200 iterations, and
+  one routine, ``_bisect``, takes every step under those rules; the
+  binomial-tail inversion lists with it the path a guess of the root
+  predicts, evaluates that path in one batch, and applies the exact
+  decisions only up to the first one the guess got wrong, so each step it
+  takes, and its result, is the plain bisection's;
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
   train-set comparison table deliberately reports unclamped values;
 * one builder, ``_certificate``, turns every certificate's three budget
@@ -104,9 +105,17 @@ def bernoulli_kl(q: float, p: float) -> float:
         if q == p:
             return 0.0
         raise ValueError(f"kl(q={q}, p={p}) diverges for p in {{0, 1}} with q != p")
-    left = 0.0 if q == 0.0 else q * math.log(q / p)
-    right = 0.0 if q == 1.0 else (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-    return left + right
+    return _kl_from(q)(p)
+
+
+def _kl_from(q: float) -> Callable[[float], float]:
+    """kl(q, .) on p strictly inside (0, 1): ``bernoulli_kl``'s arithmetic
+    without its checks, as one Python call per step of ``kl_inverse``."""
+    def kl(p: float) -> float:
+        left = 0.0 if q == 0.0 else q * math.log(q / p)
+        right = 0.0 if q == 1.0 else (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
+        return left + right
+    return kl
 
 
 def kl_inverse(q: float, budget: float) -> float:
@@ -120,18 +129,36 @@ def kl_inverse(q: float, budget: float) -> float:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0.0 or q == 1.0:
         return q
-    lo, hi = q, 1.0  # kl(q, .) is 0 at q and diverges at 1, so the root is bracketed
-    for _ in range(_BISECT_MAX_ITER):
+    # kl(q, .) is 0 at q and diverges at 1, so the root is bracketed
+    return _bisect(q, 1.0, _kl_from(q), budget)[0]
+
+
+def _bisect(lo: float, hi: float, f: Callable[[float], float], bound: float,
+            max_steps: int = _BISECT_MAX_ITER) -> tuple[float, list[float]]:
+    """The bisection behind every inversion: the final ``lo`` and the
+    midpoints visited from (lo, hi), for a non-decreasing ``f``.
+
+    Each step moves ``lo`` up to the midpoint where ``f(mid) <= bound`` and
+    ``hi`` down to it otherwise.  It stops before a midpoint that is not
+    strictly inside (lo, hi) (the interval is exhausted at float resolution),
+    once ``hi - lo <= _BISECT_TOL``, or after ``max_steps`` steps.  ``f`` is
+    called once per step, so it should cost one call: a builtin (``float``)
+    or a closure (``_kl_from``), not a partial or a lambda around another
+    function, each of which adds a call per step.
+    """
+    path = []
+    for _ in range(max_steps):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if bernoulli_kl(q, mid) <= budget:
+        if not lo < mid < hi:
+            break
+        path.append(mid)
+        if f(mid) <= bound:
             lo = mid
         else:
             hi = mid
         if hi - lo <= _BISECT_TOL:
             break
-    return lo
+    return lo, path
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -160,8 +187,9 @@ def binomial_tail_inverses(n: int, K: int,
 
     Each round lists, for every unfinished threshold, the midpoints its
     bisection would visit from the current bracket if every decision went the
-    way a fixed guess of the root predicts (``_root_guesses``), under the
-    scalar bisection's own break rules, tolerance and iteration cap.  The log
+    way a fixed guess of the root predicts (``_root_guesses``): ``_bisect``
+    with the identity for ``f`` and the guess for ``bound``, so under the
+    scalar bisection's own stop rules and its remaining steps.  The log
     CDF at all listed midpoints is then one (midpoints, K + 1) array, and each
     bisection replays its list with the exact decisions up to the first one
     the guess got wrong; the next round re-speculates from there.  Up to that
@@ -188,7 +216,7 @@ def binomial_tail_inverses(n: int, K: int,
     active = range(len(log_delta_primes))
     while True:
         # a row with no next midpoint is exhausted at float resolution or capped
-        paths = {i: _speculated_path(lo[i], hi[i], guesses[i], _BISECT_MAX_ITER - steps[i])
+        paths = {i: _bisect(lo[i], hi[i], float, guesses[i], _BISECT_MAX_ITER - steps[i])[1]
                  for i in active}
         active = [i for i in active if paths[i]]
         if not active:
@@ -200,6 +228,10 @@ def binomial_tail_inverses(n: int, K: int,
         top = terms.max(axis=1)
         sums = np.exp(terms - top[:, None]).sum(axis=1)
         top, sums = top.tolist(), sums.tolist()
+        # The replay stays a loop of its own: it stops at the first decision the
+        # guess got wrong and carries both ends of the bracket into the next
+        # round, which _bisect could express only through a Python callback
+        # per step, a cost this function would pay at every midpoint.
         row = 0
         for i in active:
             for j, mid in enumerate(paths[i], row):
@@ -221,24 +253,6 @@ def _root_guesses(n: int, K: int, log_delta_primes: Sequence[float]) -> list[flo
     decisions: any value, NaN included, leaves its results unchanged."""
     with np.errstate(all="ignore"):
         return bdtri(K, n, np.exp(np.asarray(log_delta_primes, dtype=np.float64))).tolist()
-
-
-def _speculated_path(lo: float, hi: float, guess: float, max_steps: int) -> list[float]:
-    """The midpoints the bisection visits from (lo, hi) in at most ``max_steps``
-    steps if each decision is ``mid <= guess``, under its break rules."""
-    path = []
-    while len(path) < max_steps:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # interval exhausted at float resolution
-        path.append(mid)
-        if mid <= guess:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return path
 
 
 def gaussian_kl(mu) -> float:
@@ -355,8 +369,8 @@ def bound_pbsch_disintegrated(budget: BoundBudget) -> Certificate:
 def _check_comparator_inputs(emp_loss: float, kl_msg: float, log_prior_j: float,
                              delta: float) -> None:
     """The input checks both comparator bounds share; NaN fails each of them."""
-    if math.isnan(emp_loss):
-        raise ValueError("emp_loss must not be NaN")
+    if not math.isfinite(emp_loss):
+        raise ValueError(f"emp_loss must be finite, got {emp_loss}")
     if not kl_msg >= 0.0:
         raise ValueError(f"kl_msg must be >= 0, got {kl_msg}")
     if not log_prior_j <= 0.0:
@@ -371,13 +385,16 @@ def bound_catoni(C_param: float, exp_emp_loss: float, kl_msg: float,
 
     (1/(1-e^-C)) * [1 - exp(-C q - (kl_msg - ln(P_J(j) delta)) / n_eff)].
     """
-    if not C_param > 0.0:
-        raise ValueError(f"C must be > 0, got {C_param}")
+    if not 0.0 < C_param < math.inf:
+        raise ValueError(f"C must be finite and > 0, got {C_param}")
+    scale = 1.0 - math.exp(-C_param)
+    if scale == 0.0:
+        raise ValueError(f"C must be large enough that 1 - e^-C > 0 in floats, got {C_param}")
     _check_comparator_inputs(exp_emp_loss, kl_msg, log_prior_j, delta)
     if not 0.0 <= exp_emp_loss <= 1.0:
         raise ValueError(f"emp_loss must be in [0, 1], got {exp_emp_loss}")
     exponent = -C_param * exp_emp_loss - (kl_msg - (log_prior_j + math.log(delta))) / n_eff
-    value = (1.0 - math.exp(exponent)) / (1.0 - math.exp(-C_param))
+    value = (1.0 - math.exp(exponent)) / scale
     return min(1.0, max(0.0, value))
 
 
@@ -390,8 +407,8 @@ def bound_linear_subgaussian(lambda_: float, sigma_sq: float, emp_loss: float,
     / (lambda n_eff), with a Dirac prior collapsing the log-moment term to its
     single summand.  Not clamped: sub-Gaussian losses need not live in [0, 1].
     """
-    if not lambda_ > 0.0:
-        raise ValueError(f"lambda must be > 0, got {lambda_}")
+    if not 0.0 < lambda_ < math.inf:
+        raise ValueError(f"lambda must be finite and > 0, got {lambda_}")
     if not sigma_sq >= 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     _check_comparator_inputs(emp_loss, kl_msg, log_prior_j, delta)

@@ -179,6 +179,48 @@ def scalar_binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> floa
     return lo
 
 
+# Reference: kl_inverse as it stood with its own bisection loop, copied
+# verbatim; the shared bisection must equal it bit for bit.
+def scalar_kl_inverse(q: float, budget: float) -> float:
+    """sup { tau in [q, 1] : kl(q, tau) <= budget }, by bisection.
+
+    Monotone non-decreasing in both arguments; a zero budget pins tau = q.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    if not budget >= 0.0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget == 0.0 or q == 1.0:
+        return q
+    lo, hi = q, 1.0  # kl(q, .) is 0 at q and diverges at 1, so the root is bracketed
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval exhausted at float resolution
+        if bernoulli_kl(q, mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _BISECT_TOL:
+            break
+    return lo
+
+
+class TestKlInverseBits:
+    """``kl_inverse`` equals the reference above bit for bit at every stop rule:
+    q just below 1 exhausts the interval at float resolution, tiny budgets stop
+    at the tolerance, and an infinite budget climbs the whole way."""
+
+    QS = (0.0, 1e-300, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-12, 0.9999999999999999)
+    BUDGETS = (5e-324, 1e-300, 1e-15, 1e-6, 0.01, 1.0, 50.0, 1e300, math.inf)
+
+    def test_equals_scalar_bisection(self):
+        for q in self.QS:
+            for budget in self.BUDGETS:
+                got, ref = kl_inverse(q, budget), scalar_kl_inverse(q, budget)
+                assert got == ref and repr(got) == repr(ref), (q, budget)
+
+
 class TestLockstepBisection:
     """``binomial_tail_inverses`` runs the three bisections of an SCH_BINARY
     certificate in lockstep; each result equals the scalar reference above."""
@@ -398,8 +440,11 @@ class TestCatoni:
         assert bound_catoni(0.5, 1.0, 1e6, -1e3, 0.01, 10) == 1.0
 
     def test_nonpositive_c_raises(self):
-        with pytest.raises(ValueError):
-            bound_catoni(0.0, 0.1, 0.0, 0.0, 0.05, 100)
+        # an infinite C made -C * 0 a NaN that the clamp turned into tau 0; a C so
+        # small that 1 - e^-C rounds to 0 divided by zero
+        for C in (0.0, -1000.0, math.inf, 1e-320):
+            with pytest.raises(ValueError, match="C must"):
+                bound_catoni(C, 0.0, 0.0, 0.0, 0.05, 100)
         args = (1.0, 0.1, 0.0, 0.0, 0.05)  # C, q, kl_msg, log_prior_j, delta
         for pos in range(len(args)):
             nan_args = [math.nan if i == pos else a for i, a in enumerate(args)]
@@ -424,8 +469,12 @@ class TestLinearSubgaussian:
         assert t1 == pytest.approx(2 * t2, rel=1e-12)
 
     def test_nonpositive_lambda_raises(self):
-        with pytest.raises(ValueError):
-            bound_linear_subgaussian(0.0, 0.1, 0.1, 0.0, 0.0, 0.05, 100, 100)
+        for lam in (0.0, math.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                bound_linear_subgaussian(lam, 0.1, 0.1, 0.0, 0.0, 0.05, 100, 100)
+        for loss in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="emp_loss"):
+                bound_linear_subgaussian(1.0, 0.1, loss, 0.0, 0.0, 0.05, 100, 100)
         args = (1.0, 0.1, 0.1, 0.0, 0.0, 0.05)  # lambda, sigma^2, q, kl_msg, log_prior_j, delta
         for pos in range(len(args)):
             nan_args = [math.nan if i == pos else a for i, a in enumerate(args)]

@@ -503,6 +503,18 @@ class TestBoundCommand:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert name in err and "nan" in err.lower()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["catoni", "--m", "100", "--catoni-c", "inf"], "C must"),
+        (["linear", "--m", "100", "--lambda", "inf"], "lambda"),
+        (["linear", "--m", "100", "--emp-loss=-inf"], "emp_loss"),
+    ], ids=["catoni-c", "linear-lambda", "linear-emp-loss"])
+    def test_infinite_input_is_numeric_error(self, capsys, argv, name):
+        # each used to print a tau_star of 0, nan or -inf and exit 0
+        assert main(["bound", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert name in err and "inf" in err
+
     @pytest.mark.parametrize("emp_loss", ["-3", "1.7"])
     def test_catoni_emp_loss_outside_unit_interval_is_numeric_error(self, capsys, emp_loss):
         # Catoni's bound is for [0, 1] losses: -3 used to certify tau_star 0
