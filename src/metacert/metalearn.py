@@ -9,8 +9,8 @@ forward only, on constant parameters, over stacked chunks of tasks: one
 ``encode_sets`` call encodes a chunk's samples and one ``decode_gamma`` call
 decodes its predictors, each task with the bits of its own graph forward.
 ``_chunk_size`` sizes every chunk against the one byte budget
-``CHUNK_BYTES``.  The returned parameters are those of the best validation
-epoch.
+``CHUNK_BYTES`` (2 MiB).  The returned parameters are those of the best
+validation epoch.
 
 Certification consumes *test* tasks only, each on its own: the full sample
 goes through the bottleneck, the empirical loss is measured on the
@@ -145,8 +145,14 @@ def split_support_query(task: TaskDataset, support_size: int,
 
 # The byte budget of one stacked evaluation chunk: its encode buffers (set
 # size x the widest layer, per task) and its decode rows (message rows x the
-# widest layer, per task).  A chunk holds at least one task.
-CHUNK_BYTES = 2 ** 20
+# widest layer, per task).  A chunk holds at least one task.  At 2 MiB a
+# benchmark chunk holds 8 PBSCH tasks at n_mc = 100 (1 MiB: 4), 13 SCH_PLUS
+# tasks (6) or 25 validation sets (12), half as many chunks, each with a
+# fixed Python cost; the decode peaks at 1.01 and 1.62 x CHUNK_BYTES
+# (``tracemalloc``).  Over 1 MiB, the chunks add 1.3-1.8 MB to a certify
+# command's peak RSS (of about 58 MB); the binary checkpoint took 0.3 MB off
+# it, and 1.7-1.9 MB off a train command's.
+CHUNK_BYTES = 2 ** 21
 
 
 def _chunk_size(params: dict[str, Tensor], set_size: int, n_rows: int) -> int:

@@ -339,12 +339,20 @@ class TestPipeline:
         ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id="12"), "'12'"),
         ("tasks/manifest.json",
          lambda doc: doc["tasks"][-1].update(task_id=doc["tasks"][0]["task_id"]), "'task_id'"),
+        ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.w0"].update(values=[0.0]),
+         "recon.trunk.w0"),
+        ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.w0"].update(values="AAAA*AAAA"),
+         "recon.trunk.w0"),
+        ("checkpoint.json",
+         lambda doc: doc["params"]["recon.trunk.w0"].update(values="AAAAAAAAAAA="),
+         "recon.trunk.w0"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
             "config_string_c", "manifest_unknown_key", "manifest_no_environment",
             "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
             "entry_no_split", "entry_no_file", "entry_no_task_id", "entry_float_task_id",
             "entry_bool_task_id", "entry_negative_task_id", "entry_string_task_id",
-            "entry_duplicate_task_id"])
+            "entry_duplicate_task_id", "values_not_a_string", "values_not_base64",
+            "values_byte_count"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)

@@ -1,5 +1,6 @@
 """Hypernetwork component and architecture tests."""
 
+import base64
 import json
 import math
 import tracemalloc
@@ -48,6 +49,12 @@ def std_set(features):
 def value_rows(x, y):
     """The raw ``(features | label)`` rows the compressor selects from."""
     return np.column_stack([x.data, y.data])
+
+
+def cut_values(entry, n_bytes):
+    """Drop the last ``n_bytes`` of a checkpoint tensor's values block."""
+    raw = base64.b64decode(entry["values"])
+    entry["values"] = base64.b64encode(raw[:-n_bytes]).decode("ascii")
 
 
 def assert_forward_permutation_invariant(monkeypatch, cfg, task, perm):
@@ -697,12 +704,48 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_values_are_base64_float64_bytes(self, tmp_path):
+        # the on-disk format: version 2, each tensor's values one base64 string
+        # of its little-endian, row-major float64 bytes
+        cfg = small_config("PBSCH", c=2, b=3)
+        params = params_for(cfg)
+        params["message.trunk.b1"].data = np.array([[1.0, -2.0, 0.5]])
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, params, master_seed=99)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        assert doc["params"]["message.trunk.b1"] == {
+            "shape": [1, 3], "values": "AAAAAAAA8D8AAAAAAAAAwAAAAAAAAOA/"}
+        w = params["recon.trunk.w0"].data
+        raw = base64.b64decode(doc["params"]["recon.trunk.w0"]["values"])
+        assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(w.shape), w)
+
+    def test_version_1_checkpoint_is_rejected(self, tmp_path):
+        # a version-1 file: the same document with the values as float lists
+        cfg = small_config("PBSCH", c=2, b=3)
+        params = params_for(cfg)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, params, master_seed=99)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 1
+        for name, entry in doc["params"].items():
+            entry["values"] = params[name].data.reshape(-1).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="version 1"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("damage, message", [
         (lambda p: p.pop("recon.trunk.w0"), "no tensor 'recon.trunk.w0'"),
         (lambda p: p["message.trunk.b0"].update(shape=[12]), "'message.trunk.b0' has shape"),
-        (lambda p: p["compressor.keys.w0"]["values"].pop(), "'compressor.keys.w0' has shape"),
+        (lambda p: cut_values(p["compressor.keys.w0"], 8), "'compressor.keys.w0' has shape"),
         (lambda p: p.update(extra={"shape": [1, 1], "values": [0.0]}), "'extra' is not part"),
-    ], ids=["missing", "wrong_shape", "short_values", "extra"])
+        (lambda p: p["compressor.keys.w0"].update(values=[0.0]),
+         "'compressor.keys.w0' values must be a base64 string, got list"),
+        (lambda p: p["compressor.keys.w0"].update(values="AAAA*AAAA"),
+         "'compressor.keys.w0' values are not valid base64"),
+        (lambda p: cut_values(p["compressor.keys.w0"], 3), "'compressor.keys.w0' has shape"),
+    ], ids=["missing", "wrong_shape", "short_values", "extra", "list_values",
+            "invalid_base64", "partial_float"])
     def test_layout_mismatch_names_the_tensor(self, tmp_path, damage, message):
         cfg = small_config("PBSCH", c=2, b=3)
         path = tmp_path / "checkpoint.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -530,8 +531,30 @@ class TestStackedCertification:
         cfg = HypernetConfig("PBSCH", c=2, b=4)
         params = init_hypernet_params(cfg, Rng(0))
         assert metalearn._chunk_size(params, 200, 102) == (
-            metalearn.CHUNK_BYTES // (8 * 100 * 302)) == 4
+            metalearn.CHUNK_BYTES // (8 * 100 * 302)) == 8
         assert metalearn._chunk_size(params, 200, 10002) == 1  # never below one task
+
+    # measured peaks at 2 MiB: 1.01 x CHUNK_BYTES for 8 PBSCH tasks at
+    # n_mc = 100, 1.62 x for 13 SCH_PLUS tasks
+    @pytest.mark.parametrize("arch, c, peak_share", [("PBSCH", 2, 1.1), ("SCH_PLUS", 3, 1.75)])
+    def test_chunk_budget_bounds_the_decode_memory(self, arch, c, peak_share):
+        # the benchmark shapes: widest layer 100, 200 examples, b = 4, n_mc = 100
+        cfg = HypernetConfig(arch, c=c, b=4)
+        params = init_hypernet_params(cfg, Rng(0))
+        protocol = CertifyProtocol(0.05, n_mc=100)
+        size = metalearn._chunk_size(params, 200, metalearn._message_rows(cfg, protocol))
+        spec = MoonsEnvironmentSpec(n_test_tasks=size, examples_per_task=200, master_seed=3)
+        tasks = [gen_moons_task(spec, i) for i in range(size)]
+        rngs = [Rng(5).split(i) for i in range(size)]
+        metalearn._decode_chunk(params, cfg, tasks, protocol, rngs)  # warm the caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            metalearn._decode_chunk(params, cfg, tasks, protocol, rngs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_share * metalearn.CHUNK_BYTES, (size, peak)
 
     @pytest.mark.parametrize("arch, c, b", ARCHS)
     def test_message_rows_count_the_message_stack(self, arch, c, b):
