@@ -24,29 +24,32 @@ Only the handful of primitives the hypernetworks need are provided:
   ``standardize`` (``standardized``), a set's rows mapped by
   ``(x - mean) * inv_scale``; ``fold`` (``folded``), that map folded into
   the first layer of packed MLP weights; ``packed_mlp``
-  (``packed_mlp_forward``, which also decodes stacks of gamma rows), an
-  MLP whose weights and biases are unpacked from one row;
+  (``packed_mlp_forward``), an MLP whose weights and biases are unpacked
+  from each row of a stack of gamma rows;
 * structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
   ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
   ``reshape``, ``slice_cols``.  The fused nodes replaced every ``src/``
-  call of ``transpose``, ``reshape``, ``mul_scalar`` and ``sub``; they stay
-  as the tests' reference ops;
+  call of ``matmul``, ``transpose``, ``reshape``, ``mul_scalar`` and
+  ``sub``; they stay as the tests' reference ops;
 * activations ``tanh`` and ``softmax``;
 * straight-through surrogates ``sign_st`` and ``hard_select_st``;
 * the ``binary_cross_entropy`` loss, plus the non-differentiable metrics
   ``zero_one_errors``, ``zero_one_loss`` and ``linear_loss``, and
   ``row_losses``, the last two for each row of a stack of logits.
 
-Everything is float64 and no op mutates its inputs' values.  A tensor that
-needs a gradient is 1-D or 2-D.  A tensor with more axes is a constant
-stack (T, ..., m, k) of independent sets, and building one that would need
-a gradient raises ``ValueError``.  ``dense``, ``set_pool``, ``standardize``,
-``fold``, ``slice_cols``, ``tanh``, ``sign_st``, ``concat`` and
-``attention_select`` take such stacks, so forward-only evaluation runs the
-training graph's own modules over many sets at once.  Every stacked product
-keeps one set's shapes, e.g. ``(T, m, k) @ (k, h)``, so each set gets the
-bits of the same op on that set alone; a flat ``(T m, k) @ (k, h)`` product
-would round differently.  Backward closures are 2-D code only.
+Everything is float64 and no op mutates its inputs' values.  A tensor
+with more than 2 axes is a stack (T, ..., m, k) of independent sets.  The
+training graph's nodes, ``dense``, ``set_pool``, ``standardize``, ``fold``,
+``packed_mlp``, ``concat``, ``slice_cols``, ``tanh``, ``sign_st``,
+``attention_select``, ``add`` and ``binary_cross_entropy``, take such
+stacks forward and backward, with or without gradients: training runs one
+task's 2-D arrays through the same code that evaluation runs over many
+sets at once.  Every stacked product keeps one set's shapes, e.g.
+``(T, m, k) @ (k, h)``, so each set gets the bits of the same op on that
+set alone; a flat ``(T m, k) @ (k, h)`` product would round differently.
+A gradient is summed down to its parent's shape (``_accum``), so a
+parameter shared by the sets of a stack gets the sum of their gradients,
+and a stack of one gets the bits of the 2-D op.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ class Tensor:
     """Dense array node in a reverse-mode computation graph.
 
     It needs a gradient when built with ``requires_grad=True`` or when a
-    parent does; then it must be 1-D or 2-D.  A tensor with more axes is a
-    constant stack of sets.
+    parent does.  A tensor with more than 2 axes is a stack of sets.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "_seq")
@@ -84,8 +86,6 @@ class Tensor:
             if p.requires_grad:
                 requires_grad = True
                 break
-        if requires_grad and self.data.ndim > 2:
-            raise ValueError(f"a stack of shape {self.data.shape} cannot need a gradient")
         self.requires_grad = requires_grad
         self._parents = tuple(parents) if requires_grad else ()
         self._backward = backward if requires_grad else None
@@ -120,6 +120,13 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into t's gradient, summed over the axes that broadcasting
+    added to or stretched in t's shape: a parameter shared by the sets of a
+    stack gets the sum of their gradients, in stack order."""
+    if g.shape != t.data.shape:
+        lead = g.ndim - t.data.ndim
+        stretched = [lead + i for i, n in enumerate(t.data.shape) if n == 1 < g.shape[lead + i]]
+        g = g.sum(axis=(*range(lead), *stretched)).reshape(t.data.shape)
     if t.grad is None:
         # a fresh buffer in t.data's memory layout (a gradient's layout picks
         # the BLAS path of every product it enters); adding 0.0 turns -0.0
@@ -133,7 +140,20 @@ def _accum_cols(t: Tensor, start: int, stop: int | None, g: np.ndarray) -> None:
     """Add ``g`` into columns ``start:stop`` of t's gradient, which starts as zeros."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad[:, start:stop] += g
+    t.grad[..., start:stop] += g
+
+
+def _accum_set(t: Tensor, at: tuple, g: np.ndarray) -> None:
+    """Add ``g`` into the set of t's gradient at index ``at`` of its leading
+    axes (``()`` for one set); the gradient starts as zeros."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[at] += g
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The matrix transpose of each set of a stack (the last two axes)."""
+    return a.swapaxes(-1, -2)
 
 
 def constant(data) -> Tensor:
@@ -163,7 +183,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """One dense layer ``x @ w + b`` with a (1, n) bias row, ReLU'd if ``relu``;
-    ``x`` is (m, k) or a constant stack (..., m, k)."""
+    ``x`` is (m, k) or a stack (..., m, k)."""
     if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
             or b.data.shape != (1, w.data.shape[1])):
         raise ValueError(f"dense shape mismatch: {x.data.shape} @ {w.data.shape} "
@@ -177,11 +197,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         if relu:
             g = g * (out > 0.0)  # the ReLU's mask: out > 0 exactly where x @ w + b > 0
         if b.requires_grad:
-            _accum(b, g.sum(axis=0, keepdims=True))
+            _accum(b, g.sum(axis=-2, keepdims=True))
         if x.requires_grad:
             _accum(x, g @ w.data.T)
         if w.requires_grad:
-            _accum(w, x.data.T @ g)
+            _accum(w, _mT(x.data) @ g)
 
     return Tensor(out, parents=(x, w, b), backward=backward, op="dense")
 
@@ -271,21 +291,28 @@ def mean(a: Tensor) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
+    """Join tensors along ``axis``.  With a negative ``axis`` the axes before
+    it broadcast against each other, as a set's embedding does over the
+    stacked message rows of that set."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of no tensors")
-    sizes = [t.data.shape[axis] for t in tensors]
+    parts = [t.data for t in tensors]
+    if axis < 0 and len({p.shape[:axis] for p in parts}) > 1:
+        lead = np.broadcast_shapes(*(p.shape[:axis] for p in parts))
+        parts = [np.broadcast_to(p, lead + p.shape[axis:]) for p in parts]
 
     def backward(g):
         offset = 0
-        for t, size in zip(tensors, sizes):
+        for t, part in zip(tensors, parts):
+            size = part.shape[axis]
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offset, offset + size)
                 _accum(t, g[tuple(sl)])
             offset += size
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+    return Tensor(np.concatenate(parts, axis=axis),
                   parents=tuple(tensors), backward=backward, op="concat")
 
 
@@ -416,7 +443,7 @@ def attention_probs(z: np.ndarray, keys: np.ndarray, w: np.ndarray, b: np.ndarra
 
 
 def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: float,
-                     soft: bool = False) -> tuple[tuple[int, ...], Tensor]:
+                     soft: bool = False) -> tuple[tuple, Tensor | None]:
     """``c`` scaled dot-product attention heads, each selecting one row of ``values``.
 
     ``heads`` holds one ``(w, b)`` pair per head.  Head h's query is the
@@ -428,17 +455,18 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
     gradient.  Returns (the distinct selected positions, ascending; their
     rows of the constant (m, k) ``values``, in that order).  With
     ``soft=True`` the rows are every head's mixture p^T values, in head
-    order.  On a constant stack, (T, 1, d') ``z``, (T, m, a) ``keys`` and
-    (T, m, k) ``values``, it returns one tuple of distinct ascending
-    positions per set and no rows (``None``).
+    order.  On a stack, (T, 1, d') ``z``, (T, m, a) ``keys`` and (T, m, k)
+    ``values``, it returns one tuple of positions per set and a (T, c', k)
+    stack of rows, or no rows (``None``) where collided heads leave the sets
+    different numbers of rows.
 
     One node stands for the per-head graph dense -> transpose -> matmul ->
     mul_scalar -> softmax -> hard_select_st plus the concat of the rows, and
     matches it bit for bit: ``attention_probs`` takes the queries as one
     ``z @ [w_0 | ... | w_c-1]`` product and the logits as one stacked
     ``(1, m, a) @ (c, a, 1)`` product (a flat ``(m, a) @ (a, c)`` GEMM rounds
-    differently), and backward runs the heads last to first with the
-    per-head shapes, as that graph did.  (A
+    differently), and backward runs each set's heads last to first with the
+    per-head shapes, as that graph did, the sets in stack order.  (A
     zero gradient entry may differ in sign where a softmax underflows to an
     exact 0; Adam's update is the same for either sign.)
     """
@@ -454,38 +482,45 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
     queries, probs = attention_probs(z.data, keys.data,
                                      np.concatenate([w.data for w, _ in heads], axis=1),
                                      np.concatenate([b.data for _, b in heads], axis=1), scale)
-    picks = np.argmax(probs[..., 0], axis=-1)  # each head's row
-    if keys.data.ndim > 2:
-        if any(t.requires_grad for t in parents):
-            raise ValueError(f"a stack of shape {keys.data.shape} cannot need a gradient")
-        return tuple(tuple(sorted(set(row))) for row in picks.reshape(-1, c).tolist()), None
-    owner: dict[int, int] = {}  # selected position -> first head selecting it
-    for h, pos in enumerate(picks.tolist()):
-        owner.setdefault(pos, h)
-    positions = tuple(sorted(owner))
+    # the sets of the stack in one flat list (one set is a stack of one)
+    sets_probs, sets_values = probs.reshape(-1, c, m, 1), values.reshape(-1, m, values.shape[-1])
+    picked, row_of = [], []  # per set: its positions; head -> its output row
+    for picks in np.argmax(sets_probs[..., 0], axis=-1).tolist():
+        owner: dict[int, int] = {}  # selected position -> first head selecting it
+        for h, pos in enumerate(picks):
+            owner.setdefault(pos, h)
+        picked.append(tuple(sorted(owner)))
+        kept = range(c) if soft else [owner[pos] for pos in picked[-1]]
+        row_of.append({h: i for i, h in enumerate(kept)})
+    positions = picked[0] if keys.data.ndim == 2 else tuple(picked)
+    if len({len(rows) for rows in row_of}) > 1:
+        return positions, None
     if soft:
-        kept = list(range(c))
-        y = np.concatenate([probs[h].T @ values for h in kept], axis=0)
+        y = np.concatenate([_mT(probs[..., h, :, :]) @ values for h in range(c)], axis=-2)
     else:
-        kept = [owner[pos] for pos in positions]
-        y = values[list(positions)]
-    row_of = {h: i for i, h in enumerate(kept)}  # head -> its output row
+        y = sets_values[np.arange(len(picked))[:, None], picked].reshape(
+            *keys.data.shape[:-2], -1, values.shape[-1])
 
     def backward(g):
-        for h in sorted(kept, reverse=True):
-            w, b = heads[h]
-            p = probs[h]
-            g_probs = values @ g[row_of[h]:row_of[h] + 1].T
-            g_logits = p * (g_probs - (g_probs * p).sum(axis=0, keepdims=True)) * scale
-            if keys.requires_grad:
-                _accum(keys, g_logits @ queries[h:h + 1])
-            g_query = (keys.data.T @ g_logits).T
-            if b.requires_grad:
-                _accum(b, g_query.sum(axis=0, keepdims=True))
-            if z.requires_grad:
-                _accum(z, g_query @ w.data.T)
-            if w.requires_grad:
-                _accum(w, z.data.T @ g_query)
+        g = g.reshape(-1, *g.shape[-2:])
+        sets_z, sets_keys = z.data.reshape(-1, 1, z.data.shape[-1]), keys.data.reshape(-1, m, a)
+        sets_queries = queries.reshape(-1, c, a)
+        for t, rows in enumerate(row_of):
+            at = np.unravel_index(t, keys.data.shape[:-2])
+            for h in sorted(rows, reverse=True):
+                w, b = heads[h]
+                p = sets_probs[t, h]
+                g_probs = sets_values[t] @ g[t, rows[h]:rows[h] + 1].T
+                g_logits = p * (g_probs - (g_probs * p).sum(axis=0, keepdims=True)) * scale
+                if keys.requires_grad:
+                    _accum_set(keys, at, g_logits @ sets_queries[t, h:h + 1])
+                g_query = (sets_keys[t].T @ g_logits).T
+                if b.requires_grad:
+                    _accum(b, g_query)
+                if z.requires_grad:
+                    _accum_set(z, at, g_query @ w.data.T)
+                if w.requires_grad:
+                    _accum(w, sets_z[t].T @ g_query)
 
     return positions, Tensor(y, parents=parents, backward=backward, op="attention_select")
 
@@ -493,12 +528,11 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
 # ---------------------------------------------------------------------------
 # fused model stages
 #
-# Each node's forward is a numpy helper that also takes constant stacks
-# (..., m, k) of sets, every product keeping one set's shapes; a node that
-# needs a gradient has 2-D operands.  Each backward
-# replays the float operations of the structural chain the node replaced
-# (the same products on the same layouts), and accumulates into a column
-# range of a parent as ``slice_cols`` does (``_accum_cols``).
+# Each node's forward is a numpy helper that also takes stacks (..., m, k)
+# of sets, every product keeping one set's shapes.  Each backward replays,
+# on every set, the float operations of the structural chain the node
+# replaced (the same products on the same layouts), and accumulates into a
+# column range of a parent as ``slice_cols`` does (``_accum_cols``).
 
 
 def pooled(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -512,15 +546,15 @@ def pooled(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def set_pool(rows: Tensor, labels: Tensor) -> Tensor:
     """``pooled`` of (m, k) rows and an (m, 1) label column, as a (1, k) node
-    (or of a constant stack of such sets)."""
+    (or of a stack of such sets)."""
     y = pooled(rows.data, labels.data)
 
     def backward(g):
-        g_pooled = g.T * (1.0 / rows.data.shape[0])
+        g_pooled = _mT(g) * (1.0 / rows.data.shape[-2])
         if labels.requires_grad:
             _accum(labels, rows.data @ g_pooled)
         if rows.requires_grad:
-            _accum(rows, (g_pooled @ labels.data.T).T)
+            _accum(rows, _mT(g_pooled @ _mT(labels.data)))
 
     return Tensor(y, parents=(rows, labels), backward=backward, op="set_pool")
 
@@ -533,7 +567,7 @@ def standardized(x: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray) -> np.n
 def standardize(rows: Tensor, mean: Tensor, inv_scale: Tensor) -> Tensor:
     """``standardized`` of the first d columns of the (n, k) ``rows`` by
     (1, d) ``mean`` and ``inv_scale`` rows, each of which may need a gradient
-    (or of a constant stack of such sets, with (..., 1, d) statistics)."""
+    (or of a stack of such sets, with (..., 1, d) statistics)."""
     d = mean.data.shape[-1]
     x = rows.data[..., :d]
 
@@ -542,9 +576,9 @@ def standardize(rows: Tensor, mean: Tensor, inv_scale: Tensor) -> Tensor:
         if rows.requires_grad:
             _accum_cols(rows, 0, d, g_x)
         if mean.requires_grad:
-            _accum(mean, -g_x.sum(axis=0, keepdims=True))
+            _accum(mean, -g_x.sum(axis=-2, keepdims=True))
         if inv_scale.requires_grad:
-            _accum(inv_scale, (g * (x - mean.data)).sum(axis=0, keepdims=True))
+            _accum(inv_scale, (g * (x - mean.data)).sum(axis=-2, keepdims=True))
 
     return Tensor(standardized(x, mean.data, inv_scale.data), parents=(rows, mean, inv_scale),
                   backward=backward, op="standardize")
@@ -570,26 +604,27 @@ def folded(raw: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray, fan_out: in
 
 def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
     """``folded`` of a (1, G) ``raw`` row with (1, fan_in) ``mean`` and
-    ``inv_scale`` rows, each of which may need a gradient (or of a constant
-    stack (..., 1, G) with (..., 1, fan_in) statistics whose leading axes
+    ``inv_scale`` rows, each of which may need a gradient (or of a stack
+    (..., 1, G) with (..., 1, fan_in) statistics whose leading axes
     broadcast against raw's)."""
     fan_in = mean.data.shape[-1]
     b_start = fan_in * fan_out
 
     def backward(g):
-        w_tilde = raw.data[0, :b_start].reshape(fan_in, fan_out)
-        g_w = g[0, :b_start].reshape(fan_in, fan_out)
-        g_shift = -g[:, b_start:b_start + fan_out]
+        w_tilde = raw.data[..., 0, :b_start].reshape(*raw.data.shape[:-2], fan_in, fan_out)
+        g_w = g[..., 0, :b_start].reshape(*g.shape[:-2], fan_in, fan_out)
+        g_shift = -g[..., b_start:b_start + fan_out]
         if raw.requires_grad:
-            g_tilde = (mean.data * inv_scale.data).T @ g_shift + g_w * inv_scale.data.T
-            _accum_cols(raw, 0, b_start, g_tilde.reshape(1, -1))
-            _accum_cols(raw, b_start, None, g[:, b_start:])
+            g_tilde = _mT(mean.data * inv_scale.data) @ g_shift + g_w * _mT(inv_scale.data)
+            _accum_cols(raw, 0, b_start, g_tilde.reshape(*g.shape[:-1], b_start))
+            _accum_cols(raw, b_start, None, g[..., b_start:])
         if mean.requires_grad or inv_scale.requires_grad:
-            g_scaled = g_shift @ w_tilde.T
+            g_scaled = g_shift @ _mT(w_tilde)
             if mean.requires_grad:
                 _accum(mean, g_scaled * inv_scale.data)
             if inv_scale.requires_grad:
-                _accum(inv_scale, (g_w * w_tilde).sum(axis=1)[None] + g_scaled * mean.data)
+                _accum(inv_scale, (g_w * w_tilde).sum(axis=-1)[..., None, :]
+                       + g_scaled * mean.data)
 
     y = folded(raw.data[..., 0, :], mean.data[..., 0, :], inv_scale.data[..., 0, :],
                fan_out)[..., None, :]
@@ -618,25 +653,28 @@ def packed_mlp_forward(gammas: np.ndarray, layout, x: np.ndarray,
 
 
 def packed_mlp(gamma: Tensor, layout, x: Tensor) -> Tensor:
-    """The MLP packed in a (1, G) ``gamma`` row on (m, k) inputs ``x``, as one
-    node: ``packed_mlp_forward``."""
-    outs = [x.data]
-    packed_mlp_forward(gamma.data[0], layout, x.data, outs)
+    """The one-output MLP packed in each (n, G) ``gamma`` row on (m, k)
+    inputs ``x``, as one node: ``packed_mlp_forward``.  Returns the (m, n)
+    outputs, column i from row i, so a (1, G) row gives an (m, 1) column."""
+    # a constant keeps no layer outputs, so evaluation holds one buffer per layer
+    outs = [x.data] if gamma.requires_grad or x.requires_grad else None
+    y = packed_mlp_forward(gamma.data, layout, x.data, outs)  # (n, m, 1)
 
     def backward(g):
+        g = g.T[..., None]
         for layer in reversed(range(len(layout))):
             fan_in, fan_out, w_start, b_start, stop = layout[layer]
             if layer < len(layout) - 1:
                 g = g * (outs[layer + 1] > 0.0)  # the ReLU's mask
             if gamma.requires_grad:
-                _accum_cols(gamma, b_start, stop, g.sum(axis=0))
-                _accum_cols(gamma, w_start, b_start, (outs[layer].T @ g).reshape(-1))
+                _accum_cols(gamma, b_start, stop, g.sum(axis=-2))
+                _accum_cols(gamma, w_start, b_start, (_mT(outs[layer]) @ g).reshape(len(g), -1))
             if layer or x.requires_grad:
-                g = g @ gamma.data[0, w_start:b_start].reshape(fan_in, fan_out).T
+                g = g @ _mT(gamma.data[:, w_start:b_start].reshape(-1, fan_in, fan_out))
         if x.requires_grad:
             _accum(x, g)
 
-    return Tensor(outs[-1], parents=(gamma, x), backward=backward, op="packed_mlp")
+    return Tensor(y[..., 0].T, parents=(gamma, x), backward=backward, op="packed_mlp")
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +682,17 @@ def packed_mlp(gamma: Tensor, layout, x: Tensor) -> Tensor:
 
 
 def binary_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean logistic loss of (m, 1) logits against labels in {-1, +1}."""
-    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    """Mean logistic loss of logits against labels in {-1, +1}, over every
+    entry: (m, 1) logits of one set, or any stack of them with its labels in
+    the same order."""
     z = logits.data
-    if z.shape != y.shape:
-        raise ValueError(f"logits/labels length mismatch: {z.shape} vs {y.shape}")
+    if np.size(labels) != z.size:
+        raise ValueError(f"logits/labels length mismatch: {z.shape} vs {np.shape(labels)}")
+    y = np.asarray(labels, dtype=np.float64).reshape(z.shape)
     margin = -y * z
     # softplus(margin), computed stably
     per_example = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    n = y.shape[0]
+    n = y.size
 
     def backward(g):
         _accum(logits, g.reshape(-1)[0] * (-y * _sigmoid(margin)) / n)

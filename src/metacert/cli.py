@@ -243,7 +243,13 @@ def _budget(args) -> bounds.BoundBudget:
 
 
 def _log_prior_j(args) -> float:
-    """--log-prior-j, defaulting as ``BoundBudget`` does to -ln C(m, c)."""
+    """--log-prior-j, defaulting as ``BoundBudget`` does to -ln C(m, c).
+
+    catoni's n_eff is --m, so it reads --c only for that default: beside an
+    explicit --log-prior-j, --c is refused rather than ignored."""
+    if args.kind == "catoni" and args.c and args.log_prior_j is not None:
+        raise ConfigError("catoni: --c only sets the default of --log-prior-j; "
+                          "pass --c or --log-prior-j, not both")
     return bounds.BoundBudget(args.m_prime, args.c, log_prior_j=args.log_prior_j).log_prior_j
 
 

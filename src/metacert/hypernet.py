@@ -9,23 +9,27 @@ Four meta-predictor variants share the same building blocks:
 
 The downstream parameters depend on the input dataset only through the
 bottleneck (selected rows, message), which is what the certificates charge
-for.  ``encode`` runs the bottleneck and returns its record,
+for.  Each stage is one function that takes one set or a stack of sets,
+forward and backward (see ``autodiff``).  ``encode`` runs the bottleneck on
+one task sample or a stack of equal-size samples and returns its record,
 ``CompressionArtifacts``: the compression set J and the message sigma.
-``hypernet_forward`` follows it with the message noise and ``reconstruct``
-in one graph, which training differentiates.  Evaluation runs the same
-modules, forward only, on constant parameters over constant stacks of sets
-(see ``autodiff``): ``encode_sets`` encodes a stack of equal-size task
-samples and ``decode_gamma`` decodes a chunk of stored artifacts, each set
-with the bits of the graph on that set alone.  So the function certified is
-the function trained, written once.
+``reconstruct`` decodes compression rows and messages into gamma rows, and
+``downstream_forward`` runs the predictor of each gamma row.  Training runs
+``hypernet_forward`` (``encode``, the message noise, then ``reconstruct``)
+and ``downstream_forward`` on one task as a graph it differentiates.
+Evaluation runs the same functions forward only, on constant parameters
+(``_constants``), over chunks: ``encode`` of a stack of samples, then
+``decode_gamma`` of their stored artifacts, each set with the bits of the
+graph on that set alone.  So the function certified is the function
+trained, written once.
 Set-valued inputs are sorted once, lexicographically by row, by ``encode`` /
-``encode_sets`` / ``decode_gamma``; inner modules require canonical order.
+``decode_gamma``; inner modules require canonical order.
 Every architecture is therefore exactly permutation invariant, bit for bit.
 
 Tasks arrive at wildly different locations and scales, and the networks use
 no batch normalization, so every set is standardized by its own statistics:
-``encode`` (``encode_sets``) standardizes each input set once for the
-compressor and message head, and the reconstructor standardizes its own
+``encode`` standardizes each input set once for the compressor and message
+head, and the reconstructor standardizes its own
 rows, the compression rows, folding the inverse affine map into the first
 downstream layer it emits.
 Every statistic is a function of the module's own legitimate input (the full
@@ -303,8 +307,9 @@ def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, xs_std: Tens
     distinct selected set only.
 
     Returns (distinct selected positions in the set, ascending; selected
-    rows, one per distinct position, in that order).  On a constant stack
-    of sets the positions are one tuple per set, and there are no rows.
+    rows, one per distinct position, in that order).  On a stack of sets the
+    positions are one tuple per set, and the rows a stack, or ``None`` where
+    the sets keep different numbers of rows (``ad.attention_select``).
     """
     m = xs_std.data.shape[-2]
     if cfg.c > m:
@@ -326,8 +331,8 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
 
     Returns the set embedding (1, d') of the compression rows, standardized
     by their own statistics, and those statistics as (1, d) rows: the mean
-    and the inverse scale.  A constant stack (..., c', d + 1) of row sets
-    gives a stack of each.  With no rows (c = 0) the embedding is the learned
+    and the inverse scale.  A stack (..., c', d + 1) of row sets gives a
+    stack of each.  With no rows (c = 0) the embedding is the learned
     constant ``recon.const`` and there are no statistics.
 
     Both branches standardize the rows with ``ad.standardize``.  The soft
@@ -340,13 +345,14 @@ def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | 
     d = cfg.input_dim
     labs = ad.slice_cols(rows, d, d + 1)
     if soft:
-        # differentiable statistics; scale = sqrt(var + floor^2) smooths the floor
-        row_mean = ad.constant(np.full((1, rows.data.shape[0]), 1.0 / rows.data.shape[0]))
-        mu = ad.matmul(row_mean, ad.slice_cols(rows, 0, d))
-        centered = ad.standardize(rows, mu, ad.constant(np.ones((1, d))))
-        var = ad.matmul(row_mean, ad.mul(centered, centered))
+        # differentiable statistics, the means pooled against a column of
+        # ones; scale = sqrt(var + floor^2) smooths the floor
+        ones = ad.constant(np.ones((*rows.data.shape[:-1], 1)))
+        mu = ad.set_pool(ad.slice_cols(rows, 0, d), ones)
+        centered = ad.standardize(rows, mu, ad.constant(np.ones_like(mu.data)))
+        var = ad.set_pool(ad.mul(centered, centered), ones)
         inv_scale = ad.power_scalar(
-            ad.add(var, ad.constant(np.full((1, d), _STD_FLOOR_ABS ** 2))), -0.5)
+            ad.add(var, ad.constant(np.full_like(var.data, _STD_FLOOR_ABS ** 2))), -0.5)
     else:
         mean, std = set_statistics(rows.data[..., :d])
         mu, inv_scale = ad.constant(mean[..., None, :]), ad.constant((1.0 / std)[..., None, :])
@@ -358,6 +364,16 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
                 rows: Tensor | None, message: Tensor | None,
                 soft: bool = False) -> Tensor:
     """Emit downstream weights gamma from (compression rows, message).
+
+    One set's (c', d + 1) ``rows`` and (1, b) ``message`` give a (1, G)
+    gamma row.  Stacks give a stack: (..., c', d + 1) rows and (..., 1, b)
+    messages, whose leading axes broadcast against each other, give
+    (..., 1, G) gamma rows.  Training passes one task; ``decode_gamma``
+    passes (T, c', d + 1) rows and (n, T, 1, b) messages, n per set.  Every
+    product keeps one row's shapes, ``(1, k) @ (k, h)``: a flat
+    ``(n, k) @ (k, h)`` product rounds differently, while the stacked one
+    gives each message row of each set the bits of that row alone, which is
+    exactly the property the certificates rely on.
 
     ``rows`` arrive in canonical content order (the soft twin's mixture rows
     arrive in head order).  They are standardized by their own mean and
@@ -375,13 +391,11 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
     With no compression rows (c = 0) the set-embedding branch is a learned
     constant vector, so the architecture degenerates gracefully to a pure
     encoder-decoder and gamma is the trunk output unchanged.
-
-    ``decode_gamma`` runs its modules over a chunk of stored artifacts.
     """
     if rows is None and message is None:
         raise ValueError("reconstruct needs compression rows or a message")
     emb, mu, inv_scale = _encode_rows(params, cfg, rows, soft=soft)
-    trunk_in = emb if message is None else ad.concat([emb, message], axis=1)
+    trunk_in = emb if message is None else ad.concat([emb, message], axis=-1)
     raw = mlp_forward(params, "recon.trunk", trunk_in)
     if mu is None:
         return raw
@@ -419,73 +433,61 @@ def downstream_param_count(shapes) -> int:
 
 
 def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
-    """Evaluate the MLP whose weights ``gamma_layout`` unpacks from ``gamma``.
+    """Evaluate the MLP whose weights ``gamma_layout`` unpacks from each of
+    the (n, G) ``gamma`` rows on the (m, d) ``features``.
 
-    Hidden activations are ReLU, output is one logit.
+    Hidden activations are ReLU, and each predictor emits one logit: the
+    result is (m, n), column i from row i, so one (1, G) row gives an (m, 1)
+    column.  Each layer is one stacked matmul over the rows,
+    ``(m, k) @ (n, k, h)``, whose per-row products are exactly the
+    ``(m, k) @ (k, h)`` of one row, so column i has the bits of row i alone;
+    each layer holds one ``(n, m, h)`` buffer (``ad.packed_mlp``).
     """
     layout = gamma_layout(shapes)
-    if gamma.data.shape != (1, layout[-1][-1]):
+    if gamma.data.ndim != 2 or gamma.data.shape[1] != layout[-1][-1]:
         raise ValueError(f"gamma shape {gamma.data.shape} does not match "
                          f"{layout[-1][-1]} downstream parameters")
     return ad.packed_mlp(gamma, layout, features)
-
-
-def downstream_logits(gammas: np.ndarray, shapes, features: np.ndarray) -> np.ndarray:
-    """Forward-only ``downstream_forward`` for a stack of (n, G) gamma rows.
-
-    Returns the (n, m) logits of the (m, d) features.  Each layer is one
-    stacked matmul over the rows, ``(m, k) @ (n, k, h)``, whose per-row
-    products are exactly the ``(m, k) @ (k, h)`` of ``downstream_forward``,
-    so row i matches it bit for bit; both run ``ad.packed_mlp_forward``.
-    Each layer holds one ``(n, m, h)`` buffer.
-    """
-    layout = gamma_layout(shapes)
-    if gammas.ndim != 2 or gammas.shape[1] != layout[-1][-1]:
-        raise ValueError(f"gamma rows of shape {gammas.shape} do not match "
-                         f"{layout[-1][-1]} downstream parameters")
-    return ad.packed_mlp_forward(gammas, layout, features)[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
 # full forward
 
 
-def _bottleneck(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
-                labels: np.ndarray, soft: bool = False
-                ) -> tuple[np.ndarray, tuple | None, Tensor | None, Tensor | None]:
-    """The bottleneck modules on one task sample or a stack of equal-size samples.
+def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
+           labels: np.ndarray, soft: bool = False):
+    """Run the bottleneck on a task sample; returns (artifacts, rows, message).
 
-    Returns (the canonical order; the compressor's positions into it, or
-    ``None`` with no compressor; its rows; the message, or ``None``), from
-    ``sample_compress`` and ``msg_compress`` or ``pb_encode``.
+    ``features`` is one (m, d) sample with (m,) ``labels``, which gives its
+    ``CompressionArtifacts``, or a (T, m, d) stack of equal-size samples
+    with (T, m) labels, which gives a list of them, one per sample in
+    order.  Each sample is put in canonical order here, once, for every
+    module.  ``rows`` are the compression rows of ``sample_compress``,
+    (c', d + 1) or a (T, c', d + 1) stack (``None`` with no compressor, or
+    where the samples keep different numbers of rows), and ``message`` the
+    (1, b) binary message or Gaussian mean before noise of ``msg_compress``
+    or ``pb_encode``, or a (T, 1, b) stack (``None`` with no message).
+    Every product keeps one sample's shapes, and every reduction (the
+    canonical sort, the statistics, the softmax) runs over each sample's
+    own rows, so sample t gets the bits of ``encode`` on sample t alone.
     """
     order, x, y = _canonical_sets(features, labels)
+    orders = order.reshape(-1, order.shape[-1])
     xs_std, y_t = _standardized_input(x), ad.constant(y)
-    positions = rows = message = None
+    positions, rows, message = [()] * len(orders), None, None
     if cfg.c > 0:
         positions, rows = sample_compress(params, cfg, xs_std, y_t,
                                           np.concatenate([x, y], axis=-1), soft=soft)
+        if order.ndim == 1:
+            positions = [positions]
     if cfg.has_binary_message:
         message = msg_compress(params, xs_std, y_t, soft=soft)
     elif cfg.has_gaussian_message:
         message = pb_encode(params, xs_std, y_t)
-    return order, positions, rows, message
-
-
-def encode(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
-           labels: np.ndarray, soft: bool = False
-           ) -> tuple[CompressionArtifacts, Tensor | None, Tensor | None]:
-    """Run the bottleneck on a task sample; returns (artifacts, rows, message).
-
-    The sample is put in canonical order here, once, for every module.  The
-    message is the binary one or the Gaussian mean before noise; a part the
-    architecture lacks is ``None``.  ``encode_sets`` runs the same modules on
-    a constant stack of samples.
-    """
-    order, positions, rows, message = _bottleneck(params, cfg, features, labels, soft=soft)
-    indices = () if positions is None else tuple(sorted(int(order[pos]) for pos in positions))
-    sigma = None if message is None else message.data.reshape(-1).copy()
-    return CompressionArtifacts(indices, sigma), rows, message
+    sigmas = [None] * len(orders) if message is None else message.data.reshape(len(orders), -1)
+    arts = [CompressionArtifacts(tuple(sorted(o[list(pos)].tolist())), sigma)
+            for o, pos, sigma in zip(orders, positions, sigmas)]
+    return (arts[0] if order.ndim == 1 else arts), rows, message
 
 
 def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
@@ -494,9 +496,10 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
                      soft: bool = False) -> tuple[Tensor, CompressionArtifacts]:
     """Run the architecture on a task sample as one graph; returns (gamma, bottleneck).
 
-    ``encode``, then ``reconstruct``.  Architectures with a Gaussian message
-    add the noise ``eps`` to the posterior mean (zeros give the deterministic
-    decoder); the others ignore it.
+    ``encode``, then ``reconstruct``; gamma is the sample's (1, G) row.
+    Architectures with a Gaussian message add the noise ``eps`` to the
+    posterior mean (zeros give the deterministic decoder); the others
+    ignore it.
     """
     artifacts, rows, message = encode(params, cfg, features, labels, soft=soft)
     if cfg.has_gaussian_message:
@@ -506,34 +509,11 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
     return reconstruct(params, cfg, rows, message, soft=soft), artifacts
 
 
-def _constants(params: dict[str, Tensor], *prefixes: str) -> dict[str, Tensor]:
-    """The parameters under ``prefixes`` as constants sharing their arrays:
-    modules run on them build no gradient graph, and may take stacks."""
-    return {name: ad.constant(t.data) for name, t in params.items() if name.startswith(prefixes)}
-
-
-def encode_sets(params: dict[str, Tensor], cfg: HypernetConfig, features: np.ndarray,
-                labels: np.ndarray) -> list[CompressionArtifacts]:
-    """``encode`` of a stack of equal-size task samples, forward only.
-
-    ``features`` is (T, m, d) and ``labels`` (T, m); returns one
-    ``CompressionArtifacts`` per sample, in order.  It runs ``encode``'s
-    modules on constant parameters over the whole stack.  Every product
-    keeps one sample's shapes, ``(T, m, k) @ (k, h)`` for the per-row
-    networks, ``(T, 1, k) @ (k, h)`` for the embeddings' heads and
-    ``(T, 1, m, a) @ (T, c, a, 1)`` for the attention logits, and every
-    reduction (the canonical sort, the statistics, the softmax) runs over
-    each sample's own rows: a flat ``(T m, k) @ (k, h)`` product would round
-    differently.  So sample t's artifacts are ``encode``'s on sample t
-    alone, bit for bit.
-    """
-    constants = _constants(params, "compressor.", "message.")
-    order, positions, _, message = _bottleneck(constants, cfg, features, labels)
-    n_sets = len(order)
-    indices = [()] * n_sets if positions is None else [
-        tuple(sorted(o[list(pos)].tolist())) for o, pos in zip(order, positions)]
-    messages = [None] * n_sets if message is None else list(message.data[:, 0])
-    return [CompressionArtifacts(j, sigma) for j, sigma in zip(indices, messages)]
+def _constants(params: dict[str, Tensor], prefix: str = "") -> dict[str, Tensor]:
+    """The parameters whose names start with ``prefix`` (all by default), as
+    constants sharing their arrays: modules run on them build no gradient
+    graph."""
+    return {name: ad.constant(t.data) for name, t in params.items() if name.startswith(prefix)}
 
 
 def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
@@ -547,16 +527,12 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
     features, (T, m) labels, T index tuples and (T, n, b) messages give
     (T, n, G); the one-set call is the chunk of one.
 
-    Each set's compression rows are gathered from its data, put in canonical
-    order and encoded once by ``_encode_rows`` on constant parameters, every
-    set with the same number of rows in one stack.  Then each set's
-    embedding is broadcast over its message rows, and every row of every
-    set goes through the reconstructor trunk (``mlp_forward``) and
-    ``ad.fold`` as one constant stack.  Each matmul keeps the per-message
-    shapes, ``(T, n, 1, k) @ (k, h)``: a flat ``(T n, k) @ (k, h)`` product
-    rounds differently, while the stacked one makes row i of set t match the
-    ``hypernet_forward`` gamma of set t and message i bit for bit, which is
-    exactly the property the certificates rely on.
+    Each set's compression rows are gathered from its data and put in
+    canonical order.  The sets with the same number of rows go through
+    ``reconstruct`` as one stack, on constant parameters: (T', c', d + 1)
+    rows, each set's broadcast over its message rows, stacked (n, T', 1, b)
+    with the message index leading.  Row i of set t has the bits of the
+    ``hypernet_forward`` gamma of set t and message i.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 2:
@@ -568,36 +544,27 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
     n_sets = len(features)
     if len(indices) != n_sets:
         raise ValueError(f"{len(indices)} index sets for {n_sets} sets")
-    params = _constants(params, "recon.")
-    labels = np.asarray(labels, dtype=np.float64)
-    emb = np.empty((n_sets, 1, cfg.deepset_dim))
-    mean = np.empty((n_sets, 1, cfg.input_dim))
-    inv_scale = np.empty_like(mean)
-    for size in sorted({len(j) for j in indices}):
-        sets = np.array([t for t, j in enumerate(indices) if len(j) == size])
-        rows = None
-        if size:
-            idx = np.array([indices[t] for t in sets], dtype=np.intp)
-            _, x, y = _canonical_sets(features[sets[:, None], idx], labels[sets[:, None], idx])
-            rows = ad.constant(np.concatenate([x, y], axis=-1))
-        size_emb, size_mean, size_inv_scale = _encode_rows(params, cfg, rows)
-        emb[sets] = size_emb.data
-        if size:
-            mean[sets], inv_scale[sets] = size_mean.data, size_inv_scale.data
-    x = emb[:, None]                                                 # (T, 1, 1, d')
     if messages is not None:
         messages = np.asarray(messages, dtype=np.float64)
         if messages.ndim != 3 or len(messages) != n_sets or messages.shape[2] != cfg.b:
             raise ValueError(f"messages must have shape ({n_sets}, n, {cfg.b}), "
                              f"got {messages.shape}")
-        x = np.concatenate([np.broadcast_to(x, (n_sets, messages.shape[1], 1, x.shape[3])),
-                            messages[:, :, None, :]], axis=3)
-    raw = mlp_forward(params, "recon.trunk", ad.constant(x))        # (T, n, 1, G)
-    if cfg.c > 0:
-        # the fold of ``reconstruct``, on every row at once
-        raw = ad.fold(raw, ad.constant(mean[:, None]), ad.constant(inv_scale[:, None]),
-                      cfg.mlp3_shapes[0][1])
-    return raw.data[:, :, 0]
+    params = _constants(params, "recon.")
+    labels = np.asarray(labels, dtype=np.float64)
+    gammas = np.empty((n_sets, 1 if messages is None else messages.shape[1],
+                       downstream_param_count(cfg.mlp3_shapes)))
+    for size in sorted({len(j) for j in indices}):
+        sets = np.array([t for t, j in enumerate(indices) if len(j) == size])
+        rows = message = None
+        if size:
+            idx = np.array([indices[t] for t in sets], dtype=np.intp)
+            _, x, y = _canonical_sets(features[sets[:, None], idx], labels[sets[:, None], idx])
+            rows = ad.constant(np.concatenate([x, y], axis=-1))
+        if messages is not None:
+            message = ad.constant(messages[sets].swapaxes(0, 1)[:, :, None])
+        gamma = reconstruct(params, cfg, rows, message).data  # (n, T', 1, G), or (T', 1, G)
+        gammas[sets] = gamma.reshape(-1, len(sets), gamma.shape[-1]).swapaxes(0, 1)
+    return gammas
 
 
 # ---------------------------------------------------------------------------

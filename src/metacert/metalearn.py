@@ -4,9 +4,9 @@ Training loops over tasks in a seeded-shuffled order; each visit splits the
 task into support and query halves, runs the hypernetwork graph on the
 support set, and takes one Adam step on the query surrogate loss (binary
 cross-entropy).  Nothing else is differentiated: validation (query 0-1 error
-each epoch, message noise at zero) and certification run the same modules
+each epoch, message noise at zero) and certification run the same functions
 forward only, on constant parameters, over stacked chunks of tasks: one
-``encode_sets`` call encodes a chunk's samples and one ``decode_gamma`` call
+``encode`` call encodes a chunk's samples and one ``decode_gamma`` call
 decodes its predictors, each task with the bits of its own graph forward.
 ``_chunk_size`` sizes every chunk against the one byte budget
 ``CHUNK_BYTES`` (2 MiB).  The returned parameters are those of the best
@@ -38,9 +38,8 @@ import numpy as np
 from . import autodiff as ad
 from . import bounds
 from .autodiff import Tensor
-from .hypernet import (CompressionArtifacts, HypernetConfig, decode_gamma,
-                       downstream_forward, downstream_logits, encode_sets,
-                       hypernet_forward, init_hypernet_params)
+from .hypernet import (CompressionArtifacts, HypernetConfig, _constants, decode_gamma,
+                       downstream_forward, encode, hypernet_forward, init_hypernet_params)
 from .optim import Adam
 from .rng import Rng
 from .tasks import TaskDataset
@@ -176,21 +175,23 @@ def _query_logits(params, cfg, tasks: list[TaskDataset], support_size: int,
 
     The support sets, all of ``support_size`` examples, are encoded and
     decoded as one stack; each task's logits have the bits of its own graph
-    forward.  Callers pass one chunk (``_chunks``)."""
+    forward.  Callers pass one chunk (``_chunks``) and constant parameters
+    (``_constants``)."""
     splits = [split_support_query(task, support_size, rng) for task, rng in zip(tasks, rngs)]
     xs = np.stack([task.features[sup] for task, (sup, _) in zip(tasks, splits)])
     ys = np.stack([task.labels[sup] for task, (sup, _) in zip(tasks, splits)])
-    arts = encode_sets(params, cfg, xs, ys)
+    arts, _, _ = encode(params, cfg, xs, ys)
     messages = np.stack([a.message[None] for a in arts]) if cfg.has_message else None
     gammas = decode_gamma(params, cfg, xs, ys, [a.indices for a in arts], messages)
-    return [(downstream_logits(gamma, cfg.mlp3_shapes, task.features[qry])[0], task.labels[qry])
+    return [(downstream_forward(ad.constant(gamma), cfg.mlp3_shapes,
+                                ad.constant(task.features[qry])).data[:, 0], task.labels[qry])
             for gamma, task, (_, qry) in zip(gammas, tasks, splits)]
 
 
 def _validation_error(params, cfg, protocol, tasks, rng: Rng) -> float:
     """Mean query 0-1 error over the validation tasks, message noise at zero;
     task ``pos`` is split by ``rng.split(pos)``."""
-    errors = []
+    params, errors = _constants(params), []
     for chunk in _chunks(params, list(range(len(tasks))), protocol.support_size, 1):
         errors += [ad.zero_one_loss(*pair) for pair in _query_logits(
             params, cfg, [tasks[pos] for pos in chunk], protocol.support_size,
@@ -261,8 +262,8 @@ def _complement_logits(cfg, task: TaskDataset, indices,
     """Complement-set logits of the predictor of each (n, G) gamma row decoded
     for ``task`` with compression set ``indices``, and the complement labels."""
     comp = np.delete(np.arange(len(task)), indices)
-    return (downstream_logits(gammas, cfg.mlp3_shapes, task.features[comp]),
-            task.labels[comp])
+    return (downstream_forward(ad.constant(gammas), cfg.mlp3_shapes,
+                               ad.constant(task.features[comp])).data.T, task.labels[comp])
 
 
 def _mean_stderr(draws: np.ndarray) -> tuple[float, float]:
@@ -352,12 +353,14 @@ class DecodedTask:
 def _decode_chunk(params, cfg: HypernetConfig, tasks: list[TaskDataset],
                   protocol: CertifyProtocol, rngs: list[Rng]) -> list[DecodedTask]:
     """The forward pass of a chunk of equal-size tasks, task i drawing from
-    ``rngs[i]``: one ``encode_sets`` of the full samples, one ``decode_gamma``
-    of every task's message stack, and one stacked support/query pass for the
-    test-query error, which splits task i with ``rngs[i].split(0)``."""
+    ``rngs[i]``: one ``encode`` of the full samples, one ``decode_gamma`` of
+    every task's message stack, and one stacked support/query pass for the
+    test-query error, which splits task i with ``rngs[i].split(0)``; all on
+    constant parameters."""
+    params = _constants(params)
     xs = np.stack([task.features for task in tasks])
     ys = np.stack([task.labels for task in tasks])
-    arts = encode_sets(params, cfg, xs, ys)
+    arts, _, _ = encode(params, cfg, xs, ys)
     stacks = [_message_stack(cfg, protocol, art.message, rng) for art, rng in zip(arts, rngs)]
     messages = np.stack([stack for stack, _ in stacks]) if cfg.has_message else None
     gammas = decode_gamma(params, cfg, xs, ys, [art.indices for art in arts], messages)

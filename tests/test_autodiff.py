@@ -332,8 +332,9 @@ class TestFusedStages:
                               Tensor(inv[:, None]), 5)
         sliced = ad.slice_cols(Tensor(rows), 3, 9)
         keys = rows[..., :3] * 4.0  # sharp softmaxes, so heads collide
-        positions, no_rows = ad.attention_select(Tensor(pooled), Tensor(keys), heads, rows, 0.5)
-        assert no_rows is None and len(positions) == n_sets
+        positions, stacked_rows = ad.attention_select(Tensor(pooled), Tensor(keys), heads, rows,
+                                                      0.5)
+        assert len(positions) == n_sets
         for t in range(n_sets):
             stats = Tensor(mean[t]), Tensor(inv[t])
             assert (ad.set_pool(Tensor(rows[t]), Tensor(labels[t])).data.tobytes()
@@ -349,28 +350,146 @@ class TestFusedStages:
                 assert (ad.dense(Tensor(rows[t]), Tensor(w), Tensor(b), relu).data.tobytes()
                         == node.data[t].tobytes())
             assert ad.slice_cols(Tensor(rows[t]), 3, 9).data.tobytes() == sliced.data[t].tobytes()
-            alone, _ = ad.attention_select(Tensor(pooled[t]), Tensor(keys[t]), heads, rows[t], 0.5)
+            alone, alone_rows = ad.attention_select(Tensor(pooled[t]), Tensor(keys[t]), heads,
+                                                    rows[t], 0.5)
             assert positions[t] == alone
+            assert (stacked_rows is None
+                    or stacked_rows.data[t].tobytes() == alone_rows.data.tobytes())
+        # the sets keep one stack of rows unless collisions leave them uneven
+        assert (stacked_rows is None) == (len({len(pos) for pos in positions}) > 1)
 
 
-class TestStackRule:
-    """A tensor with more than 2 axes is a constant stack: it never needs a
-    gradient."""
+def stacked_case(build, specs, n_sets, seed):
+    """Run ``build`` on a stack of ``n_sets`` sets and on each set alone.
 
-    def test_stack_leaf_cannot_need_a_gradient(self):
-        with pytest.raises(ValueError, match=r"\(2, 3, 4\)"):
-            Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        assert not Tensor(np.ones((2, 3, 4))).requires_grad
+    ``specs`` holds one ``(shape, stacked)`` per input: a stacked input is
+    one ``shape`` array per set, (n_sets, *shape) on the stack, and a shared
+    one, such as a parameter, is the same array for the stack and for every
+    set.  Every input needs a gradient.  The loss is sum(out * probe), the
+    probe drawn once for the stack, so the stack's loss is the sum of the
+    sets' losses.  Returns (the stack's (output, gradients), and for each set
+    its (output, gradients)).
+    """
+    rng = Rng(seed)
+    datas = [rng.normal((n_sets, *shape) if stacked else shape) for shape, stacked in specs]
+    probe = None
 
-    def test_op_on_a_stack_with_a_gradient_parent_raises(self):
-        stack = Tensor(np.ones((2, 3, 4)))
-        w, b = Tensor(np.ones((4, 5)), requires_grad=True), Tensor(np.zeros((1, 5)))
-        with pytest.raises(ValueError, match=r"\(2, 3, 5\)"):
-            ad.dense(stack, w, b, relu=True)
-        query = Tensor(np.ones((5, 4)), requires_grad=True), Tensor(np.zeros((1, 4)))
-        with pytest.raises(ValueError, match=r"stack of shape \(2, 3, 4\)"):
-            ad.attention_select(Tensor(np.ones((2, 1, 5))), stack, [query], np.ones((2, 3, 1)), 1.0)
-        assert not ad.dense(stack, Tensor(w.data), b, relu=True).requires_grad
+    def run(args):
+        nonlocal probe
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in args]
+        out = build(*tensors)
+        if probe is None:
+            probe = rng.normal(out.data.shape)
+        weights = probe if out.data.shape == probe.shape else probe[len(per_set)]
+        ad.mean(ad.mul_elem(out, weights * out.data.size)).backward()
+        return out.data, [t.grad for t in tensors]
+
+    per_set = []
+    whole = run(datas)
+    for t in range(n_sets):
+        per_set.append(run([d[t] if stacked else d for d, (_, stacked) in zip(datas, specs)]))
+    return whole, per_set
+
+
+# (name, build, one (shape, stacked) per input)
+STACKED_NODES = (
+    ("dense_relu", lambda x, w, b: ad.dense(x, w, b, relu=True),
+     (((6, 4), True), ((4, 3), False), ((1, 3), False))),
+    ("dense_linear", lambda x, w, b: ad.dense(x, w, b, relu=False),
+     (((6, 4), True), ((4, 3), False), ((1, 3), False))),
+    ("set_pool", ad.set_pool, (((6, 4), True), ((6, 1), True))),
+    ("standardize", ad.standardize, (((5, 4), True), ((1, 2), False), ((1, 2), False))),
+    ("fold", lambda raw, mean, inv: ad.fold(raw, mean, inv, 3),
+     (((1, 13), True), ((1, 2), False), ((1, 2), False))),
+    # packed_mlp's stack is its gamma rows over one shared x; its (m, n)
+    # output is transposed so that the sets lead
+    ("packed_mlp", lambda gamma, x: ad.transpose(ad.packed_mlp(
+        ad.reshape(gamma, (-1, 44)), LAYOUT, x)), (((44,), True), ((6, 2), False))),
+    ("concat", lambda emb, message: ad.concat([emb, message], axis=-1),
+     (((1, 3), False), ((1, 2), True))),
+    ("slice_cols", lambda a: ad.slice_cols(a, 1, 3), (((4, 5), True),)),
+    ("tanh", ad.tanh, (((4, 3), True),)),
+    ("sign_st", ad.sign_st, (((4, 3), True),)),
+    ("add", ad.add, (((4, 3), True), ((4, 3), True))),
+)
+
+
+class TestStackedGradients:
+    """Every node of the training graph takes leading stack axes, forward
+    and backward.  A stack of one set gives the op on that set alone, bit
+    for bit, output and every gradient; on a stack of three, an input
+    shared by the sets (a parameter) gets the sum of the three sets'
+    gradients and a stacked input gets each set's own."""
+
+    @staticmethod
+    def check(specs, whole, per_set):
+        (out, grads), n_sets = whole, len(per_set)
+        if n_sets == 1:
+            (set_out, set_grads), = per_set
+            assert out.tobytes() == set_out.tobytes()
+            for grad, set_grad in zip(grads, set_grads):
+                assert grad.tobytes() == set_grad.tobytes()
+            return
+        for i, (grad, (_, stacked)) in enumerate(zip(grads, specs)):
+            expected = ([set_grads[i] for _, set_grads in per_set] if stacked
+                        else sum(set_grads[i] for _, set_grads in per_set))
+            np.testing.assert_allclose(grad, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    @pytest.mark.parametrize("name, build, specs", STACKED_NODES, ids=[c[0] for c in STACKED_NODES])
+    def test_stack_equals_its_sets(self, name, build, specs, n_sets):
+        self.check(specs, *stacked_case(build, specs, n_sets, seed=60 + len(name)))
+
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_attention_select_with_collided_heads(self, n_sets):
+        # heads 0 and 1 are the same layer, so every set keeps two rows of three
+        values = Rng(70).normal((n_sets, 6, 3))
+        specs = (((1, 4), True), ((6, 2), True), ((4, 2), False), ((1, 2), False),
+                 ((4, 2), False), ((1, 2), False))
+        picked = []
+
+        def build(z, keys, w0, b0, w2, b2):
+            sets_values = values if keys.data.ndim == 3 else values[len(picked) - 1]
+            positions, rows = ad.attention_select(z, keys, [(w0, b0), (w0, b0), (w2, b2)],
+                                                  sets_values, 0.7)
+            picked.append(positions)
+            return rows
+
+        whole, per_set = stacked_case(build, specs, n_sets, seed=72)
+        assert list(picked[0]) == picked[1:] and all(len(pos) == 2 for pos in picked[1:])
+        self.check(specs, whole, per_set)
+
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_bce_of_a_stack_is_the_mean_over_its_sets(self, n_sets):
+        rng = Rng(80 + n_sets)
+        logits = rng.normal((n_sets, 7, 1))
+        labels = np.where(rng.normal((n_sets, 7)) >= 0.0, 1.0, -1.0)
+        stack = Tensor(logits.copy(), requires_grad=True)
+        loss = ad.binary_cross_entropy(stack, labels)
+        loss.backward()
+        alone = []
+        for t in range(n_sets):
+            one = Tensor(logits[t].copy(), requires_grad=True)
+            alone.append((ad.binary_cross_entropy(one, labels[t]), one))
+            alone[-1][0].backward()
+        if n_sets == 1:
+            assert loss.data.tobytes() == alone[0][0].data.tobytes()
+            assert stack.grad.tobytes() == alone[0][1].grad.tobytes()
+        else:
+            np.testing.assert_allclose(loss.item(), np.mean([l.item() for l, _ in alone]),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(stack.grad, [one.grad / n_sets for _, one in alone],
+                                       rtol=1e-12)
+
+    def test_uneven_collisions_give_positions_only(self):
+        # set 0's two heads pick rows 0 and 1; set 1's queries are zero, so
+        # both heads tie and pick row 0
+        keys = np.array([[[9.0], [0.0]], [[9.0], [-9.0]]])
+        heads = [(Tensor(np.ones((1, 1)), requires_grad=True), Tensor(np.zeros((1, 1)))),
+                 (Tensor(np.array([[-1.0]])), Tensor(np.zeros((1, 1))))]
+        z = Tensor(np.array([[[1.0]], [[0.0]]]))
+        positions, rows = ad.attention_select(z, Tensor(keys), heads, np.ones((2, 2, 1)), 1.0)
+        assert positions == ((0, 1), (0,)) and rows is None
 
 
 class TestGraphMechanics:

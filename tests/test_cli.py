@@ -547,19 +547,33 @@ class TestBoundCommand:
         assert "--mu" in err and "comma-separated list of floats" in err
         assert "_parse" not in err
 
-    @pytest.mark.parametrize("argv, expected", [
+    @pytest.mark.parametrize("argv, explicit_argv, expected", [
         (["linear", "--m", "100", "--c", "5", "--lambda", "1", "--sigma-sq", "0.01",
-          "--emp-loss", "0.1"], "kind      LINEAR\ntau_star  0.316075572155\n"),
+          "--emp-loss", "0.1"], None, "kind      LINEAR\ntau_star  0.316075572155\n"),
         (["catoni", "--m", "100", "--c", "5", "--catoni-c", "1"],
+         ["catoni", "--m", "100", "--catoni-c", "1"],
          "kind      CATONI\ntau_star  0.301349999512\n"),
     ], ids=["linear", "catoni"])
-    def test_comparator_prior_defaults_to_uniform_over_sets(self, capsys, argv, expected):
-        # -ln C(100, 5), the documented default of --log-prior-j
+    def test_comparator_prior_defaults_to_uniform_over_sets(self, capsys, argv, explicit_argv,
+                                                            expected):
+        # -ln C(100, 5), the documented default of --log-prior-j; catoni refuses
+        # --c beside it, so its explicit run drops --c
         explicit = ["--log-prior-j", repr(-log_binomial(100, 5))]
         assert main(["bound", *argv]) == 0
         assert capsys.readouterr().out == expected
-        assert main(["bound", *argv, *explicit]) == 0
+        assert main(["bound", *(explicit_argv or argv), *explicit]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_catoni_rejects_c_beside_log_prior_j(self, capsys):
+        # catoni's n_eff is --m, so --c only defaults --log-prior-j: beside an
+        # explicit prior it used to be ignored, --c 5 and --c 50 both exit 0
+        # with tau_star 0.233847548584
+        for c in ("5", "50"):
+            assert main(["bound", "catoni", "--m", "100", "--c", c, "--log-prior-j", "-3",
+                         "--emp-loss", "0.1"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            assert "--c" in err and "--log-prior-j" in err and "catoni" in err
 
     def test_pb_rejects_log_prior_j(self, capsys):
         # PB has no compression set: the flag used to be ignored, exit 0
@@ -628,7 +642,7 @@ PERTURBED = {
                   "log-prior-j": "-3", "csv": None}),
     "pbsch": (["--m", "400", "--c", "2", "--emp-loss", "0.1"], _PBSCH_PERTURBED),
     "pbsch-disintegrated": (["--m", "400", "--c", "2", "--emp-loss", "0.1"], _PBSCH_PERTURBED),
-    "catoni": (["--m", "100", "--c", "5", "--emp-loss", "0.1"],
+    "catoni": (["--m", "100", "--emp-loss", "0.1"],
                {"m": "200", "c": "3", "delta": "0.01", "emp-loss": "0.2", "kl-msg": "2",
                 "log-prior-j": "-3", "catoni-c": "2"}),
     "linear": (["--m", "100", "--c", "5", "--emp-loss", "0.1", "--sigma-sq", "0.01"],

@@ -14,8 +14,7 @@ from metacert import hypernet
 from metacert.autodiff import Tensor
 from metacert.hypernet import (CompressionArtifacts, HypernetConfig,
                                canonical_order, decode_gamma, deepset_embed, downstream_forward,
-                               encode,
-                               downstream_logits, downstream_param_count,
+                               encode, downstream_param_count,
                                downstream_shapes,
                                hypernet_forward, init_hypernet_params,
                                load_checkpoint, mlp_forward, msg_compress,
@@ -458,7 +457,8 @@ class TestBatchedDecode:
                                   eps=np.zeros(3))
         gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
                               art.message + Rng(3).normal((4, 3)))
-        logits = downstream_logits(gammas, cfg.mlp3_shapes, task.features)
+        logits = downstream_forward(ad.constant(gammas), cfg.mlp3_shapes,
+                                    ad.constant(task.features)).data.T
         assert logits.shape == (4, len(task))
         for i in range(4):
             ref = downstream_forward(ad.constant(gammas[i:i + 1]), cfg.mlp3_shapes,
@@ -474,7 +474,7 @@ class TestBatchedDecode:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            downstream_logits(gammas, shapes, features)
+            downstream_forward(ad.constant(gammas), shapes, ad.constant(features))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

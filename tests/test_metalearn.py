@@ -13,7 +13,7 @@ from metacert import autodiff as ad
 from metacert import bounds, metalearn
 from metacert.autodiff import Tensor
 from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward, encode,
-                               encode_sets, hypernet_forward, init_hypernet_params)
+                               hypernet_forward, init_hypernet_params)
 from metacert.metalearn import (CertifyProtocol, TrainProtocol, TrainingDivergedError,
                                 certify_task, certify_tasks, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
@@ -324,7 +324,7 @@ class TestCertifyTask:
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
         small = TaskDataset(task.features[:m], np.resize([1.0, -1.0], m), task_id=17)
         encoded = []
-        monkeypatch.setattr(metalearn, "encode_sets", lambda *args: encoded.append(args))
+        monkeypatch.setattr(metalearn, "encode", lambda *args: encoded.append(args))
         message = (f"task 17 has {m} examples, too few for compression size 3: its "
                    f"test-query pass encodes a half-sample support set of {m // 2}, "
                    f"which needs at least 3")
@@ -381,8 +381,8 @@ ARCHS = [("PBH", 0, 3), ("SCH_MINUS", 3, 0), ("SCH_PLUS", 3, 3), ("PBSCH", 3, 3)
 
 class TestForwardOnlyEvaluation:
     """Validation and certification encode stacks of task samples with
-    ``encode_sets`` and decode chunks of them with ``decode_gamma`` and
-    ``downstream_logits``; the graph ``encode`` and the graph decoder
+    ``encode`` and decode chunks of them with ``decode_gamma`` and
+    ``downstream_forward``; ``encode`` of one task and the graph decoder
     ``hypernet_forward(eps=0)`` -> ``downstream_forward`` are the reference.
     Task seed 8 makes two of the three heads collide."""
 
@@ -401,7 +401,7 @@ class TestForwardOnlyEvaluation:
         tasks = [self.task(seed) for seed in seeds]
         xs = np.stack([task.features for task in tasks])
         ys = np.stack([task.labels for task in tasks])
-        arts = encode_sets(params, cfg, xs, ys)
+        arts, _, _ = encode(params, cfg, xs, ys)
         messages = np.stack([a.message[None] for a in arts]) if cfg.has_message else None
         gammas = decode_gamma(params, cfg, xs, ys, [a.indices for a in arts], messages)
         queries = metalearn._query_logits(params, cfg, tasks, 17, [Rng(seed) for seed in seeds])
@@ -596,7 +596,7 @@ class TestStackedCertification:
         # the certificate decode gets every message of every task at once; the
         # other encode/decode pair is the support/query test error
         calls = []
-        real_encode, real_decode = metalearn.encode_sets, metalearn.decode_gamma
+        real_encode, real_decode = metalearn.encode, metalearn.decode_gamma
 
         def spy_encode(params, cfg, features, labels):
             calls.append(("encode", len(features), None))
@@ -607,7 +607,7 @@ class TestStackedCertification:
                           None if messages is None else messages.shape[1]))
             return real_decode(params, cfg, features, labels, indices, messages)
 
-        monkeypatch.setattr(metalearn, "encode_sets", spy_encode)
+        monkeypatch.setattr(metalearn, "encode", spy_encode)
         monkeypatch.setattr(metalearn, "decode_gamma", spy_decode)
         tasks = [TestForwardOnlyEvaluation.task(seed, m=40) for seed in (7, 8, 9)]
         for (arch, c, b), rows in zip(ARCHS, (5, None, 1, 6)):
