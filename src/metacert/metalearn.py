@@ -23,8 +23,11 @@ tasks in stacked chunks (``_decode_chunk``) and hands each task's share to
 its task as a chunk of one.  Every message a task's certificates score (the
 noise-free one, the Monte-Carlo draws and PBSCH's disintegrated draw) is
 drawn first and decoded in one stacked batch with the rest of its chunk, so
-the compression rows are encoded once per task.  The meta-training
-collection is never an input to certification.
+the compression rows are encoded once per task.  Each distinct certificate is
+computed once per ``certify_tasks`` call: tasks whose certificate inputs are
+equal (the bound, the ``BoundBudget`` and, for SCH_BINARY, the error count)
+share one ``Certificate``, and nothing is kept between calls.  The
+meta-training collection is never an input to certification.
 """
 
 from __future__ import annotations
@@ -377,8 +380,9 @@ def certify_tasks(params: dict[str, Tensor], cfg: HypernetConfig, tasks: list[Ta
 
     Every task's size is checked before anything is encoded.  Tasks of one
     size are decoded in stacked chunks (``_decode_chunk``), then each task is
-    certified from its share by ``certify_task``.  Rows come back in task
-    order, each with the bits of ``certify_task`` on that task alone.
+    certified from its share by ``certify_task``, with one ``certificates``
+    dict for the whole call.  Rows come back in task order, each with the
+    bits of ``certify_task`` on that task alone.
     """
     for task in tasks:
         _check_certifiable(cfg, task)
@@ -386,18 +390,21 @@ def certify_tasks(params: dict[str, Tensor], cfg: HypernetConfig, tasks: list[Ta
     for pos, task in enumerate(tasks):
         by_size.setdefault(len(task), []).append(pos)
     rows: list[CertRow | None] = [None] * len(tasks)
+    certificates: dict[tuple, bounds.Certificate] = {}
     for m, positions in by_size.items():
         for chunk in _chunks(params, positions, m, _message_rows(cfg, protocol)):
             rngs = [rng.split(tasks[pos].task_id) for pos in chunk]
             decoded = _decode_chunk(params, cfg, [tasks[pos] for pos in chunk], protocol, rngs)
             for pos, task_rng, share in zip(chunk, rngs, decoded):
-                rows[pos] = certify_task(params, cfg, tasks[pos], protocol, task_rng, share)
+                rows[pos] = certify_task(params, cfg, tasks[pos], protocol, task_rng, share,
+                                         certificates=certificates)
     return rows
 
 
 def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
                  protocol: CertifyProtocol, rng: Rng,
-                 decoded: DecodedTask | None = None) -> CertRow:
+                 decoded: DecodedTask | None = None, *,
+                 certificates: dict[tuple, bounds.Certificate] | None = None) -> CertRow:
     """Certify the predictor the hypernetwork emits for one fresh task.
 
     The full task sample feeds the bottleneck; empirical losses are measured
@@ -415,7 +422,15 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     ``decoded`` is the task's share of a chunk decoded by ``certify_tasks``,
     which drew from this same ``rng``; without it the task is checked and
     decoded as a chunk of one.
+
+    ``certificates`` maps each certificate's whole input (its bound, its
+    ``BoundBudget`` and, for SCH_BINARY, the error count K) to the
+    ``Certificate`` computed from it; ``certify_tasks`` passes one dict per
+    call, so tasks with equal inputs share one frozen certificate, computed
+    once, and nothing outlives the call.
     """
+    if certificates is None:
+        certificates = {}
     if decoded is None:
         _check_certifiable(cfg, task)
         decoded, = _decode_chunk(params, cfg, [task], protocol, [rng])
@@ -435,12 +450,15 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     budget = bounds.BoundBudget(m, c_eff, cfg.b, protocol.delta, mu_norm_sq=mu_sq,
                                 log_prior_j=log_prior_j)
 
-    def entry(bound, emp_loss: float, emp_loss_kind: str, mc_stderr=None) -> CertEntry:
-        return CertEntry(bound(replace(budget, emp_loss=emp_loss)), emp_loss,
-                         emp_loss_kind, mc_stderr)
+    def entry(bound, emp_loss: float, emp_loss_kind: str, mc_stderr=None,
+              args: tuple = ()) -> CertEntry:
+        key = (bound, replace(budget, emp_loss=emp_loss), *args)
+        if key not in certificates:
+            certificates[key] = bound(key[1], *args)
+        return CertEntry(certificates[key], emp_loss, emp_loss_kind, mc_stderr)
 
     if not cfg.has_gaussian_message:
-        entries = [entry(lambda b: bounds.bound_sch_binary(b, K), emp_01, "zero_one"),
+        entries = [entry(bounds.bound_sch_binary, emp_01, "zero_one", args=(K,)),
                    entry(bounds.bound_sch_real, emp_lin, "linear")]
     else:
         losses = ad.row_losses(logits[1:], labels, loss_kind)

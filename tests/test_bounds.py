@@ -6,6 +6,8 @@ exact-rational binomial CDFs (see test_acceptance.py for the oracle code).
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -324,6 +326,71 @@ class TestSpeculatedBisection:
             ref = [scalar_binomial_tail_inverse(197, K, -nats) for nats in cumulative]
             assert [row[2] for row in bound_sch_binary(budget, K).breakdown[1:]] == ref
         assert 0 < counting_math.log1p_calls <= 1.2 * len(scalar_calls)
+
+
+class TestExactOracle:
+    """Both inversions against an independent oracle in exact arithmetic: the
+    binomial CDF as an exact sum of ``math.comb`` terms at dyadic rationals,
+    against delta' as a ``Fraction`` of its 60-digit ``decimal`` value, and
+    kl(q, .) in 60-digit ``decimal`` logs.  Each oracle bisects to far below
+    ``_BISECT_TOL``, and each returned value lies within 2 x ``_BISECT_TOL`` of
+    the exact inverse."""
+
+    DIGITS = 60
+    BITS = 64  # the binomial oracle's resolution: its root is within 2**-64
+
+    @classmethod
+    def exact_binomial_tail_inverse(cls, n: int, K: int, log_delta_prime: float) -> Fraction:
+        with localcontext() as ctx:
+            ctx.prec = cls.DIGITS
+            delta = Fraction(Decimal(log_delta_prime).exp())
+        scale = 2 ** cls.BITS
+
+        def cdf_at_least_delta(p: int) -> bool:
+            # CDF(p / scale) * scale**n, an exact integer
+            total = sum(math.comb(n, k) * p ** k * (scale - p) ** (n - k) for k in range(K + 1))
+            return total * delta.denominator >= delta.numerator * scale ** n
+
+        lo, hi = 0, scale  # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if cdf_at_least_delta(mid):
+                lo = mid
+            else:
+                hi = mid
+        return Fraction(lo, scale)
+
+    @classmethod
+    def exact_kl_inverse(cls, q: float, budget: float) -> Fraction:
+        with localcontext() as ctx:
+            ctx.prec = cls.DIGITS
+            q_, budget_ = Decimal(q), Decimal(budget)
+
+            def kl(tau: Decimal) -> Decimal:
+                left = q_ * (q_ / tau).ln() if q_ else Decimal(0)
+                return left + (1 - q_) * ((1 - q_) / (1 - tau)).ln()
+
+            lo, hi = q_, Decimal(1)
+            for _ in range(cls.BITS):
+                mid = (lo + hi) / 2
+                if kl(mid) <= budget_:
+                    lo = mid
+                else:
+                    hi = mid
+            return Fraction(lo)
+
+    @pytest.mark.parametrize("n, K, log_delta_prime", [
+        (197, 17, -10.0), (197, 98, -22.5), (197, 0, -5.0), (60, 3, -12.0), (150, 30, -30.0)])
+    def test_binomial_tail_inverse_is_within_tolerance(self, n, K, log_delta_prime):
+        got = binomial_tail_inverses(n, K, [log_delta_prime])[0]
+        exact = self.exact_binomial_tail_inverse(n, K, log_delta_prime)
+        assert abs(Fraction(got) - exact) <= 2 * bounds._BISECT_TOL, (got, float(exact))
+
+    @pytest.mark.parametrize("q, budget", [(0.087, 0.05), (0.0, 0.1), (0.25, 0.01), (0.6, 0.3)])
+    def test_kl_inverse_is_within_tolerance(self, q, budget):
+        got = kl_inverse(q, budget)
+        exact = self.exact_kl_inverse(q, budget)
+        assert abs(Fraction(got) - exact) <= 2 * bounds._BISECT_TOL, (got, float(exact))
 
 
 class TestGaussianDivergences:

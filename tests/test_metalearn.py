@@ -575,14 +575,74 @@ class TestStackedCertification:
         calls = []
         real = metalearn.certify_task
 
-        def spy(params, cfg, task, protocol, rng, decoded=None):
+        def spy(params, cfg, task, protocol, rng, decoded=None, *, certificates=None):
             calls.append((task.task_id, decoded is not None))
-            return real(params, cfg, task, protocol, rng, decoded)
+            return real(params, cfg, task, protocol, rng, decoded, certificates=certificates)
 
         monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
         monkeypatch.setattr(metalearn, "certify_task", spy)
         certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=self.N_MC), Rng(30))
         assert calls == [(40, True), (41, True), (42, True)]
+
+    @staticmethod
+    def with_copies(seeds=(5, 8, 9), copies=2):
+        """The tasks of ``seeds`` (seed 8 collides heads), each followed by
+        ``copies`` copies under new task ids, so every certificate input
+        repeats."""
+        tasks = [TestForwardOnlyEvaluation.task(seed) for seed in seeds]
+        return [TaskDataset(task.features, task.labels, task_id=50 + 10 * i + k)
+                for i, task in enumerate(tasks) for k in range(1 + copies)]
+
+    @pytest.mark.parametrize("arch, b", [("SCH_MINUS", 0), ("SCH_PLUS", 3)])
+    def test_repeated_certificates_equal_lone_certificates(self, monkeypatch, arch, b):
+        cfg = HypernetConfig(arch, c=3, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        params = init_hypernet_params(cfg, Rng(1).split(0))
+        tasks = self.with_copies()
+        protocol = CertifyProtocol(0.05)
+        # chunks of 4, so some copies are certified in a later chunk than their original
+        monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 4)
+        rows = certify_tasks(params, cfg, tasks, protocol, Rng(30))
+        assert any(row.c_effective < 3 for row in rows)
+        for task, row in zip(tasks, rows):
+            ref = certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
+            assert row.task_id == task.task_id
+            assert ((row.c_effective, row.indices, row.emp_complement_01,
+                     row.emp_complement_linear, row.test_query_error, row.certificates)
+                    == (ref.c_effective, ref.indices, ref.emp_complement_01,
+                        ref.emp_complement_linear, ref.test_query_error, ref.certificates))
+        # a copy shares its original's certificate objects
+        for first, copy in zip(rows[::3], rows[1::3]):
+            assert all(a.certificate is b.certificate
+                       for a, b in zip(first.certificates, copy.certificates))
+
+    @pytest.mark.parametrize("arch, b", [("SCH_MINUS", 0), ("SCH_PLUS", 3)])
+    def test_each_distinct_binomial_problem_is_inverted_once_per_call(self, monkeypatch,
+                                                                      arch, b):
+        cfg = HypernetConfig(arch, c=3, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        params = init_hypernet_params(cfg, Rng(1).split(0))
+        tasks = self.with_copies()
+        protocol = CertifyProtocol(0.05)
+        calls = []
+        real = bounds.binomial_tail_inverses
+
+        def spy(n, K, log_delta_primes):
+            calls.append((n, K, tuple(log_delta_primes)))
+            return real(n, K, log_delta_primes)
+
+        monkeypatch.setattr(bounds, "binomial_tail_inverses", spy)
+        for task in tasks:
+            certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
+        assert len(calls) == len(tasks)  # a lone call computes every certificate
+        distinct = set(calls)
+        assert len(distinct) < len(tasks)
+        calls.clear()
+        certify_tasks(params, cfg, tasks, protocol, Rng(30))
+        first = list(calls)
+        assert len(first) == len(distinct) and set(first) == distinct
+        # nothing survives the call: a second call inverts the same problems again
+        calls.clear()
+        certify_tasks(params, cfg, tasks, protocol, Rng(30))
+        assert calls == first
 
     def test_chunked_validation_error_equals_one_chunk(self, monkeypatch):
         cfg, params = self.make("SCH_PLUS", 3)
