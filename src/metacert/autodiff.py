@@ -18,14 +18,12 @@ Only the handful of primitives the hypernetworks need are provided:
 * ``dense``, one fused dense layer ``x @ w + b``, optionally ReLU'd;
 * ``attention_select``, one node for all attention heads of the sample
   compressor: per-head queries, scaled dot-product logits, softmax and
-  straight-through row selection (its forward is ``attention_probs``);
-* one node per fused model stage, each running a numpy forward:
-  ``set_pool`` (``pooled``), the DeepSet pooling (1/m) M^T y;
-  ``standardize`` (``standardized``), a set's rows mapped by
-  ``(x - mean) * inv_scale``; ``fold`` (``folded``), that map folded into
-  the first layer of packed MLP weights; ``packed_mlp``
-  (``packed_mlp_forward``), an MLP whose weights and biases are unpacked
-  from each row of a stack of gamma rows;
+  straight-through row selection;
+* one node per fused model stage, each computing its forward in numpy:
+  ``set_pool``, the DeepSet pooling (1/m) M^T y; ``standardize``, a set's
+  rows mapped by ``(x - mean) * inv_scale``; ``fold``, that map folded into
+  the first layer of packed MLP weights; ``packed_mlp``, an MLP whose
+  weights and biases are unpacked from each row of a stack of gamma rows;
 * structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
   ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
   ``reshape``, ``slice_cols``.  The fused nodes replaced every ``src/``
@@ -136,16 +134,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _accum_cols(t: Tensor, start: int, stop: int | None, g: np.ndarray) -> None:
-    """Add ``g`` into columns ``start:stop`` of t's gradient, which starts as zeros."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[..., start:stop] += g
-
-
-def _accum_set(t: Tensor, at: tuple, g: np.ndarray) -> None:
-    """Add ``g`` into the set of t's gradient at index ``at`` of its leading
-    axes (``()`` for one set); the gradient starts as zeros."""
+def _accum_at(t: Tensor, at: tuple, g: np.ndarray) -> None:
+    """Add ``g`` into t's gradient at index ``at``, which starts as zeros: a
+    column range ``(..., slice(start, stop))``, or one set's index of the
+    leading axes (``()`` for one set)."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad[at] += g
@@ -335,7 +327,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"bad column slice [{start}:{stop}] of {a.data.shape}")
 
     def backward(g):
-        _accum_cols(a, start, stop, g)
+        _accum_at(a, (..., slice(start, stop)), g)
 
     return Tensor(a.data[..., start:stop].copy(), parents=(a,), backward=backward,
                   op="slice_cols")
@@ -421,27 +413,6 @@ def hard_select_st(probs: Tensor, values: Tensor, soft: bool = False) -> Tensor:
     return Tensor(y, parents=(probs, values), backward=backward, op="hard_select_st")
 
 
-def attention_probs(z: np.ndarray, keys: np.ndarray, w: np.ndarray, b: np.ndarray,
-                    scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The forward of ``attention_select``'s heads, on plain arrays.
-
-    ``w`` and ``b`` hold the c heads' query layers side by side.  Returns
-    the queries of the (..., 1, d') embeddings ``z``, (..., c, a), and each
-    head's softmax over the m rows of the (..., m, a) ``keys``,
-    (..., c, m, 1).  Leading axes stack independent sets; every product
-    keeps one set's shapes, ``(1, d') @ (d', c a)`` and
-    ``(m, a) @ (a, 1)``, so each set gets the bits it gets alone.
-    """
-    a = keys.shape[-1]
-    queries = (z @ w + b).reshape(*z.shape[:-2], w.shape[1] // a, a)
-    logits = (keys[..., None, :, :] @ queries[..., None]) * scale
-    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
-    probs = e / e.sum(axis=-2, keepdims=True)
-    if np.isnan(probs).any():
-        raise NonFiniteError("NaN in selection probabilities")
-    return queries, probs
-
-
 def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: float,
                      soft: bool = False) -> tuple[tuple, Tensor | None]:
     """``c`` scaled dot-product attention heads, each selecting one row of ``values``.
@@ -462,13 +433,14 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
 
     One node stands for the per-head graph dense -> transpose -> matmul ->
     mul_scalar -> softmax -> hard_select_st plus the concat of the rows, and
-    matches it bit for bit: ``attention_probs`` takes the queries as one
+    matches it bit for bit: forward takes the queries as one
     ``z @ [w_0 | ... | w_c-1]`` product and the logits as one stacked
     ``(1, m, a) @ (c, a, 1)`` product (a flat ``(m, a) @ (a, c)`` GEMM rounds
-    differently), and backward runs each set's heads last to first with the
-    per-head shapes, as that graph did, the sets in stack order.  (A
-    zero gradient entry may differ in sign where a softmax underflows to an
-    exact 0; Adam's update is the same for either sign.)
+    differently), every product keeping one set's shapes, and backward runs
+    each set's heads last to first with the per-head shapes, as that graph
+    did, the sets in stack order.  (A zero gradient entry may differ in sign
+    where a softmax underflows to an exact 0; Adam's update is the same for
+    either sign.)
     """
     c = len(heads)
     m, a = keys.data.shape[-2:]
@@ -479,9 +451,15 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
         raise ValueError(f"attention_select shapes: z {z.data.shape}, keys {keys.data.shape}, "
                          f"values {values.shape}, heads "
                          f"{[(w.data.shape, b.data.shape) for w, b in heads]}")
-    queries, probs = attention_probs(z.data, keys.data,
-                                     np.concatenate([w.data for w, _ in heads], axis=1),
-                                     np.concatenate([b.data for _, b in heads], axis=1), scale)
+    # the c heads' queries (..., c, a) and softmaxes over the m rows (..., c, m, 1)
+    queries = (z.data @ np.concatenate([w.data for w, _ in heads], axis=1)
+               + np.concatenate([b.data for _, b in heads], axis=1)
+               ).reshape(*z.data.shape[:-2], c, a)
+    logits = (keys.data[..., None, :, :] @ queries[..., None]) * scale
+    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    probs = e / e.sum(axis=-2, keepdims=True)
+    if np.isnan(probs).any():
+        raise NonFiniteError("NaN in selection probabilities")
     # the sets of the stack in one flat list (one set is a stack of one)
     sets_probs, sets_values = probs.reshape(-1, c, m, 1), values.reshape(-1, m, values.shape[-1])
     picked, row_of = [], []  # per set: its positions; head -> its output row
@@ -513,12 +491,12 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
                 g_probs = sets_values[t] @ g[t, rows[h]:rows[h] + 1].T
                 g_logits = p * (g_probs - (g_probs * p).sum(axis=0, keepdims=True)) * scale
                 if keys.requires_grad:
-                    _accum_set(keys, at, g_logits @ sets_queries[t, h:h + 1])
+                    _accum_at(keys, at, g_logits @ sets_queries[t, h:h + 1])
                 g_query = (sets_keys[t].T @ g_logits).T
                 if b.requires_grad:
                     _accum(b, g_query)
                 if z.requires_grad:
-                    _accum_set(z, at, g_query @ w.data.T)
+                    _accum_at(z, at, g_query @ w.data.T)
                 if w.requires_grad:
                     _accum(w, sets_z[t].T @ g_query)
 
@@ -528,29 +506,23 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
 # ---------------------------------------------------------------------------
 # fused model stages
 #
-# Each node's forward is a numpy helper that also takes stacks (..., m, k)
-# of sets, every product keeping one set's shapes.  Each backward replays,
-# on every set, the float operations of the structural chain the node
-# replaced (the same products on the same layouts), and accumulates into a
-# column range of a parent as ``slice_cols`` does (``_accum_cols``).
-
-
-def pooled(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Set pooling (1/m) rows^T labels of (..., m, k) rows and (..., m, 1)
-    labels, as (..., 1, k) rows."""
-    m = rows.shape[-2]
-    if m == 0:
-        raise ValueError("cannot embed an empty set")
-    return np.swapaxes(np.swapaxes(rows, -1, -2) @ labels, -1, -2) * (1.0 / m)
+# Each node's forward also takes stacks (..., m, k) of sets, every product
+# keeping one set's shapes.  Each backward replays, on every set, the float
+# operations of the structural chain the node replaced (the same products
+# on the same layouts), and accumulates into a column range of a parent as
+# ``slice_cols`` does (``_accum_at``).
 
 
 def set_pool(rows: Tensor, labels: Tensor) -> Tensor:
-    """``pooled`` of (m, k) rows and an (m, 1) label column, as a (1, k) node
-    (or of a stack of such sets)."""
-    y = pooled(rows.data, labels.data)
+    """Set pooling (1/m) rows^T labels of (m, k) rows and an (m, 1) label
+    column, as a (1, k) node (or of a stack of such sets)."""
+    m = rows.data.shape[-2]
+    if m == 0:
+        raise ValueError("cannot embed an empty set")
+    y = _mT(_mT(rows.data) @ labels.data) * (1.0 / m)
 
     def backward(g):
-        g_pooled = _mT(g) * (1.0 / rows.data.shape[-2])
+        g_pooled = _mT(g) * (1.0 / m)
         if labels.requires_grad:
             _accum(labels, rows.data @ g_pooled)
         if rows.requires_grad:
@@ -559,65 +531,53 @@ def set_pool(rows: Tensor, labels: Tensor) -> Tensor:
     return Tensor(y, parents=(rows, labels), backward=backward, op="set_pool")
 
 
-def standardized(x: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray) -> np.ndarray:
-    """The affine map ``(x - mean) * inv_scale`` of each row of ``x``."""
-    return (x - mean) * inv_scale
-
-
 def standardize(rows: Tensor, mean: Tensor, inv_scale: Tensor) -> Tensor:
-    """``standardized`` of the first d columns of the (n, k) ``rows`` by
-    (1, d) ``mean`` and ``inv_scale`` rows, each of which may need a gradient
-    (or of a stack of such sets, with (..., 1, d) statistics)."""
+    """The affine map ``(x - mean) * inv_scale`` of the first d columns x of
+    the (n, k) ``rows``, by (1, d) ``mean`` and ``inv_scale`` rows, each of
+    which may need a gradient (or of a stack of such sets, with (..., 1, d)
+    statistics)."""
     d = mean.data.shape[-1]
     x = rows.data[..., :d]
 
     def backward(g):
         g_x = g * inv_scale.data
         if rows.requires_grad:
-            _accum_cols(rows, 0, d, g_x)
+            _accum_at(rows, (..., slice(0, d)), g_x)
         if mean.requires_grad:
             _accum(mean, -g_x.sum(axis=-2, keepdims=True))
         if inv_scale.requires_grad:
             _accum(inv_scale, (g * (x - mean.data)).sum(axis=-2, keepdims=True))
 
-    return Tensor(standardized(x, mean.data, inv_scale.data), parents=(rows, mean, inv_scale),
+    return Tensor((x - mean.data) * inv_scale.data, parents=(rows, mean, inv_scale),
                   backward=backward, op="standardize")
 
 
-def folded(raw: np.ndarray, mean: np.ndarray, inv_scale: np.ndarray, fan_out: int) -> np.ndarray:
-    """Fold ``standardized``'s map into the first layer of packed MLP weights.
-
-    The (..., G) ``raw`` rows open with a layer emitted for standardized
-    inputs: its fan_in x fan_out weights W~ (row-major), then its fan_out
-    biases b~, where fan_in is the width of ``mean`` and ``inv_scale``,
-    whose leading axes broadcast against raw's.  W = diag(inv_scale) W~ and
-    b = b~ - (mean inv_scale) W~ give the identical layer on raw inputs.
-    """
-    fan_in = mean.shape[-1]
-    b_start = fan_in * fan_out
-    w_tilde = raw[..., :b_start].reshape(*raw.shape[:-1], fan_in, fan_out)
-    shift = (mean * inv_scale)[..., None, :] @ w_tilde
-    return np.concatenate([(w_tilde * inv_scale[..., None]).reshape(*raw.shape[:-1], b_start),
-                           raw[..., b_start:b_start + fan_out] - shift[..., 0, :],
-                           raw[..., b_start + fan_out:]], axis=-1)
-
-
 def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
-    """``folded`` of a (1, G) ``raw`` row with (1, fan_in) ``mean`` and
-    ``inv_scale`` rows, each of which may need a gradient (or of a stack
-    (..., 1, G) with (..., 1, fan_in) statistics whose leading axes
-    broadcast against raw's)."""
+    """Fold ``standardize``'s map into the first layer of packed MLP weights.
+
+    The (1, G) ``raw`` row opens with a layer emitted for standardized
+    inputs: its fan_in x fan_out weights W~ (row-major), then its fan_out
+    biases b~, where fan_in is the width of the (1, fan_in) ``mean`` and
+    ``inv_scale`` rows, each of which may need a gradient.
+    W = diag(inv_scale) W~ and b = b~ - (mean inv_scale) W~ give the
+    identical layer on raw inputs.  A stack (..., 1, G) takes (..., 1,
+    fan_in) statistics whose leading axes broadcast against raw's.
+    """
     fan_in = mean.data.shape[-1]
     b_start = fan_in * fan_out
+    w_tilde = raw.data[..., 0, :b_start].reshape(*raw.data.shape[:-2], fan_in, fan_out)
+    shift = (mean.data * inv_scale.data) @ w_tilde
+    y = np.concatenate([(w_tilde * _mT(inv_scale.data)).reshape(*raw.data.shape[:-1], b_start),
+                        raw.data[..., b_start:b_start + fan_out] - shift,
+                        raw.data[..., b_start + fan_out:]], axis=-1)
 
     def backward(g):
-        w_tilde = raw.data[..., 0, :b_start].reshape(*raw.data.shape[:-2], fan_in, fan_out)
         g_w = g[..., 0, :b_start].reshape(*g.shape[:-2], fan_in, fan_out)
         g_shift = -g[..., b_start:b_start + fan_out]
         if raw.requires_grad:
             g_tilde = _mT(mean.data * inv_scale.data) @ g_shift + g_w * _mT(inv_scale.data)
-            _accum_cols(raw, 0, b_start, g_tilde.reshape(*g.shape[:-1], b_start))
-            _accum_cols(raw, b_start, None, g[..., b_start:])
+            _accum_at(raw, (..., slice(0, b_start)), g_tilde.reshape(*g.shape[:-1], b_start))
+            _accum_at(raw, (..., slice(b_start, None)), g[..., b_start:])
         if mean.requires_grad or inv_scale.requires_grad:
             g_scaled = g_shift @ _mT(w_tilde)
             if mean.requires_grad:
@@ -626,39 +586,30 @@ def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
                 _accum(inv_scale, (g_w * w_tilde).sum(axis=-1)[..., None, :]
                        + g_scaled * mean.data)
 
-    y = folded(raw.data[..., 0, :], mean.data[..., 0, :], inv_scale.data[..., 0, :],
-               fan_out)[..., None, :]
     return Tensor(y, parents=(raw, mean, inv_scale), backward=backward, op="fold")
-
-
-def packed_mlp_forward(gammas: np.ndarray, layout, x: np.ndarray,
-                       outputs: list | None = None) -> np.ndarray:
-    """The MLP packed in ``gammas`` on ``x``; appends each layer's output to
-    ``outputs`` when given, and returns the last.
-
-    ``layout`` holds one ``(fan_in, fan_out, w_start, b_start, stop)`` per
-    layer; hidden layers are ReLU'd, the last is linear.  A (G,) ``gammas``
-    row gives 2-D products ``(m, k) @ (k, h)``; (n, G) rows give
-    ``(m, k) @ (n, k, h)`` stacks, whose row i has the bits of row i alone.
-    The bias add and the ReLU write into the product's buffer.
-    """
-    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
-        x = x @ gammas[..., w_start:b_start].reshape(*gammas.shape[:-1], fan_in, fan_out)
-        x += gammas[..., None, b_start:stop]
-        if layer < len(layout) - 1:
-            np.maximum(x, 0.0, out=x)
-        if outputs is not None:
-            outputs.append(x)
-    return x
 
 
 def packed_mlp(gamma: Tensor, layout, x: Tensor) -> Tensor:
     """The one-output MLP packed in each (n, G) ``gamma`` row on (m, k)
-    inputs ``x``, as one node: ``packed_mlp_forward``.  Returns the (m, n)
-    outputs, column i from row i, so a (1, G) row gives an (m, 1) column."""
+    inputs ``x``, as one node.  Returns the (m, n) outputs, column i from
+    row i, so a (1, G) row gives an (m, 1) column.
+
+    ``layout`` holds one ``(fan_in, fan_out, w_start, b_start, stop)`` per
+    layer; hidden layers are ReLU'd, the last is linear.  Each layer is one
+    ``(m, k) @ (n, k, h)`` stack, whose row i has the bits of row i alone;
+    the bias add and the ReLU write into the product's buffer.
+    """
+    n = len(gamma.data)
     # a constant keeps no layer outputs, so evaluation holds one buffer per layer
     outs = [x.data] if gamma.requires_grad or x.requires_grad else None
-    y = packed_mlp_forward(gamma.data, layout, x.data, outs)  # (n, m, 1)
+    y = x.data
+    for layer, (fan_in, fan_out, w_start, b_start, stop) in enumerate(layout):
+        y = y @ gamma.data[:, w_start:b_start].reshape(n, fan_in, fan_out)
+        y += gamma.data[:, None, b_start:stop]
+        if layer < len(layout) - 1:
+            np.maximum(y, 0.0, out=y)
+        if outs is not None:
+            outs.append(y)
 
     def backward(g):
         g = g.T[..., None]
@@ -667,10 +618,11 @@ def packed_mlp(gamma: Tensor, layout, x: Tensor) -> Tensor:
             if layer < len(layout) - 1:
                 g = g * (outs[layer + 1] > 0.0)  # the ReLU's mask
             if gamma.requires_grad:
-                _accum_cols(gamma, b_start, stop, g.sum(axis=-2))
-                _accum_cols(gamma, w_start, b_start, (_mT(outs[layer]) @ g).reshape(len(g), -1))
+                _accum_at(gamma, (..., slice(b_start, stop)), g.sum(axis=-2))
+                _accum_at(gamma, (..., slice(w_start, b_start)),
+                          (_mT(outs[layer]) @ g).reshape(n, -1))
             if layer or x.requires_grad:
-                g = g @ _mT(gamma.data[:, w_start:b_start].reshape(-1, fan_in, fan_out))
+                g = g @ _mT(gamma.data[:, w_start:b_start].reshape(n, fan_in, fan_out))
         if x.requires_grad:
             _accum(x, g)
 

@@ -67,13 +67,16 @@ def _float_list_flag(text: str) -> list[float]:
 
 
 # A run config sets the fields of these dataclasses.  Where the CLI departs
-# from them: three fields have other key names, three keys other defaults, one
-# key is checked by its record as it is parsed, and the moons tasks fix the
-# input dimension.
+# from them: three fields have other key names, three keys other defaults, two
+# keys are checked by their records as they are parsed, and the moons tasks fix
+# the input dimension.
 _SETTINGS = (MoonsEnvironmentSpec, HypernetConfig, TrainProtocol, CertifyProtocol)
 _KEY_OF_FIELD = {"c": "compression_size", "b": "message_size", "loss_kind": "certify_loss_kind"}
 _CLI_DEFAULTS = {"architecture": "SCH_MINUS", "compression_size": 3, "support_size": 100}
-_CLI_PARSERS = {"certify_loss_kind": lambda text: CertifyProtocol(loss_kind=text).loss_kind}
+_CLI_PARSERS = {
+    "certify_loss_kind": lambda text: CertifyProtocol(loss_kind=text).loss_kind,
+    "master_seed": lambda text: MoonsEnvironmentSpec(master_seed=int(text)).master_seed,
+}
 _FIXED_FIELDS = {"input_dim"}
 _REQUIRED_KEYS = {"output_dir", "master_seed"}
 _PARSER_OF_TYPE = {"int": int, "float": float, "str": str,

@@ -224,13 +224,14 @@ def _standardized_input(features: np.ndarray) -> Tensor:
     """The input set, or each set of a stack, standardized by its own
     statistics, as a constant.
 
-    The input set carries no gradient, so the map is applied in numpy, with
-    the same per-element arithmetic as ``_encode_rows``.  On a canonically
-    ordered set the statistics are exactly permutation invariant, float
-    summation order included.
+    The input set carries no gradient, so the map ``(x - mean) * (1 / std)``
+    is applied in numpy, with the same per-element arithmetic as the
+    ``ad.standardize`` node of ``reconstruct``.  On a canonically ordered set
+    the statistics are exactly permutation invariant, float summation order
+    included.
     """
     mean, std = set_statistics(features)
-    return ad.constant(ad.standardized(features, mean[..., None, :], 1.0 / std[..., None, :]))
+    return ad.constant((features - mean[..., None, :]) * (1.0 / std[..., None, :]))
 
 
 def canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -325,41 +326,6 @@ def sample_compress(params: dict[str, Tensor], cfg: HypernetConfig, xs_std: Tens
                                1.0 / math.sqrt(cfg.attention_dim), soft=soft)
 
 
-def _encode_rows(params: dict[str, Tensor], cfg: HypernetConfig, rows: Tensor | None,
-                 soft: bool = False) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """The message-independent half of ``reconstruct``.
-
-    Returns the set embedding (1, d') of the compression rows, standardized
-    by their own statistics, and those statistics as (1, d) rows: the mean
-    and the inverse scale.  A stack (..., c', d + 1) of row sets gives a
-    stack of each.  With no rows (c = 0) the embedding is the learned
-    constant ``recon.const`` and there are no statistics.
-
-    Both branches standardize the rows with ``ad.standardize``.  The soft
-    twin computes the statistics with graph ops, centering the rows for the
-    variance through the same node; the production ones are
-    ``set_statistics`` constants.
-    """
-    if rows is None:
-        return params["recon.const"], None, None
-    d = cfg.input_dim
-    labs = ad.slice_cols(rows, d, d + 1)
-    if soft:
-        # differentiable statistics, the means pooled against a column of
-        # ones; scale = sqrt(var + floor^2) smooths the floor
-        ones = ad.constant(np.ones((*rows.data.shape[:-1], 1)))
-        mu = ad.set_pool(ad.slice_cols(rows, 0, d), ones)
-        centered = ad.standardize(rows, mu, ad.constant(np.ones_like(mu.data)))
-        var = ad.set_pool(ad.mul(centered, centered), ones)
-        inv_scale = ad.power_scalar(
-            ad.add(var, ad.constant(np.full_like(var.data, _STD_FLOOR_ABS ** 2))), -0.5)
-    else:
-        mean, std = set_statistics(rows.data[..., :d])
-        mu, inv_scale = ad.constant(mean[..., None, :]), ad.constant((1.0 / std)[..., None, :])
-    feats_std = ad.standardize(rows, mu, inv_scale)
-    return deepset_embed(params, "recon.deepset", feats_std, labs), mu, inv_scale
-
-
 def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
                 rows: Tensor | None, message: Tensor | None,
                 soft: bool = False) -> Tensor:
@@ -377,27 +343,47 @@ def reconstruct(params: dict[str, Tensor], cfg: HypernetConfig,
 
     ``rows`` arrive in canonical content order (the soft twin's mixture rows
     arrive in head order).  They are standardized by their own mean and
-    scale before the set embedding, and the trunk's first-layer weights are
-    emitted in those standardized coordinates; the inverse affine map is
-    folded back into the returned gamma, so the downstream network still
+    scale (``ad.standardize``) before the set embedding of
+    ``recon.deepset``, and the trunk's first-layer weights are emitted in
+    those standardized coordinates; the inverse affine map is folded back
+    into the returned gamma (``ad.fold``), so the downstream network still
     consumes raw features.  Both statistics are functions of the compression
-    rows alone.
+    rows alone, computed once per set and broadcast over its message rows.
 
-    The statistics are stop-gradients on the production path (rescaling
-    gradients of order var^-3/2 destabilize the selection heads); the soft
-    twin (``soft=True``) computes them with graph ops instead, so the whole
-    surrogate graph is exactly finite-difference checkable.
+    The statistics are ``set_statistics`` constants, stop-gradients on the
+    production path (rescaling gradients of order var^-3/2 destabilize the
+    selection heads); the soft twin (``soft=True``) computes them with graph
+    ops instead, centering the rows for the variance through the same
+    ``ad.standardize`` node, so the whole surrogate graph is exactly
+    finite-difference checkable.
 
-    With no compression rows (c = 0) the set-embedding branch is a learned
-    constant vector, so the architecture degenerates gracefully to a pure
-    encoder-decoder and gamma is the trunk output unchanged.
+    With no compression rows (c = 0) the set embedding is the learned
+    constant ``recon.const``, so the architecture degenerates gracefully to a
+    pure encoder-decoder and gamma is the trunk output unchanged.
     """
     if rows is None and message is None:
         raise ValueError("reconstruct needs compression rows or a message")
-    emb, mu, inv_scale = _encode_rows(params, cfg, rows, soft=soft)
+    if rows is None:
+        emb = params["recon.const"]
+    else:
+        d = cfg.input_dim
+        labs = ad.slice_cols(rows, d, d + 1)
+        if soft:
+            # differentiable statistics, the means pooled against a column of
+            # ones; scale = sqrt(var + floor^2) smooths the floor
+            ones = ad.constant(np.ones((*rows.data.shape[:-1], 1)))
+            mu = ad.set_pool(ad.slice_cols(rows, 0, d), ones)
+            centered = ad.standardize(rows, mu, ad.constant(np.ones_like(mu.data)))
+            var = ad.set_pool(ad.mul(centered, centered), ones)
+            inv_scale = ad.power_scalar(
+                ad.add(var, ad.constant(np.full_like(var.data, _STD_FLOOR_ABS ** 2))), -0.5)
+        else:
+            mean, std = set_statistics(rows.data[..., :d])
+            mu, inv_scale = ad.constant(mean[..., None, :]), ad.constant((1.0 / std)[..., None, :])
+        emb = deepset_embed(params, "recon.deepset", ad.standardize(rows, mu, inv_scale), labs)
     trunk_in = emb if message is None else ad.concat([emb, message], axis=-1)
     raw = mlp_forward(params, "recon.trunk", trunk_in)
-    if mu is None:
+    if rows is None:
         return raw
     # fold x -> (x - mu) / scale into the first downstream layer
     return ad.fold(raw, mu, inv_scale, cfg.mlp3_shapes[0][1])
@@ -614,15 +600,18 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     names, each with its shape and 8 bytes of values per element.  The
     first unknown, missing or mistyped key and the first missing, misshapen
     or unexpected tensor raise ``ValueError`` naming it, as do a missing
-    ``params`` or ``master_seed`` and a values block that is not a base64
-    string.
+    ``params``, a ``master_seed`` that is missing or not an int >= 0 (a bool
+    is not an int here) and a values block that is not a base64 string.
     """
     doc = json.loads(Path(path).read_text())
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
     cfg = settings_from_json(HypernetConfig, doc.get("config"), "checkpoint config")
     stored = require_key(doc, "params", "checkpoint")
-    master_seed = int(require_key(doc, "master_seed", "checkpoint"))
+    master_seed = require_key(doc, "master_seed", "checkpoint")
+    if type(master_seed) is not int or master_seed < 0:
+        raise ValueError(f"checkpoint key 'master_seed' is {master_seed!r}, "
+                         f"expected an int >= 0")
     params = init_hypernet_params(cfg, Rng(0))
     for name, t in params.items():
         if name not in stored:

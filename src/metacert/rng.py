@@ -25,7 +25,8 @@ STREAM_SWEEP = 3
 
 
 class Rng:
-    """One random stream, identified by (master seed, key tuple).
+    """One random stream, identified by (master seed, key tuple), both
+    non-negative.
 
     The generator is built on the first draw, so a stream that is only split
     never builds one.
@@ -34,6 +35,8 @@ class Rng:
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if any(k < 0 for k in self.key):
             raise ValueError("split indices must be non-negative")
         self._generator: np.random.Generator | None = None

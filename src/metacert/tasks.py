@@ -35,7 +35,7 @@ class MoonsEnvironmentSpec:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        for name in ("n_train_tasks", "n_test_tasks"):
+        for name in ("n_train_tasks", "n_test_tasks", "master_seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (self.examples_per_task >= 2 and self.examples_per_task % 2 == 0):

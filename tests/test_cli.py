@@ -296,6 +296,26 @@ class TestPipeline:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {key} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, setup", [
+        ("gen", ()), ("train", ("gen",)), ("certify", ("gen", "train")), ("sweep", ("gen",))],
+        ids=["gen", "train", "certify", "sweep"])
+    def test_negative_master_seed_is_refused_before_any_output(self, tmp_path, capsys,
+                                                               command, setup):
+        # each exited 2 with numpy's "expected non-negative integer", which
+        # names no key; gen left an empty output directory behind and sweep
+        # logged its points first
+        cfg = write_config(tmp_path)
+        for step in setup:
+            assert main([step, "--config", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace("master_seed = 424242", "master_seed = -1"))
+        files = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "'master_seed'" in err and "must be >= 0" in err
+        assert sorted(tmp_path.rglob("*")) == files
+
     @pytest.mark.parametrize("command, split", [("train", "train"), ("certify", "test")])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_the_task(self, tmp_path, capsys, command, split, cell):

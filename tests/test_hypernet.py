@@ -371,6 +371,37 @@ class TestReconstructor:
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
             assert (np.abs(analytic - numeric) / denom).max() < 1e-4
 
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("arch, c, b", [("PBH", 0, 3), ("SCH_MINUS", 3, 0),
+                                            ("SCH_PLUS", 3, 3), ("PBSCH", 2, 3)])
+    def test_stack_equals_each_set_and_message_alone(self, arch, c, b, soft):
+        # (T, c', d + 1) rows and (n, T, 1, b) messages, the message index
+        # leading as decode_gamma stacks them, give every set and message the
+        # bits of the one-set call
+        cfg = small_config(arch, c=c, b=b)
+        params = params_for(cfg)
+        n_sets, n_messages = 3, 4
+        rows = messages = None
+        if c:
+            labels = np.where(Rng(6).normal((n_sets, c, 1)) >= 0.0, 1.0, -1.0)
+            rows = np.concatenate([Rng(7).normal((n_sets, c, cfg.input_dim)), labels], axis=-1)
+        if b:
+            messages = Rng(8).normal((n_messages, n_sets, 1, b))
+
+        def gamma(rows, message):
+            return reconstruct(params, cfg, None if rows is None else ad.constant(rows),
+                               None if message is None else ad.constant(message), soft=soft).data
+
+        stacked = gamma(rows, messages)
+        assert stacked.shape[-3:] == (n_sets, 1, downstream_param_count(cfg.mlp3_shapes))
+        for t in range(n_sets):
+            set_rows = None if rows is None else rows[t]
+            if messages is None:
+                assert stacked[t].tobytes() == gamma(set_rows, None).tobytes()
+                continue
+            for i in range(n_messages):
+                assert stacked[i, t].tobytes() == gamma(set_rows, messages[i, t]).tobytes()
+
     def test_degenerate_compression_uses_learned_constant(self):
         cfg = small_config("PBSCH", c=0, b=3)
         params = params_for(cfg)
@@ -754,4 +785,18 @@ class TestCheckpoint:
         damage(doc["params"])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("seed", [1.7, True, "12", -3, None],
+                             ids=["float", "bool", "string", "negative", "null"])
+    def test_master_seed_must_be_a_non_negative_int(self, tmp_path, seed):
+        # int() used to load 1.7 and true as 1 and "12" as 12, and -3 passed
+        cfg = small_config("PBSCH", c=2, b=3)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, params_for(cfg), master_seed=99)
+        doc = json.loads(path.read_text())
+        doc["master_seed"] = seed
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint key 'master_seed' is .*, "
+                                             "expected an int >= 0"):
             load_checkpoint(path)

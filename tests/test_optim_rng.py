@@ -192,6 +192,11 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(1).split(-1)
 
+    def test_negative_seed_rejected_when_built(self):
+        # it used to fail only at the first draw, in numpy, naming no seed
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            Rng(-1)
+
     def test_lazy_generator_draws_as_an_eagerly_built_one(self):
         for key in ((), (2,), (1, 5, 0)):
             eager = np.random.Generator(np.random.PCG64(

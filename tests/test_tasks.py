@@ -87,7 +87,8 @@ class TestGeneration:
         ("examples_per_task", 0),
         ("noise_sigma", -1.0), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
         ("scale_range", (math.nan, 1.0)), ("rotation_range", (0.0, math.inf)),
-        ("center_range", (1.0, -1.0)), ("center_range", (-math.inf, 0.0))])
+        ("center_range", (1.0, -1.0)), ("center_range", (-math.inf, 0.0)),
+        ("master_seed", -1)])
     def test_invalid_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}"):
             MoonsEnvironmentSpec(**{field: value})
