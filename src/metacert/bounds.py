@@ -15,6 +15,11 @@ Numerical conventions:
   predicts, evaluates that path in one batch, and applies the exact
   decisions only up to the first one the guess got wrong, so each step it
   takes, and its result, is the plain bisection's;
+* ln C(n, k) is built from ``_log_factorial``, a port of Cephes ``lgam``
+  (the routine behind ``scipy.special.gammaln``) that returns its bits, so
+  the package needs numpy and the standard library only;
+* counts (sample sizes, set sizes, message bits, error counts) must be
+  integers: a bool, a float or any other non-integer raises ``ValueError``;
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
   train-set comparison table deliberately reports unclamped values;
 * one builder, ``_certificate``, turns every certificate's three budget
@@ -23,16 +28,29 @@ Numerical conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import bdtri, gammaln
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+_GUESS_MAX_STEPS = 50
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a Python int: an int or a numpy integer, not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class BoundBudget:
@@ -55,6 +73,8 @@ class BoundBudget:
     log_prior_j: float | None = None
 
     def __post_init__(self):
+        for name in ("m_prime", "c", "b"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if not 0 <= self.c < self.m_prime:
             raise ValueError(f"need 0 <= c < m_prime, got c={self.c}, m_prime={self.m_prime}")
         if self.b < 0:
@@ -162,10 +182,54 @@ def _bisect(lo: float, hi: float, f: Callable[[float], float], bound: float,
 
 
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via the log-gamma function."""
+    """ln C(n, k) = ln n! - ln k! - ln (n - k)!."""
+    n, k = _count("n", n), _count("k", k)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
+
+
+def _log_binomials(n: int, K: int) -> np.ndarray:
+    """ln C(n, k) for k = 0..K, each entry the bits of ``log_binomial(n, k)``."""
+    return (_log_factorial(n) - np.fromiter(map(_log_factorial, range(K + 1)), float, K + 1)
+            - np.fromiter(map(_log_factorial, range(n, n - K - 1, -1)), float, K + 1))
+
+
+# Cephes lgam's coefficients for 13 <= x < 1000 (Moshier 1989)
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LN_SQRT_2PI = 0.91893853320467274178
+
+
+@functools.lru_cache(maxsize=4096)
+def _log_factorial(n: int) -> float:
+    """ln n! = ln Gamma(n + 1) for an integer n >= 0, bit for bit Cephes
+    ``lgam(n + 1)``: its branches and float operations in its order, with
+    ``math.log`` for the C library's ``log``.  For n + 1 < 13 that is the
+    log of the exact product; from 13 it is Stirling's series with fewer
+    correction terms as n grows (none past 1e8); past 2.556348e305, inf.
+    The cache is bounded: an inversion looks up 2 (K + 1) values, and ``n``
+    can be anything."""
+    x = float(n + 1)
+    if x < 13.0:
+        z, u = 1.0, x
+        while u >= 3.0:
+            u -= 1.0
+            z *= u
+        return math.log(z)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = 0.0
+    for coeff in _LGAM_A:
+        a = a * p + coeff
+    return q + a / x
 
 
 def binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> float:
@@ -198,6 +262,7 @@ def binomial_tail_inverses(n: int, K: int,
     equals the one-threshold bisection's bit for bit whatever the guesses are.
     Each round consumes at least one step of every unfinished bisection.
     """
+    n, K = _count("n", n), _count("K", K)
     if not 0 <= K <= n:
         raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
     for t in log_delta_primes:
@@ -207,7 +272,7 @@ def binomial_tail_inverses(n: int, K: int,
         return [1.0] * len(log_delta_primes)  # CDF is identically 1
     k = np.arange(K + 1)
     n_minus_k = n - k
-    log_coeffs = gammaln(n + 1) - gammaln(k + 1) - gammaln(n_minus_k + 1)
+    log_coeffs = _log_binomials(n, K)
     guesses = _root_guesses(n, K, log_delta_primes)
     # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
     lo = [0.0] * len(log_delta_primes)
@@ -248,11 +313,67 @@ def binomial_tail_inverses(n: int, K: int,
 
 
 def _root_guesses(n: int, K: int, log_delta_primes: Sequence[float]) -> list[float]:
-    """scipy's estimate of each root of CDF(r) = delta', which
+    """An estimate of each root of ln CDF(r) = t, which
     ``binomial_tail_inverses`` uses only to predict its bisections'
-    decisions: any value, NaN included, leaves its results unchanged."""
-    with np.errstate(all="ignore"):
-        return bdtri(K, n, np.exp(np.asarray(log_delta_primes, dtype=np.float64))).tolist()
+    decisions: any value, NaN included, leaves its results unchanged.
+
+    K = 0 has the closed form 1 - e^(t/n), and t = 0 the root 0.  Otherwise
+    Newton's method runs in y = -ln(1 - r), where ln CDF is decreasing and
+    concave, so from the right of a root it falls to it monotonically.  With
+    v = (1 - r) / r = 1 / (e^y - 1),
+
+        ln CDF = ln C(n, K) + K ln r - (n - K) y + ln S,  d ln CDF / dy = -(n - K) / S,
+        S = sum_j C(n, K - j) / C(n, K) v^j = 1 + c_0 v (1 + c_1 v (1 + ...)),
+
+    with c_j = (K - j) / (n - K + j + 1).  The c_j fall with j, so the
+    geometric tail 1 / (1 - c_0 v) exceeds S and the root of ln CDF with it
+    in place of S lies right of the exact one.  Newton finds that root
+    first, at O(1) per step, from the point where the Chernoff bound
+    ln CDF <= n H(K / n) + K ln r - (n - K) y, with K ln r <= 0 dropped,
+    reaches t.  A few exact steps follow, each summing S only until its
+    terms fall below float resolution.  ``math.log1p`` is not called: the
+    bisection's own calls count its midpoints.
+    """
+    if K == 0:
+        return [-math.expm1(t / n) for t in log_delta_primes]
+    n_minus_K = n - K
+    log_coeff = _log_factorial(n) - _log_factorial(K) - _log_factorial(n_minus_K)
+    c = (np.arange(K, 0, -1) / np.arange(n_minus_K + 1, n + 1)).tolist()
+    entropy_nats = -K * math.log(K / n) - n_minus_K * math.log(n_minus_K / n)
+    guesses = []
+    for t in log_delta_primes:
+        if t == 0.0:
+            guesses.append(0.0)  # CDF(r) < 1 for every r > 0
+            continue
+        # t = -inf starts at y = inf, where the first step is NaN: r = 1
+        y = (entropy_nats - t) / n_minus_K
+        for exact, tol in ((False, 1e-3), (True, 1e-7)):
+            for _ in range(_GUESS_MAX_STEPS):
+                r = -math.expm1(-y)
+                v = math.exp(-y) / r
+                if exact:
+                    s = term = 1.0
+                    for c_j in c:
+                        term *= c_j * v
+                        s += term
+                        if term <= 1e-17 * s:
+                            break
+                    y_per_nat = s / n_minus_K  # -1 / (d ln CDF / dy)
+                else:
+                    w = c[0] * v
+                    if not w < 1.0:
+                        break
+                    s = 1.0 / (1.0 - w)
+                    y_per_nat = 1.0 / (n_minus_K + w * s / r - K * v)
+                log_cdf = log_coeff + K * math.log(r) - n_minus_K * y + math.log(s)
+                new_y = y + (log_cdf - t) * y_per_nat
+                if not 0.0 < new_y < math.inf:
+                    break  # NaN or an overflow: the iterate before it stands
+                y, step = new_y, abs(new_y - y)
+                if step <= tol * y:
+                    break
+        guesses.append(-math.expm1(-y))
+    return guesses
 
 
 def gaussian_kl(mu) -> float:
@@ -319,7 +440,7 @@ def bound_sch_binary(budget: BoundBudget, K: int) -> Certificate:
     ``K`` is the integer count of errors on the complement set; the inversion
     runs at log confidence ln(delta) + log_prior_j - b ln 2.
     """
-    n = budget.n_complement
+    n, K = budget.n_complement, _count("K", K)
     if not 0 <= K <= n:
         raise ValueError(f"error count K={K} outside [0, {n}]")
     return _certificate(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -377,7 +378,11 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  It is built once per process, as its
+    tree of sub-parsers (one per ``bound`` kind) costs milliseconds; parsing
+    leaves it unchanged, so every ``main`` call reuses it."""
     parser = _Parser(prog="metacert",
                      description="meta-learned hypernetworks with risk certificates")
     sub = parser.add_subparsers(dest="command", required=True)

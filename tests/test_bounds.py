@@ -6,6 +6,7 @@ exact-rational binomial CDFs (see test_acceptance.py for the oracle code).
 """
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -100,6 +101,56 @@ class TestLogBinomial:
 
     def test_symmetry(self):
         assert log_binomial(100, 30) == pytest.approx(log_binomial(100, 70), rel=1e-12)
+
+
+class TestLogFactorial:
+    """``_log_factorial`` returns the bits of ``scipy.special.gammaln(n + 1)``,
+    so every ln C(n, k) equals the gammaln formula's bit for bit."""
+
+    def test_equals_gammaln_on_every_small_integer(self):
+        n = np.arange(100_001)
+        ref = gammaln(n + 1.0).tolist()
+        got = [bounds._log_factorial(i) for i in range(n.size)]
+        mismatched = [i for i in range(n.size) if got[i] != ref[i]]
+        assert not mismatched, mismatched[:10]
+
+    def test_equals_gammaln_on_log_spaced_integers(self):
+        for n in sorted({int(x) for x in np.logspace(0.0, 300.0, 400)}):
+            assert bounds._log_factorial(n) == gammaln(float(n) + 1.0), n
+
+    def test_log_coefficient_rows_equal_the_gammaln_formula(self):
+        for n, K, _ in TestLockstepBisection.grid():
+            k = np.arange(K + 1)
+            ref = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+            assert bounds._log_binomials(n, K).tolist() == ref.tolist(), (n, K)
+
+
+class TestIntegerCounts:
+    """Sample sizes, set sizes, message bits and error counts are integers:
+    a float or a bool is refused, naming the argument; numpy integers pass."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: BoundBudget(200.5, 3), "m_prime"),
+        (lambda: BoundBudget(200, 3.0), "c"),
+        (lambda: BoundBudget(200, 3, b=True), "b"),
+        (lambda: BoundBudget(200, 3, b=4.0), "b"),
+        (lambda: bound_sch_binary(BoundBudget(200, 3, 4), 10.0), "K"),
+        (lambda: log_binomial(10.5, 3), "n"),
+        (lambda: log_binomial(10, True), "k"),
+        (lambda: binomial_tail_inverses(197.5, 10, [-3.0]), "n"),
+        (lambda: binomial_tail_inverses(197, np.float64(10), [-3.0]), "K"),
+        (lambda: binomial_tail_inverse(197, False, -3.0), "K"),
+    ])
+    def test_non_integer_count_is_refused(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_are_the_python_values(self):
+        budget = BoundBudget(np.int64(200), np.int32(3), np.uint8(4))
+        assert budget == BoundBudget(200, 3, 4)
+        assert all(type(v) is int for v in (budget.m_prime, budget.c, budget.b))
+        assert bound_sch_binary(budget, np.int64(10)) == bound_sch_binary(budget, 10)
+        assert log_binomial(np.int64(10), np.int16(3)) == log_binomial(10, 3)
 
 
 class TestBinomialTailInverse:
@@ -292,7 +343,7 @@ class TestSpeculatedBisection:
             assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
 
     def test_extreme_thresholds_give_the_scalar_bits(self):
-        # exp(-1000) and exp(-inf) underflow to 0, where scipy's guess degenerates
+        # exp(-1000) and exp(-inf) underflow to 0; the guess works on the log itself
         rng = np.random.default_rng(5)
         cases = [(1, 0), (2, 1), (197, 0), (197, 196), (5000, 0), (5000, 4999)]
         for _ in range(12):
@@ -326,6 +377,64 @@ class TestSpeculatedBisection:
             ref = [scalar_binomial_tail_inverse(197, K, -nats) for nats in cumulative]
             assert [row[2] for row in bound_sch_binary(budget, K).breakdown[1:]] == ref
         assert 0 < counting_math.log1p_calls <= 1.2 * len(scalar_calls)
+
+
+class TestRootGuesses:
+    """``_root_guesses`` solves ln CDF = t in log space, so the speculated
+    bisections evaluate few midpoints beyond the scalar bisection's even
+    where delta' = e^t underflows or the budget reaches paper scale."""
+
+    @staticmethod
+    def midpoints(monkeypatch, invert):
+        """(midpoints the speculated bisections evaluate, midpoints the scalar
+        reference evaluates) over ``invert(reference)``."""
+        scalar_calls = []
+        counted_cdf = _log_binom_cdf
+
+        def counting_cdf(*args):
+            scalar_calls.append(1)
+            return counted_cdf(*args)
+
+        counting_math = _CountingMath()
+        with monkeypatch.context() as patch:
+            patch.setitem(globals(), "_log_binom_cdf", counting_cdf)
+            patch.setattr(bounds, "math", counting_math)
+            invert(scalar_binomial_tail_inverse)
+        return counting_math.log1p_calls, len(scalar_calls)
+
+    @pytest.mark.parametrize("b", [0, 4, 16])
+    def test_paper_scale_certificates_evaluate_few_midpoints(self, monkeypatch, b):
+        # m' = 2000, c = 8 under the uniform prior: budgets up to ~53 nats
+        budget = BoundBudget(m_prime=2000, c=8, b=b, delta=0.05)
+        conf = math.log(1 / 0.05)
+        cumulative = (conf, conf + b * math.log(2.0), conf + b * math.log(2.0)
+                      - budget.log_prior_j)
+
+        def invert(reference):
+            for K in range(0, 391, 10):
+                ref = [reference(1992, K, -nats) for nats in cumulative]
+                assert [row[2] for row in bound_sch_binary(budget, K).breakdown[1:]] == ref, K
+
+        evaluated, scalar = self.midpoints(monkeypatch, invert)
+        assert 0 < evaluated <= 1.2 * scalar
+
+    @pytest.mark.parametrize("n, K, t", [(2000, 100, -60.0), (5000, 10, -300.0),
+                                         (197, 10, -1000.0)])
+    def test_single_inversions_evaluate_few_midpoints(self, monkeypatch, n, K, t):
+        def invert(reference):
+            assert binomial_tail_inverses(n, K, [t]) == [reference(n, K, t)]
+
+        evaluated, scalar = self.midpoints(monkeypatch, invert)
+        assert 0 < evaluated <= 1.2 * scalar
+
+    @pytest.mark.parametrize("n", [1, 2, 197, 5000])
+    def test_guesses_raise_no_warning_at_extreme_thresholds(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in sorted({0, n - 1}):
+                guesses = bounds._root_guesses(n, K, [0.0, -1000.0, -math.inf])
+                assert guesses[0] == 0.0 and guesses[2] == 1.0, (n, K)
+                assert 0.0 < guesses[1] <= 1.0, (n, K)
 
 
 class TestExactOracle:

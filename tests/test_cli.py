@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -873,3 +877,29 @@ class TestPinnedOutputBytes:
             "'sch-binary', 'sch-real', 'pbsch', 'pbsch-disintegrated', 'catoni', "
             "'linear', 'kl', 'kl-inverse', 'log-binomial', 'binomial-tail', "
             "'gaussian-kl', 'renyi')\n"))
+
+
+class TestProcess:
+    def test_parser_is_built_once_per_process(self, capsys):
+        parser = cli.build_parser()
+        assert main(["bound", "kl", "--q", "0.1", "--p", "0.2"]) == 0
+        assert main(["bound", "nope"]) == 1
+        assert cli.build_parser() is parser
+
+    def test_bound_commands_load_no_scipy(self):
+        # the runtime needs numpy only; scipy.special alone is about 24 MB of RSS
+        script = (
+            "import sys\n"
+            "from metacert import cli\n"
+            "assert cli.main(['bound', 'sch-binary', '--m', '200', '--c', '3', '--b', '4',"
+            " '--errors', '10']) == 0\n"
+            "assert cli.main(['bound', 'pbsch', '--m', '200', '--c', '3', '--emp-loss', '0.1',"
+            " '--mu-norm-sq', '2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
