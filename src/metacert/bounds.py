@@ -23,7 +23,8 @@ Numerical conventions:
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
   train-set comparison table deliberately reports unclamped values;
 * one builder, ``_certificate``, turns every certificate's three budget
-  terms (confidence, message, compression set) into its breakdown.
+  terms (confidence, message, compression set) into its tau*: one inversion
+  of the total, plus the partial sums on first read of its breakdown.
 """
 
 from __future__ import annotations
@@ -96,19 +97,71 @@ class BoundBudget:
         return self.m_prime - self.c
 
 
+# Breakdown terms follow a fixed order: empirical loss, confidence term,
+# message cost, compression-set cost.
+_TERMS = ("confidence", "message_cost", "compression_set_cost")
+
+
+@dataclass(frozen=True)
+class KlInversion:
+    """The taus of a kl certificate: a budget of ``nats`` inverts to
+    kl_inverse(q, nats / n)."""
+
+    q: float
+    n: int
+
+    @property
+    def empirical(self) -> float:
+        return self.q
+
+    def taus(self, budgets: Sequence[float]) -> list[float]:
+        return [kl_inverse(self.q, nats / self.n) for nats in budgets]
+
+
+@dataclass(frozen=True)
+class TailInversion:
+    """The taus of a binomial-tail certificate, K errors in n: a budget of
+    ``nats`` inverts to binomial_tail_inverse(n, K, -nats), all budgets in
+    one ``binomial_tail_inverses`` call."""
+
+    n: int
+    K: int
+
+    @property
+    def empirical(self) -> float:
+        return self.K / self.n
+
+    def taus(self, budgets: Sequence[float]) -> list[float]:
+        return binomial_tail_inverses(self.n, self.K, [-nats for nats in budgets])
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A certified risk bound: tau* at confidence 1 - delta.
 
-    ``breakdown`` lists (label, budget contribution in nats, cumulative tau
-    after adding the term); the cumulative values are non-decreasing and the
-    last one equals ``tau_star`` bit for bit.
+    ``terms`` are the nats it charges (confidence, message, compression set)
+    and ``inversion`` turns a budget of nats into a tau; ``tau_star`` is the
+    inversion of their total.  ``breakdown`` lists (label, budget contribution
+    in nats, cumulative tau after adding the term).  It inverts the two
+    partial sums the first time it is read and is kept on the instance; the
+    cumulative values are non-decreasing and the last one is ``tau_star``
+    itself.  The empirical row shows the inversion's empirical loss; the
+    min-guard keeps the sequence monotone where a tail inversion at
+    delta' > 1/2 falls below it.
     """
 
     kind: str
     tau_star: float
     delta: float
-    breakdown: tuple[tuple[str, float, float], ...]
+    terms: tuple[float, float, float]
+    inversion: KlInversion | TailInversion
+
+    @functools.cached_property
+    def breakdown(self) -> tuple[tuple[str, float, float], ...]:
+        *partial, _ = itertools.accumulate(self.terms)
+        taus = [*self.inversion.taus(partial), self.tau_star]
+        return (("empirical_loss", 0.0, min(self.inversion.empirical, taus[0])),
+                *zip(_TERMS, self.terms, taus))
 
 
 # ---------------------------------------------------------------------------
@@ -394,31 +447,21 @@ def renyi_divergence_gaussian(mu, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # certificates
 
-# Breakdown terms follow a fixed order: empirical loss, confidence term,
-# message cost, compression-set cost.
-_TERMS = ("confidence", "message_cost", "compression_set_cost")
-
-
-def _certificate(kind: str, delta: float, empirical: float, terms: tuple[float, float, float],
-                 invert: Callable[[list[float]], list[float]]) -> Certificate:
+def _certificate(kind: str, delta: float, terms: tuple[float, float, float],
+                 inversion: KlInversion | TailInversion) -> Certificate:
     """The certificate charging ``terms`` (confidence, message and compression-set
-    nats) in order; ``invert`` maps their three cumulative sums to the three taus.
-
-    The empirical row shows ``empirical``; the min-guard keeps the cumulative
-    sequence monotone where a tail inversion at delta' > 1/2 falls below it.
-    """
-    taus = invert(list(itertools.accumulate(terms)))
-    rows = (("empirical_loss", 0.0, min(empirical, taus[0])), *zip(_TERMS, terms, taus))
-    return Certificate(kind=kind, tau_star=taus[-1], delta=delta, breakdown=rows)
+    nats) in order: ``inversion`` of their total, summed in the order of the
+    breakdown's cumulative sums, which it leaves to its first read."""
+    *_, total = itertools.accumulate(terms)
+    tau_star, = inversion.taus([total])
+    return Certificate(kind, tau_star, delta, terms, inversion)
 
 
 def _kl_certificate(kind: str, budget: BoundBudget, confidence_nats: float,
                     message_nats: float) -> Certificate:
     """The kl certificate of ``budget.emp_loss`` on the complement set."""
-    q, n = budget.emp_loss, budget.n_complement
-    return _certificate(kind, budget.delta, q,
-                        (confidence_nats, message_nats, -budget.log_prior_j),
-                        lambda cumulative: [kl_inverse(q, nats / n) for nats in cumulative])
+    return _certificate(kind, budget.delta, (confidence_nats, message_nats, -budget.log_prior_j),
+                        KlInversion(budget.emp_loss, budget.n_complement))
 
 
 def bound_pb(budget: BoundBudget) -> Certificate:
@@ -444,9 +487,9 @@ def bound_sch_binary(budget: BoundBudget, K: int) -> Certificate:
     if not 0 <= K <= n:
         raise ValueError(f"error count K={K} outside [0, {n}]")
     return _certificate(
-        "SCH_BINARY", budget.delta, K / n,
+        "SCH_BINARY", budget.delta,
         (math.log(1.0 / budget.delta), budget.b * math.log(2.0), -budget.log_prior_j),
-        lambda cumulative: binomial_tail_inverses(n, K, [-nats for nats in cumulative]))
+        TailInversion(n, K))
 
 
 def bound_sch_real(budget: BoundBudget) -> Certificate:

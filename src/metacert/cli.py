@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, fields
@@ -363,10 +364,28 @@ def _run_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# A whole token that is a negative float, or a comma list of floats whose
+# first is negative: ``-1e-9``, ``-1E+2``, ``-.5``, ``-inf``, ``-1e-3,2``.
+_FLOAT = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?)"
+_NEGATIVE_VALUE = re.compile(rf"-{_FLOAT}(?:,[-+]?{_FLOAT})*\Z", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
     """Single-line, machine-parsable usage errors; an argument no parser
-    declares is an error of the innermost parser, named by its prog."""
+    declares is an error of the innermost parser, named by its prog.
+
+    A token that is a negative float in any form (``-1e-9``, ``-1E+2``,
+    ``-.5``, ``-inf``) or a comma list starting with one (``-1e-3,2``) is a
+    value, not a flag: argparse's own pattern takes only the ``-1`` and
+    ``-1.5`` forms for negative numbers, and read ``--log-delta-prime -1e-9``
+    as a flag missing its argument.  No declared flag has that form."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's pattern is private and has changed across Python
+        # versions; test_cli's test_negative_value_token_is_the_flags_value,
+        # over every value flag of every bound kind, guards this override.
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         raise ConfigError(message)

@@ -5,8 +5,11 @@ closed forms evaluated with math/mpmath, exact big-integer binomials, and
 exact-rational binomial CDFs (see test_acceptance.py for the oracle code).
 """
 
+import itertools
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from metacert.bounds import (BoundBudget, bernoulli_kl, binomial_tail_inverse,
                              bound_sch_binary, bound_sch_real,
                              compare_trainset_bounds, gaussian_kl, kl_inverse,
                              log_binomial, renyi_divergence_gaussian)
+from test_bounds_pinned import CALCULATORS, EXPECTED, GRID
 
 
 class TestBernoulliKl:
@@ -427,6 +431,19 @@ class TestRootGuesses:
         evaluated, scalar = self.midpoints(monkeypatch, invert)
         assert 0 < evaluated <= 1.2 * scalar
 
+    @pytest.mark.parametrize("n", [10**8, 10**9])
+    def test_memory_grows_with_K_not_n(self, n):
+        # `metacert bound` takes any --m: at K = 3 an inversion holds O(K)
+        # arrays, at thresholds near 0 (ln 0.9, -0.1) as well as far from it
+        tracemalloc.start()
+        try:
+            taus = binomial_tail_inverses(n, 3, [math.log(0.9), -0.1, -30.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(0.0 < tau < 1.0 for tau in taus)
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("n", [1, 2, 197, 5000])
     def test_guesses_raise_no_warning_at_extreme_thresholds(self, n):
         with warnings.catch_warnings():
@@ -738,3 +755,75 @@ class TestBudgetAndCertificate:
             assert bound_pbsch(budget).tau_star >= q
             K = int(round(q * 196))
             assert bound_sch_binary(budget, K).tau_star >= K / 196
+
+
+# Reference: every breakdown inverted up front, as the calculators built it
+# before the partial sums were left to the first read.
+_LABELS = ("confidence", "message_cost", "compression_set_cost")
+
+
+def eager_breakdown(kind: str, budget: BoundBudget):
+    n, delta = budget.n_complement, budget.delta
+    confidence = math.log(2.0 * math.sqrt(n) / delta)
+    empty_set_cost = -replace(budget, log_prior_j=None).log_prior_j  # PB ignores log_prior_j
+    terms = {
+        "PB": (confidence, 0.5 * budget.mu_norm_sq, empty_set_cost),
+        "SCH_BINARY": (math.log(1.0 / delta), budget.b * math.log(2.0), -budget.log_prior_j),
+        "SCH_REAL": (confidence, budget.b * math.log(2.0), -budget.log_prior_j),
+        "PBSCH": (confidence, 0.5 * budget.mu_norm_sq, -budget.log_prior_j),
+        "PBSCH_DISINTEGRATED": (math.log(16.0) + 0.5 * math.log(n) + 3.0 * math.log(1.0 / delta),
+                                budget.mu_norm_sq, -budget.log_prior_j),
+    }[kind]
+    cumulative = list(itertools.accumulate(terms))
+    if kind == "SCH_BINARY":
+        K = round(budget.emp_loss * n)
+        empirical, taus = K / n, [binomial_tail_inverse(n, K, -nats) for nats in cumulative]
+    else:
+        empirical = budget.emp_loss
+        taus = [kl_inverse(empirical, nats / n) for nats in cumulative]
+    return (("empirical_loss", 0.0, min(empirical, taus[0])), *zip(_LABELS, terms, taus))
+
+
+class TestDeferredBreakdown:
+    """A certificate inverts its total budget when built and its two partial
+    sums the first time its breakdown is read; that breakdown is the one
+    computed up front, bit for bit, however and whenever it is read."""
+
+    CASES = sorted(EXPECTED)
+
+    @pytest.mark.parametrize("point, kind", CASES)
+    @pytest.mark.parametrize("tau_first", [False, True])
+    def test_breakdown_equals_the_eager_one(self, point, kind, tau_first):
+        budget = BoundBudget(**GRID[point])
+        cert = CALCULATORS[kind](budget)
+        assert "breakdown" not in vars(cert)  # built without its partial sums
+        if tau_first:
+            tau_star, breakdown = cert.tau_star, cert.breakdown
+        else:
+            breakdown, tau_star = cert.breakdown, cert.tau_star
+        assert repr(breakdown) == repr(eager_breakdown(kind, budget))
+        assert repr(tau_star) == repr(breakdown[-1][2])
+        assert cert.breakdown is breakdown  # computed once, then kept
+
+    @pytest.mark.parametrize("point", sorted({point for point, kind in EXPECTED if kind == "PB"}))
+    def test_pb_built_through_replace_has_pbsch_breakdown(self, point):
+        budget = BoundBudget(**GRID[point])
+        pb, pbsch = bound_pb(budget), bound_pbsch(replace(budget, log_prior_j=None))
+        assert repr(pb.breakdown) == repr(eager_breakdown("PB", budget))
+        assert repr(pb.breakdown) == repr(pbsch.breakdown)
+
+    def test_breakdown_is_not_part_of_equality_or_repr(self):
+        budget = BoundBudget(**GRID[1])
+        read, unread = bound_sch_real(budget), bound_sch_real(budget)
+        assert read.breakdown
+        assert read == unread and repr(read) == repr(unread)
+        assert hash(read) == hash(unread)
+
+    def test_certificates_with_other_terms_are_unequal(self):
+        # the same kind, delta and tau_star, charged to other terms
+        for point, kind in self.CASES:
+            cert = CALCULATORS[kind](BoundBudget(**GRID[point]))
+            confidence, message, compression = cert.terms
+            for terms in ((confidence + 1.0, message, compression),
+                          (confidence, compression + 1.0, message)):
+                assert replace(cert, terms=terms) != cert, (point, kind)

@@ -571,6 +571,42 @@ class TestBoundCommand:
         assert "--mu" in err and "comma-separated list of floats" in err
         assert "_parse" not in err
 
+    @pytest.mark.parametrize("argv, flag, value, expected", [
+        (["binomial-tail", "--m", "197", "--errors", "30"], "--log-delta-prime", "-1e-9",
+         "0.0442104943731\n"),
+        (["binomial-tail", "--m", "197", "--errors", "30"], "--log-delta-prime", "-1E+2",
+         None),
+        (["binomial-tail", "--m", "197", "--errors", "30"], "--log-delta-prime", "-inf", None),
+        (["sch-real", "--m", "100", "--c", "2", "--emp-loss", "0.1"], "--log-prior-j", "-1e1",
+         None),
+        (["gaussian-kl"], "--mu", "-1e-3,2", "2.0000005\n"),
+        (["renyi", "--alpha", "3"], "--mu", "-inf,-1e-3", "inf\n"),
+    ], ids=["log-delta-prime", "upper-case-exponent", "minus-inf", "log-prior-j", "mu",
+            "mu-minus-inf"])
+    def test_negative_value_in_exponent_notation(self, capsys, argv, flag, value, expected):
+        # argparse reads only -1 and -1.5 forms as negative numbers: each of
+        # these exited 1 with "expected one argument" unless written flag=value
+        assert main(["bound", *argv, f"{flag}={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["bound", *argv, flag, value]) == 0
+        assert capsys.readouterr().out == joined
+        assert expected is None or joined == expected
+
+    @pytest.mark.parametrize("argv", [["--bogus", "-1e-9"], ["-inf"], ["--log-delta-prime"]],
+                             ids=["undeclared-flag", "stray-value", "missing-value"])
+    def test_negative_values_leave_usage_errors_alone(self, capsys, argv):
+        assert main(["bound", "binomial-tail", "--m", "197", "--errors", "30", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert argv[0] in err
+
+    @pytest.mark.parametrize("token", ["-1abc", "-infile", "-1e", "-1,"])
+    def test_tokens_that_only_begin_like_a_number_stay_flags(self, capsys, token):
+        assert main(["bound", "binomial-tail", "--m", "197", "--errors", "30",
+                     "--log-delta-prime", token]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--log-delta-prime" in err and "expected one argument" in err
+
     @pytest.mark.parametrize("argv, explicit_argv, expected", [
         (["linear", "--m", "100", "--c", "5", "--lambda", "1", "--sigma-sq", "0.01",
           "--emp-loss", "0.1"], None, "kind      LINEAR\ntau_star  0.316075572155\n"),
@@ -743,6 +779,23 @@ class TestBoundKindFlags:
         else:
             assert main(["bound", kind, *_with_flag(base, flag, perturbed[flag])]) == 0
             assert capsys.readouterr().out != expected
+
+    @pytest.mark.parametrize("kind, flag", [(kind, flag) for kind, flags
+                                            in BOUND_KIND_FLAGS.items()
+                                            for flag in flags if flag != "csv"])
+    def test_negative_value_token_is_the_flags_value(self, capsys, kind, flag):
+        # each value reaches the flag's parser as --flag=value would: printed,
+        # or refused with the same message, never taken for a flag
+        base = PERTURBED[kind][0]
+        if f"--{flag}" in base:
+            i = base.index(f"--{flag}")
+            base = [*base[:i], *base[i + 2:]]
+        for value in ("-1e-9", "-1E+2", "-inf", "-1e-3,2"):
+            code = main(["bound", kind, *base, f"--{flag}={value}"])
+            joined = capsys.readouterr()
+            assert main(["bound", kind, *base, f"--{flag}", value]) == code, value
+            assert capsys.readouterr() == joined, value
+            assert "expected one argument" not in joined.err
 
     @pytest.mark.parametrize("kind", [k for k, flags in BOUND_KIND_FLAGS.items() if "m" in flags])
     def test_m_is_required_wherever_declared(self, capsys, kind):

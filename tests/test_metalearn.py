@@ -644,6 +644,50 @@ class TestStackedCertification:
         certify_tasks(params, cfg, tasks, protocol, Rng(30))
         assert calls == first
 
+    @pytest.mark.parametrize("arch, c, b", [("SCH_MINUS", 3, 0), ("SCH_PLUS", 3, 3),
+                                             ("PBSCH", 3, 3)])
+    def test_each_distinct_certificate_is_inverted_once(self, monkeypatch, arch, c, b):
+        # a certify command reads only tau_star: one inversion of the total
+        # budget per distinct certificate, the breakdown's partial sums never
+        cfg = HypernetConfig(arch, c=c, b=b, **{**SMALL, "mlp1": (12,), "mlp2": (10,)})
+        params = init_hypernet_params(cfg, Rng(1).split(0))
+        tasks = self.with_copies()
+        kl_calls, tail_calls = [], []
+        real_kl, real_tail = bounds.kl_inverse, bounds.binomial_tail_inverses
+
+        def spy_kl(q, budget):
+            kl_calls.append((q, budget))
+            return real_kl(q, budget)
+
+        def spy_tail(n, K, log_delta_primes):
+            tail_calls.append(tuple(log_delta_primes))
+            return real_tail(n, K, log_delta_primes)
+
+        monkeypatch.setattr(bounds, "kl_inverse", spy_kl)
+        monkeypatch.setattr(bounds, "binomial_tail_inverses", spy_tail)
+        rows = certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=self.N_MC), Rng(30))
+        certificates = [entry.certificate for row in rows for entry in row.certificates]
+        distinct = {id(cert): cert for cert in certificates}.values()
+        if not cfg.has_gaussian_message:  # a PBSCH copy draws its own messages
+            assert len(distinct) < len(certificates)  # copies share certificates
+        assert all(len(thresholds) == 1 for thresholds in tail_calls)
+        assert len(tail_calls) == sum(cert.kind == "SCH_BINARY" for cert in distinct)
+        assert len(kl_calls) == sum(cert.kind != "SCH_BINARY" for cert in distinct)
+        assert not any("breakdown" in vars(cert) for cert in distinct)
+        # read later, through any entry that shares it, a breakdown is the
+        # three cumulative sums inverted one by one, and is computed once
+        for cert in distinct:
+            cumulative = list(itertools.accumulate(cert.terms))
+            inversion = cert.inversion
+            if cert.kind == "SCH_BINARY":
+                taus = [real_tail(inversion.n, inversion.K, [-nats])[0] for nats in cumulative]
+            else:
+                taus = [real_kl(inversion.q, nats / inversion.n) for nats in cumulative]
+            assert [tau for _, _, tau in cert.breakdown[1:]] == taus
+            assert repr(taus[-1]) == repr(cert.tau_star)
+        for cert in certificates:
+            assert cert.breakdown is vars(cert)["breakdown"]
+
     def test_chunked_validation_error_equals_one_chunk(self, monkeypatch):
         cfg, params = self.make("SCH_PLUS", 3)
         tasks = [TestForwardOnlyEvaluation.task(seed) for seed in (5, 8, 9, 12, 13)]
