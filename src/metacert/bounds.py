@@ -8,16 +8,15 @@ Numerical conventions:
 
 * all probabilities are carried as natural logarithms end to end, so that
   products of tiny priors (e.g. 1/C(2000, 8) * 2^-128 * delta) are routine;
-* the two inversions (binary-kl and binomial tail) are bisections,
-  tolerance 1e-12 on the argument with a hard cap of 200 iterations, and
-  one routine, ``_bisect``, takes every step under those rules; the
-  binomial-tail inversion lists with it the path a guess of the root
-  predicts, evaluates that path in one batch, and applies the exact
-  decisions only up to the first one the guess got wrong, so each step it
-  takes, and its result, is the plain bisection's;
-* ln C(n, k) is built from ``_log_factorial``, a port of Cephes ``lgam``
-  (the routine behind ``scipy.special.gammaln``) that returns its bits, so
-  the package needs numpy and the standard library only;
+* the two inversions (binary-kl and binomial tail) run Newton's method in
+  y = -ln(1 - tau) from the right of the root, then step to its sound side
+  (``_sound_root``): the bound evaluated at the returned tau fails by more
+  than its float-error margin, so every tau is at or above the exact
+  inverse, rounded up by about that margin;
+* kl(q, p) is a sum of two non-negative terms, each a series near p = q, so
+  it keeps a few ulps of relative accuracy where the textbook form cancels;
+* ln C(n, k) is lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) from
+  ``math``, so the package needs numpy and the standard library only;
 * counts (sample sizes, set sizes, message bits, error counts) must be
   integers: a bool, a float or any other non-integer raises ``ValueError``;
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
@@ -38,9 +37,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
-_GUESS_MAX_STEPS = 50
+# The float-error margin of one evaluated bound, per unit of the magnitudes
+# rounded to compute it: each lgamma, log, product and sum is within a few eps
+# of its own size (measured: kl within 4 eps, math.lgamma within 2.3 eps on
+# integers up to 1e9), and 8 eps covers them with room; tests/test_bounds.py
+# checks kl and ln C(n, k) against exact values.
+_MARGIN = 8 * 2.0 ** -52
+_NEWTON_MAX_STEPS = 100
 
 
 def _count(name: str, value) -> int:
@@ -121,8 +124,7 @@ class KlInversion:
 @dataclass(frozen=True)
 class TailInversion:
     """The taus of a binomial-tail certificate, K errors in n: a budget of
-    ``nats`` inverts to binomial_tail_inverse(n, K, -nats), all budgets in
-    one ``binomial_tail_inverses`` call."""
+    ``nats`` inverts to binomial_tail_inverse(n, K, -nats)."""
 
     n: int
     K: int
@@ -132,7 +134,7 @@ class TailInversion:
         return self.K / self.n
 
     def taus(self, budgets: Sequence[float]) -> list[float]:
-        return binomial_tail_inverses(self.n, self.K, [-nats for nats in budgets])
+        return [binomial_tail_inverse(self.n, self.K, -nats) for nats in budgets]
 
 
 @dataclass(frozen=True)
@@ -178,23 +180,47 @@ def bernoulli_kl(q: float, p: float) -> float:
         if q == p:
             return 0.0
         raise ValueError(f"kl(q={q}, p={p}) diverges for p in {{0, 1}} with q != p")
-    return _kl_from(q)(p)
+    return _kl(q, p)
 
 
-def _kl_from(q: float) -> Callable[[float], float]:
-    """kl(q, .) on p strictly inside (0, 1): ``bernoulli_kl``'s arithmetic
-    without its checks, as one Python call per step of ``kl_inverse``."""
-    def kl(p: float) -> float:
-        left = 0.0 if q == 0.0 else q * math.log(q / p)
-        right = 0.0 if q == 1.0 else (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-        return left + right
-    return kl
+def _kl(q: float, p: float) -> float:
+    """kl(q, p) for p strictly inside (0, 1), to a few ulps even near p = q.
+
+    It is the sum over both outcomes of a ln(a / b) + b - a (a from q, b from
+    p; the b - a cancel), each term >= 0, so the two do not cancel each other.
+    """
+    return _kl_term(q, p, q - p) + _kl_term(1.0 - q, 1.0 - p, p - q)
+
+
+def _kl_term(a: float, b: float, diff: float) -> float:
+    """a ln(a / b) + b - a >= 0 for a >= 0 and b > 0, given diff = a - b.
+
+    With v = diff / (a + b), ln(a / b) = 2 atanh(v).  For |v| >= 1/3 (a / b
+    outside (1/2, 2)) the two terms cancel by at most a factor of 4;
+    nearer a = b, where they cancel to second order, the term is the series
+    diff v + 2a (v^3/3 + v^5/5 + ...), whose first term dominates the rest.
+    """
+    v = diff / (a + b)
+    if abs(v) >= 1.0 / 3.0:
+        return (a * math.log(a / b) if a else 0.0) - diff
+    total, power, v2 = diff * v, 2.0 * a * v, v * v
+    for j in itertools.count(3, 2):
+        power *= v2
+        if total + power / j == total:
+            return total
+        total += power / j
 
 
 def kl_inverse(q: float, budget: float) -> float:
-    """sup { tau in [q, 1] : kl(q, tau) <= budget }, by bisection.
+    """sup { tau in [q, 1] : kl(q, tau) <= budget }, rounded up: the returned
+    tau is at or above the exact inverse.
 
-    Monotone non-decreasing in both arguments; a zero budget pins tau = q.
+    In y = -ln(1 - tau), kl(q, .) = (1 - q) y - q ln tau - H(q) is convex and
+    increasing right of q, with slope (tau - q) / tau.  Newton's method starts
+    right of the root, at the smaller of (budget + H(q)) / (1 - q) (from
+    -q ln tau >= 0) and Pinsker's tau = q + sqrt(budget / 2); see
+    ``_sound_root``.  Monotone non-decreasing in both arguments up to that
+    rounding; a zero budget pins tau = q.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
@@ -202,231 +228,111 @@ def kl_inverse(q: float, budget: float) -> float:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0.0 or q == 1.0:
         return q
-    # kl(q, .) is 0 at q and diverges at 1, so the root is bracketed
-    return _bisect(q, 1.0, _kl_from(q), budget)[0]
+    entropy = -sum(a * math.log(a) for a in (q, 1.0 - q) if a)
+    pinsker = q + math.sqrt(budget / 2.0)
+    y = min((budget + entropy) / (1.0 - q),
+            -math.log1p(-pinsker) if pinsker < 1.0 else math.inf)
+
+    def excess(tau: float) -> tuple[float, float]:
+        # kl(q, .) - budget beyond its margin, and its slope in y; a tau
+        # rounded to the left of q is never past the root
+        return _kl(q, max(q, tau)) - budget * (1.0 + _MARGIN), (tau - q) / tau
+
+    return _sound_root(y, excess)
 
 
-def _bisect(lo: float, hi: float, f: Callable[[float], float], bound: float,
-            max_steps: int = _BISECT_MAX_ITER) -> tuple[float, list[float]]:
-    """The bisection behind every inversion: the final ``lo`` and the
-    midpoints visited from (lo, hi), for a non-decreasing ``f``.
+def _sound_root(y: float, excess: Callable[[float], tuple[float, float]]) -> float:
+    """tau = 1 - e^-y at or above the root of an inversion in y = -ln(1 - tau).
 
-    Each step moves ``lo`` up to the midpoint where ``f(mid) <= bound`` and
-    ``hi`` down to it otherwise.  It stops before a midpoint that is not
-    strictly inside (lo, hi) (the interval is exhausted at float resolution),
-    once ``hi - lo <= _BISECT_TOL``, or after ``max_steps`` steps.  ``f`` is
-    called once per step, so it should cost one call: a builtin (``float``)
-    or a closure (``_kl_from``), not a partial or a lambda around another
-    function, each of which adds a call per step.
+    ``excess(tau)`` is how far the bound at the float tau is violated beyond
+    its float-error margin, with its slope in y; where it is positive, the
+    exact root lies below tau.  The excess rises with y and is convex in it,
+    so Newton's steps from ``y``, right of the root, fall toward the excess's
+    root without crossing it, until float noise stops them.  Until the excess
+    is positive, y then rises: first by Newton's step, which from the left of
+    the root lands right of it, then to h, 3h, 7h, ... above (h = ulp(y)).
     """
-    path = []
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    # y > 0 keeps tau > 0; at y = 37, tau is the largest float below 1
+    y = min(max(y, math.ulp(0.0)), 37.0)
+    tau = -math.expm1(-y)
+    e, slope = excess(tau)
+    for _ in range(_NEWTON_MAX_STEPS):
+        new_y = y - e / slope if slope > 0.0 else y
+        if not 0.0 < new_y < y:
             break
-        path.append(mid)
-        if f(mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return lo, path
+        y, tau = new_y, -math.expm1(-new_y)
+        e, slope = excess(tau)
+    rise, h = (-e / slope if slope > 0.0 else 0.0), math.ulp(y)
+    while not e > 0.0:
+        y += max(rise, h)
+        rise, h = 0.0, 2.0 * h
+        tau = -math.expm1(-y)
+        if tau == 1.0:
+            return tau
+        e, slope = excess(tau)
+    return tau
 
 
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) = ln n! - ln k! - ln (n - k)!."""
+    """ln C(n, k) = ln n! - ln k! - ln (n - k)!, by ``math.lgamma``."""
     n, k = _count("n", n), _count("k", k)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
-
-
-def _log_binomials(n: int, K: int) -> np.ndarray:
-    """ln C(n, k) for k = 0..K, each entry the bits of ``log_binomial(n, k)``."""
-    return (_log_factorial(n) - np.fromiter(map(_log_factorial, range(K + 1)), float, K + 1)
-            - np.fromiter(map(_log_factorial, range(n, n - K - 1, -1)), float, K + 1))
-
-
-# Cephes lgam's coefficients for 13 <= x < 1000 (Moshier 1989)
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
-_LN_SQRT_2PI = 0.91893853320467274178
-
-
-@functools.lru_cache(maxsize=4096)
-def _log_factorial(n: int) -> float:
-    """ln n! = ln Gamma(n + 1) for an integer n >= 0, bit for bit Cephes
-    ``lgam(n + 1)``: its branches and float operations in its order, with
-    ``math.log`` for the C library's ``log``.  For n + 1 < 13 that is the
-    log of the exact product; from 13 it is Stirling's series with fewer
-    correction terms as n grows (none past 1e8); past 2.556348e305, inf.
-    The cache is bounded: an inversion looks up 2 (K + 1) values, and ``n``
-    can be anything."""
-    x = float(n + 1)
-    if x < 13.0:
-        z, u = 1.0, x
-        while u >= 3.0:
-            u -= 1.0
-            z *= u
-        return math.log(z)
-    if x > 2.556348e305:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    a = 0.0
-    for coeff in _LGAM_A:
-        a = a * p + coeff
-    return q + a / x
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> float:
-    """sup { r : sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k) >= exp(log_delta_prime) }.
+    """sup { r : sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k) >= exp(log_delta_prime) },
+    rounded up: the returned r is at or above the exact supremum.
 
-    The binomial CDF is summed in log space (the budget routinely sits around
-    e^-53), and the supremum is found by bisection.  The sum starts at k = 0,
-    the standard binomial-tail test-set convention.  The result grows with K
-    and with |log_delta_prime|.  The one-threshold call of
-    ``binomial_tail_inverses``.
-    """
-    return binomial_tail_inverses(n, K, (log_delta_prime,))[0]
-
-
-def binomial_tail_inverses(n: int, K: int,
-                           log_delta_primes: Sequence[float]) -> list[float]:
-    """``binomial_tail_inverse`` at each threshold, each bisection's path
-    evaluated in speculated batches.
-
-    Each round lists, for every unfinished threshold, the midpoints its
-    bisection would visit from the current bracket if every decision went the
-    way a fixed guess of the root predicts (``_root_guesses``): ``_bisect``
-    with the identity for ``f`` and the guess for ``bound``, so under the
-    scalar bisection's own stop rules and its remaining steps.  The log
-    CDF at all listed midpoints is then one (midpoints, K + 1) array, and each
-    bisection replays its list with the exact decisions up to the first one
-    the guess got wrong; the next round re-speculates from there.  Up to that
-    point every listed midpoint is the one the bisection itself computes, and
-    ``math.log`` / ``math.log1p`` are taken per midpoint, so every result
-    equals the one-threshold bisection's bit for bit whatever the guesses are.
-    Each round consumes at least one step of every unfinished bisection.
-    """
-    n, K = _count("n", n), _count("K", K)
-    if not 0 <= K <= n:
-        raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
-    for t in log_delta_primes:
-        if not t <= 0.0:
-            raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {t}")
-    if K == n:
-        return [1.0] * len(log_delta_primes)  # CDF is identically 1
-    k = np.arange(K + 1)
-    n_minus_k = n - k
-    log_coeffs = _log_binomials(n, K)
-    guesses = _root_guesses(n, K, log_delta_primes)
-    # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
-    lo = [0.0] * len(log_delta_primes)
-    hi = [1.0] * len(log_delta_primes)
-    steps = [0] * len(log_delta_primes)
-    active = range(len(log_delta_primes))
-    while True:
-        # a row with no next midpoint is exhausted at float resolution or capped
-        paths = {i: _bisect(lo[i], hi[i], float, guesses[i], _BISECT_MAX_ITER - steps[i])[1]
-                 for i in active}
-        active = [i for i in active if paths[i]]
-        if not active:
-            return lo
-        mids = [mid for i in active for mid in paths[i]]
-        log_r = np.array([math.log(mid) for mid in mids])[:, None]
-        log_s = np.array([math.log1p(-mid) for mid in mids])[:, None]
-        terms = log_coeffs + k * log_r + n_minus_k * log_s
-        top = terms.max(axis=1)
-        sums = np.exp(terms - top[:, None]).sum(axis=1)
-        top, sums = top.tolist(), sums.tolist()
-        # The replay stays a loop of its own: it stops at the first decision the
-        # guess got wrong and carries both ends of the bracket into the next
-        # round, which _bisect could express only through a Python callback
-        # per step, a cost this function would pay at every midpoint.
-        row = 0
-        for i in active:
-            for j, mid in enumerate(paths[i], row):
-                above = top[j] + math.log(sums[j]) >= log_delta_primes[i]
-                steps[i] += 1
-                if above:
-                    lo[i] = mid
-                else:
-                    hi[i] = mid
-                if hi[i] - lo[i] <= _BISECT_TOL or above != (mid <= guesses[i]):
-                    break  # converged, or the rest of the path is not the bisection's
-            row += len(paths[i])
-        active = [i for i in active if hi[i] - lo[i] > _BISECT_TOL]
-
-
-def _root_guesses(n: int, K: int, log_delta_primes: Sequence[float]) -> list[float]:
-    """An estimate of each root of ln CDF(r) = t, which
-    ``binomial_tail_inverses`` uses only to predict its bisections'
-    decisions: any value, NaN included, leaves its results unchanged.
-
-    K = 0 has the closed form 1 - e^(t/n), and t = 0 the root 0.  Otherwise
-    Newton's method runs in y = -ln(1 - r), where ln CDF is decreasing and
-    concave, so from the right of a root it falls to it monotonically.  With
-    v = (1 - r) / r = 1 / (e^y - 1),
+    The binomial CDF is carried in log space (the budget routinely sits around
+    e^-53).  The sum starts at k = 0, the standard binomial-tail test-set
+    convention.  The result grows with K and with |log_delta_prime|.  In
+    y = -ln(1 - r), with v = (1 - r) / r,
 
         ln CDF = ln C(n, K) + K ln r - (n - K) y + ln S,  d ln CDF / dy = -(n - K) / S,
         S = sum_j C(n, K - j) / C(n, K) v^j = 1 + c_0 v (1 + c_1 v (1 + ...)),
 
-    with c_j = (K - j) / (n - K + j + 1).  The c_j fall with j, so the
-    geometric tail 1 / (1 - c_0 v) exceeds S and the root of ln CDF with it
-    in place of S lies right of the exact one.  Newton finds that root
-    first, at O(1) per step, from the point where the Chernoff bound
-    ln CDF <= n H(K / n) + K ln r - (n - K) y, with K ln r <= 0 dropped,
-    reaches t.  A few exact steps follow, each summing S only until its
-    terms fall below float resolution.  ``math.log1p`` is not called: the
-    bisection's own calls count its midpoints.
+    with c_j = (K - j) / (n - K + j + 1).  ln CDF is decreasing and concave in
+    y, so Newton's method falls to the root from the right (``_sound_root``):
+    from the point where the Chernoff bound ln CDF <= n H(K / n) - (n - K) y
+    (K ln r <= 0 dropped) reaches the threshold.  S is summed until the terms
+    left, below a geometric tail because the c_j fall with j, are under 1e-17
+    of it.
     """
-    if K == 0:
-        return [-math.expm1(t / n) for t in log_delta_primes]
+    n, K = _count("n", n), _count("K", K)
+    if not 0 <= K <= n:
+        raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
+    t = log_delta_prime
+    if not t <= 0.0:
+        raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {t}")
+    if K == n or t == -math.inf:
+        return 1.0  # CDF >= delta' everywhere
+    if t == 0.0:
+        return 0.0  # CDF(r) < 1 for every r > 0
     n_minus_K = n - K
-    log_coeff = _log_factorial(n) - _log_factorial(K) - _log_factorial(n_minus_K)
+    log_coeff = log_binomial(n, K)
+    lgamma_sizes = 2.0 * math.lgamma(n + 1)  # ln C(n, K)'s three lgammas sum to at most this
     c = (np.arange(K, 0, -1) / np.arange(n_minus_K + 1, n + 1)).tolist()
-    entropy_nats = -K * math.log(K / n) - n_minus_K * math.log(n_minus_K / n)
-    guesses = []
-    for t in log_delta_primes:
-        if t == 0.0:
-            guesses.append(0.0)  # CDF(r) < 1 for every r > 0
-            continue
-        # t = -inf starts at y = inf, where the first step is NaN: r = 1
-        y = (entropy_nats - t) / n_minus_K
-        for exact, tol in ((False, 1e-3), (True, 1e-7)):
-            for _ in range(_GUESS_MAX_STEPS):
-                r = -math.expm1(-y)
-                v = math.exp(-y) / r
-                if exact:
-                    s = term = 1.0
-                    for c_j in c:
-                        term *= c_j * v
-                        s += term
-                        if term <= 1e-17 * s:
-                            break
-                    y_per_nat = s / n_minus_K  # -1 / (d ln CDF / dy)
-                else:
-                    w = c[0] * v
-                    if not w < 1.0:
-                        break
-                    s = 1.0 / (1.0 - w)
-                    y_per_nat = 1.0 / (n_minus_K + w * s / r - K * v)
-                log_cdf = log_coeff + K * math.log(r) - n_minus_K * y + math.log(s)
-                new_y = y + (log_cdf - t) * y_per_nat
-                if not 0.0 < new_y < math.inf:
-                    break  # NaN or an overflow: the iterate before it stands
-                y, step = new_y, abs(new_y - y)
-                if step <= tol * y:
-                    break
-        guesses.append(-math.expm1(-y))
-    return guesses
+
+    def excess(r: float) -> tuple[float, float]:
+        """t - ln CDF(r) - margin, and its slope in y, (n - K) / S.  The
+        margin is _MARGIN times the sizes of what ln CDF rounds: its lgammas,
+        K ln r, (n - K) ln(1 - r) and ln S, plus one per product behind S."""
+        v = (1.0 - r) / r
+        s = term = 1.0
+        for c_j in c:
+            ratio = c_j * v
+            term *= ratio
+            s += term
+            if term * ratio <= 1e-17 * s * (1.0 - ratio):
+                break
+        parts = (K * math.log(r), n_minus_K * math.log1p(-r), math.log(s))
+        margin = _MARGIN * (lgamma_sizes + abs(parts[0]) + abs(parts[1]) + parts[2] + K)
+        return t - (log_coeff + sum(parts)) - margin, n_minus_K / s
+
+    entropy_nats = -sum(k * math.log(k / n) for k in (K, n_minus_K) if k)
+    return _sound_root((entropy_nats - t) / n_minus_K, excess)
 
 
 def gaussian_kl(mu) -> float:

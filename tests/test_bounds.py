@@ -15,17 +15,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from metacert import bounds
 from metacert.bounds import (BoundBudget, bernoulli_kl, binomial_tail_inverse,
-                             binomial_tail_inverses, bound_catoni,
-                             bound_linear_subgaussian, bound_pb,
+                             bound_catoni, bound_linear_subgaussian, bound_pb,
                              bound_pbsch, bound_pbsch_disintegrated,
                              bound_sch_binary, bound_sch_real,
                              compare_trainset_bounds, gaussian_kl, kl_inverse,
                              log_binomial, renyi_divergence_gaussian)
 from test_bounds_pinned import CALCULATORS, EXPECTED, GRID
+
+
+def exact_kl(q: float, p: float | Fraction) -> Decimal:
+    """kl(q, p) in 60-digit ``decimal`` logs, for p strictly inside (0, 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        q_, p_ = Decimal(q), Decimal(Fraction(p).numerator) / Decimal(Fraction(p).denominator)
+        return sum((a * (a / b).ln() for a, b in ((q_, p_), (1 - q_, 1 - p_)) if a),
+                   Decimal(0))
 
 
 class TestBernoulliKl:
@@ -58,6 +65,30 @@ class TestBernoulliKl:
             for p in (0.1, 0.5, 0.9):
                 assert bernoulli_kl(q, p) >= 0.0
 
+    @pytest.mark.parametrize("q", [0.2, 0.3, 0.5, 0.9, 1e-3])
+    def test_relative_error_near_p_equals_q(self, q):
+        # kl(q, p) ~ (p - q)^2 / (2 q (1 - q)): its two first-order terms cancel,
+        # which cost the plain q ln(q/p) + (1-q) ln((1-q)/(1-p)) up to 9e-4 of it
+        for gap in (1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9):
+            for p in (q * (1.0 - gap), q + gap * (1.0 - q)):
+                error = abs(Decimal(bernoulli_kl(q, p)) - exact_kl(q, p)) / exact_kl(q, p)
+                assert error <= Decimal("1e-12"), (q, p, float(error))
+
+    def test_error_is_within_the_inversion_margin(self):
+        # kl_inverse counts a tau as past the root once kl exceeds the budget
+        # by bounds._MARGIN of it, so kl's relative error must stay below that
+        rng = np.random.default_rng(26)
+        worst = Decimal(0)
+        for _ in range(3000):
+            q = float(rng.choice([rng.random(), rng.random() ** 6, 1.0 - rng.random() ** 6]))
+            p = float(rng.random() if rng.random() < 0.5
+                      else q + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.0))
+            if not 0.0 < p < 1.0 or p == q:
+                continue
+            exact = exact_kl(q, p)
+            worst = max(worst, abs(Decimal(bernoulli_kl(q, p)) - exact) / exact)
+        assert worst <= Decimal(bounds._MARGIN), float(worst)
+
 
 class TestKlInverse:
     def test_zero_budget_pins_q(self):
@@ -77,8 +108,10 @@ class TestKlInverse:
         assert kl_inverse(1.0, 3.0) == 1.0
 
     def test_result_at_least_q(self):
-        for q in np.linspace(0, 1, 11):
-            for budget in (0.0, 0.01, 1.0, 10.0):
+        # 1 - e^(ln(1 - q)) rounds below q = 0.12360665270806581, which a tiny
+        # budget's inverse lies within an ulp of
+        for q in [*np.linspace(0, 1, 11), 0.12360665270806581]:
+            for budget in (0.0, 1e-300, 1e-40, 0.01, 1.0, 10.0):
                 assert kl_inverse(float(q), budget) >= q
 
     def test_negative_budget_raises(self):
@@ -106,27 +139,19 @@ class TestLogBinomial:
     def test_symmetry(self):
         assert log_binomial(100, 30) == pytest.approx(log_binomial(100, 70), rel=1e-12)
 
-
-class TestLogFactorial:
-    """``_log_factorial`` returns the bits of ``scipy.special.gammaln(n + 1)``,
-    so every ln C(n, k) equals the gammaln formula's bit for bit."""
-
-    def test_equals_gammaln_on_every_small_integer(self):
-        n = np.arange(100_001)
-        ref = gammaln(n + 1.0).tolist()
-        got = [bounds._log_factorial(i) for i in range(n.size)]
-        mismatched = [i for i in range(n.size) if got[i] != ref[i]]
-        assert not mismatched, mismatched[:10]
-
-    def test_equals_gammaln_on_log_spaced_integers(self):
-        for n in sorted({int(x) for x in np.logspace(0.0, 300.0, 400)}):
-            assert bounds._log_factorial(n) == gammaln(float(n) + 1.0), n
-
-    def test_log_coefficient_rows_equal_the_gammaln_formula(self):
-        for n, K, _ in TestLockstepBisection.grid():
-            k = np.arange(K + 1)
-            ref = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            assert bounds._log_binomials(n, K).tolist() == ref.tolist(), (n, K)
+    def test_lgamma_error_is_within_half_its_margin(self):
+        # binomial_tail_inverse charges ln C(n, K)'s three lgammas (and their
+        # subtractions) bounds._MARGIN times 2 ln n!, which bounds their sizes;
+        # oracle: ln of math.comb in 60-digit decimal
+        rng = np.random.default_rng(26)
+        cases = [(n, k) for n in range(40) for k in range(n + 1)]
+        cases += [(n, int(rng.integers(0, n + 1))) for n in rng.integers(40, 5001, 1000).tolist()]
+        cases += [(n, k) for n in (10**6, 10**9) for k in (0, 1, 3, 300, n - 3)]
+        for n, k in cases:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                error = abs(Decimal(log_binomial(n, k)) - Decimal(math.comb(n, k)).ln())
+            assert error <= Decimal(bounds._MARGIN * math.lgamma(n + 1)), (n, k, float(error))
 
 
 class TestIntegerCounts:
@@ -141,8 +166,8 @@ class TestIntegerCounts:
         (lambda: bound_sch_binary(BoundBudget(200, 3, 4), 10.0), "K"),
         (lambda: log_binomial(10.5, 3), "n"),
         (lambda: log_binomial(10, True), "k"),
-        (lambda: binomial_tail_inverses(197.5, 10, [-3.0]), "n"),
-        (lambda: binomial_tail_inverses(197, np.float64(10), [-3.0]), "K"),
+        (lambda: binomial_tail_inverse(197.5, 10, -3.0), "n"),
+        (lambda: binomial_tail_inverse(197, np.float64(10), -3.0), "K"),
         (lambda: binomial_tail_inverse(197, False, -3.0), "K"),
     ])
     def test_non_integer_count_is_refused(self, call, name):
@@ -192,136 +217,15 @@ class TestBinomialTailInverse:
         with pytest.raises(ValueError, match="log_delta_prime"):
             binomial_tail_inverse(100, 3, math.nan)
 
-
-# Reference: the one-threshold bisection as it stood before the lockstep
-# version, copied verbatim; the lockstep bisection must equal it bit for bit.
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
-
-
-def _log_binom_cdf(n: int, K: int, r: float, log_coeffs: np.ndarray) -> float:
-    """ln sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k), for r strictly inside (0, 1)."""
-    k = np.arange(K + 1)
-    terms = log_coeffs + k * math.log(r) + (n - k) * math.log1p(-r)
-    top = terms.max()
-    return float(top + math.log(np.exp(terms - top).sum()))
-
-
-def scalar_binomial_tail_inverse(n: int, K: int, log_delta_prime: float) -> float:
-    """sup { r : sum_{k=0}^{K} C(n,k) r^k (1-r)^(n-k) >= exp(log_delta_prime) }.
-
-    The binomial CDF is summed in log space (the budget routinely sits around
-    e^-53), and the supremum is found by bisection.  The sum starts at k = 0,
-    the standard binomial-tail test-set convention.  The result grows with K
-    and with |log_delta_prime|.
-    """
-    if not 0 <= K <= n:
-        raise ValueError(f"need 0 <= K <= n, got n={n}, K={K}")
-    if log_delta_prime > 0.0:
-        raise ValueError(f"log_delta_prime is a log-probability, must be <= 0, got {log_delta_prime}")
-    if K == n:
-        return 1.0  # CDF is identically 1
-    log_coeffs = gammaln(n + 1) - gammaln(np.arange(K + 1) + 1) - gammaln(n - np.arange(K + 1) + 1)
-    lo, hi = 0.0, 1.0  # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if _log_binom_cdf(n, K, mid, log_coeffs) >= log_delta_prime:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return lo
-
-
-# Reference: kl_inverse as it stood with its own bisection loop, copied
-# verbatim; the shared bisection must equal it bit for bit.
-def scalar_kl_inverse(q: float, budget: float) -> float:
-    """sup { tau in [q, 1] : kl(q, tau) <= budget }, by bisection.
-
-    Monotone non-decreasing in both arguments; a zero budget pins tau = q.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if not budget >= 0.0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if budget == 0.0 or q == 1.0:
-        return q
-    lo, hi = q, 1.0  # kl(q, .) is 0 at q and diverges at 1, so the root is bracketed
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if bernoulli_kl(q, mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return lo
-
-
-class TestKlInverseBits:
-    """``kl_inverse`` equals the reference above bit for bit at every stop rule:
-    q just below 1 exhausts the interval at float resolution, tiny budgets stop
-    at the tolerance, and an infinite budget climbs the whole way."""
-
-    QS = (0.0, 1e-300, 1e-9, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-12, 0.9999999999999999)
-    BUDGETS = (5e-324, 1e-300, 1e-15, 1e-6, 0.01, 1.0, 50.0, 1e300, math.inf)
-
-    def test_equals_scalar_bisection(self):
-        for q in self.QS:
-            for budget in self.BUDGETS:
-                got, ref = kl_inverse(q, budget), scalar_kl_inverse(q, budget)
-                assert got == ref and repr(got) == repr(ref), (q, budget)
-
-
-class TestLockstepBisection:
-    """``binomial_tail_inverses`` runs the three bisections of an SCH_BINARY
-    certificate in lockstep; each result equals the scalar reference above."""
-
-    @staticmethod
-    def grid():
-        rng = np.random.default_rng(2024)
-        cases = [(1, 0), (1, 1), (2, 1), (60, 0), (60, 59), (60, 60), (197, 3),
-                 (1992, 0), (1992, 1991)]
-        for _ in range(60):
-            n = int(rng.integers(1, 2001))
-            cases.append((n, int(rng.integers(0, n + 1))))
-        for n, K in cases:
-            random_ts = [-float(t) for t in rng.uniform(0.0, 80.0, 3)]
-            yield n, K, [0.0, -80.0, -math.log(20.0)] + random_ts
-
-    def test_equals_scalar_bisection(self):
-        for n, K, thresholds in self.grid():
-            ref = [scalar_binomial_tail_inverse(n, K, t) for t in thresholds]
-            assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
-            assert [binomial_tail_inverse(n, K, t) for t in thresholds] == ref, (n, K)
-
-    def test_sch_binary_certificate_uses_the_scalar_values(self):
-        budget = BoundBudget(m_prime=200, c=3, b=4, delta=0.05, emp_loss=7 / 197)
-        cert = bound_sch_binary(budget, 7)
-        conf = math.log(1 / 0.05)
-        msg = 4 * math.log(2.0)
-        comp = -budget.log_prior_j
-        ref = [scalar_binomial_tail_inverse(197, 7, -t)
-               for t in (conf, conf + msg, conf + msg + comp)]
-        assert [row[2] for row in cert.breakdown[1:]] == ref
-
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_tail_inverses(10, 11, (-1.0,))
-        with pytest.raises(ValueError):
-            binomial_tail_inverses(10, 1, (-1.0, 0.5))
-        with pytest.raises(ValueError):
-            binomial_tail_inverses(10, 1, (-1.0, math.nan))
+        for n, K in ((10, 11), (10, -1)):
+            with pytest.raises(ValueError, match="need 0 <= K <= n"):
+                binomial_tail_inverse(n, K, -1.0)
 
 
 class _CountingMath:
-    """``math`` with a count of ``log1p`` calls: ``binomial_tail_inverses``
-    takes one per evaluated midpoint."""
+    """``math`` with a count of ``log1p`` calls: ``binomial_tail_inverse``
+    takes one per evaluation of ln CDF."""
 
     def __init__(self):
         self.log1p_calls = 0
@@ -334,110 +238,44 @@ class _CountingMath:
         return math.log1p(x)
 
 
-class TestSpeculatedBisection:
-    """``binomial_tail_inverses`` evaluates each bisection's predicted path in
-    one batch and replays it; the results are the scalar bisection's whatever
-    the predictions, and the batches evaluate few midpoints beyond its own."""
-
-    @pytest.mark.parametrize("guess", [math.nan, 0.0, 0.5, 1.0])
-    def test_any_guess_gives_the_scalar_bits(self, monkeypatch, guess):
-        monkeypatch.setattr(bounds, "_root_guesses", lambda n, K, ts: [guess] * len(ts))
-        for n, K, thresholds in TestLockstepBisection.grid():
-            ref = [scalar_binomial_tail_inverse(n, K, t) for t in thresholds]
-            assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
-
-    def test_extreme_thresholds_give_the_scalar_bits(self):
-        # exp(-1000) and exp(-inf) underflow to 0; the guess works on the log itself
-        rng = np.random.default_rng(5)
-        cases = [(1, 0), (2, 1), (197, 0), (197, 196), (5000, 0), (5000, 4999)]
-        for _ in range(12):
-            n = int(rng.integers(1, 5001))
-            cases.append((n, int(rng.integers(0, n + 1))))
-        thresholds = [0.0, -math.inf, -1000.0]
-        for n, K in cases:
-            ref = [scalar_binomial_tail_inverse(n, K, t) for t in thresholds]
-            assert binomial_tail_inverses(n, K, thresholds) == ref, (n, K)
-
-    def test_evaluates_few_midpoints_beyond_the_scalar_bisection(self, monkeypatch):
-        # perfbench-like SCH_BINARY certificates: m' = 200, c = 3, b = 4, delta = 0.05
-        rng = np.random.default_rng(14)
-        budget = BoundBudget(m_prime=200, c=3, b=4, delta=0.05,
-                             log_prior_j=-math.log(3) - log_binomial(200, 3))
-        conf = math.log(1 / 0.05)
-        cumulative = (conf, conf + 4 * math.log(2.0), conf + 4 * math.log(2.0)
-                      - budget.log_prior_j)
-        scalar_calls = []
-        counted_cdf = _log_binom_cdf
-
-        def counting_cdf(*args):
-            scalar_calls.append(1)
-            return counted_cdf(*args)
-
-        monkeypatch.setitem(globals(), "_log_binom_cdf", counting_cdf)
-        counting_math = _CountingMath()
-        monkeypatch.setattr(bounds, "math", counting_math)
-        for _ in range(100):
-            K = int(rng.integers(24, 135))
-            ref = [scalar_binomial_tail_inverse(197, K, -nats) for nats in cumulative]
-            assert [row[2] for row in bound_sch_binary(budget, K).breakdown[1:]] == ref
-        assert 0 < counting_math.log1p_calls <= 1.2 * len(scalar_calls)
-
-
 class TestRootGuesses:
-    """``_root_guesses`` solves ln CDF = t in log space, so the speculated
-    bisections evaluate few midpoints beyond the scalar bisection's even
+    """``binomial_tail_inverse`` runs Newton's method in log space from a
+    guess of the root, the Chernoff point, so it evaluates ln CDF a few times
+    per threshold (the bisection it replaced took about 40 midpoints) even
     where delta' = e^t underflows or the budget reaches paper scale."""
 
     @staticmethod
-    def midpoints(monkeypatch, invert):
-        """(midpoints the speculated bisections evaluate, midpoints the scalar
-        reference evaluates) over ``invert(reference)``."""
-        scalar_calls = []
-        counted_cdf = _log_binom_cdf
-
-        def counting_cdf(*args):
-            scalar_calls.append(1)
-            return counted_cdf(*args)
-
+    def evaluations(monkeypatch, invert) -> int:
         counting_math = _CountingMath()
         with monkeypatch.context() as patch:
-            patch.setitem(globals(), "_log_binom_cdf", counting_cdf)
             patch.setattr(bounds, "math", counting_math)
-            invert(scalar_binomial_tail_inverse)
-        return counting_math.log1p_calls, len(scalar_calls)
+            invert()
+        return counting_math.log1p_calls
 
     @pytest.mark.parametrize("b", [0, 4, 16])
-    def test_paper_scale_certificates_evaluate_few_midpoints(self, monkeypatch, b):
-        # m' = 2000, c = 8 under the uniform prior: budgets up to ~53 nats
+    def test_paper_scale_certificates_evaluate_few_points(self, monkeypatch, b):
+        # m' = 2000, c = 8 under the uniform prior: budgets up to ~64 nats
         budget = BoundBudget(m_prime=2000, c=8, b=b, delta=0.05)
-        conf = math.log(1 / 0.05)
-        cumulative = (conf, conf + b * math.log(2.0), conf + b * math.log(2.0)
-                      - budget.log_prior_j)
+        Ks = range(0, 391, 10)
 
-        def invert(reference):
-            for K in range(0, 391, 10):
-                ref = [reference(1992, K, -nats) for nats in cumulative]
-                assert [row[2] for row in bound_sch_binary(budget, K).breakdown[1:]] == ref, K
+        def invert():
+            for K in Ks:
+                assert bound_sch_binary(budget, K).breakdown
 
-        evaluated, scalar = self.midpoints(monkeypatch, invert)
-        assert 0 < evaluated <= 1.2 * scalar
+        assert 0 < self.evaluations(monkeypatch, invert) <= 12 * 3 * len(Ks)
 
     @pytest.mark.parametrize("n, K, t", [(2000, 100, -60.0), (5000, 10, -300.0),
-                                         (197, 10, -1000.0)])
-    def test_single_inversions_evaluate_few_midpoints(self, monkeypatch, n, K, t):
-        def invert(reference):
-            assert binomial_tail_inverses(n, K, [t]) == [reference(n, K, t)]
-
-        evaluated, scalar = self.midpoints(monkeypatch, invert)
-        assert 0 < evaluated <= 1.2 * scalar
+                                         (197, 10, -1000.0), (5000, 0, -3.0)])
+    def test_single_inversions_evaluate_few_points(self, monkeypatch, n, K, t):
+        assert 0 < self.evaluations(monkeypatch, lambda: binomial_tail_inverse(n, K, t)) <= 12
 
     @pytest.mark.parametrize("n", [10**8, 10**9])
     def test_memory_grows_with_K_not_n(self, n):
         # `metacert bound` takes any --m: at K = 3 an inversion holds O(K)
-        # arrays, at thresholds near 0 (ln 0.9, -0.1) as well as far from it
+        # values, at thresholds near 0 (ln 0.9, -0.1) as well as far from it
         tracemalloc.start()
         try:
-            taus = binomial_tail_inverses(n, 3, [math.log(0.9), -0.1, -30.0])
+            taus = [binomial_tail_inverse(n, 3, t) for t in (math.log(0.9), -0.1, -30.0)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -449,74 +287,70 @@ class TestRootGuesses:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for K in sorted({0, n - 1}):
-                guesses = bounds._root_guesses(n, K, [0.0, -1000.0, -math.inf])
-                assert guesses[0] == 0.0 and guesses[2] == 1.0, (n, K)
-                assert 0.0 < guesses[1] <= 1.0, (n, K)
+                taus = [binomial_tail_inverse(n, K, t) for t in (0.0, -1000.0, -math.inf)]
+                assert taus[0] == 0.0 and taus[2] == 1.0, (n, K)
+                assert 0.0 < taus[1] <= 1.0, (n, K)
 
 
 class TestExactOracle:
-    """Both inversions against an independent oracle in exact arithmetic: the
-    binomial CDF as an exact sum of ``math.comb`` terms at dyadic rationals,
-    against delta' as a ``Fraction`` of its 60-digit ``decimal`` value, and
-    kl(q, .) in 60-digit ``decimal`` logs.  Each oracle bisects to far below
-    ``_BISECT_TOL``, and each returned value lies within 2 x ``_BISECT_TOL`` of
-    the exact inverse."""
+    """Both inversions against an independent oracle in exact arithmetic: each
+    returned value lies at or above the exact inverse (it is sound) and less
+    than a stated tolerance above it (it is tight).
+
+    The binomial CDF at a float r is an exact sum of ``math.comb`` terms at
+    that dyadic rational, compared with delta' as a ``Fraction`` of its
+    60-digit ``decimal`` value; kl(q, .) is ``exact_kl``.  Each side of the root is one evaluation: at the returned value
+    the bound must fail, and at that value minus the tolerance it must hold."""
 
     DIGITS = 60
-    BITS = 64  # the binomial oracle's resolution: its root is within 2**-64
+    TAIL_TOL = 1e-11
+    KL_TOL = 1e-12
+    M2000_C8 = math.log(0.05) - math.log(math.comb(2000, 8))  # delta' of m' = 2000, c = 8
 
     @classmethod
-    def exact_binomial_tail_inverse(cls, n: int, K: int, log_delta_prime: float) -> Fraction:
+    def cdf_at_least_delta(cls, n: int, K: int, r: Fraction, log_delta_prime: float) -> bool:
         with localcontext() as ctx:
             ctx.prec = cls.DIGITS
             delta = Fraction(Decimal(log_delta_prime).exp())
-        scale = 2 ** cls.BITS
-
-        def cdf_at_least_delta(p: int) -> bool:
-            # CDF(p / scale) * scale**n, an exact integer
-            total = sum(math.comb(n, k) * p ** k * (scale - p) ** (n - k) for k in range(K + 1))
-            return total * delta.denominator >= delta.numerator * scale ** n
-
-        lo, hi = 0, scale  # CDF(0) = 1 >= delta', CDF(1) = 0 < delta'
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cdf_at_least_delta(mid):
-                lo = mid
-            else:
-                hi = mid
-        return Fraction(lo, scale)
-
-    @classmethod
-    def exact_kl_inverse(cls, q: float, budget: float) -> Fraction:
-        with localcontext() as ctx:
-            ctx.prec = cls.DIGITS
-            q_, budget_ = Decimal(q), Decimal(budget)
-
-            def kl(tau: Decimal) -> Decimal:
-                left = q_ * (q_ / tau).ln() if q_ else Decimal(0)
-                return left + (1 - q_) * ((1 - q_) / (1 - tau)).ln()
-
-            lo, hi = q_, Decimal(1)
-            for _ in range(cls.BITS):
-                mid = (lo + hi) / 2
-                if kl(mid) <= budget_:
-                    lo = mid
-                else:
-                    hi = mid
-            return Fraction(lo)
+        a, d = r.numerator, r.denominator
+        # CDF(r) d**n = sum_k C(n, k) a**k (d - a)**(n - k), an exact integer
+        total, comb, a_pow, b_pow = 0, 1, 1, (d - a) ** n
+        for k in range(K + 1):
+            total += comb * a_pow * b_pow
+            comb, a_pow = comb * (n - k) // (k + 1), a_pow * a
+            b_pow = b_pow // (d - a) if d > a else 0
+        return total * delta.denominator >= delta.numerator * d ** n
 
     @pytest.mark.parametrize("n, K, log_delta_prime", [
-        (197, 17, -10.0), (197, 98, -22.5), (197, 0, -5.0), (60, 3, -12.0), (150, 30, -30.0)])
+        (197, 17, -10.0), (197, 98, -22.5), (197, 0, -5.0), (60, 3, -12.0), (150, 30, -30.0),
+        (197, 196, -10.0), (60, 59, -3.0), (1992, 0, M2000_C8), (1992, 8, M2000_C8),
+        (1992, 100, M2000_C8), (1992, 300, M2000_C8), (5000, 300, -3.0),
+        (1992, 300, math.log(0.9)), (197, 30, math.log(0.9)), (2, 1, -0.5)])
     def test_binomial_tail_inverse_is_within_tolerance(self, n, K, log_delta_prime):
-        got = binomial_tail_inverses(n, K, [log_delta_prime])[0]
-        exact = self.exact_binomial_tail_inverse(n, K, log_delta_prime)
-        assert abs(Fraction(got) - exact) <= 2 * bounds._BISECT_TOL, (got, float(exact))
+        got = Fraction(binomial_tail_inverse(n, K, log_delta_prime))
+        assert not self.cdf_at_least_delta(n, K, got, log_delta_prime)
+        assert self.cdf_at_least_delta(n, K, got - Fraction(self.TAIL_TOL), log_delta_prime)
 
-    @pytest.mark.parametrize("q, budget", [(0.087, 0.05), (0.0, 0.1), (0.25, 0.01), (0.6, 0.3)])
+    @pytest.mark.parametrize("n, K, log_delta_prime", [
+        (1992, 300, -1e-3), (1992, 300, -1e-9), (197, 30, -1e-6), (197, 30, -1e-9)])
+    def test_binomial_tail_inverse_is_sound_near_delta_prime_one(self, n, K, log_delta_prime):
+        # ln CDF ~ -(1 - CDF) is far smaller there than its float error, so the
+        # result is sound but loose: print the looseness, to a power of ten
+        got = Fraction(binomial_tail_inverse(n, K, log_delta_prime))
+        assert not self.cdf_at_least_delta(n, K, got, log_delta_prime)
+        loose = next(gap for gap in (10.0 ** -j for j in range(12, 0, -1))
+                     if got < gap or self.cdf_at_least_delta(n, K, got - Fraction(gap),
+                                                             log_delta_prime))
+        print(f"binomial_tail_inverse({n}, {K}, {log_delta_prime}) is at most {loose:g} "
+              f"above the exact inverse")
+
+    @pytest.mark.parametrize("q, budget", [
+        (0.087, 0.05), (0.0, 0.1), (0.25, 0.01), (0.6, 0.3), (0.2, 1e-14), (0.5, 1e-14),
+        (0.087, 1e-12), (0.9, 1e-10), (1e-6, 1e-8), (0.3, 5.0), (0.999, 0.01), (0.0, 20.0)])
     def test_kl_inverse_is_within_tolerance(self, q, budget):
-        got = kl_inverse(q, budget)
-        exact = self.exact_kl_inverse(q, budget)
-        assert abs(Fraction(got) - exact) <= 2 * bounds._BISECT_TOL, (got, float(exact))
+        got = Fraction(kl_inverse(q, budget))
+        assert exact_kl(q, got) > Decimal(budget)
+        assert exact_kl(q, got - Fraction(self.KL_TOL)) <= Decimal(budget)
 
 
 class TestGaussianDivergences:

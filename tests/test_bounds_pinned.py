@@ -29,135 +29,135 @@ GRID = (
 EXPECTED = {
     (0, 'PB'): (
         ('empirical_loss', 0.0, 0.1),
-        ('confidence', 6.684611727667927, 0.1635525192777095),
-        ('message_cost', 1.75, 0.1725435899259537),
-        ('compression_set_cost', 0.0, 0.1725435899259537),
+        ('confidence', 6.684611727667927, 0.16355251927799763),
+        ('message_cost', 1.75, 0.17254358992630262),
+        ('compression_set_cost', 0.0, 0.17254358992630262),
     ),
     (0, 'SCH_BINARY'): (
         ('empirical_loss', 0.0, 0.1),
-        ('confidence', 2.995732273553991, 0.1281812320503377),
-        ('message_cost', 5.545177444479562, 0.16324029678071383),
-        ('compression_set_cost', 0.0, 0.16324029678071383),
+        ('confidence', 2.995732273553991, 0.12818123205078272),
+        ('message_cost', 5.545177444479562, 0.16324029678162458),
+        ('compression_set_cost', 0.0, 0.16324029678162458),
     ),
     (0, 'SCH_REAL'): (
         ('empirical_loss', 0.0, 0.1),
-        ('confidence', 6.684611727667927, 0.1635525192777095),
-        ('message_cost', 5.545177444479562, 0.189889486388165),
-        ('compression_set_cost', 0.0, 0.189889486388165),
+        ('confidence', 6.684611727667927, 0.16355251927799763),
+        ('message_cost', 5.545177444479562, 0.18988948638876693),
+        ('compression_set_cost', 0.0, 0.18988948638876693),
     ),
     (0, 'PBSCH'): (
         ('empirical_loss', 0.0, 0.1),
-        ('confidence', 6.684611727667927, 0.1635525192777095),
-        ('message_cost', 1.75, 0.1725435899259537),
-        ('compression_set_cost', 0.0, 0.1725435899259537),
+        ('confidence', 6.684611727667927, 0.16355251927799763),
+        ('message_cost', 1.75, 0.17254358992630262),
+        ('compression_set_cost', 0.0, 0.17254358992630262),
     ),
     (0, 'PBSCH_DISINTEGRATED'): (
         ('empirical_loss', 0.0, 0.1),
-        ('confidence', 14.755517816455745, 0.20031773351010992),
-        ('message_cost', 3.5, 0.21374191361046546),
-        ('compression_set_cost', 0.0, 0.21374191361046546),
+        ('confidence', 14.755517816455745, 0.2003177335106569),
+        ('message_cost', 3.5, 0.21374191361119818),
+        ('compression_set_cost', 0.0, 0.21374191361119818),
     ),
     (1, 'SCH_BINARY'): (
         ('empirical_loss', 0.0, 0.050200803212851405),
-        ('confidence', 4.605170185988092, 0.06275897629529936),
-        ('message_cost', 11.090354888959125, 0.07963479160116549),
-        ('compression_set_cost', 50.188599240853364, 0.12439879560497502),
+        ('confidence', 4.605170185988092, 0.06275897629575812),
+        ('message_cost', 11.090354888959125, 0.07963479160148705),
+        ('compression_set_cost', 50.188599240849726, 0.12439879560546646),
     ),
     (1, 'SCH_REAL'): (
         ('empirical_loss', 0.0, 0.05),
-        ('confidence', 9.096764585620308, 0.07359903507003766),
-        ('message_cost', 11.090354888959125, 0.08718980495286816),
-        ('compression_set_cost', 50.188599240853364, 0.12934047934340925),
+        ('confidence', 9.096764585620308, 0.07359903507079364),
+        ('message_cost', 11.090354888959125, 0.0871898049530613),
+        ('compression_set_cost', 50.188599240849726, 0.12934047934351073),
     ),
     (1, 'PBSCH'): (
         ('empirical_loss', 0.0, 0.05),
-        ('confidence', 9.096764585620308, 0.07359903507003766),
-        ('message_cost', 6.0, 0.08143727359615695),
-        ('compression_set_cost', 50.188599240853364, 0.12567246468693155),
+        ('confidence', 9.096764585620308, 0.07359903507079364),
+        ('message_cost', 6.0, 0.08143727359672276),
+        ('compression_set_cost', 50.188599240849726, 0.12567246468709678),
     ),
     (1, 'PBSCH_DISINTEGRATED'): (
         ('empirical_loss', 0.0, 0.05),
-        ('confidence', 20.386546499276328, 0.08740367584891827),
-        ('message_cost', 12.0, 0.09918958514981571),
-        ('compression_set_cost', 50.188599240853364, 0.13782221544142884),
+        ('confidence', 20.386546499276328, 0.08740367584903534),
+        ('message_cost', 12.0, 0.09918958515005222),
+        ('compression_set_cost', 50.188599240849726, 0.13782221544166312),
     ),
     (2, 'SCH_BINARY'): (
         ('empirical_loss', 0.0, 0.20408163265306123),
-        ('confidence', 2.995732273553991, 0.28257158571614127),
-        ('message_cost', 2.772588722239781, 0.3350695488334168),
-        ('compression_set_cost', 2.0, 0.36526926686929073),
+        ('confidence', 2.995732273553991, 0.2825715857167041),
+        ('message_cost', 2.772588722239781, 0.33506954883404005),
+        ('compression_set_cost', 2.0, 0.365269266869502),
     ),
     (2, 'SCH_REAL'): (
         ('empirical_loss', 0.0, 0.2),
-        ('confidence', 5.981363193449222, 0.36011057595096646),
-        ('message_cost', 2.772588722239781, 0.3973572353679629),
-        ('compression_set_cost', 2.0, 0.42094473090473916),
+        ('confidence', 5.981363193449222, 0.360110575951487),
+        ('message_cost', 2.772588722239781, 0.39735723536866835),
+        ('compression_set_cost', 2.0, 0.4209447309050856),
     ),
     (2, 'PBSCH'): (
         ('empirical_loss', 0.0, 0.2),
-        ('confidence', 5.981363193449222, 0.36011057595096646),
-        ('message_cost', 0.25, 0.36374872975284245),
-        ('compression_set_cost', 2.0, 0.3907964155907393),
+        ('confidence', 5.981363193449222, 0.360110575951487),
+        ('message_cost', 0.25, 0.36374872975354544),
+        ('compression_set_cost', 2.0, 0.39079641559115075),
     ),
     (2, 'PBSCH_DISINTEGRATED'): (
         ('empirical_loss', 0.0, 0.2),
-        ('confidence', 14.05226928223704, 0.45570488838347967),
-        ('message_cost', 0.5, 0.46061107247733163),
-        ('compression_set_cost', 2.0, 0.4794361835221934),
+        ('confidence', 14.05226928223704, 0.4557048883841076),
+        ('message_cost', 0.5, 0.46061107247790795),
+        ('compression_set_cost', 2.0, 0.4794361835227846),
     ),
     (3, 'PB'): (
         ('empirical_loss', 0.0, 0.9),
-        ('confidence', 1.9498002427147945, 0.9941900783429447),
-        ('message_cost', 0.0, 0.9941900783429447),
-        ('compression_set_cost', 0.0, 0.9941900783429447),
+        ('confidence', 1.9498002427147945, 0.9941900783434151),
+        ('message_cost', 0.0, 0.9941900783434151),
+        ('compression_set_cost', 0.0, 0.9941900783434151),
     ),
     (3, 'SCH_BINARY'): (
-        ('empirical_loss', 0.0, 0.794328234724162),
-        ('confidence', 0.10536051565782635, 0.794328234724162),
-        ('message_cost', 0.0, 0.794328234724162),
-        ('compression_set_cost', 0.0, 0.794328234724162),
+        ('empirical_loss', 0.0, 0.7943282347243383),
+        ('confidence', 0.10536051565782635, 0.7943282347243383),
+        ('message_cost', 0.0, 0.7943282347243383),
+        ('compression_set_cost', 0.0, 0.7943282347243383),
     ),
     (3, 'SCH_REAL'): (
         ('empirical_loss', 0.0, 0.9),
-        ('confidence', 1.9498002427147945, 0.9941900783429447),
-        ('message_cost', 0.0, 0.9941900783429447),
-        ('compression_set_cost', 0.0, 0.9941900783429447),
+        ('confidence', 1.9498002427147945, 0.9941900783434151),
+        ('message_cost', 0.0, 0.9941900783434151),
+        ('compression_set_cost', 0.0, 0.9941900783434151),
     ),
     (3, 'PBSCH'): (
         ('empirical_loss', 0.0, 0.9),
-        ('confidence', 1.9498002427147945, 0.9941900783429447),
-        ('message_cost', 0.0, 0.9941900783429447),
-        ('compression_set_cost', 0.0, 0.9941900783429447),
+        ('confidence', 1.9498002427147945, 0.9941900783434151),
+        ('message_cost', 0.0, 0.9941900783434151),
+        ('compression_set_cost', 0.0, 0.9941900783434151),
     ),
     (3, 'PBSCH_DISINTEGRATED'): (
         ('empirical_loss', 0.0, 0.9),
-        ('confidence', 4.2399628157102836, 0.999438973204815),
-        ('message_cost', 0.0, 0.999438973204815),
-        ('compression_set_cost', 0.0, 0.999438973204815),
+        ('confidence', 4.2399628157102836, 0.9994389732055082),
+        ('message_cost', 0.0, 0.9994389732055082),
+        ('compression_set_cost', 0.0, 0.9994389732055082),
     ),
     (4, 'SCH_BINARY'): (
         ('empirical_loss', 0.0, 0.0),
-        ('confidence', 0.3566749439387324, 0.006237918056285707),
-        ('message_cost', 1.3862943611198906, 0.03011561844323296),
-        ('compression_set_cost', 0.1, 0.03181567827323306),
+        ('confidence', 0.3566749439387324, 0.006237918056395134),
+        ('message_cost', 1.3862943611198906, 0.030115618443625012),
+        ('compression_set_cost', 0.1, 0.0318156782736156),
     ),
     (4, 'SCH_REAL'): (
         ('empirical_loss', 0.0, 0.0),
-        ('confidence', 3.071347758415953, 0.05245731604100001),
-        ('message_cost', 1.3862943611198906, 0.07522447603059845),
-        ('compression_set_cost', 0.1, 0.07684546689324634),
+        ('confidence', 3.071347758415953, 0.052457316041293785),
+        ('message_cost', 1.3862943611198906, 0.07522447603136634),
+        ('compression_set_cost', 0.1, 0.07684546689373563),
     ),
     (4, 'PBSCH'): (
         ('empirical_loss', 0.0, 0.0),
-        ('confidence', 3.071347758415953, 0.05245731604100001),
-        ('message_cost', 0.0, 0.05245731604100001),
-        ('compression_set_cost', 0.1, 0.05411821427242103),
+        ('confidence', 3.071347758415953, 0.052457316041293785),
+        ('message_cost', 0.0, 0.052457316041293785),
+        ('compression_set_cost', 0.1, 0.05411821427291051),
     ),
     (4, 'PBSCH_DISINTEGRATED'): (
         ('empirical_loss', 0.0, 0.0),
-        ('confidence', 5.864139187973254, 0.09776443535884027),
-        ('message_cost', 0.0, 0.09776443535884027),
-        ('compression_set_cost', 0.1, 0.09934591709952656),
+        ('confidence', 5.864139187973254, 0.09776443535894673),
+        ('message_cost', 0.0, 0.09776443535894673),
+        ('compression_set_cost', 0.1, 0.09934591710027937),
     ),
     (5, 'SCH_BINARY'): (
         ('empirical_loss', 0.0, 1.0),
@@ -185,33 +185,33 @@ EXPECTED = {
     ),
     (6, 'PB'): (
         ('empirical_loss', 0.0, 0.3),
-        ('confidence', 5.644890956828009, 0.535119644380211),
-        ('message_cost', 0.125, 0.5377490400337592),
-        ('compression_set_cost', 0.0, 0.5377490400337592),
+        ('confidence', 5.644890956828009, 0.5351196443806819),
+        ('message_cost', 0.125, 0.5377490400341681),
+        ('compression_set_cost', 0.0, 0.5377490400341681),
     ),
     (6, 'SCH_BINARY'): (
         ('empirical_loss', 0.0, 0.3),
-        ('confidence', 2.995732273553991, 0.4237329666075311),
-        ('message_cost', 2.0794415416798357, 0.48441114637716964),
-        ('compression_set_cost', 3.0, 0.5499603154212309),
+        ('confidence', 2.995732273553991, 0.42373296660810394),
+        ('message_cost', 2.0794415416798357, 0.48441114637725896),
+        ('compression_set_cost', 3.0, 0.5499603154220943),
     ),
     (6, 'SCH_REAL'): (
         ('empirical_loss', 0.0, 0.3),
-        ('confidence', 5.644890956828009, 0.535119644380211),
-        ('message_cost', 2.0794415416798357, 0.5753277704333413),
-        ('compression_set_cost', 3.0, 0.623385999344282),
+        ('confidence', 5.644890956828009, 0.5351196443806819),
+        ('message_cost', 2.0794415416798357, 0.5753277704338234),
+        ('compression_set_cost', 3.0, 0.6233859993445554),
     ),
     (6, 'PBSCH'): (
         ('empirical_loss', 0.0, 0.3),
-        ('confidence', 5.644890956828009, 0.535119644380211),
-        ('message_cost', 0.125, 0.5377490400337592),
-        ('compression_set_cost', 3.0, 0.5931929960456728),
+        ('confidence', 5.644890956828009, 0.5351196443806819),
+        ('message_cost', 0.125, 0.5377490400341681),
+        ('compression_set_cost', 3.0, 0.5931929960457865),
     ),
     (6, 'PBSCH_DISINTEGRATED'): (
         ('empirical_loss', 0.0, 0.3),
-        ('confidence', 13.715797045615826, 0.6633170922424141),
-        ('message_cost', 0.25, 0.6663707898876964),
-        ('compression_set_cost', 3.0, 0.700208222769743),
+        ('confidence', 13.715797045615826, 0.6633170922428523),
+        ('message_cost', 0.25, 0.6663707898878564),
+        ('compression_set_cost', 3.0, 0.7002082227700357),
     ),
 }
 

@@ -573,7 +573,7 @@ class TestBoundCommand:
 
     @pytest.mark.parametrize("argv, flag, value, expected", [
         (["binomial-tail", "--m", "197", "--errors", "30"], "--log-delta-prime", "-1e-9",
-         "0.0442104943731\n"),
+         "0.0442167515586\n"),
         (["binomial-tail", "--m", "197", "--errors", "30"], "--log-delta-prime", "-1E+2",
          None),
         (["binomial-tail", "--m", "197", "--errors", "30"], "--log-delta-prime", "-inf", None),
@@ -848,16 +848,16 @@ PB_FLAGS = ["--m", "400", "--emp-loss", "0.1", "--mu-norm-sq", "2.0"]
 TERMS = "term                                  nats    cumulative_tau\n"
 PINNED_STDOUT = [
     (["pb", *PB_FLAGS],
-     "kind      PB\ndelta     0.05\ntau_star  0.168787921807\n" + TERMS
+     "kind      PB\ndelta     0.05\ntau_star  0.168787921808\n" + TERMS
      + "empirical_loss                           0               0.1\n"
      "confidence                   6.68461172767    0.163552519278\n"
-     "message_cost                             1    0.168787921807\n"
-     "compression_set_cost                     0    0.168787921807\n"),
+     "message_cost                             1    0.168787921808\n"
+     "compression_set_cost                     0    0.168787921808\n"),
     (["sch-binary", "--m", "400", "--c", "2", "--b", "8", "--errors", "10"],
      "kind      SCH_BINARY\ndelta     0.05\ntau_star  0.102450380878\n" + TERMS
      + "empirical_loss                           0   0.0251256281407\n"
-     "confidence                   2.99573227355    0.042245920481\n"
-     "message_cost                 5.54517744448    0.065770903384\n"
+     "confidence                   2.99573227355   0.0422459204811\n"
+     "message_cost                 5.54517744448   0.0657709033844\n"
      "compression_set_cost         11.2872787834    0.102450380878\n"),
     (["sch-real", "--m", "400", "--c", "2", "--b", "8", "--emp-loss", "0.1"],
      "kind      SCH_REAL\ndelta     0.05\ntau_star  0.232665804929\n" + TERMS
@@ -869,7 +869,7 @@ PINNED_STDOUT = [
      "kind      PBSCH\ndelta     0.05\ntau_star  0.216707334431\n" + TERMS
      + "empirical_loss                           0               0.1\n"
      "confidence                   6.68210545676    0.163719583099\n"
-     "message_cost                             1    0.168971814232\n"
+     "message_cost                             1    0.168971814233\n"
      "compression_set_cost         11.2872787834    0.216707334431\n"),
     (["pbsch-disintegrated", "--c", "2", *PB_FLAGS],
      "kind      PBSCH_DISINTEGRATED\ndelta     0.05\ntau_star  0.247478079519\n" + TERMS
@@ -884,10 +884,10 @@ PINNED_STDOUT = [
       "--emp-loss", "0.1", "--kl-msg", "2"],
      "kind      LINEAR\ntau_star  0.154957322736\n"),
     (["kl", "--q", "0.1", "--p", "0.5"], "0.368064207168\n"),
-    (["kl-inverse", "--q", "0.1", "--budget", "0.05"], "0.220078601106\n"),
+    (["kl-inverse", "--q", "0.1", "--budget", "0.05"], "0.220078601107\n"),
     (["log-binomial", "--m", "10", "--c", "3"], "4.78749174278\n"),
     (["binomial-tail", "--m", "100", "--errors", "3", "--log-delta-prime", "-3"],
-     "0.0757708510864\n"),
+     "0.0757708510869\n"),
     (["gaussian-kl", "--mu", "3,4"], "12.5\n"),
     (["renyi", "--mu", "1,1", "--alpha", "2"], "2\n"),
 ]
@@ -910,10 +910,10 @@ class TestPinnedOutputBytes:
         assert capsys.readouterr().out == PINNED_STDOUT[0][1]
         assert path.read_bytes() == (
             b"kind,delta,tau_star,term,nats,cumulative_tau\n"
-            b"PB,0.05,0.1687879218072339,empirical_loss,0.0,0.1\n"
-            b"PB,0.05,0.1687879218072339,confidence,6.684611727667927,0.1635525192777095\n"
-            b"PB,0.05,0.1687879218072339,message_cost,1.0,0.1687879218072339\n"
-            b"PB,0.05,0.1687879218072339,compression_set_cost,0.0,0.1687879218072339\n")
+            b"PB,0.05,0.16878792180799682,empirical_loss,0.0,0.1\n"
+            b"PB,0.05,0.16878792180799682,confidence,6.684611727667927,0.16355251927799763\n"
+            b"PB,0.05,0.16878792180799682,message_cost,1.0,0.16878792180799682\n"
+            b"PB,0.05,0.16878792180799682,compression_set_cost,0.0,0.16878792180799682\n")
 
     def test_compare_bounds_stdout_and_csv(self, tmp_path, capsys):
         assert main(["compare-bounds", "--grid", "3"]) == 0

@@ -623,16 +623,16 @@ class TestStackedCertification:
         tasks = self.with_copies()
         protocol = CertifyProtocol(0.05)
         calls = []
-        real = bounds.binomial_tail_inverses
+        real = bounds.binomial_tail_inverse
 
-        def spy(n, K, log_delta_primes):
-            calls.append((n, K, tuple(log_delta_primes)))
-            return real(n, K, log_delta_primes)
+        def spy(n, K, log_delta_prime):
+            calls.append((n, K, log_delta_prime))
+            return real(n, K, log_delta_prime)
 
-        monkeypatch.setattr(bounds, "binomial_tail_inverses", spy)
+        monkeypatch.setattr(bounds, "binomial_tail_inverse", spy)
         for task in tasks:
             certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
-        assert len(calls) == len(tasks)  # a lone call computes every certificate
+        assert len(calls) == len(tasks)  # one inversion per task: its tau*
         distinct = set(calls)
         assert len(distinct) < len(tasks)
         calls.clear()
@@ -653,24 +653,23 @@ class TestStackedCertification:
         params = init_hypernet_params(cfg, Rng(1).split(0))
         tasks = self.with_copies()
         kl_calls, tail_calls = [], []
-        real_kl, real_tail = bounds.kl_inverse, bounds.binomial_tail_inverses
+        real_kl, real_tail = bounds.kl_inverse, bounds.binomial_tail_inverse
 
         def spy_kl(q, budget):
             kl_calls.append((q, budget))
             return real_kl(q, budget)
 
-        def spy_tail(n, K, log_delta_primes):
-            tail_calls.append(tuple(log_delta_primes))
-            return real_tail(n, K, log_delta_primes)
+        def spy_tail(n, K, log_delta_prime):
+            tail_calls.append(log_delta_prime)
+            return real_tail(n, K, log_delta_prime)
 
         monkeypatch.setattr(bounds, "kl_inverse", spy_kl)
-        monkeypatch.setattr(bounds, "binomial_tail_inverses", spy_tail)
+        monkeypatch.setattr(bounds, "binomial_tail_inverse", spy_tail)
         rows = certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=self.N_MC), Rng(30))
         certificates = [entry.certificate for row in rows for entry in row.certificates]
         distinct = {id(cert): cert for cert in certificates}.values()
         if not cfg.has_gaussian_message:  # a PBSCH copy draws its own messages
             assert len(distinct) < len(certificates)  # copies share certificates
-        assert all(len(thresholds) == 1 for thresholds in tail_calls)
         assert len(tail_calls) == sum(cert.kind == "SCH_BINARY" for cert in distinct)
         assert len(kl_calls) == sum(cert.kind != "SCH_BINARY" for cert in distinct)
         assert not any("breakdown" in vars(cert) for cert in distinct)
@@ -680,7 +679,7 @@ class TestStackedCertification:
             cumulative = list(itertools.accumulate(cert.terms))
             inversion = cert.inversion
             if cert.kind == "SCH_BINARY":
-                taus = [real_tail(inversion.n, inversion.K, [-nats])[0] for nats in cumulative]
+                taus = [real_tail(inversion.n, inversion.K, -nats) for nats in cumulative]
             else:
                 taus = [real_kl(inversion.q, nats / inversion.n) for nats in cumulative]
             assert [tau for _, _, tau in cert.breakdown[1:]] == taus
