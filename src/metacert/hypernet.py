@@ -140,13 +140,16 @@ class CompressionArtifacts:
 # construction
 #
 # Parameters live in a plain dict of named tensors; insertion order is the
-# canonical order (initialization, Adam and the checkpoint all follow it).
+# canonical order of ``param_layout`` (initialization, Adam and the checkpoint
+# all follow it).
 
 
-def _init_mlp(params: dict[str, Tensor], prefix: str, sizes: list[int], rng: Rng) -> None:
+def _mlp_layout(prefix: str, sizes: list[int]) -> list[tuple[str, tuple[int, int], int]]:
+    layout = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        params[f"{prefix}.w{i}"] = kaiming_uniform_init((fan_in, fan_out), fan_in, rng)
-        params[f"{prefix}.b{i}"] = Tensor(np.zeros((1, fan_out)), requires_grad=True)
+        layout += [(f"{prefix}.w{i}", (fan_in, fan_out), fan_in),
+                   (f"{prefix}.b{i}", (1, fan_out), 0)]
+    return layout
 
 
 def _mlp_layer_count(params: dict[str, Tensor], prefix: str) -> int:
@@ -168,27 +171,35 @@ def mlp_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return x
 
 
-def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> dict[str, Tensor]:
-    """Create all parameters in a fixed order from a single stream."""
-    params: dict[str, Tensor] = {}
+def param_layout(cfg: HypernetConfig) -> list[tuple[str, tuple[int, int], int]]:
+    """(name, shape, fan_in) of every parameter, in the canonical order; a
+    fan_in of 0 marks a zero-initialized bias, any other a Kaiming weight."""
+    layout = []
     d, dp = cfg.input_dim, cfg.deepset_dim
     deepset_sizes = [d, *cfg.mlp2, dp]
     if cfg.c > 0:
-        _init_mlp(params, "compressor.deepset", deepset_sizes, rng)
-        _init_mlp(params, "compressor.keys", [d, *cfg.mlp1, cfg.attention_dim], rng)
+        layout += _mlp_layout("compressor.deepset", deepset_sizes)
+        layout += _mlp_layout("compressor.keys", [d, *cfg.mlp1, cfg.attention_dim])
         for h in range(cfg.c):
-            _init_mlp(params, f"compressor.query{h}", [dp, cfg.attention_dim], rng)
+            layout += _mlp_layout(f"compressor.query{h}", [dp, cfg.attention_dim])
     if cfg.has_message:
-        _init_mlp(params, "message.deepset", deepset_sizes, rng)
-        _init_mlp(params, "message.trunk", [dp, *cfg.mlp1, cfg.b], rng)
+        layout += _mlp_layout("message.deepset", deepset_sizes)
+        layout += _mlp_layout("message.trunk", [dp, *cfg.mlp1, cfg.b])
     if cfg.c > 0:
-        _init_mlp(params, "recon.deepset", deepset_sizes, rng)
+        layout += _mlp_layout("recon.deepset", deepset_sizes)
     else:
-        params["recon.const"] = kaiming_uniform_init((1, dp), dp, rng)
+        layout.append(("recon.const", (1, dp), dp))
     trunk_in = dp + (cfg.b if cfg.has_message else 0)
     gamma_size = downstream_param_count(cfg.mlp3_shapes)
-    _init_mlp(params, "recon.trunk", [trunk_in, *cfg.mlp1, gamma_size], rng)
-    return params
+    return layout + _mlp_layout("recon.trunk", [trunk_in, *cfg.mlp1, gamma_size])
+
+
+def init_hypernet_params(cfg: HypernetConfig, rng: Rng) -> dict[str, Tensor]:
+    """Create all parameters of ``param_layout`` in its order from a single
+    stream: Kaiming-uniform weights, zero biases."""
+    return {name: kaiming_uniform_init(shape, fan_in, rng) if fan_in
+            else Tensor(np.zeros(shape), requires_grad=True)
+            for name, shape, fan_in in param_layout(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +607,8 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     """Read a checkpoint; its tensors must match the layout of its config.
 
     The config must hold every ``HypernetConfig`` field with its type, and
-    the layout is the one ``init_hypernet_params`` builds for it: the same
-    names, each with its shape and 8 bytes of values per element.  The
+    the tensors must be its ``param_layout``: the same names, each with its
+    shape and 8 bytes of values per element; no init is drawn.  The
     first unknown, missing or mistyped key and the first missing, misshapen
     or unexpected tensor raise ``ValueError`` naming it, as do a missing
     ``params``, a ``master_seed`` that is missing or not an int >= 0 (a bool
@@ -612,17 +623,19 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     if type(master_seed) is not int or master_seed < 0:
         raise ValueError(f"checkpoint key 'master_seed' is {master_seed!r}, "
                          f"expected an int >= 0")
-    params = init_hypernet_params(cfg, Rng(0))
-    for name, t in params.items():
+    params = {}
+    for name, shape, _ in param_layout(cfg):
         if name not in stored:
             raise ValueError(f"checkpoint has no tensor {name!r}")
         what = f"checkpoint tensor {name!r}"
         raw = _value_bytes(require_key(stored[name], "values", what), what)
-        shape = tuple(require_key(stored[name], "shape", what))
-        if shape != t.data.shape or len(raw) != 8 * t.data.size:
-            raise ValueError(f"{what} has shape {shape} and {len(raw)} value bytes, "
-                             f"expected shape {t.data.shape} and {8 * t.data.size} bytes")
-        t.data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(t.data.shape)
+        stored_shape = tuple(require_key(stored[name], "shape", what))
+        size = math.prod(shape)
+        if stored_shape != shape or len(raw) != 8 * size:
+            raise ValueError(f"{what} has shape {stored_shape} and {len(raw)} value bytes, "
+                             f"expected shape {shape} and {8 * size} bytes")
+        params[name] = Tensor(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape),
+                              requires_grad=True)
     extra = [name for name in stored if name not in params]
     if extra:
         raise ValueError(f"checkpoint tensor {extra[0]!r} is not part of the "

@@ -3,6 +3,11 @@
 Each task draws a rotation, a translation and a scale, applies them to the
 canonical interleaving half-circles, and stores the draw alongside the data
 so any task can be regenerated exactly from (environment spec, task id).
+``gen_moons_tasks`` generates a list of ids at once: each task draws from
+its own stream, in id order, and one stacked transform of the shared
+template gives every task the bits that ``gen_moons_task`` gives it alone.
+``save_tasks`` writes one array per non-empty split and deletes the array
+of each empty one, so a repeated ``gen`` leaves the tree a fresh one would.
 """
 
 from __future__ import annotations
@@ -109,21 +114,47 @@ def gen_moons_task(spec: MoonsEnvironmentSpec, task_id: int,
     sub-stream while keeping the task's rotation/center/scale, which yields
     extra i.i.d. samples from the same task distribution.
     """
-    stream = Rng(spec.master_seed).split(STREAM_TASKS, task_id)
-    # Draw order is part of the format: rotation, center, scale, then noise.
-    rotation = float(stream.uniform(*spec.rotation_range))
-    center = stream.uniform(spec.center_range[0], spec.center_range[1], 2)
-    scale = float(stream.uniform(*spec.scale_range))
-    noise_stream = stream if noise_repeat == 0 else stream.split(noise_repeat)
-    features, labels = _canonical_moons(spec.examples_per_task)
-    features = features + spec.noise_sigma * noise_stream.normal(features.shape)
-    features = features * scale
-    theta = math.radians(rotation)
-    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)]])
-    features = features @ rot.T + center
-    return TaskDataset(features, labels, task_id,
-                       TaskProvenance(rotation, (float(center[0]), float(center[1])), scale))
+    return gen_moons_tasks(spec, [task_id], noise_repeat)[0]
+
+
+def gen_moons_tasks(spec: MoonsEnvironmentSpec, task_ids,
+                    noise_repeat: int = 0) -> list[TaskDataset]:
+    """``gen_moons_task`` of each id, in order and with the same bits.
+
+    Each task still draws from its own stream, in id order; the template is
+    built once and the (T, m, 2) stack of noise is transformed as a whole.
+    Each task's features are its own C-contiguous block of that stack.
+    """
+    task_ids = list(task_ids)
+    template, labels = _canonical_moons(spec.examples_per_task)
+    features = np.empty((len(task_ids), *template.shape))
+    rots = np.empty((len(task_ids), 2, 2))
+    centers = np.empty((len(task_ids), 1, 2))
+    scales = np.empty((len(task_ids), 1, 1))
+    provenance = []
+    for k, task_id in enumerate(task_ids):
+        stream = Rng(spec.master_seed, (STREAM_TASKS, task_id))
+        # Draw order is part of the format: rotation, center, scale, then noise.
+        rotation = float(stream.uniform(*spec.rotation_range))
+        center = stream.uniform(spec.center_range[0], spec.center_range[1], 2)
+        scale = float(stream.uniform(*spec.scale_range))
+        noise_stream = stream if noise_repeat == 0 else stream.split(noise_repeat)
+        features[k] = noise_stream.normal(template.shape)
+        theta = math.radians(rotation)
+        rots[k] = [[math.cos(theta), -math.sin(theta)],
+                   [math.sin(theta), math.cos(theta)]]
+        centers[k, 0], scales[k] = center, scale
+        provenance.append(TaskProvenance(rotation, (float(center[0]), float(center[1])), scale))
+    # The one-task bits: IEEE * and + commute, so noise * sigma + template is
+    # template + sigma * noise, and each slice of the stacked matmul is the
+    # one-task product with the transposed view rot.T of a C-order rot.
+    features *= spec.noise_sigma
+    features += template
+    features *= scales
+    features = np.matmul(features, rots.transpose(0, 2, 1))
+    features += centers
+    return [TaskDataset(features[k], labels.copy(), task_id, provenance[k])
+            for k, task_id in enumerate(task_ids)]
 
 
 def gen_meta_dataset(spec: MoonsEnvironmentSpec) -> MetaDataset:
@@ -139,11 +170,9 @@ def gen_meta_dataset(spec: MoonsEnvironmentSpec) -> MetaDataset:
     ids_train = range(0, n_train)
     ids_val = range(n_train, spec.n_train_tasks)
     ids_test = range(spec.n_train_tasks, spec.n_train_tasks + spec.n_test_tasks)
-    return MetaDataset(
-        train=[gen_moons_task(spec, i) for i in ids_train],
-        val=[gen_moons_task(spec, i) for i in ids_val],
-        test=[gen_moons_task(spec, i) for i in ids_test],
-    )
+    return MetaDataset(train=gen_moons_tasks(spec, ids_train),
+                       val=gen_moons_tasks(spec, ids_val),
+                       test=gen_moons_tasks(spec, ids_test))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +185,8 @@ def _split_file(split: str) -> str:
 
 
 def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path:
-    """Write each non-empty split as one float64 array and the manifest.
+    """Write each non-empty split as one float64 array and the manifest, and
+    delete the array file of each empty split.
 
     A split's array stacks its tasks' ``[features | label]`` rows in
     manifest order; each manifest entry counts its task's examples and
@@ -166,7 +196,8 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for split, tasks in (("train", meta.train), ("val", meta.val), ("test", meta.test)):
-        if not tasks:
+        if not tasks:  # a file left by an earlier ``gen`` would outlive its split
+            (directory / _split_file(split)).unlink(missing_ok=True)
             continue
         d = tasks[0].features.shape[1]
         for task in tasks:

@@ -729,6 +729,26 @@ class TestCheckpoint:
         g2, _ = hypernet_forward(params2, cfg2, task.features, task.labels, eps=eps)
         assert np.array_equal(g1.data, g2.data)
 
+    @pytest.mark.parametrize("arch, c, b", [("PBH", 0, 3), ("SCH_MINUS", 2, 0),
+                                             ("SCH_PLUS", 2, 3), ("PBSCH", 2, 3)])
+    def test_load_draws_no_init(self, tmp_path, monkeypatch, arch, c, b):
+        # the layout comes from the config alone: no Kaiming draw, no stream
+        cfg = small_config(arch, c=c, b=b)
+        params = params_for(cfg)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, cfg, params, master_seed=99)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint must not initialize parameters")
+
+        monkeypatch.setattr(hypernet, "kaiming_uniform_init", refuse)
+        monkeypatch.setattr(hypernet, "Rng", refuse)
+        _, loaded, _ = load_checkpoint(path)
+        assert list(loaded) == list(params)
+        for name, t in params.items():
+            assert np.array_equal(loaded[name].data, t.data)
+            assert loaded[name].requires_grad and loaded[name].data.flags.writeable
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text('{"format_version": 999}')

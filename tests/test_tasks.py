@@ -10,10 +10,10 @@ import pytest
 from metacert import autodiff as ad
 from metacert.autodiff import Tensor
 from metacert.optim import Adam
-from metacert.rng import Rng
+from metacert.rng import STREAM_TASKS, Rng
 from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset,
-                            gen_meta_dataset, gen_moons_task, load_tasks, save_tasks,
-                            settings_from_json)
+                            gen_meta_dataset, gen_moons_task, gen_moons_tasks, load_tasks,
+                            save_tasks, settings_from_json)
 
 
 def canonical_spec(**kw):
@@ -124,6 +124,90 @@ class TestGeneration:
 
         assert train([], steps=400, lr=0.05) > 0.05       # linear probe stuck
         assert train([5], steps=2000, lr=0.02) == 0.0     # small MLP separates
+
+
+def reference_task(spec, task_id, noise_repeat=0):
+    """One task by the one-task formula, step by step: the bit oracle for
+    batched generation."""
+    stream = Rng(spec.master_seed).split(STREAM_TASKS, task_id)
+    rotation = float(stream.uniform(*spec.rotation_range))
+    center = stream.uniform(spec.center_range[0], spec.center_range[1], 2)
+    scale = float(stream.uniform(*spec.scale_range))
+    noise_stream = stream if noise_repeat == 0 else stream.split(noise_repeat)
+    half = spec.examples_per_task // 2
+    t = np.linspace(0.0, math.pi, half)
+    features = np.vstack([np.column_stack([np.cos(t), np.sin(t)]),
+                          np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)])])
+    labels = np.concatenate([np.ones(half), -np.ones(half)])
+    features = features + spec.noise_sigma * noise_stream.normal(features.shape)
+    features = features * scale
+    theta = math.radians(rotation)
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    features = features @ rot.T + center
+    return features, labels, (rotation, (float(center[0]), float(center[1])), scale)
+
+
+def assert_matches_reference(task, spec, task_id, noise_repeat=0):
+    features, labels, (rotation, center, scale) = reference_task(spec, task_id, noise_repeat)
+    assert task.task_id == task_id
+    assert task.features.tobytes() == features.tobytes()
+    assert task.labels.tobytes() == labels.tobytes()
+    assert (task.provenance.rotation_deg, task.provenance.center,
+            task.provenance.scale) == (rotation, center, scale)
+    assert task.features.flags.c_contiguous and task.labels.flags.c_contiguous
+
+
+ORACLE_SPECS = [
+    dict(),
+    dict(noise_sigma=0.0, master_seed=4),
+    dict(examples_per_task=2, master_seed=9),
+    dict(rotation_range=(30.0, 30.0), scale_range=(1.5, 1.5), master_seed=2),
+    dict(center_range=(-1e3, 1e3), scale_range=(1e-3, 1e3), master_seed=77),
+]
+
+
+class TestBatchedGeneration:
+    @pytest.mark.parametrize("noise_repeat", [0, 1, 3])
+    @pytest.mark.parametrize("spec_kw", ORACLE_SPECS)
+    def test_matches_the_one_task_formula_bit_for_bit(self, spec_kw, noise_repeat):
+        spec = MoonsEnvironmentSpec(**spec_kw)
+        ids = [*range(60), 12345, 1000]  # not contiguous, not ascending
+        tasks = gen_moons_tasks(spec, ids, noise_repeat)
+        assert len(tasks) == len(ids)
+        for task, task_id in zip(tasks, ids):
+            assert_matches_reference(task, spec, task_id, noise_repeat)
+        # the one-id case is gen_moons_task
+        for task_id in (0, 12345):
+            assert_matches_reference(gen_moons_task(spec, task_id, noise_repeat),
+                                     spec, task_id, noise_repeat)
+
+    def test_empty_id_list(self):
+        assert gen_moons_tasks(canonical_spec(), []) == []
+
+    @pytest.mark.parametrize("spec_kw", ORACLE_SPECS)
+    @pytest.mark.parametrize("n_test_tasks", [0, 7])
+    def test_meta_dataset_matches_the_one_task_formula(self, spec_kw, n_test_tasks):
+        spec = MoonsEnvironmentSpec(**{**spec_kw, "n_train_tasks": 21,
+                                       "n_test_tasks": n_test_tasks})
+        meta = gen_meta_dataset(spec)
+        tasks = meta.train + meta.val + meta.test
+        assert len(meta.test) == n_test_tasks
+        assert [t.task_id for t in tasks] == list(range(21 + n_test_tasks))
+        for task in tasks:
+            assert_matches_reference(task, spec, task.task_id)
+
+    def test_tasks_of_one_batch_do_not_alias(self):
+        spec = canonical_spec()
+        tasks = gen_moons_tasks(spec, range(5))
+        before = [(t.features.copy(), t.labels.copy()) for t in tasks]
+        tasks[2].features[...] = 99.0
+        tasks[2].labels[...] = 0.0
+        for k, (task, (features, labels)) in enumerate(zip(tasks, before)):
+            assert task.features.flags.c_contiguous
+            if k != 2:
+                assert np.array_equal(task.features, features)
+                assert np.array_equal(task.labels, labels)
 
 
 class TestMetaDataset:
@@ -254,6 +338,20 @@ class TestFileRoundTrip:
         loaded, _ = load_tasks(tmp_path / "tasks")
         assert loaded.train == [] and loaded.val == []
         assert [t.task_id for t in loaded.test] == [t.task_id for t in test]
+
+    def test_repeated_save_leaves_the_tree_of_a_fresh_one(self, tmp_path):
+        # a split that is empty now loses the array an earlier save wrote
+        spec = canonical_spec(n_test_tasks=4)
+        save_tasks(tmp_path / "again", gen_meta_dataset(spec), spec)
+        (tmp_path / "again" / "notes.txt").write_text("kept")
+        spec = canonical_spec(n_test_tasks=0)
+        save_tasks(tmp_path / "again", gen_meta_dataset(spec), spec)
+        save_tasks(tmp_path / "fresh", gen_meta_dataset(spec), spec)
+        tree = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
+        again = tree(tmp_path / "again")
+        assert again.pop("notes.txt") == b"kept"
+        assert again == tree(tmp_path / "fresh")
+        assert sorted(again) == ["manifest.json", "train.npy", "val.npy"]
 
     def test_mixed_feature_dimension_in_a_split_is_refused(self, tmp_path):
         spec = canonical_spec()
