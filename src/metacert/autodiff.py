@@ -591,13 +591,15 @@ def fold(raw: Tensor, mean: Tensor, inv_scale: Tensor, fan_out: int) -> Tensor:
 
 def packed_mlp(gamma: Tensor, layout, x: Tensor) -> Tensor:
     """The one-output MLP packed in each (n, G) ``gamma`` row on (m, k)
-    inputs ``x``, as one node.  Returns the (m, n) outputs, column i from
-    row i, so a (1, G) row gives an (m, 1) column.
+    inputs ``x``, or row i on its own ``x[i]`` of an (n, m, k) stack, as one
+    node.  Returns the (m, n) outputs, column i from row i, so a (1, G) row
+    gives an (m, 1) column.
 
     ``layout`` holds one ``(fan_in, fan_out, w_start, b_start, stop)`` per
     layer; hidden layers are ReLU'd, the last is linear.  Each layer is one
-    ``(m, k) @ (n, k, h)`` stack, whose row i has the bits of row i alone;
-    the bias add and the ReLU write into the product's buffer.
+    ``(m, k) @ (n, k, h)`` or ``(n, m, k) @ (n, k, h)`` stack, whose row i
+    has the bits of row i alone; the bias add and the ReLU write into the
+    product's buffer.
     """
     n = len(gamma.data)
     # a constant keeps no layer outputs, so evaluation holds one buffer per layer

@@ -199,10 +199,12 @@ def _kl_term(a: float, b: float, diff: float) -> float:
     outside (1/2, 2)) the two terms cancel by at most a factor of 4;
     nearer a = b, where they cancel to second order, the term is the series
     diff v + 2a (v^3/3 + v^5/5 + ...), whose first term dominates the rest.
+    Where a / b overflows (b subnormal), ln(a / b) is ln a - ln b.
     """
     v = diff / (a + b)
     if abs(v) >= 1.0 / 3.0:
-        return (a * math.log(a / b) if a else 0.0) - diff
+        ratio = a / b if a else 1.0
+        return a * (math.log(ratio) if ratio < math.inf else math.log(a) - math.log(b)) - diff
     total, power, v2 = diff * v, 2.0 * a * v, v * v
     for j in itertools.count(3, 2):
         power *= v2

@@ -431,14 +431,16 @@ def downstream_param_count(shapes) -> int:
 
 def downstream_forward(gamma: Tensor, shapes, features: Tensor) -> Tensor:
     """Evaluate the MLP whose weights ``gamma_layout`` unpacks from each of
-    the (n, G) ``gamma`` rows on the (m, d) ``features``.
+    the (n, G) ``gamma`` rows on the (m, d) ``features``, or row i on its
+    own ``features[i]`` of an (n, m, d) stack.
 
     Hidden activations are ReLU, and each predictor emits one logit: the
     result is (m, n), column i from row i, so one (1, G) row gives an (m, 1)
     column.  Each layer is one stacked matmul over the rows,
-    ``(m, k) @ (n, k, h)``, whose per-row products are exactly the
-    ``(m, k) @ (k, h)`` of one row, so column i has the bits of row i alone;
-    each layer holds one ``(n, m, h)`` buffer (``ad.packed_mlp``).
+    ``(m, k) @ (n, k, h)`` or ``(n, m, k) @ (n, k, h)``, whose per-row
+    products are exactly the ``(m, k) @ (k, h)`` of one row, so column i has
+    the bits of row i alone on its features; each layer holds one
+    ``(n, m, h)`` buffer (``ad.packed_mlp``).
     """
     layout = gamma_layout(shapes)
     if gamma.data.ndim != 2 or gamma.data.shape[1] != layout[-1][-1]:
@@ -518,11 +520,11 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
                  indices, messages: np.ndarray | None) -> np.ndarray:
     """Rebuild gamma rows from stored bottleneck artifacts, forward only.
 
-    One set: (m, d) ``features``, (m,) ``labels``, its compression
-    ``indices`` and an (n, b) ``messages`` matrix (``None`` for one row of
-    no message) give the (n, G) gamma rows.  A chunk of T sets: (T, m, d)
-    features, (T, m) labels, T index tuples and (T, n, b) messages give
-    (T, n, G); the one-set call is the chunk of one.
+    A chunk of T sets: (T, m, d) ``features``, (T, m) ``labels``, T
+    compression index tuples and (T, n, b) ``messages`` (``None`` for one
+    row of no message) give the (T, n, G) gamma rows.  One set is the chunk
+    of one: ``features[None]``, ``labels[None]``, ``[indices]`` and
+    ``messages[None]``.
 
     Each set's compression rows are gathered from its data and put in
     canonical order.  The sets with the same number of rows go through
@@ -532,9 +534,6 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
     ``hypernet_forward`` gamma of set t and message i.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 2:
-        return decode_gamma(params, cfg, features[None], np.asarray(labels)[None], [indices],
-                            None if messages is None else np.asarray(messages)[None])[0]
     if (messages is None) == cfg.has_message:
         raise ValueError(f"{cfg.architecture} needs an (n, {cfg.b}) message matrix per set"
                          if cfg.has_message else f"{cfg.architecture} takes no messages")
@@ -610,15 +609,18 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     the tensors must be its ``param_layout``: the same names, each with its
     shape and 8 bytes of values per element; no init is drawn.  The
     first unknown, missing or mistyped key and the first missing, misshapen
-    or unexpected tensor raise ``ValueError`` naming it, as do a missing
-    ``params``, a ``master_seed`` that is missing or not an int >= 0 (a bool
-    is not an int here) and a values block that is not a base64 string.
+    or unexpected tensor raise ``ValueError`` naming it, as do a document
+    that is not a JSON object holding a ``format_version``, a ``params``
+    that is missing or not a JSON object, a ``master_seed`` that is missing
+    or not an int >= 0 (a bool is not an int here) and a values block that
+    is not a base64 string.
     """
     doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
+    version = require_key(doc, "format_version", "checkpoint")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
     cfg = settings_from_json(HypernetConfig, doc.get("config"), "checkpoint config")
-    stored = require_key(doc, "params", "checkpoint")
+    stored = require_key(doc, "params", "checkpoint", dict)
     master_seed = require_key(doc, "master_seed", "checkpoint")
     if type(master_seed) is not int or master_seed < 0:
         raise ValueError(f"checkpoint key 'master_seed' is {master_seed!r}, "

@@ -19,11 +19,14 @@ certificates are computed from one ``BoundBudget`` per task, which they
 share but for the empirical loss; its compression-set prior is the
 size-aware 1 / (c C(m', |j|)).  ``certify_tasks`` decodes equal-size
 tasks in stacked chunks (``_decode_chunk``) and hands each task's share to
-``certify_task``, which scores it; called alone, ``certify_task`` decodes
-its task as a chunk of one.  Every message a task's certificates score (the
-noise-free one, the Monte-Carlo draws and PBSCH's disintegrated draw) is
-drawn first and decoded in one stacked batch with the rest of its chunk, so
-the compression rows are encoded once per task.  Each distinct certificate is
+``certify_task``, which scores it.  A chunk is the only unit: a task
+certified alone is the chunk of one,
+``certify_tasks(params, cfg, [task], protocol, rng)[0]``, and a chunk's
+query sets are scored in one ``downstream_forward``.  Every
+message a task's certificates score (the noise-free one, the Monte-Carlo
+draws and PBSCH's disintegrated draw) is drawn first and decoded in one
+stacked batch with the rest of its chunk, so the compression rows are
+encoded once per task.  Each distinct certificate is
 computed once per ``certify_tasks`` call: tasks whose certificate inputs are
 equal (the bound, the ``BoundBudget`` and, for SCH_BINARY, the error count)
 share one ``Certificate``, and nothing is kept between calls.  The
@@ -151,9 +154,7 @@ def split_support_query(task: TaskDataset, support_size: int,
 # benchmark chunk holds 8 PBSCH tasks at n_mc = 100 (1 MiB: 4), 13 SCH_PLUS
 # tasks (6) or 25 validation sets (12), half as many chunks, each with a
 # fixed Python cost; the decode peaks at 1.01 and 1.62 x CHUNK_BYTES
-# (``tracemalloc``).  Over 1 MiB, the chunks add 1.3-1.8 MB to a certify
-# command's peak RSS (of about 58 MB); the binary checkpoint took 0.3 MB off
-# it, and 1.7-1.9 MB off a train command's.
+# (``tracemalloc``).
 CHUNK_BYTES = 2 ** 21
 
 
@@ -162,6 +163,15 @@ def _chunk_size(params: dict[str, Tensor], set_size: int, n_rows: int) -> int:
     rows one stacked chunk holds within ``CHUNK_BYTES``."""
     widest = max(t.data.shape[-1] for t in params.values())
     return max(1, CHUNK_BYTES // (8 * widest * (set_size + n_rows)))
+
+
+def _by_size(tasks: list[TaskDataset]) -> dict[int, list[int]]:
+    """The positions of ``tasks`` of each size, in order; the sizes in order
+    of first appearance.  A stacked chunk holds tasks of one size."""
+    by_size: dict[int, list[int]] = {}
+    for pos, task in enumerate(tasks):
+        by_size.setdefault(len(task), []).append(pos)
+    return by_size
 
 
 def _chunks(params: dict[str, Tensor], positions: list[int], set_size: int,
@@ -177,28 +187,31 @@ def _query_logits(params, cfg, tasks: list[TaskDataset], support_size: int,
     seeded support set of each task, task i split by ``rngs[i]``.
 
     The support sets, all of ``support_size`` examples, are encoded and
-    decoded as one stack; each task's logits have the bits of its own graph
-    forward.  Callers pass one chunk (``_chunks``) and constant parameters
-    (``_constants``)."""
+    decoded as one stack, and the query sets, all of one size, are scored in
+    one ``downstream_forward`` of the stack; each task's logits have the
+    bits of its own graph forward.  Callers pass one chunk of equal-size
+    tasks (``_chunks``) and constant parameters (``_constants``)."""
     splits = [split_support_query(task, support_size, rng) for task, rng in zip(tasks, rngs)]
     xs = np.stack([task.features[sup] for task, (sup, _) in zip(tasks, splits)])
     ys = np.stack([task.labels[sup] for task, (sup, _) in zip(tasks, splits)])
     arts, _, _ = encode(params, cfg, xs, ys)
     messages = np.stack([a.message[None] for a in arts]) if cfg.has_message else None
     gammas = decode_gamma(params, cfg, xs, ys, [a.indices for a in arts], messages)
-    return [(downstream_forward(ad.constant(gamma), cfg.mlp3_shapes,
-                                ad.constant(task.features[qry])).data[:, 0], task.labels[qry])
-            for gamma, task, (_, qry) in zip(gammas, tasks, splits)]
+    queries = np.stack([task.features[qry] for task, (_, qry) in zip(tasks, splits)])
+    logits = downstream_forward(ad.constant(gammas[:, 0]), cfg.mlp3_shapes,
+                                ad.constant(queries)).data
+    return [(logits[:, t], tasks[t].labels[qry]) for t, (_, qry) in enumerate(splits)]
 
 
 def _validation_error(params, cfg, protocol, tasks, rng: Rng) -> float:
     """Mean query 0-1 error over the validation tasks, message noise at zero;
     task ``pos`` is split by ``rng.split(pos)``."""
-    params, errors = _constants(params), []
-    for chunk in _chunks(params, list(range(len(tasks))), protocol.support_size, 1):
-        errors += [ad.zero_one_loss(*pair) for pair in _query_logits(
-            params, cfg, [tasks[pos] for pos in chunk], protocol.support_size,
-            [rng.split(pos) for pos in chunk])]
+    params, errors = _constants(params), np.empty(len(tasks))
+    for positions in _by_size(tasks).values():
+        for chunk in _chunks(params, positions, protocol.support_size, 1):
+            errors[chunk] = [ad.zero_one_loss(*pair) for pair in _query_logits(
+                params, cfg, [tasks[pos] for pos in chunk], protocol.support_size,
+                [rng.split(pos) for pos in chunk])]
     return float(np.mean(errors))
 
 
@@ -285,28 +298,18 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
     call, which consumes the stream exactly as n_mc successive
     ``rng.normal(b)`` draws would, decodes them as one batch, and averages
     the chosen loss over the complement set.  Returns (mean, standard error).
-    This is the standalone estimator: ``certify_task`` decodes the same draws
-    within its stacked decode and gets the same bits.
+    This is the standalone estimator: ``certify_tasks`` decodes the same
+    draws within its stacked decode and gets the same bits.
     """
     if not cfg.has_gaussian_message:
         raise ValueError("mc_expected_loss needs a Gaussian message bottleneck")
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     messages = artifacts.message + rng.normal((n_mc, cfg.b))
-    gammas = decode_gamma(params, cfg, task.features, task.labels, artifacts.indices,
-                          messages)
+    gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+                           [artifacts.indices], messages[None])
     return _mean_stderr(ad.row_losses(
         *_complement_logits(cfg, task, artifacts.indices, gammas), loss_kind))
-
-
-def _check_certifiable(cfg: HypernetConfig, task: TaskDataset) -> None:
-    """Certification encodes the full sample and, for the test-query error, a
-    half-sample support set: both must hold a compression set."""
-    m = len(task)
-    if m // 2 < max(1, cfg.c):
-        raise ValueError(f"task {task.task_id} has {m} examples, too few for compression "
-                         f"size {cfg.c}: its test-query pass encodes a half-sample support "
-                         f"set of {m // 2}, which needs at least {max(1, cfg.c)}")
 
 
 def _message_blocks(cfg: HypernetConfig, protocol: CertifyProtocol) -> list[tuple]:
@@ -376,52 +379,46 @@ def _decode_chunk(params, cfg: HypernetConfig, tasks: list[TaskDataset],
 
 def certify_tasks(params: dict[str, Tensor], cfg: HypernetConfig, tasks: list[TaskDataset],
                   protocol: CertifyProtocol, rng: Rng) -> list[CertRow]:
-    """Certify each task as ``certify_task`` with ``rng.split(task.task_id)``.
+    """Certify the predictor the hypernetwork emits for each fresh task; task
+    t draws every message and its test-query split from
+    ``rng.split(task.task_id)``.
 
     Every task's size is checked before anything is encoded.  Tasks of one
     size are decoded in stacked chunks (``_decode_chunk``), then each task is
     certified from its share by ``certify_task``, with one ``certificates``
     dict for the whole call.  Rows come back in task order, each with the
-    bits of ``certify_task`` on that task alone.
+    bits of that task certified alone, as the chunk of one
+    ``certify_tasks(params, cfg, [task], protocol, rng)``.
     """
+    # the full sample and the half-sample support set must each hold a compression set
     for task in tasks:
-        _check_certifiable(cfg, task)
-    by_size: dict[int, list[int]] = {}
-    for pos, task in enumerate(tasks):
-        by_size.setdefault(len(task), []).append(pos)
+        if (m := len(task)) // 2 < max(1, cfg.c):
+            raise ValueError(f"task {task.task_id} has {m} examples, too few for compression "
+                             f"size {cfg.c}: its test-query pass encodes a half-sample support "
+                             f"set of {m // 2}, which needs at least {max(1, cfg.c)}")
     rows: list[CertRow | None] = [None] * len(tasks)
     certificates: dict[tuple, bounds.Certificate] = {}
-    for m, positions in by_size.items():
+    for m, positions in _by_size(tasks).items():
         for chunk in _chunks(params, positions, m, _message_rows(cfg, protocol)):
             rngs = [rng.split(tasks[pos].task_id) for pos in chunk]
             decoded = _decode_chunk(params, cfg, [tasks[pos] for pos in chunk], protocol, rngs)
-            for pos, task_rng, share in zip(chunk, rngs, decoded):
-                rows[pos] = certify_task(params, cfg, tasks[pos], protocol, task_rng, share,
-                                         certificates=certificates)
+            for pos, share in zip(chunk, decoded):
+                rows[pos] = certify_task(cfg, tasks[pos], protocol, share, certificates)
     return rows
 
 
-def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDataset,
-                 protocol: CertifyProtocol, rng: Rng,
-                 decoded: DecodedTask | None = None, *,
-                 certificates: dict[tuple, bounds.Certificate] | None = None) -> CertRow:
-    """Certify the predictor the hypernetwork emits for one fresh task.
+def certify_task(cfg: HypernetConfig, task: TaskDataset, protocol: CertifyProtocol,
+                 decoded: DecodedTask, certificates: dict[tuple, bounds.Certificate]) -> CertRow:
+    """Score one fresh task from ``decoded``, its share of a chunk that
+    ``certify_tasks`` decoded, and certify its predictor.
 
-    The full task sample feeds the bottleneck; empirical losses are measured
-    on the complement of the compression set.  ``protocol.loss_kind`` selects
-    the loss certified by the expectation-type (Gaussian-message) bounds; the
-    sample compression architectures always emit both the binomial 0-1
-    certificate and the kl certificate on the linear loss.
-
-    Every message is drawn before anything is decoded and the messages are
-    stacked under the noise-free one (``_message_stack``).  One decode then
-    encodes the compression rows once and scores every row; row i has the
-    bits of decoding message i alone.  The test-query error splits the task
-    with ``rng.split(0)``.
-
-    ``decoded`` is the task's share of a chunk decoded by ``certify_tasks``,
-    which drew from this same ``rng``; without it the task is checked and
-    decoded as a chunk of one.
+    The full task sample fed the bottleneck; empirical losses are measured
+    on the complement of the compression set, from the gamma rows of the
+    task's message stack (``_message_stack``), row i with the bits of
+    decoding message i alone.  ``protocol.loss_kind`` selects the loss
+    certified by the expectation-type (Gaussian-message) bounds; the sample
+    compression architectures always emit both the binomial 0-1 certificate
+    and the kl certificate on the linear loss.
 
     ``certificates`` maps each certificate's whole input (its bound, its
     ``BoundBudget`` and, for SCH_BINARY, the error count K) to the
@@ -429,11 +426,6 @@ def certify_task(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskDatas
     call, so tasks with equal inputs share one frozen certificate, computed
     once, and nothing outlives the call.
     """
-    if certificates is None:
-        certificates = {}
-    if decoded is None:
-        _check_certifiable(cfg, task)
-        decoded, = _decode_chunk(params, cfg, [task], protocol, [rng])
     n_mc, loss_kind = protocol.n_mc, protocol.loss_kind
     m, artifacts = len(task), decoded.artifacts
     logits, labels = _complement_logits(cfg, task, artifacts.indices, decoded.gammas)

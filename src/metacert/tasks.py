@@ -227,21 +227,23 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
                                                                    MoonsEnvironmentSpec]:
     """Read the task manifest and the split arrays of ``splits``.
 
-    Every manifest entry is checked, each ``task_id`` a distinct int >= 0;
-    the arrays of the other splits are not read, and those come back empty.
+    Every manifest entry is checked, each ``task_id`` a distinct int >= 0
+    and its provenance, where it has one, numbers; the arrays of the other
+    splits are not read, and those come back empty.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} under {directory}")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported task format version {manifest.get('format_version')}")
+    version = require_key(manifest, "format_version", "task manifest")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported task format version {version}")
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
     listed: dict[str, list[dict]] = {"train": [], "val": [], "test": []}
     seen_ids: set[int] = set()
-    for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest")):
+    for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest", list)):
         what = f"task manifest entry {pos}"
         split = require_key(entry, "split", what)
         if split not in listed:
@@ -257,6 +259,10 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
             count = require_key(entry, key, what)
             if type(count) is not int or count < 0:
                 raise ValueError(f"{what} key {key!r} is {count!r}, expected an int >= 0")
+        if "rotation_deg" in entry:  # a provenance: each of its keys, with its field's type
+            for key, kind in TaskProvenance.__annotations__.items():
+                if not _has_type(value := require_key(entry, key, what), kind):
+                    raise ValueError(f"{what} key {key!r} is {value!r}, expected {kind}")
         listed[split].append(entry)
     loaded = {split: _read_split(directory / _split_file(split), entries)
               if split in splits and entries else [] for split, entries in listed.items()}
@@ -292,11 +298,15 @@ def _read_split(path: Path, entries: list[dict]) -> list[TaskDataset]:
     return tasks
 
 
-def require_key(doc, key: str, what: str):
-    """``doc[key]``; ``ValueError`` naming the key if the JSON object lacks it."""
+def require_key(doc, key: str, what: str, kind: type = object):
+    """``doc[key]``; ``ValueError`` naming the key if ``doc`` is not a JSON
+    object holding it, or if its value is not a ``kind`` (``dict``: a JSON
+    object, ``list``: an array)."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{what} has no key {key!r}")
-    return doc[key]
+    if not isinstance(value := doc[key], kind):
+        raise ValueError(f"{what} key {key!r} is {type(value).__name__}, expected {kind.__name__}")
+    return value
 
 
 def settings_from_json(cls, doc, what: str):

@@ -24,7 +24,7 @@ from metacert.cli import main as cli_main
 from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward,
                                downstream_shapes, hypernet_forward,
                                init_hypernet_params)
-from metacert.metalearn import CertifyProtocol, TrainProtocol, certify_task, meta_train
+from metacert.metalearn import CertifyProtocol, TrainProtocol, certify_tasks, meta_train
 from metacert.rng import Rng, STREAM_CERTIFY, STREAM_TRAIN
 from metacert.tasks import MoonsEnvironmentSpec, gen_meta_dataset, gen_moons_task
 
@@ -204,8 +204,7 @@ def test_criterion_moons_end_to_end(moons_environment, trained_sch):
     spec, meta = moons_environment
     cfg, params, log = trained_sch
     rng = Rng(ACCEPT_SEED).split(STREAM_CERTIFY)
-    errors = [certify_task(params, cfg, task, CertifyProtocol(0.05),
-                           rng.split(task.task_id)).test_query_error
+    errors = [certify_tasks(params, cfg, [task], CertifyProtocol(0.05), rng)[0].test_query_error
               for task in meta.test]
     mean_err = float(np.mean(errors))
     report("moons-end-to-end", mean_err <= 0.15,
@@ -220,8 +219,8 @@ def _fresh_eval_set(spec, task_id, repeats=5):
 
 
 def _gamma_loss(params, cfg, task, indices, message, x, y, kind):
-    gammas = decode_gamma(params, cfg, task.features, task.labels, indices,
-                          None if message is None else message[None])
+    gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None], [indices],
+                           None if message is None else message[None, None])
     logits = downstream_forward(ad.constant(gammas[:1]),
                                 downstream_shapes(cfg.input_dim, cfg.mlp3), ad.constant(x))
     if kind == "zero_one":
@@ -236,7 +235,7 @@ def _violations_for_model(spec, cfg, params, task_ids, delta, rng):
     totals: dict[str, int] = {}
     for tid in task_ids:
         task = gen_moons_task(spec, tid)
-        row = certify_task(params, cfg, task, CertifyProtocol(delta, n_mc=100), rng.split(tid))
+        row = certify_tasks(params, cfg, [task], CertifyProtocol(delta, n_mc=100), rng)[0]
         fresh_x, fresh_y = _fresh_eval_set(spec, tid)
         for entry in row.certificates:
             fresh = None

@@ -74,6 +74,12 @@ class TestBernoulliKl:
                 error = abs(Decimal(bernoulli_kl(q, p)) - exact_kl(q, p)) / exact_kl(q, p)
                 assert error <= Decimal("1e-12"), (q, p, float(error))
 
+    @pytest.mark.parametrize("q, p", [(0.5, 1e-320), (1.0, 1e-320), (0.3, 5e-324)])
+    def test_subnormal_p_where_q_over_p_overflows(self, q, p):
+        # q / p overflows to inf, and so did kl
+        exact = exact_kl(q, p)
+        assert abs(Decimal(bernoulli_kl(q, p)) - exact) / exact <= Decimal("1e-15")
+
     def test_error_is_within_the_inversion_margin(self):
         # kl_inverse counts a tau as past the root once kl exceeds the budget
         # by bounds._MARGIN of it, so kl's relative error must stay below that

@@ -42,6 +42,11 @@ n_mc = 4
 """
 
 
+def in_array(doc):
+    """A damage that puts the whole JSON document inside an array."""
+    return [doc]
+
+
 def write_config(tmp_path, text=None):
     cfg = tmp_path / "run.conf"
     cfg.write_text((text or MICRO_CONFIG).format(out=tmp_path / "out"))
@@ -205,7 +210,7 @@ class TestPipeline:
         assert any(int(r["c_effective"]) < 3 for r in rows)
 
         def per_task(params, hcfg, tasks, protocol, rng):
-            return [metalearn.certify_task(params, hcfg, task, protocol, rng.split(task.task_id))
+            return [metalearn.certify_tasks(params, hcfg, [task], protocol, rng)[0]
                     for task in tasks]
 
         monkeypatch.setattr(cli, "certify_tasks", per_task)
@@ -370,13 +375,20 @@ class TestPipeline:
         ("checkpoint.json",
          lambda doc: doc["params"]["recon.trunk.w0"].update(values="AAAAAAAAAAA="),
          "recon.trunk.w0"),
+        ("checkpoint.json", lambda doc: doc.update(params=list(doc["params"])), "'params'"),
+        ("checkpoint.json", lambda doc: doc.update(params=" ".join(doc["params"])), "'params'"),
+        ("checkpoint.json", in_array, "'format_version'"),
+        ("tasks/manifest.json", lambda doc: doc.update(tasks=5), "'tasks'"),
+        ("tasks/manifest.json", lambda doc: doc.update(tasks=None), "'tasks'"),
+        ("tasks/manifest.json", in_array, "'format_version'"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
             "config_string_c", "manifest_unknown_key", "manifest_no_environment",
             "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
             "entry_no_split", "entry_no_file", "entry_no_task_id", "entry_float_task_id",
             "entry_bool_task_id", "entry_negative_task_id", "entry_string_task_id",
             "entry_duplicate_task_id", "values_not_a_string", "values_not_base64",
-            "values_byte_count"])
+            "values_byte_count", "params_array", "params_string", "checkpoint_array",
+            "manifest_tasks_number", "manifest_tasks_null", "manifest_array"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)
@@ -384,8 +396,8 @@ class TestPipeline:
         assert main(["train", "--config", str(cfg)]) == 0
         path = tmp_path / "out" / artifact
         doc = json.loads(path.read_text())
-        damage(doc)
-        path.write_text(json.dumps(doc))
+        damaged = damage(doc)
+        path.write_text(json.dumps(damaged if damage is in_array else doc))
         capsys.readouterr()
         assert main(["certify", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err

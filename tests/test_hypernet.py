@@ -328,9 +328,9 @@ class TestReconstructor:
         perm = Rng(0).permutation(len(task))
         position = np.argsort(perm)  # example i sits at position[i] after perm
         moved = tuple(int(position[i]) for i in reversed(indices))
-        g1 = decode_gamma(params, cfg, task.features, task.labels, indices, None)
-        g2 = decode_gamma(params, cfg, task.features[perm], task.labels[perm],
-                          moved, None)
+        g1 = decode_gamma(params, cfg, task.features[None], task.labels[None], [indices], None)
+        g2 = decode_gamma(params, cfg, task.features[perm][None], task.labels[perm][None],
+                          [moved], None)
         assert np.array_equal(g1, g2)
 
     def test_needs_rows_or_message(self):
@@ -454,8 +454,8 @@ class TestBatchedDecode:
                                       eps=np.zeros(b))
             collided |= art.c_effective < c
             eps = Rng(seed).normal((6, b))
-            gammas = decode_gamma(params, cfg, task.features, task.labels,
-                                  art.indices, art.message + eps)
+            gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+                                   [art.indices], (art.message + eps)[None])
             assert gammas.shape == (6, downstream_param_count(cfg.mlp3_shapes))
             for i in range(6):
                 gamma, _ = hypernet_forward(params, cfg, task.features, task.labels,
@@ -472,9 +472,9 @@ class TestBatchedDecode:
             task = small_task(m=30, seed=seed)
             gamma, art = hypernet_forward(params, cfg, task.features, task.labels)
             collided |= art.c_effective < 3
-            message = None if art.message is None else art.message[None]
-            gammas = decode_gamma(params, cfg, task.features, task.labels,
-                                  art.indices, message)
+            message = None if art.message is None else art.message[None, None]
+            gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+                                   [art.indices], message)
             assert gammas.shape == (1, gamma.data.size)
             assert np.array_equal(gammas[0], gamma.data[0]), seed
         assert collided
@@ -486,8 +486,8 @@ class TestBatchedDecode:
         task = small_task(m=30)
         _, art = hypernet_forward(params, cfg, task.features, task.labels,
                                   eps=np.zeros(3))
-        gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                              art.message + Rng(3).normal((4, 3)))
+        gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+                               [art.indices], (art.message + Rng(3).normal((4, 3)))[None])
         logits = downstream_forward(ad.constant(gammas), cfg.mlp3_shapes,
                                     ad.constant(task.features)).data.T
         assert logits.shape == (4, len(task))
@@ -495,6 +495,20 @@ class TestBatchedDecode:
             ref = downstream_forward(ad.constant(gammas[i:i + 1]), cfg.mlp3_shapes,
                                      ad.constant(task.features))
             assert np.array_equal(logits[i], ref.data[:, 0]), i
+
+    @pytest.mark.parametrize("mlp3", [(5,), (100,), (200, 200)])
+    @pytest.mark.parametrize("n_rows", [1, 13])
+    def test_per_row_feature_stacks_equal_per_row_calls(self, mlp3, n_rows):
+        # row i on its own features[i], as a chunk's query sets are scored
+        shapes = downstream_shapes(2, mlp3)
+        gammas = Rng(4).normal((n_rows, downstream_param_count(shapes)))
+        features = Rng(5).normal((n_rows, 37, 2))
+        logits = downstream_forward(ad.constant(gammas), shapes, ad.constant(features)).data
+        assert logits.shape == (37, n_rows)
+        for i in range(n_rows):
+            ref = downstream_forward(ad.constant(gammas[i:i + 1]), shapes,
+                                     ad.constant(features[i]))
+            assert np.array_equal(logits[:, i], ref.data[:, 0]), (mlp3, i)
 
     def test_logits_hold_one_buffer_per_layer(self):
         # bias add and ReLU write into the matmul output: a 100-message batch
@@ -519,8 +533,8 @@ class TestBatchedDecode:
                                     ("SCH_MINUS", 2, 0, np.zeros((1, 0)))):
             cfg = small_config(arch, c=c, b=b)
             with pytest.raises(ValueError):
-                decode_gamma(params_for(cfg), cfg, task.features, task.labels,
-                             (0, 1), message)
+                decode_gamma(params_for(cfg), cfg, task.features[None], task.labels[None],
+                             [(0, 1)], None if message is None else message[None])
 
 
 class TestForwardAndArtifacts:
@@ -550,8 +564,8 @@ class TestForwardAndArtifacts:
         task = small_task()
         g1, art = hypernet_forward(params, cfg, task.features, task.labels,
                                    eps=np.zeros(4))
-        g2 = decode_gamma(params, cfg, task.features, task.labels, (),
-                          art.message[None])
+        g2, = decode_gamma(params, cfg, task.features[None], task.labels[None], [()],
+                           art.message[None, None])
         assert np.array_equal(g1.data[0], g2[0])
 
     def test_same_rng_seed_reproduces_gamma(self):
@@ -589,8 +603,8 @@ class TestForwardAndArtifacts:
         other_y = np.where(Rng(34).normal(20) > 0, 1.0, -1.0)
         other_x[list(art.indices)] = task.features[list(art.indices)]
         other_y[list(art.indices)] = task.labels[list(art.indices)]
-        g2 = decode_gamma(params, cfg, other_x, other_y, art.indices,
-                          art.message[None])
+        g2, = decode_gamma(params, cfg, other_x[None], other_y[None], [art.indices],
+                           art.message[None, None])
         assert np.array_equal(gamma.data[0], g2[0])
 
     def test_decode_matches_forward_for_sch(self):
@@ -598,7 +612,8 @@ class TestForwardAndArtifacts:
         params = params_for(cfg)
         task = small_task(m=30)
         gamma, art = hypernet_forward(params, cfg, task.features, task.labels)
-        g2 = decode_gamma(params, cfg, task.features, task.labels, art.indices, None)
+        g2, = decode_gamma(params, cfg, task.features[None], task.labels[None], [art.indices],
+                           None)
         assert np.array_equal(gamma.data[0], g2[0])
 
     def test_canonical_order_runs_once_per_entry_point(self, monkeypatch):
@@ -619,8 +634,8 @@ class TestForwardAndArtifacts:
                                       eps=Rng(7).normal(b))
             assert calls == [(len(task),)], arch
             calls.clear()
-            decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                         None if art.message is None else art.message[None])
+            decode_gamma(params, cfg, task.features[None], task.labels[None], [art.indices],
+                         None if art.message is None else art.message[None, None])
             assert calls == ([(1, art.c_effective)] if c > 0 else []), arch
 
     def test_set_statistics_runs_once_per_set(self, monkeypatch):
@@ -642,8 +657,8 @@ class TestForwardAndArtifacts:
             art, _, _ = encode(params, cfg, task.features, task.labels)
             assert calls == [(len(task),)], arch
             calls.clear()
-            decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                         None if art.message is None else art.message[None])
+            decode_gamma(params, cfg, task.features[None], task.labels[None], [art.indices],
+                         None if art.message is None else art.message[None, None])
             assert calls == ([(1, art.c_effective)] if c > 0 else []), arch
 
     def test_mlp_forward_builds_one_tensor_per_layer(self, monkeypatch):

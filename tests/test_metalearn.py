@@ -15,7 +15,7 @@ from metacert.autodiff import Tensor
 from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward, encode,
                                hypernet_forward, init_hypernet_params)
 from metacert.metalearn import (CertifyProtocol, TrainProtocol, TrainingDivergedError,
-                                certify_task, certify_tasks, mc_expected_loss, meta_train,
+                                certify_tasks, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
 from metacert.rng import Rng
 from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, gen_meta_dataset,
@@ -248,7 +248,7 @@ class TestCertifyTask:
 
     def test_sch_minus_certificates(self):
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
-        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=5), Rng(0))
+        row = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=5), Rng(0))[0]
         kinds = [e.kind for e in row.certificates]
         assert kinds == ["SCH_BINARY", "SCH_REAL"]
         assert row.certificates[0].emp_loss_kind == "zero_one"
@@ -262,7 +262,7 @@ class TestCertifyTask:
         # at the row's own K, against an exact math.comb CDF root-found by brentq;
         # with K = 0 it is the closed form 1 - (delta / (c C(m, |j|)))^(1/n)
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
-        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=5), Rng(0))
+        row = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=5), Rng(0))[0]
         m, c_eff = row.m_prime, row.c_effective
         n = m - c_eff
         K = round(row.emp_complement_01 * n)
@@ -278,7 +278,7 @@ class TestCertifyTask:
 
     def test_pbh_certificate(self):
         cfg, params, task = self.make("PBH", 0, 3)
-        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=16), Rng(0))
+        row = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=16), Rng(0))[0]
         kinds = [e.kind for e in row.certificates]
         assert kinds == ["PB"]
         assert row.c_effective == 0
@@ -286,7 +286,7 @@ class TestCertifyTask:
 
     def test_pbsch_certificates(self):
         cfg, params, task = self.make("PBSCH", 2, 3)
-        row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=16), Rng(0))
+        row = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=16), Rng(0))[0]
         kinds = [e.kind for e in row.certificates]
         assert kinds == ["PBSCH", "PBSCH_DISINTEGRATED"]
         # the disintegrated certificate refers to one sampled predictor,
@@ -296,8 +296,8 @@ class TestCertifyTask:
 
     def test_repeat_certification_bit_identical(self):
         cfg, params, task = self.make("PBSCH", 2, 3)
-        r1 = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=8), Rng(42, (9,)))
-        r2 = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=8), Rng(42, (9,)))
+        r1 = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=8), Rng(42, (9,)))[0]
+        r2 = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=8), Rng(42, (9,)))[0]
         assert r1.test_query_error == r2.test_query_error
         for e1, e2 in zip(r1.certificates, r2.certificates):
             assert e1.tau_star == e2.tau_star and e1.emp_loss == e2.emp_loss
@@ -306,8 +306,8 @@ class TestCertifyTask:
         # same parameters certify the same task identically no matter what
         # other tasks exist; the API admits no meta-training input at all
         cfg, params, task = self.make("SCH_MINUS", 3, 0)
-        r1 = certify_task(params, cfg, task, CertifyProtocol(0.05), Rng(1))
-        r2 = certify_task(params, cfg, task, CertifyProtocol(0.05), Rng(1))
+        r1 = certify_tasks(params, cfg, [task], CertifyProtocol(0.05), Rng(1))[0]
+        r2 = certify_tasks(params, cfg, [task], CertifyProtocol(0.05), Rng(1))[0]
         assert r1.certificates[0].tau_star == r2.certificates[0].tau_star
 
     def test_task_too_small_rejected(self):
@@ -315,7 +315,7 @@ class TestCertifyTask:
         tiny = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=2,
                                                    master_seed=1), 0)
         with pytest.raises(ValueError):
-            certify_task(params, cfg, tiny, CertifyProtocol(0.05), Rng(0))
+            certify_tasks(params, cfg, [tiny], CertifyProtocol(0.05), Rng(0))
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_half_sample_smaller_than_c_rejected_before_any_encode(self, monkeypatch, m):
@@ -329,7 +329,7 @@ class TestCertifyTask:
                    f"test-query pass encodes a half-sample support set of {m // 2}, "
                    f"which needs at least 3")
         with pytest.raises(ValueError, match=message):
-            certify_task(params, cfg, small, CertifyProtocol(0.05), Rng(0))
+            certify_tasks(params, cfg, [small], CertifyProtocol(0.05), Rng(0))
         with pytest.raises(ValueError, match=message):
             certify_tasks(params, cfg, [task, small], CertifyProtocol(0.05), Rng(0))
         assert encoded == []
@@ -358,8 +358,8 @@ class TestCompressionSetPrior:
         collided = False
         for seed in (5, 8):  # task seed 8 makes two of the three heads collide
             task = TestForwardOnlyEvaluation.task(seed)
-            row = certify_task(params, cfg, task, CertifyProtocol(0.05, n_mc=6),
-                               Rng(30, (seed,)))
+            row = certify_tasks(params, cfg, [task], CertifyProtocol(0.05, n_mc=6),
+                                Rng(30, (seed,)))[0]
             art, _, _ = encode(params, cfg, task.features, task.labels)
             m, c_eff = row.m_prime, row.c_effective
             collided |= c_eff < c
@@ -445,7 +445,7 @@ class TestForwardOnlyEvaluation:
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         for cfg, params in runs:
-            certify_task(params, cfg, tasks[0], CertifyProtocol(0.05, n_mc=4), Rng(0))
+            certify_tasks(params, cfg, [tasks[0]], CertifyProtocol(0.05, n_mc=4), Rng(0))
             certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=4), Rng(0))
             metalearn._validation_error(params, cfg, TrainProtocol(support_size=20),
                                         tasks, Rng(3))
@@ -456,7 +456,7 @@ class TestForwardOnlyEvaluation:
 
 
 class TestStackedCertification:
-    """``certify_task`` decodes ``[mu; draws; omega]`` in one stacked decode;
+    """``certify_tasks`` decodes ``[mu; draws; omega]`` in one stacked decode;
     each certificate equals the separate decode it replaces, bit for bit.
     Task seed 8 makes two of the three heads collide."""
 
@@ -475,8 +475,9 @@ class TestStackedCertification:
         for seed in (5, 8):
             task = TestForwardOnlyEvaluation.task(seed)
             rng = Rng(30, (seed,))
-            row = certify_task(params, cfg, task,
-                               CertifyProtocol(0.05, n_mc=self.N_MC, loss_kind=kind), rng)
+            row = certify_tasks(params, cfg, [task],
+                                CertifyProtocol(0.05, n_mc=self.N_MC, loss_kind=kind), rng)[0]
+            rng = rng.split(task.task_id)  # the task's own stream
             art, _, _ = encode(params, cfg, task.features, task.labels)
             collided |= art.c_effective < c
             mean, stderr = mc_expected_loss(params, cfg, task, art, self.N_MC,
@@ -484,16 +485,16 @@ class TestStackedCertification:
             entry = row.certificates[0]
             assert (entry.emp_loss, entry.mc_stderr) == (mean, stderr), seed
 
-            gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                                  art.message[None])
+            gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+                                   [art.indices], art.message[None, None])
             logits, labels = metalearn._complement_logits(cfg, task, art.indices, gammas)
             assert row.emp_complement_01 == ad.zero_one_loss(logits[0], labels)
             assert row.emp_complement_linear == ad.linear_loss(logits[0], labels)
 
             if arch == "PBSCH":
                 omega = art.message + rng.split(2).normal(cfg.b)
-                gammas = decode_gamma(params, cfg, task.features, task.labels, art.indices,
-                                      omega[None])
+                gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+                                       [art.indices], omega[None, None])
                 logits, labels = metalearn._complement_logits(cfg, task, art.indices, gammas)
                 star = row.certificates[1]
                 assert star.kind == "PBSCH_DISINTEGRATED"
@@ -516,7 +517,7 @@ class TestStackedCertification:
         rows = certify_tasks(params, cfg, tasks, protocol, Rng(30))
         assert any(row.c_effective < c for row in rows) == (c > 0)
         for task, row in zip(tasks, rows):
-            ref = certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
+            ref = certify_tasks(params, cfg, [task], protocol, Rng(30))[0]
             assert row.task_id == task.task_id
             assert ((row.m_prime, row.c_effective, row.indices, row.emp_complement_01,
                      row.emp_complement_linear, row.test_query_error, row.certificates)
@@ -575,9 +576,9 @@ class TestStackedCertification:
         calls = []
         real = metalearn.certify_task
 
-        def spy(params, cfg, task, protocol, rng, decoded=None, *, certificates=None):
+        def spy(cfg, task, protocol, decoded, certificates):
             calls.append((task.task_id, decoded is not None))
-            return real(params, cfg, task, protocol, rng, decoded, certificates=certificates)
+            return real(cfg, task, protocol, decoded, certificates)
 
         monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
         monkeypatch.setattr(metalearn, "certify_task", spy)
@@ -604,7 +605,7 @@ class TestStackedCertification:
         rows = certify_tasks(params, cfg, tasks, protocol, Rng(30))
         assert any(row.c_effective < 3 for row in rows)
         for task, row in zip(tasks, rows):
-            ref = certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
+            ref = certify_tasks(params, cfg, [task], protocol, Rng(30))[0]
             assert row.task_id == task.task_id
             assert ((row.c_effective, row.indices, row.emp_complement_01,
                      row.emp_complement_linear, row.test_query_error, row.certificates)
@@ -631,7 +632,7 @@ class TestStackedCertification:
 
         monkeypatch.setattr(bounds, "binomial_tail_inverse", spy)
         for task in tasks:
-            certify_task(params, cfg, task, protocol, Rng(30).split(task.task_id))
+            certify_tasks(params, cfg, [task], protocol, Rng(30))
         assert len(calls) == len(tasks)  # one inversion per task: its tau*
         distinct = set(calls)
         assert len(distinct) < len(tasks)
@@ -695,6 +696,17 @@ class TestStackedCertification:
         monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
         assert metalearn._validation_error(params, cfg, protocol, tasks, Rng(3)) == whole
 
+    def test_validation_error_over_mixed_task_sizes(self):
+        # query sets of 13 and 23 examples: each size is scored in its own stack
+        cfg, params = self.make("SCH_PLUS", 3)
+        tasks = [TestForwardOnlyEvaluation.task(seed, m) for seed, m in
+                 ((5, 30), (8, 40), (9, 30), (12, 40), (13, 30))]
+        errors = [ad.zero_one_loss(*metalearn._query_logits(params, cfg, [task], 17,
+                                                            [Rng(3).split(pos)])[0])
+                  for pos, task in enumerate(tasks)]
+        assert metalearn._validation_error(params, cfg, TrainProtocol(support_size=17), tasks,
+                                           Rng(3)) == float(np.mean(errors))
+
     def test_one_encode_and_one_decode_per_task(self, monkeypatch):
         # the certificate decode gets every message of every task at once; the
         # other encode/decode pair is the support/query test error
@@ -717,7 +729,7 @@ class TestStackedCertification:
             cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
             params = init_hypernet_params(cfg, Rng(6).split(0))
             calls.clear()
-            certify_task(params, cfg, tasks[0], CertifyProtocol(0.05, n_mc=4), Rng(0))
+            certify_tasks(params, cfg, [tasks[0]], CertifyProtocol(0.05, n_mc=4), Rng(0))
             assert [name for name, _, _ in calls] == ["encode", "decode"] * 2, arch
             assert calls[1] == ("decode", 1, rows), arch
             calls.clear()

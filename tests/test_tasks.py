@@ -363,7 +363,8 @@ class TestFileRoundTrip:
 
     @pytest.mark.parametrize("key, value", [
         ("file", "test.npy"), ("file", "../train.npy"), ("examples", -1),
-        ("examples", 40.0), ("features", True)])
+        ("examples", 40.0), ("features", True), ("rotation_deg", "x"), ("center", "ab"),
+        ("center", [1.0]), ("scale", "x")])
     def test_bad_entry_file_or_count_is_refused_in_any_split(self, tmp_path, key, value):
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
