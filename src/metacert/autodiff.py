@@ -347,12 +347,14 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows; minimum(x, -x) keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sign(x) -> np.ndarray:
+    """+1 where ``x >= 0`` (sign(0) = +1), else -1 (NaN included)."""
+    return np.where(x >= 0.0, 1.0, -1.0)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -376,7 +378,7 @@ def sign_st(a: Tensor, soft: bool = False) -> Tensor:
     With ``soft=True`` the forward is the identity as well, exposing the
     declared surrogate so it can be finite-difference checked.
     """
-    y = a.data.copy() if soft else np.where(a.data >= 0.0, 1.0, -1.0)
+    y = a.data.copy() if soft else _sign(a.data)
 
     def backward(g):
         _accum(a, g)
@@ -661,7 +663,7 @@ def zero_one_errors(logits, labels) -> int:
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if z.shape != y.shape:
         raise ValueError("logits/labels length mismatch")
-    return int(np.count_nonzero(np.where(z >= 0.0, 1.0, -1.0) != y))
+    return int(np.count_nonzero(_sign(z) != y))
 
 
 def zero_one_loss(logits, labels) -> float:
@@ -683,7 +685,7 @@ def row_losses(logits, labels, kind: str) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] != y.size:
         raise ValueError(f"logits {z.shape} do not hold rows of {y.size} labels")
     if kind == "zero_one":
-        return np.count_nonzero(np.where(z >= 0.0, 1.0, -1.0) != y, axis=1) / y.size
+        return np.count_nonzero(_sign(z) != y, axis=1) / y.size
     if kind == "linear":
         return np.mean(1.0 - _sigmoid(y * z), axis=1)
     raise ValueError(f"unknown loss kind {kind!r}")

@@ -218,13 +218,18 @@ def _validation_error(params, cfg, protocol, tasks, rng: Rng) -> float:
 def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
                cfg: HypernetConfig, protocol: TrainProtocol,
                rng: Rng) -> tuple[dict[str, Tensor], TrainingLog]:
-    """Train the hypernetwork; returns the best-validation-epoch parameters."""
+    """Train the hypernetwork; returns the best-validation-epoch parameters.
+
+    Every training and validation task's size is checked before the first
+    step: each is split into a support set and a non-empty query set.
+    """
     if not train_tasks or not val_tasks:
         raise ValueError("need at least one training task and one validation task")
-    min_size = min(len(t) for t in train_tasks)
-    if protocol.support_size >= min_size:
-        raise ValueError(f"support_size {protocol.support_size} must be < "
-                         f"smallest task size {min_size}")
+    for kind, tasks in (("training", train_tasks), ("validation", val_tasks)):
+        for task in tasks:
+            if protocol.support_size >= (m := len(task)):
+                raise ValueError(f"{kind} task {task.task_id} has {m} examples, too few for "
+                                 f"support_size {protocol.support_size}")
     params = init_hypernet_params(cfg, rng.split(0))
     optimizer = Adam(params, lr=protocol.learning_rate)
     log = TrainingLog()

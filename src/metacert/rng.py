@@ -60,9 +60,6 @@ class Rng:
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

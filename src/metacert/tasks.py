@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from .rng import Rng, STREAM_TASKS
 
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 VALIDATION_FRACTION = 0.2  # task-level holdout carved from the training tasks
 
 
@@ -189,12 +190,18 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
     delete the array file of each empty split.
 
     A split's array stacks its tasks' ``[features | label]`` rows in
-    manifest order; each manifest entry counts its task's examples and
-    features.  The tasks of one split must share a feature dimension.
+    manifest order.  The manifest states each split's feature count once,
+    and each of its entries a task's id, its example count and, where it has
+    one, its ``TaskProvenance`` fields.  The tasks of one split must share a
+    feature dimension.  The old manifest is deleted before the first array is
+    written and the new one is moved into place last, so a ``gen`` stopped
+    half-way leaves no manifest to pair with the wrong arrays.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
+    path = directory / MANIFEST_NAME
+    path.unlink(missing_ok=True)
+    splits = {}
     for split, tasks in (("train", meta.train), ("val", meta.val), ("test", meta.test)):
         if not tasks:  # a file left by an earlier ``gen`` would outlive its split
             (directory / _split_file(split)).unlink(missing_ok=True)
@@ -204,22 +211,19 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
             if task.features.shape[1] != d:
                 raise ValueError(f"task {task.task_id} has {task.features.shape[1]} features, "
                                  f"but the {split} split's first task has {d}")
-            entry = {"task_id": task.task_id, "file": _split_file(split), "split": split,
-                     "examples": len(task), "features": d}
-            if task.provenance is not None:
-                entry.update({
-                    "rotation_deg": task.provenance.rotation_deg,
-                    "center": list(task.provenance.center),
-                    "scale": task.provenance.scale,
-                })
-            entries.append(entry)
+        # vars() is a provenance's fields; dataclasses.asdict would deep-copy each one
+        splits[split] = {"features": d, "tasks": [
+            {"task_id": t.task_id, "examples": len(t),
+             **(vars(t.provenance) if t.provenance is not None else {})}
+            for t in tasks]}
         rows = np.column_stack([np.concatenate([t.features for t in tasks]),
                                 np.concatenate([t.labels for t in tasks])])
         np.save(directory / _split_file(split), rows, allow_pickle=False)
     manifest = {"format_version": FORMAT_VERSION,
-                "environment": dataclasses.asdict(spec), "tasks": entries}
-    path = directory / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+                "environment": dataclasses.asdict(spec), "splits": splits}
+    partial = path.with_name(MANIFEST_NAME + ".partial")
+    partial.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    os.replace(partial, path)
     return path
 
 
@@ -227,70 +231,63 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
                                                                    MoonsEnvironmentSpec]:
     """Read the task manifest and the split arrays of ``splits``.
 
-    Every manifest entry is checked, each ``task_id`` a distinct int >= 0
-    and its provenance, where it has one, numbers; the arrays of the other
-    splits are not read, and those come back empty.
+    Every split's feature count and every entry is checked, each
+    ``task_id`` a distinct int >= 0 across all splits and its provenance,
+    where it has one, ``TaskProvenance``'s fields with their types; the
+    arrays of the other splits are not read, and those come back empty.
     """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} under {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    version = require_key(manifest, "format_version", "task manifest")
-    if version != FORMAT_VERSION:
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    if (version := require_key(manifest, "format_version", "task manifest")) != FORMAT_VERSION:
         raise ValueError(f"unsupported task format version {version}")
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
-    listed: dict[str, list[dict]] = {"train": [], "val": [], "test": []}
+    loaded: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
     seen_ids: set[int] = set()
-    for pos, entry in enumerate(require_key(manifest, "tasks", "task manifest", list)):
-        what = f"task manifest entry {pos}"
-        split = require_key(entry, "split", what)
-        if split not in listed:
+    for split, doc in require_key(manifest, "splits", "task manifest", dict).items():
+        if split not in loaded:
             raise ValueError(f"unknown split {split!r} in manifest")
-        file = require_key(entry, "file", what)
-        if file != _split_file(split):
-            raise ValueError(f"{what} key 'file' is {file!r}, expected {_split_file(split)!r}")
-        task_id = require_key(entry, "task_id", what)
-        if type(task_id) is not int or task_id < 0 or task_id in seen_ids:
-            raise ValueError(f"{what} key 'task_id' is {task_id!r}, expected an unused int >= 0")
-        seen_ids.add(task_id)
-        for key in ("examples", "features"):
-            count = require_key(entry, key, what)
-            if type(count) is not int or count < 0:
-                raise ValueError(f"{what} key {key!r} is {count!r}, expected an int >= 0")
-        if "rotation_deg" in entry:  # a provenance: each of its keys, with its field's type
-            for key, kind in TaskProvenance.__annotations__.items():
-                if not _has_type(value := require_key(entry, key, what), kind):
-                    raise ValueError(f"{what} key {key!r} is {value!r}, expected {kind}")
-        listed[split].append(entry)
-    loaded = {split: _read_split(directory / _split_file(split), entries)
-              if split in splits and entries else [] for split, entries in listed.items()}
+        what = f"task manifest split {split!r}"
+        if type(d := require_key(doc, "features", what)) is not int or d < 0:
+            raise ValueError(f"{what} key 'features' is {d!r}, expected an int >= 0")
+        entries = require_key(doc, "tasks", what, list)
+        for pos, entry in enumerate(entries):
+            what = f"task manifest {split} entry {pos}"
+            task_id = require_key(entry, "task_id", what)
+            if type(task_id) is not int or task_id < 0 or task_id in seen_ids:
+                raise ValueError(f"{what} key 'task_id' is {task_id!r}, "
+                                 f"expected an unused int >= 0")
+            seen_ids.add(task_id)
+            if type(count := require_key(entry, "examples", what)) is not int or count < 0:
+                raise ValueError(f"{what} key 'examples' is {count!r}, expected an int >= 0")
+            if len(entry) > 2:  # a provenance: each of its fields, with its type
+                for key, kind in TaskProvenance.__annotations__.items():
+                    if not _has_type(value := require_key(entry, key, what), kind):
+                        raise ValueError(f"{what} key {key!r} is {value!r}, expected {kind}")
+        if split in splits and entries:
+            loaded[split] = _read_split(directory / _split_file(split), d, entries)
     return MetaDataset(**loaded), spec
 
 
-def _read_split(path: Path, entries: list[dict]) -> list[TaskDataset]:
-    """Cut a split's array into its manifest entries' tasks, checking its shape."""
-    if not path.exists():
-        raise FileNotFoundError(f"task file missing: {path}")
+def _read_split(path: Path, d: int, entries: list[dict]) -> list[TaskDataset]:
+    """Cut a split's array into its manifest entries' tasks of ``d`` features,
+    checking its shape."""
     try:
         rows = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if rows.ndim != 2 or rows.dtype != np.float64:
         raise ValueError(f"{path}: expected a 2-D float64 array, got {rows.ndim}-D {rows.dtype}")
-    n_rows, n_cols = rows.shape
-    total = sum(entry["examples"] for entry in entries)
-    if n_rows != total:
-        raise ValueError(f"{path}: {n_rows} rows, but its manifest entries count {total}")
+    if len(rows) != (total := sum(entry["examples"] for entry in entries)):
+        raise ValueError(f"{path}: {len(rows)} rows, but its manifest entries count {total}")
+    if rows.shape[1] != d + 1:
+        raise ValueError(f"{path}: {rows.shape[1]} columns, but its split has {d} features "
+                         f"and a label")
     tasks, start = [], 0
     for entry in entries:
-        d, stop = entry["features"], start + entry["examples"]
-        if n_cols != d + 1:
-            raise ValueError(f"{path}: {n_cols} columns, but task {entry['task_id']} "
-                             f"has {d} features and a label")
+        stop = start + entry["examples"]
         provenance = (TaskProvenance(entry["rotation_deg"], tuple(entry["center"]),
-                                     entry["scale"]) if "rotation_deg" in entry else None)
+                                     entry["scale"]) if len(entry) > 2 else None)
         # copies keep both arrays C-contiguous, as freshly generated tasks are
         tasks.append(TaskDataset(rows[start:stop, :d].copy(), rows[start:stop, d].copy(),
                                  entry["task_id"], provenance))

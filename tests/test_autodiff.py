@@ -1,6 +1,7 @@
 """Gradient and graph-mechanics tests for the autodiff engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -547,6 +548,13 @@ class TestMetrics:
     def test_zero_one_sign_zero_counts_positive(self):
         assert ad.zero_one_loss(np.array([0.0]), np.array([1.0])) == 0.0
         assert ad.zero_one_loss(np.array([0.0]), np.array([-1.0])) == 1.0
+        # the same rule in every metric: -0.0 counts as +1, a NaN logit as
+        # -1, and a label other than -1 and +1 disagrees with every logit
+        z = np.array([0.0, -0.0, np.nan, 2.0, -2.0, 3.0])
+        y = np.array([1.0, 1.0, -1.0, 0.0, np.nan, 1.0])
+        assert ad.zero_one_errors(z, y) == 2
+        assert ad.row_losses(z[None], y, "zero_one")[0] == 2 / 6
+        assert np.array_equal(ad.sign_st(Tensor(z)).data, [1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
 
     def test_linear_loss_confident_predictions(self):
         val = ad.linear_loss(np.array([50.0, -50.0]), np.array([1.0, -1.0]))
@@ -576,6 +584,22 @@ class TestMetrics:
             assert all(rows[i] == metric(z[i], y) for i in range(6)), kind
         with pytest.raises(ValueError):
             ad.row_losses(z, y, "hinge")
+
+    def test_sigmoid_equals_the_masked_form_bit_for_bit(self):
+        def masked(x):  # the former form: one exp per element, chosen by mask
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 5e-324]
+        x = np.concatenate([special, Rng(8).normal(2000) * 40.0, Rng(9).normal(500) * 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad._sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), masked(x).view(np.uint64))
 
 
 class TestRoundTrips:

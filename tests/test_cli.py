@@ -47,6 +47,16 @@ def in_array(doc):
     return [doc]
 
 
+def first_entry(doc):
+    """The task manifest's entry of the first training task."""
+    return doc["splits"]["train"]["tasks"][0]
+
+
+def last_entry(doc):
+    """The task manifest's entry of the last test task."""
+    return doc["splits"]["test"]["tasks"][-1]
+
+
 def write_config(tmp_path, text=None):
     cfg = tmp_path / "run.conf"
     cfg.write_text((text or MICRO_CONFIG).format(out=tmp_path / "out"))
@@ -275,9 +285,7 @@ class TestPipeline:
         cfg = write_config(tmp_path)
         assert main(["gen", "--config", str(cfg)]) == 0
         tasks = tmp_path / "out" / "tasks"
-        manifest = json.loads((tasks / "manifest.json").read_text())
-        task_file = tasks / next(e["file"] for e in manifest["tasks"]
-                                 if e["split"] == "train")
+        task_file = tasks / "train.npy"
         rows = np.load(task_file)
         rows[0, 0] = np.nan
         np.save(task_file, rows)
@@ -333,16 +341,16 @@ class TestPipeline:
         if command == "certify":
             assert main(["train", "--config", str(cfg)]) == 0
         tasks = tmp_path / "out" / "tasks"
-        entry = next(e for e in json.loads((tasks / "manifest.json").read_text())["tasks"]
-                     if e["split"] == split)
+        doc = json.loads((tasks / "manifest.json").read_text())
+        task_id = doc["splits"][split]["tasks"][0]["task_id"]
         # the split's first task holds the array's first rows
-        rows = np.load(tasks / entry["file"])
+        rows = np.load(tasks / f"{split}.npy")
         rows[1, -2] = float(cell)
-        np.save(tasks / entry["file"], rows)
+        np.save(tasks / f"{split}.npy", rows)
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: task {entry['task_id']}: features must be finite\n"
+        assert err == f"error: task {task_id}: features must be finite\n"
 
     @pytest.mark.parametrize("artifact, damage, name", [
         ("checkpoint.json", lambda doc: doc["params"].pop("recon.trunk.w0"),
@@ -358,16 +366,18 @@ class TestPipeline:
         ("checkpoint.json", lambda doc: doc.pop("master_seed"), "'master_seed'"),
         ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.b0"].pop("values"),
          "'values'"),
-        ("tasks/manifest.json", lambda doc: doc.pop("tasks"), "'tasks'"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("split"), "'split'"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("file"), "'file'"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][0].pop("task_id"), "'task_id'"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id=11.5), "11.5"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id=True), "True"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id=-1), "-1"),
-        ("tasks/manifest.json", lambda doc: doc["tasks"][-1].update(task_id="12"), "'12'"),
+        ("tasks/manifest.json", lambda doc: doc.pop("splits"), "'splits'"),
+        ("tasks/manifest.json", lambda doc: doc["splits"]["train"].pop("features"),
+         "'features'"),
+        ("tasks/manifest.json", lambda doc: doc["splits"].update(extra=doc["splits"]["val"]),
+         "'extra'"),
+        ("tasks/manifest.json", lambda doc: first_entry(doc).pop("task_id"), "'task_id'"),
+        ("tasks/manifest.json", lambda doc: last_entry(doc).update(task_id=11.5), "11.5"),
+        ("tasks/manifest.json", lambda doc: last_entry(doc).update(task_id=True), "True"),
+        ("tasks/manifest.json", lambda doc: last_entry(doc).update(task_id=-1), "-1"),
+        ("tasks/manifest.json", lambda doc: last_entry(doc).update(task_id="12"), "'12'"),
         ("tasks/manifest.json",
-         lambda doc: doc["tasks"][-1].update(task_id=doc["tasks"][0]["task_id"]), "'task_id'"),
+         lambda doc: last_entry(doc).update(task_id=first_entry(doc)["task_id"]), "'task_id'"),
         ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.w0"].update(values=[0.0]),
          "recon.trunk.w0"),
         ("checkpoint.json", lambda doc: doc["params"]["recon.trunk.w0"].update(values="AAAA*AAAA"),
@@ -378,17 +388,19 @@ class TestPipeline:
         ("checkpoint.json", lambda doc: doc.update(params=list(doc["params"])), "'params'"),
         ("checkpoint.json", lambda doc: doc.update(params=" ".join(doc["params"])), "'params'"),
         ("checkpoint.json", in_array, "'format_version'"),
-        ("tasks/manifest.json", lambda doc: doc.update(tasks=5), "'tasks'"),
-        ("tasks/manifest.json", lambda doc: doc.update(tasks=None), "'tasks'"),
+        ("tasks/manifest.json", lambda doc: doc.update(splits=5), "'splits'"),
+        ("tasks/manifest.json", lambda doc: doc.update(splits=None), "'splits'"),
+        ("tasks/manifest.json", lambda doc: doc["splits"]["test"].update(tasks={}), "'tasks'"),
         ("tasks/manifest.json", in_array, "'format_version'"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
             "config_string_c", "manifest_unknown_key", "manifest_no_environment",
             "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
-            "entry_no_split", "entry_no_file", "entry_no_task_id", "entry_float_task_id",
+            "split_no_features", "unknown_split", "entry_no_task_id", "entry_float_task_id",
             "entry_bool_task_id", "entry_negative_task_id", "entry_string_task_id",
             "entry_duplicate_task_id", "values_not_a_string", "values_not_base64",
             "values_byte_count", "params_array", "params_string", "checkpoint_array",
-            "manifest_tasks_number", "manifest_tasks_null", "manifest_array"])
+            "manifest_tasks_number", "manifest_tasks_null", "split_tasks_object",
+            "manifest_array"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)

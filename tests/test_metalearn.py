@@ -17,6 +17,7 @@ from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward,
 from metacert.metalearn import (CertifyProtocol, TrainProtocol, TrainingDivergedError,
                                 certify_tasks, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
+from metacert.optim import Adam
 from metacert.rng import Rng
 from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, gen_meta_dataset,
                             gen_moons_task)
@@ -136,6 +137,28 @@ class TestMetaTrain:
         # -1 used to train by gradient ascent and exit 0
         with pytest.raises(ValueError, match="learning_rate"):
             TrainProtocol(support_size=20, learning_rate=lr)
+
+    @pytest.mark.parametrize("kind", ["training", "validation"])
+    def test_too_small_task_is_refused_before_the_first_step(self, monkeypatch, kind):
+        # a too-small validation task used to fail in split_support_query
+        # after a whole epoch of Adam steps, naming no task
+        meta = micro_meta(n_train=8)
+        small = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=20, master_seed=3), 0)
+        small = TaskDataset(small.features, small.labels, task_id=90)
+        train, val = meta.train, meta.val
+        if kind == "training":
+            train = train + [small]
+        else:
+            val = val + [small]
+        steps = []
+        real_step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda opt: steps.append(1) or real_step(opt))
+        cfg = HypernetConfig("SCH_MINUS", c=2, b=0, **SMALL)
+        protocol = TrainProtocol(support_size=25, max_epochs=2, patience=2)
+        with pytest.raises(ValueError, match=f"^{kind} task 90 has 20 examples, too few for "
+                                             f"support_size 25$"):
+            meta_train(train, val, cfg, protocol, Rng(0))
+        assert steps == []
 
     def test_needs_tasks(self):
         meta = micro_meta()

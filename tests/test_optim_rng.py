@@ -102,7 +102,7 @@ class TestAdam:
             opt.zero_grad()
             for name, p in params.items():
                 if name != "never" and rng.uniform(0.0, 1.0) < 0.7:
-                    p.grad = rng.normal(shapes[name]) * 10.0 ** rng.integers(-3, 3)
+                    p.grad = rng.normal(shapes[name]) * 10.0 ** rng.uniform(-3.0, 3.0)
                     ref_values[name] = adam_step(ref_values[name], p.grad,
                                                  ref_states[name], lr=3e-3)
             opt.step()
@@ -204,7 +204,6 @@ class TestRng:
             lazy = Rng(11, key)
             assert np.array_equal(lazy.normal((3, 4)), eager.standard_normal((3, 4)))
             assert np.array_equal(lazy.uniform(-1.0, 2.0, 5), eager.uniform(-1.0, 2.0, 5))
-            assert np.array_equal(lazy.integers(0, 9, 6), eager.integers(0, 9, 6))
             assert np.array_equal(lazy.permutation(9), eager.permutation(9))
 
     def test_split_only_stream_builds_no_generator(self, monkeypatch):

@@ -3,15 +3,18 @@
 import json
 import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metacert import autodiff as ad
 from metacert.autodiff import Tensor
 from metacert.optim import Adam
 from metacert.rng import STREAM_TASKS, Rng
-from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset,
+from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset, TaskProvenance,
                             gen_meta_dataset, gen_moons_task, gen_moons_tasks, load_tasks,
                             save_tasks, settings_from_json)
 
@@ -257,11 +260,23 @@ class TestTaskValidation:
 
 
 def _count_one_more_example(directory):
-    """Make the first manifest entry count one example its array does not hold."""
+    """Make the first training entry count one example its array does not hold."""
     manifest = directory / "manifest.json"
     doc = json.loads(manifest.read_text())
-    doc["tasks"][0]["examples"] += 1
+    doc["splits"]["train"]["tasks"][0]["examples"] += 1
     manifest.write_text(json.dumps(doc))
+
+
+def _load_as_format_version(tmp_path, version):
+    """Save a tree, relabel its manifest ``version`` and expect it refused."""
+    spec = canonical_spec()
+    save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
+    manifest = tmp_path / "tasks" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["format_version"] = version
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^unsupported task format version {version}$"):
+        load_tasks(tmp_path / "tasks")
 
 
 class TestFileRoundTrip:
@@ -296,18 +311,20 @@ class TestFileRoundTrip:
             load_tasks(tmp_path / "tasks", ("train", "val"))
         # every manifest entry is still checked, read or not
         manifest = tmp_path / "tasks" / "manifest.json"
-        manifest.write_text(manifest.read_text().replace('"file"', '"fil"', 1))
-        with pytest.raises(ValueError, match="entry 0 has no key 'file'"):
-            load_tasks(tmp_path / "tasks", ("test",))
+        manifest.write_text(manifest.read_text().replace('"examples"', '"example"', 1))
+        with pytest.raises(ValueError, match="^task manifest test entry 0 has no key 'examples'$"):
+            load_tasks(tmp_path / "tasks", ("train",))
 
     def test_manifest_counts_match_files(self, tmp_path):
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
-        entries = json.loads((tmp_path / "tasks" / "manifest.json").read_text())["tasks"]
-        rows = {path.name: len(np.load(path)) for path in (tmp_path / "tasks").glob("*.npy")}
-        assert rows == {name: sum(e["examples"] for e in entries if e["file"] == name)
-                        for name in ("train.npy", "val.npy", "test.npy")}
-        assert len(entries) == spec.n_train_tasks + spec.n_test_tasks
+        splits = json.loads((tmp_path / "tasks" / "manifest.json").read_text())["splits"]
+        rows = {path.name: np.load(path).shape for path in (tmp_path / "tasks").glob("*.npy")}
+        assert rows == {f"{split}.npy": (sum(e["examples"] for e in doc["tasks"]),
+                                         doc["features"] + 1) for split, doc in splits.items()}
+        assert sorted(splits) == ["test", "train", "val"]
+        assert sum(len(doc["tasks"]) for doc in splits.values()) == (spec.n_train_tasks
+                                                                    + spec.n_test_tasks)
 
     def test_bad_label_in_file_is_rejected(self, tmp_path):
         spec = canonical_spec()
@@ -362,28 +379,57 @@ class TestFileRoundTrip:
             save_tasks(tmp_path / "tasks", MetaDataset([], [], test), spec)
 
     @pytest.mark.parametrize("key, value", [
-        ("file", "test.npy"), ("file", "../train.npy"), ("examples", -1),
-        ("examples", 40.0), ("features", True), ("rotation_deg", "x"), ("center", "ab"),
-        ("center", [1.0]), ("scale", "x")])
+        ("examples", -1), ("examples", 40.0), ("features", True), ("rotation_deg", "x"),
+        ("center", "ab"), ("center", [1.0]), ("scale", "x")])
     def test_bad_entry_file_or_count_is_refused_in_any_split(self, tmp_path, key, value):
+        # the feature count is the split's, every other key its entry's
         spec = canonical_spec()
         save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
         manifest = tmp_path / "tasks" / "manifest.json"
         doc = json.loads(manifest.read_text())
-        doc["tasks"][0][key] = value
+        train = doc["splits"]["train"]
+        (train if key == "features" else train["tasks"][0])[key] = value
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"^task manifest entry 0 key '{key}' is "):
+        what = "split 'train'" if key == "features" else "train entry 0"
+        with pytest.raises(ValueError, match=f"^task manifest {what} key '{key}' is "):
             load_tasks(tmp_path / "tasks", ("test",))
 
     def test_format_version_1_is_refused(self, tmp_path):
-        spec = canonical_spec()
-        save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
-        manifest = tmp_path / "tasks" / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["format_version"] = 1
-        manifest.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="^unsupported task format version 1$"):
+        _load_as_format_version(tmp_path, 1)
+
+    def test_format_version_2_is_refused(self, tmp_path):
+        # one manifest entry per task, each naming its split, file and feature count
+        _load_as_format_version(tmp_path, 2)
+
+    def test_interrupted_save_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # a save stopped after its first array used to leave the old manifest
+        # beside it, and load_tasks paired the new features with the old
+        # provenance and environment without an error
+        old = canonical_spec(master_seed=1)
+        save_tasks(tmp_path / "tasks", gen_meta_dataset(old), old)
+        spec = canonical_spec(master_seed=2)
+        meta = gen_meta_dataset(spec)
+        real_save, saved = np.save, []
+
+        def save_one_split(path, *args, **kwargs):
+            if saved:
+                raise OSError("disk full")
+            saved.append(path)
+            real_save(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", save_one_split)
+        with pytest.raises(OSError, match="disk full"):
+            save_tasks(tmp_path / "tasks", meta, spec)
+        monkeypatch.undo()
+        with pytest.raises(FileNotFoundError):
             load_tasks(tmp_path / "tasks")
+        # a rerun mends the tree, and no temporary manifest outlives it
+        save_tasks(tmp_path / "tasks", meta, spec)
+        loaded, loaded_spec = load_tasks(tmp_path / "tasks")
+        assert loaded_spec == spec
+        assert np.array_equal(loaded.train[0].features, meta.train[0].features)
+        assert sorted(p.name for p in (tmp_path / "tasks").iterdir()) == [
+            "manifest.json", "test.npy", "train.npy", "val.npy"]
 
     @pytest.mark.parametrize("damage, message", [
         (_count_one_more_example, "rows, but its manifest entries count"),
@@ -392,7 +438,7 @@ class TestFileRoundTrip:
         (lambda d: np.save(d / "train.npy", np.load(d / "train.npy").reshape(-1)),
          "expected a 2-D float64 array, got 1-D float64"),
         (lambda d: np.save(d / "train.npy", np.load(d / "train.npy")[:, 1:]),
-         "2 columns, but task 0 has 2 features and a label"),
+         "2 columns, but its split has 2 features and a label"),
         (lambda d: np.save(d / "train.npy", np.array([{"x": 1.0}], dtype=object),
                            allow_pickle=True), "pickle"),
     ], ids=["count_mismatch", "float32", "one_dimensional", "missing_column",
@@ -422,3 +468,60 @@ class TestFileRoundTrip:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_tasks(tmp_path)
+
+
+def _provenance_bits(provenance):
+    if provenance is None:
+        return None
+    return np.array([provenance.rotation_deg, *provenance.center,
+                     provenance.scale]).view(np.uint64).tolist()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def split_tasks(draw, task_ids):
+    """Tasks of one split: a shared feature count, mixed example counts, and
+    each task with or without a provenance."""
+    d = draw(st.integers(1, 3))
+    tasks = []
+    for task_id in task_ids:
+        m = draw(st.integers(2, 6))
+        labels = draw(hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
+        labels[:2] = (1.0, -1.0)
+        provenance = draw(st.none() | st.builds(TaskProvenance, finite,
+                                                st.tuples(finite, finite), finite))
+        tasks.append(TaskDataset(draw(hnp.arrays(np.float64, (m, d), elements=finite)),
+                                 labels, task_id, provenance))
+    return tasks
+
+
+@st.composite
+def meta_datasets(draw):
+    sizes = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    ids = iter(draw(st.lists(st.integers(0, 10**6), min_size=sum(sizes),
+                             max_size=sum(sizes), unique=True)))
+    return MetaDataset(*(draw(split_tasks([next(ids) for _ in range(n)])) for n in sizes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(meta=meta_datasets(), splits=st.sets(st.sampled_from(["train", "val", "test"])))
+def test_any_tree_round_trips_for_any_subset_of_splits(meta, splits):
+    spec = MoonsEnvironmentSpec()
+    with tempfile.TemporaryDirectory() as directory:
+        save_tasks(directory, meta, spec)
+        loaded, loaded_spec = load_tasks(directory, tuple(splits))
+    assert loaded_spec == spec
+    for split in ("train", "val", "test"):
+        back = getattr(loaded, split)
+        if split not in splits:
+            assert back == []
+            continue
+        orig = getattr(meta, split)
+        assert [t.task_id for t in back] == [t.task_id for t in orig]
+        for a, b in zip(orig, back):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert b.provenance == a.provenance
+            assert _provenance_bits(b.provenance) == _provenance_bits(a.provenance)
