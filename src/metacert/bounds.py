@@ -22,8 +22,10 @@ Numerical conventions:
 * results are clamped to [0, 1] only when a ``Certificate`` is built; the
   train-set comparison table deliberately reports unclamped values;
 * one builder, ``_certificate``, turns every certificate's three budget
-  terms (confidence, message, compression set) into its tau*: one inversion
-  of the total, plus the partial sums on first read of its breakdown.
+  terms (confidence, message, compression set) into its tau*, and one
+  function, ``_invert``, inverts a budget against a certificate's empirical
+  record (n, q, K): the total when it is built, the partial sums on first
+  read of its breakdown.
 """
 
 from __future__ import annotations
@@ -106,64 +108,41 @@ _TERMS = ("confidence", "message_cost", "compression_set_cost")
 
 
 @dataclass(frozen=True)
-class KlInversion:
-    """The taus of a kl certificate: a budget of ``nats`` inverts to
-    kl_inverse(q, nats / n)."""
-
-    q: float
-    n: int
-
-    @property
-    def empirical(self) -> float:
-        return self.q
-
-    def taus(self, budgets: Sequence[float]) -> list[float]:
-        return [kl_inverse(self.q, nats / self.n) for nats in budgets]
-
-
-@dataclass(frozen=True)
-class TailInversion:
-    """The taus of a binomial-tail certificate, K errors in n: a budget of
-    ``nats`` inverts to binomial_tail_inverse(n, K, -nats)."""
-
-    n: int
-    K: int
-
-    @property
-    def empirical(self) -> float:
-        return self.K / self.n
-
-    def taus(self, budgets: Sequence[float]) -> list[float]:
-        return [binomial_tail_inverse(self.n, self.K, -nats) for nats in budgets]
-
-
-@dataclass(frozen=True)
 class Certificate:
     """A certified risk bound: tau* at confidence 1 - delta.
 
     ``terms`` are the nats it charges (confidence, message, compression set)
-    and ``inversion`` turns a budget of nats into a tau; ``tau_star`` is the
-    inversion of their total.  ``breakdown`` lists (label, budget contribution
-    in nats, cumulative tau after adding the term).  It inverts the two
-    partial sums the first time it is read and is kept on the instance; the
+    and ``tau_star`` is the inversion of their total against the empirical
+    record: ``q``, the empirical loss on ``n`` complement examples, and ``K``,
+    the error count of a binomial-tail certificate (``None`` for a kl one;
+    its ``q`` is K / n).  ``breakdown`` lists (label, budget contribution in
+    nats, cumulative tau after adding the term).  It inverts the two partial
+    sums the first time it is read and is kept on the instance; the
     cumulative values are non-decreasing and the last one is ``tau_star``
-    itself.  The empirical row shows the inversion's empirical loss; the
-    min-guard keeps the sequence monotone where a tail inversion at
-    delta' > 1/2 falls below it.
+    itself.  The empirical row shows ``q``; the min-guard keeps the sequence
+    monotone where a tail inversion at delta' > 1/2 falls below it.
     """
 
     kind: str
     tau_star: float
     delta: float
     terms: tuple[float, float, float]
-    inversion: KlInversion | TailInversion
+    n: int
+    q: float
+    K: int | None = None
 
     @functools.cached_property
     def breakdown(self) -> tuple[tuple[str, float, float], ...]:
         *partial, _ = itertools.accumulate(self.terms)
-        taus = [*self.inversion.taus(partial), self.tau_star]
-        return (("empirical_loss", 0.0, min(self.inversion.empirical, taus[0])),
+        taus = [*(_invert(self.n, self.q, self.K, nats) for nats in partial), self.tau_star]
+        return (("empirical_loss", 0.0, min(self.q, taus[0])),
                 *zip(_TERMS, self.terms, taus))
+
+
+def _invert(n: int, q: float, K: int | None, nats: float) -> float:
+    """The tau a budget of ``nats`` buys: kl_inverse(q, nats / n), or
+    binomial_tail_inverse(n, K, -nats) for K errors in n."""
+    return kl_inverse(q, nats / n) if K is None else binomial_tail_inverse(n, K, -nats)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +334,17 @@ def renyi_divergence_gaussian(mu, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _certificate(kind: str, delta: float, terms: tuple[float, float, float],
-                 inversion: KlInversion | TailInversion) -> Certificate:
-    """The certificate charging ``terms`` (confidence, message and compression-set
-    nats) in order: ``inversion`` of their total, summed in the order of the
+def _certificate(kind: str, budget: BoundBudget, confidence_nats: float,
+                 message_nats: float, K: int | None = None) -> Certificate:
+    """The certificate charging confidence, message and compression-set nats,
+    in order, for ``budget.emp_loss`` on the complement set, or for ``K``
+    errors there: the inversion of their total, summed in the order of the
     breakdown's cumulative sums, which it leaves to its first read."""
+    n = budget.n_complement
+    q = budget.emp_loss if K is None else K / n
+    terms = (confidence_nats, message_nats, -budget.log_prior_j)
     *_, total = itertools.accumulate(terms)
-    tau_star, = inversion.taus([total])
-    return Certificate(kind, tau_star, delta, terms, inversion)
-
-
-def _kl_certificate(kind: str, budget: BoundBudget, confidence_nats: float,
-                    message_nats: float) -> Certificate:
-    """The kl certificate of ``budget.emp_loss`` on the complement set."""
-    return _certificate(kind, budget.delta, (confidence_nats, message_nats, -budget.log_prior_j),
-                        KlInversion(budget.emp_loss, budget.n_complement))
+    return Certificate(kind, _invert(n, q, K, total), budget.delta, terms, n, q, K)
 
 
 def bound_pb(budget: BoundBudget) -> Certificate:
@@ -394,10 +369,8 @@ def bound_sch_binary(budget: BoundBudget, K: int) -> Certificate:
     n, K = budget.n_complement, _count("K", K)
     if not 0 <= K <= n:
         raise ValueError(f"error count K={K} outside [0, {n}]")
-    return _certificate(
-        "SCH_BINARY", budget.delta,
-        (math.log(1.0 / budget.delta), budget.b * math.log(2.0), -budget.log_prior_j),
-        TailInversion(n, K))
+    return _certificate("SCH_BINARY", budget, confidence_nats=math.log(1.0 / budget.delta),
+                        message_nats=budget.b * math.log(2.0), K=K)
 
 
 def bound_sch_real(budget: BoundBudget) -> Certificate:
@@ -406,9 +379,9 @@ def bound_sch_real(budget: BoundBudget) -> Certificate:
     tau* = kl_inverse(q, (ln(1/P_J(j)) + (b+1) ln 2 + ln sqrt(m'-c) + ln(1/delta)) / (m'-c)).
     """
     n = budget.n_complement
-    return _kl_certificate("SCH_REAL", budget,
-                           confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
-                           message_nats=budget.b * math.log(2.0))
+    return _certificate("SCH_REAL", budget,
+                        confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
+                        message_nats=budget.b * math.log(2.0))
 
 
 def bound_pbsch(budget: BoundBudget) -> Certificate:
@@ -419,9 +392,9 @@ def bound_pbsch(budget: BoundBudget) -> Certificate:
     default prior it is ``bound_pb``.
     """
     n = budget.n_complement
-    return _kl_certificate("PBSCH", budget,
-                           confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
-                           message_nats=0.5 * budget.mu_norm_sq)
+    return _certificate("PBSCH", budget,
+                        confidence_nats=math.log(2.0 * math.sqrt(n) / budget.delta),
+                        message_nats=0.5 * budget.mu_norm_sq)
 
 
 def bound_pbsch_disintegrated(budget: BoundBudget) -> Certificate:
@@ -432,7 +405,7 @@ def bound_pbsch_disintegrated(budget: BoundBudget) -> Certificate:
     posterior.  Strictly looser than ``bound_pbsch`` on the same inputs.
     """
     n = budget.n_complement
-    return _kl_certificate(
+    return _certificate(
         "PBSCH_DISINTEGRATED", budget,
         confidence_nats=math.log(16.0) + 0.5 * math.log(n) + 3.0 * math.log(1.0 / budget.delta),
         message_nats=budget.mu_norm_sq)

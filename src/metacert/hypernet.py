@@ -39,10 +39,7 @@ preserved exactly.
 
 A checkpoint is one JSON file (format version 2): the config, the master
 seed and each tensor's shape, its values one base64 string of the tensor's
-little-endian, row-major float64 bytes.  No float is parsed or printed:
-on the benchmark's PBSCH model (16,693 values) a load takes 1.2 ms and a
-save 1.0 ms, against 10 and 20 ms for version 1's JSON float lists, whose
-Python floats also held 1.7-1.9 MB of a ``train`` command's peak RSS.
+little-endian, row-major float64 bytes, so no float is parsed or printed.
 """
 
 from __future__ import annotations
@@ -508,11 +505,10 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
     return reconstruct(params, cfg, rows, message, soft=soft), artifacts
 
 
-def _constants(params: dict[str, Tensor], prefix: str = "") -> dict[str, Tensor]:
-    """The parameters whose names start with ``prefix`` (all by default), as
-    constants sharing their arrays: modules run on them build no gradient
-    graph."""
-    return {name: ad.constant(t.data) for name, t in params.items() if name.startswith(prefix)}
+def _constants(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The parameters as constants sharing their arrays: modules run on them
+    build no gradient graph."""
+    return {name: ad.constant(t.data) for name, t in params.items()}
 
 
 def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
@@ -545,7 +541,7 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
         if messages.ndim != 3 or len(messages) != n_sets or messages.shape[2] != cfg.b:
             raise ValueError(f"messages must have shape ({n_sets}, n, {cfg.b}), "
                              f"got {messages.shape}")
-    params = _constants(params, "recon.")
+    params = _constants(params)
     labels = np.asarray(labels, dtype=np.float64)
     gammas = np.empty((n_sets, 1 if messages is None else messages.shape[1],
                        downstream_param_count(cfg.mlp3_shapes)))
@@ -608,8 +604,8 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     The config must hold every ``HypernetConfig`` field with its type, and
     the tensors must be its ``param_layout``: the same names, each with its
     shape and 8 bytes of values per element; no init is drawn.  The
-    first unknown, missing or mistyped key and the first missing, misshapen
-    or unexpected tensor raise ``ValueError`` naming it, as do a document
+    first unknown, missing or mistyped key and the first missing, misshapen,
+    non-finite or unexpected tensor raise ``ValueError`` naming it, as do a document
     that is not a JSON object holding a ``format_version``, a ``params``
     that is missing or not a JSON object, a ``master_seed`` that is missing
     or not an int >= 0 (a bool is not an int here) and a values block that
@@ -636,8 +632,11 @@ def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
         if stored_shape != shape or len(raw) != 8 * size:
             raise ValueError(f"{what} has shape {stored_shape} and {len(raw)} value bytes, "
                              f"expected shape {shape} and {8 * size} bytes")
-        params[name] = Tensor(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape),
-                              requires_grad=True)
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(values).all():  # training raises before it saves one
+            raise ValueError(f"{what} holds a non-finite value, "
+                             f"{values.flat[np.argmin(np.isfinite(values))]}")
+        params[name] = Tensor(values, requires_grad=True)
     extra = [name for name in stored if name not in params]
     if extra:
         raise ValueError(f"checkpoint tensor {extra[0]!r} is not part of the "

@@ -241,7 +241,8 @@ def meta_train(train_tasks: list[TaskDataset], val_tasks: list[TaskDataset],
             task = train_tasks[int(task_pos)]
             sup, qry = split_support_query(task, protocol.support_size,
                                            rng.split(2, epoch, int(task_pos), 0))
-            eps = rng.split(2, epoch, int(task_pos), 1).normal(cfg.b)
+            eps = (rng.split(2, epoch, int(task_pos), 1).normal(cfg.b)
+                   if cfg.has_gaussian_message else None)
             try:
                 gamma, _ = hypernet_forward(params, cfg, task.features[sup],
                                             task.labels[sup], eps=eps)

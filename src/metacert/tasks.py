@@ -227,6 +227,13 @@ def save_tasks(directory, meta: MetaDataset, spec: MoonsEnvironmentSpec) -> Path
     return path
 
 
+# The keys a manifest holds: at its top level, in a split's object and in an
+# entry (its first two, or all of them with a provenance).
+_MANIFEST_KEYS = ("format_version", "environment", "splits")
+_SPLIT_KEYS = ("features", "tasks")
+_ENTRY_KEYS = ("task_id", "examples", *TaskProvenance.__annotations__)
+
+
 def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
                                                                    MoonsEnvironmentSpec]:
     """Read the task manifest and the split arrays of ``splits``.
@@ -234,12 +241,14 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
     Every split's feature count and every entry is checked, each
     ``task_id`` a distinct int >= 0 across all splits and its provenance,
     where it has one, ``TaskProvenance``'s fields with their types; the
+    first unknown key of the manifest, a split or an entry is refused.  The
     arrays of the other splits are not read, and those come back empty.
     """
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
     if (version := require_key(manifest, "format_version", "task manifest")) != FORMAT_VERSION:
         raise ValueError(f"unsupported task format version {version}")
+    _refuse_unknown_keys(manifest, _MANIFEST_KEYS, "task manifest")
     spec = settings_from_json(MoonsEnvironmentSpec, manifest.get("environment"),
                               "task manifest environment")
     loaded: dict[str, list[TaskDataset]] = {"train": [], "val": [], "test": []}
@@ -250,6 +259,7 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
         what = f"task manifest split {split!r}"
         if type(d := require_key(doc, "features", what)) is not int or d < 0:
             raise ValueError(f"{what} key 'features' is {d!r}, expected an int >= 0")
+        _refuse_unknown_keys(doc, _SPLIT_KEYS, what)
         entries = require_key(doc, "tasks", what, list)
         for pos, entry in enumerate(entries):
             what = f"task manifest {split} entry {pos}"
@@ -261,6 +271,7 @@ def load_tasks(directory, splits=("train", "val", "test")) -> tuple[MetaDataset,
             if type(count := require_key(entry, "examples", what)) is not int or count < 0:
                 raise ValueError(f"{what} key 'examples' is {count!r}, expected an int >= 0")
             if len(entry) > 2:  # a provenance: each of its fields, with its type
+                _refuse_unknown_keys(entry, _ENTRY_KEYS, what)
                 for key, kind in TaskProvenance.__annotations__.items():
                     if not _has_type(value := require_key(entry, key, what), kind):
                         raise ValueError(f"{what} key {key!r} is {value!r}, expected {kind}")
@@ -304,6 +315,16 @@ def require_key(doc, key: str, what: str, kind: type = object):
     if not isinstance(value := doc[key], kind):
         raise ValueError(f"{what} key {key!r} is {type(value).__name__}, expected {kind.__name__}")
     return value
+
+
+def _refuse_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    """``ValueError`` naming the first key of ``doc`` outside ``known``.  A
+    ``doc`` with as many keys as ``known`` is only counted: its caller
+    requires each known key."""
+    if len(doc) != len(known):
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"{what} has unknown key {key!r}")
 
 
 def settings_from_json(cls, doc, what: str):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config handling, pipeline commands, bound printers."""
 
+import base64
 import csv
 import json
 import os
@@ -45,6 +46,16 @@ n_mc = 4
 def in_array(doc):
     """A damage that puts the whole JSON document inside an array."""
     return [doc]
+
+
+def poisoned(name, value, index=0):
+    """A damage that sets element ``index`` of checkpoint tensor ``name`` to ``value``."""
+    def damage(doc):
+        entry = doc["params"][name]
+        values = np.frombuffer(base64.b64decode(entry["values"]), "<f8").copy()
+        values[index] = value
+        entry["values"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return damage
 
 
 def first_entry(doc):
@@ -392,6 +403,11 @@ class TestPipeline:
         ("tasks/manifest.json", lambda doc: doc.update(splits=None), "'splits'"),
         ("tasks/manifest.json", lambda doc: doc["splits"]["test"].update(tasks={}), "'tasks'"),
         ("tasks/manifest.json", in_array, "'format_version'"),
+        ("checkpoint.json", poisoned("recon.trunk.b1", np.inf), "recon.trunk.b1"),
+        ("checkpoint.json", poisoned("recon.trunk.w1", np.nan, 3), "recon.trunk.w1"),
+        ("checkpoint.json", poisoned("compressor.keys.b1", -np.inf), "compressor.keys.b1"),
+        ("tasks/manifest.json", lambda doc: doc.update(bogus=1), "'bogus'"),
+        ("tasks/manifest.json", lambda doc: last_entry(doc).update(scal=1.0), "'scal'"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
             "config_string_c", "manifest_unknown_key", "manifest_no_environment",
             "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
@@ -400,7 +416,8 @@ class TestPipeline:
             "entry_duplicate_task_id", "values_not_a_string", "values_not_base64",
             "values_byte_count", "params_array", "params_string", "checkpoint_array",
             "manifest_tasks_number", "manifest_tasks_null", "split_tasks_object",
-            "manifest_array"])
+            "manifest_array", "values_inf", "values_nan", "values_minus_inf",
+            "manifest_top_unknown_key", "entry_unknown_key"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)

@@ -160,6 +160,21 @@ class TestMetaTrain:
             meta_train(train, val, cfg, protocol, Rng(0))
         assert steps == []
 
+    @pytest.mark.parametrize("arch, b, draws_per_visit",
+                             [("SCH_MINUS", 0, 0), ("SCH_PLUS", 3, 0), ("PBSCH", 3, 1)])
+    def test_message_noise_is_drawn_for_gaussian_messages_only(self, monkeypatch, arch, b,
+                                                                draws_per_visit):
+        # SCH_MINUS and SCH_PLUS ignore the noise, and every visit used to draw it
+        meta = micro_meta()
+        cfg = HypernetConfig(arch, c=2, b=b, **SMALL)
+        protocol = TrainProtocol(support_size=20, max_epochs=2, patience=2)
+        shapes = []
+        real_normal = Rng.normal
+        monkeypatch.setattr(Rng, "normal",
+                            lambda rng, shape=(): shapes.append(shape) or real_normal(rng, shape))
+        _, log = meta_train(meta.train, meta.val, cfg, protocol, Rng(5))
+        assert shapes == [b] * (draws_per_visit * len(log.epochs) * len(meta.train))
+
     def test_needs_tasks(self):
         meta = micro_meta()
         cfg = HypernetConfig("SCH_MINUS", c=2, b=0, **SMALL)
@@ -701,11 +716,10 @@ class TestStackedCertification:
         # three cumulative sums inverted one by one, and is computed once
         for cert in distinct:
             cumulative = list(itertools.accumulate(cert.terms))
-            inversion = cert.inversion
             if cert.kind == "SCH_BINARY":
-                taus = [real_tail(inversion.n, inversion.K, -nats) for nats in cumulative]
+                taus = [real_tail(cert.n, cert.K, -nats) for nats in cumulative]
             else:
-                taus = [real_kl(inversion.q, nats / inversion.n) for nats in cumulative]
+                taus = [real_kl(cert.q, nats / cert.n) for nats in cumulative]
             assert [tau for _, _, tau in cert.breakdown[1:]] == taus
             assert repr(taus[-1]) == repr(cert.tau_star)
         for cert in certificates:

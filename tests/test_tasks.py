@@ -394,6 +394,25 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match=f"^task manifest {what} key '{key}' is "):
             load_tasks(tmp_path / "tasks", ("test",))
 
+    @pytest.mark.parametrize("where", ["top", "split", "entry", "bare_entry"])
+    def test_unknown_manifest_key_is_refused(self, tmp_path, where):
+        # an unknown key used to load without an error at every level
+        spec = canonical_spec()
+        save_tasks(tmp_path / "tasks", gen_meta_dataset(spec), spec)
+        manifest = tmp_path / "tasks" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        pos = len(doc["splits"]["test"]["tasks"]) - 1
+        entry = doc["splits"]["test"]["tasks"][pos]
+        if where == "bare_entry":
+            for key in ("rotation_deg", "center", "scale"):
+                del entry[key]
+        {"top": doc, "split": doc["splits"]["val"]}.get(where, entry)["scal"] = 1.0
+        manifest.write_text(json.dumps(doc))
+        what = {"top": "task manifest",
+                "split": "task manifest split 'val'"}.get(where, f"task manifest test entry {pos}")
+        with pytest.raises(ValueError, match=f"^{what} has unknown key 'scal'$"):
+            load_tasks(tmp_path / "tasks", ("train",))
+
     def test_format_version_1_is_refused(self, tmp_path):
         _load_as_format_version(tmp_path, 1)
 
