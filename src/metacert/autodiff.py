@@ -24,16 +24,17 @@ Only the handful of primitives the hypernetworks need are provided:
   rows mapped by ``(x - mean) * inv_scale``; ``fold``, that map folded into
   the first layer of packed MLP weights; ``packed_mlp``, an MLP whose
   weights and biases are unpacked from each row of a stack of gamma rows;
-* structural ops: ``matmul``, ``add``, ``sub``, ``mul_scalar``, ``mul_elem``,
-  ``mul``, ``power_scalar``, ``mean``, ``concat``, ``transpose``,
-  ``reshape``, ``slice_cols``.  The fused nodes replaced every ``src/``
-  call of ``matmul``, ``transpose``, ``reshape``, ``mul_scalar`` and
-  ``sub``; they stay as the tests' reference ops;
-* activations ``tanh`` and ``softmax``;
-* straight-through surrogates ``sign_st`` and ``hard_select_st``;
+* structural ops: ``add``, ``mul``, ``power_scalar``, ``concat`` and
+  ``slice_cols``;
+* the activation ``tanh``;
+* the straight-through surrogate ``sign_st``;
 * the ``binary_cross_entropy`` loss, plus the non-differentiable metrics
   ``zero_one_errors``, ``zero_one_loss`` and ``linear_loss``, and
   ``row_losses``, the last two for each row of a stack of logits.
+
+The plain ops the fused nodes replaced (``matmul``, ``softmax``,
+``hard_select_st`` and the rest) are not part of the package: the tests
+keep them as reference ops, to build the graphs each fused node must match.
 
 Everything is float64 and no op mutates its inputs' values.  A tensor
 with more than 2 axes is a stack (T, ..., m, k) of independent sets.  The
@@ -160,19 +161,6 @@ def constant(data) -> Tensor:
 # constant when that parent is, so its closure never runs.
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return Tensor(a.data @ b.data, parents=(a, b), backward=backward, op="matmul")
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """One dense layer ``x @ w + b`` with a (1, n) bias row, ReLU'd if ``relu``;
     ``x`` is (m, k) or a stack (..., m, k)."""
@@ -211,41 +199,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data + b.data, parents=(a, b), backward=backward, op="add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub shape mismatch: {a.data.shape} - {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
-
-    return Tensor(a.data - b.data, parents=(a, b), backward=backward, op="sub")
-
-
-def mul_scalar(a: Tensor, scalar: float) -> Tensor:
-    s = float(scalar)
-
-    def backward(g):
-        _accum(a, g * s)
-
-    return Tensor(a.data * s, parents=(a,), backward=backward, op="mul_scalar")
-
-
-def mul_elem(a: Tensor, weights) -> Tensor:
-    """Elementwise product with a constant array (broadcastable against a)."""
-    w = np.asarray(weights, dtype=np.float64)
-    y = a.data * w
-    if y.shape != a.data.shape:
-        raise ValueError(f"mul_elem weights {w.shape} do not preserve shape {a.data.shape}")
-
-    def backward(g):
-        _accum(a, g * w)
-
-    return Tensor(y, parents=(a,), backward=backward, op="mul_elem")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.data.shape != b.data.shape:
@@ -273,15 +226,6 @@ def power_scalar(a: Tensor, exponent: float) -> Tensor:
     return Tensor(a.data ** p, parents=(a,), backward=backward, op="power_scalar")
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g):
-        _accum(a, np.full_like(a.data, g.reshape(-1)[0] / n))
-
-    return Tensor(np.array([[a.data.mean()]]), parents=(a,), backward=backward, op="mean")
-
-
 def concat(tensors, axis: int) -> Tensor:
     """Join tensors along ``axis``.  With a negative ``axis`` the axes before
     it broadcast against each other, as a set's embedding does over the
@@ -306,20 +250,6 @@ def concat(tensors, axis: int) -> Tensor:
 
     return Tensor(np.concatenate(parts, axis=axis),
                   parents=tuple(tensors), backward=backward, op="concat")
-
-
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, g.T)
-
-    return Tensor(a.data.T, parents=(a,), backward=backward, op="transpose")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), parents=(a,), backward=backward, op="reshape")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -357,17 +287,6 @@ def _sign(x) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        _accum(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
-
-    return Tensor(p, parents=(a,), backward=backward, op="softmax")
-
-
 # ---------------------------------------------------------------------------
 # straight-through surrogates
 
@@ -386,35 +305,6 @@ def sign_st(a: Tensor, soft: bool = False) -> Tensor:
     return Tensor(y, parents=(a,), backward=backward, op="sign_st")
 
 
-def hard_select_st(probs: Tensor, values: Tensor, soft: bool = False) -> Tensor:
-    """Select the row of ``values`` with the highest probability.
-
-    ``probs`` is an (m, 1) probability column; ties break to the lowest
-    index.  Backward treats the output as the soft mixture sum_i p_i v_i,
-    so gradient flows into both the probabilities and the values.  With
-    ``soft=True`` the forward is the mixture itself.
-    """
-    p = probs.data
-    if p.ndim != 2 or p.shape[1] != 1 or p.shape[0] != values.data.shape[0]:
-        raise ValueError(f"hard_select_st shapes: {p.shape} vs {values.data.shape}")
-    if np.isnan(p).any():
-        raise NonFiniteError("NaN in selection probabilities")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("selection probabilities must be non-negative and sum to 1")
-    if soft:
-        y = p.T @ values.data
-    else:
-        y = values.data[np.argmax(p[:, 0])][None, :].copy()
-
-    def backward(g):
-        if probs.requires_grad:
-            _accum(probs, values.data @ g.T)
-        if values.requires_grad:
-            _accum(values, p @ g)
-
-    return Tensor(y, parents=(probs, values), backward=backward, op="hard_select_st")
-
-
 def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: float,
                      soft: bool = False) -> tuple[tuple, Tensor | None]:
     """``c`` scaled dot-product attention heads, each selecting one row of ``values``.
@@ -423,11 +313,12 @@ def attention_select(z: Tensor, keys: Tensor, heads, values: np.ndarray, scale: 
     dense layer ``z @ w + b`` of the (1, d') embedding ``z``, its logits are
     ``scale * keys @ query.T`` over the (m, a) ``keys``, and it selects the
     argmax row of their softmax over the m rows (ties to the lowest index)
-    through the straight-through rule of ``hard_select_st``.  A head whose
-    row an earlier head already selected is dropped, and its query gets no
-    gradient.  Returns (the distinct selected positions, ascending; their
-    rows of the constant (m, k) ``values``, in that order).  With
-    ``soft=True`` the rows are every head's mixture p^T values, in head
+    by the straight-through rule: backward treats a selected row as the
+    mixture sum_i p_i values_i, so gradient flows into the probabilities.
+    A head whose row an earlier head already selected is dropped, and its
+    query gets no gradient.  Returns (the distinct selected positions,
+    ascending; their rows of the constant (m, k) ``values``, in that order).
+    With ``soft=True`` the rows are every head's mixture p^T values, in head
     order.  On a stack, (T, 1, d') ``z``, (T, m, a) ``keys`` and (T, m, k)
     ``values``, it returns one tuple of positions per set and a (T, c', k)
     stack of rows, or no rows (``None``) where collided heads leave the sets

@@ -57,10 +57,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import kaiming_uniform_init
 from .rng import Rng
-from .tasks import require_key, settings_from_json
+from .tasks import _refuse_unknown_keys, require_key, settings_from_json
 
 ARCHITECTURES = ("PBH", "SCH_MINUS", "SCH_PLUS", "PBSCH")
 CHECKPOINT_VERSION = 2
+_CHECKPOINT_KEYS = ("format_version", "architecture", "config", "master_seed", "params")
 
 
 @dataclass(frozen=True)
@@ -507,7 +508,9 @@ def hypernet_forward(params: dict[str, Tensor], cfg: HypernetConfig,
 
 def _constants(params: dict[str, Tensor]) -> dict[str, Tensor]:
     """The parameters as constants sharing their arrays: modules run on them
-    build no gradient graph."""
+    build no gradient graph.  Evaluation wraps them once per call, in
+    ``certify_tasks``, ``_validation_error`` and ``mc_expected_loss``; every
+    function it calls runs on the parameters it is given."""
     return {name: ad.constant(t.data) for name, t in params.items()}
 
 
@@ -524,7 +527,8 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
 
     Each set's compression rows are gathered from its data and put in
     canonical order.  The sets with the same number of rows go through
-    ``reconstruct`` as one stack, on constant parameters: (T', c', d + 1)
+    ``reconstruct`` as one stack, on the parameters as given (evaluation
+    passes constants, ``_constants``): (T', c', d + 1)
     rows, each set's broadcast over its message rows, stacked (n, T', 1, b)
     with the message index leading.  Row i of set t has the bits of the
     ``hypernet_forward`` gamma of set t and message i.
@@ -541,7 +545,6 @@ def decode_gamma(params: dict[str, Tensor], cfg: HypernetConfig,
         if messages.ndim != 3 or len(messages) != n_sets or messages.shape[2] != cfg.b:
             raise ValueError(f"messages must have shape ({n_sets}, n, {cfg.b}), "
                              f"got {messages.shape}")
-    params = _constants(params)
     labels = np.asarray(labels, dtype=np.float64)
     gammas = np.empty((n_sets, 1 if messages is None else messages.shape[1],
                        downstream_param_count(cfg.mlp3_shapes)))
@@ -601,21 +604,28 @@ def _value_bytes(values, what: str) -> bytes:
 def load_checkpoint(path) -> tuple[HypernetConfig, dict[str, Tensor], int]:
     """Read a checkpoint; its tensors must match the layout of its config.
 
-    The config must hold every ``HypernetConfig`` field with its type, and
-    the tensors must be its ``param_layout``: the same names, each with its
-    shape and 8 bytes of values per element; no init is drawn.  The
-    first unknown, missing or mistyped key and the first missing, misshapen,
-    non-finite or unexpected tensor raise ``ValueError`` naming it, as do a document
-    that is not a JSON object holding a ``format_version``, a ``params``
-    that is missing or not a JSON object, a ``master_seed`` that is missing
-    or not an int >= 0 (a bool is not an int here) and a values block that
-    is not a base64 string.
+    The document holds the keys ``save_checkpoint`` writes and no other,
+    and its ``architecture`` is its config's.  The config must hold every
+    ``HypernetConfig`` field with its type, and the tensors must be its
+    ``param_layout``: the same names, each with its shape and 8 bytes of
+    values per element; no init is drawn.  The first unknown, missing or
+    mistyped key and the first missing, misshapen, non-finite or unexpected
+    tensor raise ``ValueError`` naming it, as do a document that is not a
+    JSON object holding a ``format_version``, an ``architecture`` other
+    than the config's (naming both), a ``params`` that is missing or not a
+    JSON object, a ``master_seed`` that is missing or not an int >= 0 (a
+    bool is not an int here) and a values block that is not a base64
+    string.
     """
     doc = json.loads(Path(path).read_text())
     version = require_key(doc, "format_version", "checkpoint")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    _refuse_unknown_keys(doc, _CHECKPOINT_KEYS, "checkpoint")
     cfg = settings_from_json(HypernetConfig, doc.get("config"), "checkpoint config")
+    if (architecture := require_key(doc, "architecture", "checkpoint")) != cfg.architecture:
+        raise ValueError(f"checkpoint key 'architecture' is {architecture!r}, but its "
+                         f"config's architecture is {cfg.architecture!r}")
     stored = require_key(doc, "params", "checkpoint", dict)
     master_seed = require_key(doc, "master_seed", "checkpoint")
     if type(master_seed) is not int or master_seed < 0:

@@ -108,9 +108,13 @@ class TrainingLog:
 @dataclass(frozen=True)
 class CertEntry:
     certificate: bounds.Certificate
-    emp_loss: float          # the empirical loss fed to the bound
     emp_loss_kind: str       # "zero_one" or "linear"
     mc_stderr: float | None  # standard error of the MC estimate, if any
+
+    @property
+    def emp_loss(self) -> float:
+        """The empirical loss fed to the bound: the certificate's ``q``."""
+        return self.certificate.q
 
     @property
     def kind(self) -> str:
@@ -312,7 +316,7 @@ def mc_expected_loss(params: dict[str, Tensor], cfg: HypernetConfig, task: TaskD
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     messages = artifacts.message + rng.normal((n_mc, cfg.b))
-    gammas, = decode_gamma(params, cfg, task.features[None], task.labels[None],
+    gammas, = decode_gamma(_constants(params), cfg, task.features[None], task.labels[None],
                            [artifacts.indices], messages[None])
     return _mean_stderr(ad.row_losses(
         *_complement_logits(cfg, task, artifacts.indices, gammas), loss_kind))
@@ -367,9 +371,8 @@ def _decode_chunk(params, cfg: HypernetConfig, tasks: list[TaskDataset],
     """The forward pass of a chunk of equal-size tasks, task i drawing from
     ``rngs[i]``: one ``encode`` of the full samples, one ``decode_gamma`` of
     every task's message stack, and one stacked support/query pass for the
-    test-query error, which splits task i with ``rngs[i].split(0)``; all on
-    constant parameters."""
-    params = _constants(params)
+    test-query error, which splits task i with ``rngs[i].split(0)``.  Its
+    caller passes constant parameters (``_constants``)."""
     xs = np.stack([task.features for task in tasks])
     ys = np.stack([task.labels for task in tasks])
     arts, _, _ = encode(params, cfg, xs, ys)
@@ -402,6 +405,7 @@ def certify_tasks(params: dict[str, Tensor], cfg: HypernetConfig, tasks: list[Ta
             raise ValueError(f"task {task.task_id} has {m} examples, too few for compression "
                              f"size {cfg.c}: its test-query pass encodes a half-sample support "
                              f"set of {m // 2}, which needs at least {max(1, cfg.c)}")
+    params = _constants(params)
     rows: list[CertRow | None] = [None] * len(tasks)
     certificates: dict[tuple, bounds.Certificate] = {}
     for m, positions in _by_size(tasks).items():
@@ -453,7 +457,7 @@ def certify_task(cfg: HypernetConfig, task: TaskDataset, protocol: CertifyProtoc
         key = (bound, replace(budget, emp_loss=emp_loss), *args)
         if key not in certificates:
             certificates[key] = bound(key[1], *args)
-        return CertEntry(certificates[key], emp_loss, emp_loss_kind, mc_stderr)
+        return CertEntry(certificates[key], emp_loss_kind, mc_stderr)
 
     if not cfg.has_gaussian_message:
         entries = [entry(bounds.bound_sch_binary, emp_01, "zero_one", args=(K,)),

@@ -5,7 +5,7 @@ canonical interleaving half-circles, and stores the draw alongside the data
 so any task can be regenerated exactly from (environment spec, task id).
 ``gen_moons_tasks`` generates a list of ids at once: each task draws from
 its own stream, in id order, and one stacked transform of the shared
-template gives every task the bits that ``gen_moons_task`` gives it alone.
+template gives every task the bits it gets when generated alone.
 ``save_tasks`` writes one array per non-empty split and deletes the array
 of each empty one, so a repeated ``gen`` leaves the tree a fresh one would.
 """
@@ -107,24 +107,18 @@ def _canonical_moons(m: int) -> tuple[np.ndarray, np.ndarray]:
     return features, labels
 
 
-def gen_moons_task(spec: MoonsEnvironmentSpec, task_id: int,
-                   noise_repeat: int = 0) -> TaskDataset:
-    """Generate one task; (spec, task_id) pins it down bit for bit.
-
-    ``noise_repeat > 0`` redraws the noise (and only the noise) from a fresh
-    sub-stream while keeping the task's rotation/center/scale, which yields
-    extra i.i.d. samples from the same task distribution.
-    """
-    return gen_moons_tasks(spec, [task_id], noise_repeat)[0]
-
-
 def gen_moons_tasks(spec: MoonsEnvironmentSpec, task_ids,
                     noise_repeat: int = 0) -> list[TaskDataset]:
-    """``gen_moons_task`` of each id, in order and with the same bits.
+    """Generate the task of each id, in order; (spec, task_id) pins a task
+    down bit for bit, whatever other ids it is generated with.
 
-    Each task still draws from its own stream, in id order; the template is
-    built once and the (T, m, 2) stack of noise is transformed as a whole.
-    Each task's features are its own C-contiguous block of that stack.
+    Each task draws from its own stream, in id order; the template is built
+    once and the (T, m, 2) stack of noise is transformed as a whole.  Each
+    task's features are its own C-contiguous block of that stack.
+
+    ``noise_repeat > 0`` redraws the noise (and only the noise) from a fresh
+    sub-stream while keeping each task's rotation/center/scale, which yields
+    extra i.i.d. samples from the same task distribution.
     """
     task_ids = list(task_ids)
     template, labels = _canonical_moons(spec.examples_per_task)

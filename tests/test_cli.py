@@ -18,7 +18,7 @@ from metacert.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, main, parse_config, Con
 from metacert.hypernet import HypernetConfig, init_hypernet_params, save_checkpoint
 from metacert.metalearn import DEFAULT_GRID
 from metacert.rng import Rng
-from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset, gen_moons_task,
+from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset, gen_moons_tasks,
                             save_tasks)
 
 MICRO_CONFIG = """\
@@ -204,8 +204,8 @@ class TestPipeline:
                              deepset_dim=6, attention_dim=8)
         sizes_seeds = [(30, 8), (40, 5), (30, 5), (30, 9), (40, 8), (30, 12), (30, 13),
                        (40, 6), (30, 14), (40, 7), (30, 15)]
-        test = [gen_moons_task(MoonsEnvironmentSpec(examples_per_task=m, master_seed=seed), 0)
-                for m, seed in sizes_seeds]
+        test = [gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=m, master_seed=seed),
+                                [0])[0] for m, seed in sizes_seeds]
         test = [TaskDataset(t.features, t.labels, task_id=50 + i) for i, t in enumerate(test)]
         save_tasks(out / "tasks", MetaDataset([], [], test), MoonsEnvironmentSpec())
         save_checkpoint(out / "checkpoint.json", cfg,
@@ -408,6 +408,10 @@ class TestPipeline:
         ("checkpoint.json", poisoned("compressor.keys.b1", -np.inf), "compressor.keys.b1"),
         ("tasks/manifest.json", lambda doc: doc.update(bogus=1), "'bogus'"),
         ("tasks/manifest.json", lambda doc: last_entry(doc).update(scal=1.0), "'scal'"),
+        ("checkpoint.json", lambda doc: doc.update(bogus=1), "'bogus'"),
+        ("checkpoint.json", lambda doc: doc.update(architecture="PBH"),
+         "'PBH', but its config's architecture is 'SCH_MINUS'"),
+        ("checkpoint.json", lambda doc: doc.pop("architecture"), "'architecture'"),
     ], ids=["missing", "wrong_shape", "config_unknown_key", "config_missing_key",
             "config_string_c", "manifest_unknown_key", "manifest_no_environment",
             "no_params", "no_master_seed", "tensor_no_values", "manifest_no_tasks",
@@ -417,7 +421,8 @@ class TestPipeline:
             "values_byte_count", "params_array", "params_string", "checkpoint_array",
             "manifest_tasks_number", "manifest_tasks_null", "split_tasks_object",
             "manifest_array", "values_inf", "values_nan", "values_minus_inf",
-            "manifest_top_unknown_key", "entry_unknown_key"])
+            "manifest_top_unknown_key", "entry_unknown_key", "checkpoint_top_unknown_key",
+            "checkpoint_architecture_contradicts_config", "checkpoint_no_architecture"])
     def test_certify_on_damaged_checkpoint_names_the_tensor(self, tmp_path, capsys,
                                                             artifact, damage, name):
         cfg = write_config(tmp_path)

@@ -21,7 +21,9 @@ from metacert.hypernet import (CompressionArtifacts, HypernetConfig,
                                pb_encode, reconstruct, sample_compress,
                                save_checkpoint, set_statistics)
 from metacert.rng import Rng
-from metacert.tasks import MoonsEnvironmentSpec, gen_moons_task
+from metacert.tasks import MoonsEnvironmentSpec, gen_moons_tasks
+
+import reference_ops as ref
 
 SMALL = dict(mlp1=(12,), mlp2=(10,), mlp3=(5,), deepset_dim=6, attention_dim=8)
 
@@ -33,7 +35,7 @@ def small_config(arch="SCH_PLUS", c=2, b=3, **kw):
 def small_task(m=30, seed=5):
     spec = MoonsEnvironmentSpec(n_train_tasks=1, n_test_tasks=1,
                                 examples_per_task=m, master_seed=seed)
-    return gen_moons_task(spec, 0)
+    return gen_moons_tasks(spec, [0])[0]
 
 
 def params_for(cfg, seed=1):
@@ -183,7 +185,7 @@ class TestEncoders:
         task = small_task()
         omega = msg_compress(params, std_set(task.features),
                              ad.constant(task.labels.reshape(-1, 1)))
-        ad.mean(omega).backward()
+        ref.mean(omega).backward()
         trunk_grads = [np.abs(t.grad).sum() for n, t in params.items()
                        if n.startswith("message.") and t.grad is not None]
         assert sum(trunk_grads) > 0.0
@@ -239,10 +241,10 @@ def per_head_select(params, cfg, z, keys, features, labels, soft=False):
     chosen, soft_rows = {}, []
     for h in range(cfg.c):
         query = mlp_forward(params, f"compressor.query{h}", z)
-        logits = ad.mul_scalar(ad.matmul(keys, ad.transpose(query)),
+        logits = ref.mul_scalar(ref.matmul(keys, ref.transpose(query)),
                                1.0 / math.sqrt(cfg.attention_dim))
-        probs = ad.softmax(logits, axis=0)
-        row = ad.hard_select_st(probs, values, soft=soft)
+        probs = ref.softmax(logits, axis=0)
+        row = ref.hard_select_st(probs, values, soft=soft)
         soft_rows.append(row)
         chosen.setdefault(int(np.argmax(probs.data[:, 0])), row)
     positions = tuple(sorted(chosen))

@@ -1,5 +1,6 @@
 """Meta-training loop, Monte-Carlo estimation, certification, and sweep tests."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -12,15 +13,15 @@ from scipy import optimize
 from metacert import autodiff as ad
 from metacert import bounds, metalearn
 from metacert.autodiff import Tensor
-from metacert.hypernet import (HypernetConfig, decode_gamma, downstream_forward, encode,
-                               hypernet_forward, init_hypernet_params)
+from metacert.hypernet import (HypernetConfig, _constants, decode_gamma, downstream_forward,
+                               encode, hypernet_forward, init_hypernet_params)
 from metacert.metalearn import (CertifyProtocol, TrainProtocol, TrainingDivergedError,
                                 certify_tasks, mc_expected_loss, meta_train,
                                 split_support_query, sweep)
 from metacert.optim import Adam
 from metacert.rng import Rng
 from metacert.tasks import (MoonsEnvironmentSpec, TaskDataset, gen_meta_dataset,
-                            gen_moons_task)
+                            gen_moons_tasks)
 
 SMALL = dict(mlp1=(16,), mlp2=(12,), mlp3=(5,), deepset_dim=6, attention_dim=8)
 
@@ -49,23 +50,23 @@ def toy_linear_meta(n_tasks=2, m=60, seed=4):
 
 class TestSplit:
     def test_sizes_disjoint_exhaustive(self):
-        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=50,
-                                                   master_seed=1), 0)
+        task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=50,
+                                                    master_seed=1), [0])[0]
         sup, qry = split_support_query(task, 20, Rng(0))
         assert len(sup) == 20 and len(qry) == 30
         assert set(sup) & set(qry) == set()
         assert sorted(np.concatenate([sup, qry])) == list(range(50))
 
     def test_same_seed_same_split(self):
-        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=50,
-                                                   master_seed=1), 0)
+        task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=50,
+                                                    master_seed=1), [0])[0]
         a = split_support_query(task, 25, Rng(7, (1,)))
         b = split_support_query(task, 25, Rng(7, (1,)))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_alpha_out_of_range(self):
-        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=50,
-                                                   master_seed=1), 0)
+        task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=50,
+                                                    master_seed=1), [0])[0]
         with pytest.raises(ValueError):
             split_support_query(task, 50, Rng(0))
 
@@ -143,7 +144,7 @@ class TestMetaTrain:
         # a too-small validation task used to fail in split_support_query
         # after a whole epoch of Adam steps, naming no task
         meta = micro_meta(n_train=8)
-        small = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=20, master_seed=3), 0)
+        small = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=20, master_seed=3), [0])[0]
         small = TaskDataset(small.features, small.labels, task_id=90)
         train, val = meta.train, meta.val
         if kind == "training":
@@ -189,8 +190,8 @@ class TestMcExpectedLoss:
     def setup_method(self):
         self.cfg = HypernetConfig("PBSCH", c=2, b=3, **SMALL)
         self.params = init_hypernet_params(self.cfg, Rng(2).split(0))
-        self.task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=40,
-                                                        master_seed=3), 0)
+        self.task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=40,
+                                                         master_seed=3), [0])[0]
         _, self.artifacts = hypernet_forward(self.params, self.cfg,
                                              self.task.features, self.task.labels,
                                              eps=np.zeros(3))
@@ -280,8 +281,8 @@ class TestCertifyTask:
     def make(self, arch, c, b):
         cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
         params = init_hypernet_params(cfg, Rng(6).split(0))
-        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=60,
-                                                   master_seed=7), 0)
+        task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=60,
+                                                    master_seed=7), [0])[0]
         return cfg, params, task
 
     def test_sch_minus_certificates(self):
@@ -350,8 +351,8 @@ class TestCertifyTask:
 
     def test_task_too_small_rejected(self):
         cfg, params, _ = self.make("SCH_MINUS", 3, 0)
-        tiny = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=2,
-                                                   master_seed=1), 0)
+        tiny = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=2,
+                                                    master_seed=1), [0])[0]
         with pytest.raises(ValueError):
             certify_tasks(params, cfg, [tiny], CertifyProtocol(0.05), Rng(0))
 
@@ -426,8 +427,9 @@ class TestForwardOnlyEvaluation:
 
     @staticmethod
     def task(seed, m=30):
-        return gen_moons_task(MoonsEnvironmentSpec(n_train_tasks=1, n_test_tasks=1,
-                                                   examples_per_task=m, master_seed=seed), 0)
+        spec = MoonsEnvironmentSpec(n_train_tasks=1, n_test_tasks=1, examples_per_task=m,
+                                    master_seed=seed)
+        return gen_moons_tasks(spec, [0])[0]
 
     @pytest.mark.parametrize("arch, c, b", ARCHS)
     def test_logits_equal_graph_forward(self, arch, c, b):
@@ -491,6 +493,35 @@ class TestForwardOnlyEvaluation:
                        for t in built), cfg.architecture
             assert all(t.grad is None for t in params.values()), cfg.architecture
             built.clear()
+
+    def test_evaluation_wraps_each_parameter_once(self, monkeypatch):
+        # a certify_tasks call and a validation pass each wrap every parameter
+        # as a constant once, however many chunks they decode
+        runs = []
+        for arch, c, b in ARCHS:
+            cfg = HypernetConfig(arch, c=c, b=b, **SMALL)
+            runs.append((cfg, init_hypernet_params(cfg, Rng(6).split(0))))
+        tasks = [self.task(seed, m=40) for seed in (7, 8, 9)]
+        monkeypatch.setattr(metalearn, "_chunk_size", lambda params, set_size, n_rows: 2)
+        owner = {id(t.data): name for _, params in runs for name, t in params.items()}
+        wraps = collections.Counter()
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if id(self.data) in owner:
+                wraps[owner[id(self.data)]] += 1
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        for cfg, params in runs:
+            once = collections.Counter(params.keys())
+            certify_tasks(params, cfg, tasks, CertifyProtocol(0.05, n_mc=4), Rng(0))
+            assert wraps == once, cfg.architecture
+            wraps.clear()
+            metalearn._validation_error(params, cfg, TrainProtocol(support_size=20),
+                                        tasks, Rng(3))
+            assert wraps == once, cfg.architecture
+            wraps.clear()
 
 
 class TestStackedCertification:
@@ -583,8 +614,9 @@ class TestStackedCertification:
         protocol = CertifyProtocol(0.05, n_mc=100)
         size = metalearn._chunk_size(params, 200, metalearn._message_rows(cfg, protocol))
         spec = MoonsEnvironmentSpec(n_test_tasks=size, examples_per_task=200, master_seed=3)
-        tasks = [gen_moons_task(spec, i) for i in range(size)]
+        tasks = [gen_moons_tasks(spec, [i])[0] for i in range(size)]
         rngs = [Rng(5).split(i) for i in range(size)]
+        params = _constants(params)  # as certify_tasks passes them
         metalearn._decode_chunk(params, cfg, tasks, protocol, rngs)  # warm the caches
         tracemalloc.start()
         try:

@@ -11,7 +11,9 @@ from metacert.hypernet import (HypernetConfig, downstream_forward, hypernet_forw
                                init_hypernet_params)
 from metacert.optim import Adam, AdamState, adam_step, kaiming_uniform_init
 from metacert.rng import Rng
-from metacert.tasks import MoonsEnvironmentSpec, gen_moons_task
+from metacert.tasks import MoonsEnvironmentSpec, gen_moons_tasks
+
+import reference_ops as ref
 
 
 class TestAdam:
@@ -32,7 +34,7 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.05)
         values = []
         for _ in range(50):
-            loss = ad.mean(ad.mul_elem(p, p.data))  # value = p^2 (grad handled below)
+            loss = ref.mean(ref.mul_elem(p, p.data))  # value = p^2 (grad handled below)
             p.grad = 2 * p.data
             values.append(float(p.data[0, 0] ** 2))
             opt.step()
@@ -70,7 +72,7 @@ class TestAdam:
             params[f"compressor.query1.{kind}"].data = \
                 params[f"compressor.query0.{kind}"].data.copy()
         before = {name: t.data.copy() for name, t in params.items()}
-        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), 0)
+        task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), [0])[0]
         opt = Adam(params, lr=1e-2)
         gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20])
         assert art.c_effective == 1
@@ -120,7 +122,7 @@ class TestAdam:
                              deepset_dim=6, attention_dim=8)
         params = init_hypernet_params(cfg, Rng(2))
         opt = Adam(params, lr=1e-3)
-        task = gen_moons_task(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), 0)
+        task = gen_moons_tasks(MoonsEnvironmentSpec(examples_per_task=30, master_seed=5), [0])[0]
         gamma, art = hypernet_forward(params, cfg, task.features[:20], task.labels[:20],
                                       eps=Rng(2).normal(cfg.b))
         assert art.c_effective == 2

@@ -15,8 +15,8 @@ from metacert.autodiff import Tensor
 from metacert.optim import Adam
 from metacert.rng import STREAM_TASKS, Rng
 from metacert.tasks import (MetaDataset, MoonsEnvironmentSpec, TaskDataset, TaskProvenance,
-                            gen_meta_dataset, gen_moons_task, gen_moons_tasks, load_tasks,
-                            save_tasks, settings_from_json)
+                            gen_meta_dataset, gen_moons_tasks, load_tasks, save_tasks,
+                            settings_from_json)
 
 
 def canonical_spec(**kw):
@@ -31,7 +31,7 @@ class TestGeneration:
         # sigma=0, scale=1, rotation=0, center=(0,0): first +1 point is (1, 0)
         spec = canonical_spec(noise_sigma=0.0, rotation_range=(0.0, 0.0),
                               center_range=(0.0, 0.0), scale_range=(1.0, 1.0))
-        task = gen_moons_task(spec, 0)
+        task = gen_moons_tasks(spec, [0])[0]
         assert np.allclose(task.features[0], [1.0, 0.0], atol=1e-15)
         assert task.labels[0] == 1.0
         # first point of the second class sits at (1 - cos 0, 0.5 - sin 0) = (0, 0.5)
@@ -41,19 +41,19 @@ class TestGeneration:
 
     def test_deterministic_regeneration(self):
         spec = canonical_spec()
-        a, b = gen_moons_task(spec, 3), gen_moons_task(spec, 3)
+        a, b = gen_moons_tasks(spec, [3])[0], gen_moons_tasks(spec, [3])[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         assert a.provenance == b.provenance
 
     def test_class_balance(self):
-        task = gen_moons_task(canonical_spec(), 1)
+        task = gen_moons_tasks(canonical_spec(), [1])[0]
         assert (task.labels == 1).sum() == (task.labels == -1).sum() == 20
 
     def test_provenance_ranges(self):
         spec = canonical_spec(n_train_tasks=40)
         for i in range(40):
-            p = gen_moons_task(spec, i).provenance
+            p = gen_moons_tasks(spec, [i])[0].provenance
             assert 0.0 <= p.rotation_deg < 360.0
             assert all(-10.0 <= c <= 10.0 for c in p.center)
             assert 0.2 <= p.scale <= 5.0
@@ -61,7 +61,7 @@ class TestGeneration:
     def test_transform_matches_provenance(self):
         # regenerating with sigma=0 and applying the stored transform by hand
         spec = canonical_spec(noise_sigma=0.0)
-        task = gen_moons_task(spec, 5)
+        task = gen_moons_tasks(spec, [5])[0]
         p = task.provenance
         half = len(task) // 2
         t = np.linspace(0, math.pi, half)
@@ -75,8 +75,8 @@ class TestGeneration:
 
     def test_noise_repeat_changes_noise_only(self):
         spec = canonical_spec()
-        base = gen_moons_task(spec, 2)
-        fresh = gen_moons_task(spec, 2, noise_repeat=1)
+        base = gen_moons_tasks(spec, [2])[0]
+        fresh = gen_moons_tasks(spec, [2], noise_repeat=1)[0]
         assert base.provenance == fresh.provenance
         assert not np.array_equal(base.features, fresh.features)
         assert np.array_equal(base.labels, fresh.labels)
@@ -102,7 +102,7 @@ class TestGeneration:
         spec = canonical_spec(noise_sigma=0.0, rotation_range=(0.0, 0.0),
                               center_range=(0.0, 0.0), scale_range=(1.0, 1.0),
                               examples_per_task=200)
-        task = gen_moons_task(spec, 0)
+        task = gen_moons_tasks(spec, [0])[0]
         x, y = task.features, task.labels
 
         def train(widths, steps, lr):
@@ -180,9 +180,9 @@ class TestBatchedGeneration:
         assert len(tasks) == len(ids)
         for task, task_id in zip(tasks, ids):
             assert_matches_reference(task, spec, task_id, noise_repeat)
-        # the one-id case is gen_moons_task
+        # a list of one id
         for task_id in (0, 12345):
-            assert_matches_reference(gen_moons_task(spec, task_id, noise_repeat),
+            assert_matches_reference(gen_moons_tasks(spec, [task_id], noise_repeat)[0],
                                      spec, task_id, noise_repeat)
 
     def test_empty_id_list(self):
